@@ -4,17 +4,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prever_bench::experiments::e2_private_verify;
 
 fn bench(c: &mut Criterion) {
-    // The table run exercises all mechanisms; here we time the two
-    // extremes individually for statistical confidence.
+    // The table run exercises all mechanisms; here we time one of them
+    // individually for statistical confidence.
     let mut group = c.benchmark_group("e2_private_verify");
-
-    group.bench_function("incremental_check", |b| {
-        use prever_constraints::{AggFunc, MaintainedAggregate};
-        use prever_storage::Value;
-        let agg = MaintainedAggregate::new("t", AggFunc::Sum, 0, Some(1), None).unwrap();
-        let g = Value::Str("w".into());
-        b.iter(|| agg.check_upper_bound(&g, 3, 0, 40));
-    });
 
     group.bench_function("mpc_3p_check", |b| {
         use prever_mpc::FederatedBoundCheck;

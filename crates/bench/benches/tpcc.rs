@@ -1,4 +1,4 @@
-//! E10 micro-bench: new-order admission, scan vs incremental.
+//! E10 micro-bench: new-order admission, unregulated vs regulated.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prever_bench::experiments::e10_tpcc;

@@ -41,6 +41,7 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "wall-clock gate; CI runs it with --release")]
     fn crypto_amortized_smoke_fixed_base_sign() {
         let mut rng = StdRng::seed_from_u64(61);
         let group = SchnorrGroup::test_group_256();
@@ -63,6 +64,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "wall-clock gate; CI runs it with --release")]
     fn crypto_amortized_smoke_answer_many() {
         let mut rng = StdRng::seed_from_u64(62);
         let n = 2048usize;
@@ -97,6 +99,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "wall-clock gate; CI runs it with --release")]
     fn crypto_amortized_smoke_batch_verify() {
         let mut rng = StdRng::seed_from_u64(63);
         let group = SchnorrGroup::test_group_256();

@@ -48,7 +48,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 /// Spans/histograms that must have recorded at least one sample for the
 /// run to count as instrumented.
-const REQUIRED_SPANS: [&str; 9] = [
+const REQUIRED_SPANS: [&str; 10] = [
     "pbft.prepare",
     "pbft.commit",
     "consensus.commit.latency",
@@ -58,12 +58,13 @@ const REQUIRED_SPANS: [&str; 9] = [
     "ledger.append",
     "wal.flush",
     "server.admission.latency",
+    "constraints.eval.rows",
 ];
 
 /// Counters that must be nonzero — the sharded commit/abort metrics and
 /// the serving-layer admission metrics the CI instrumentation gate
 /// watches.
-const REQUIRED_COUNTERS: [&str; 15] = [
+const REQUIRED_COUNTERS: [&str; 17] = [
     "crypto.fixed_base.hits",
     "crypto.batch_verify.size",
     "pir.multi_query.batch",
@@ -79,6 +80,8 @@ const REQUIRED_COUNTERS: [&str; 15] = [
     "server.failover.resume",
     "server.read.fresh",
     "server.quota.applied",
+    "constraints.eval.indexed",
+    "constraints.eval.scanned",
 ];
 
 /// Gauges that must have been written at least once (value may
@@ -382,6 +385,9 @@ fn main() {
     run_server(quick);
     run_failover(quick);
     let ycsb_table = e::e1_ycsb::run(quick);
+    // E2 checks one regulation on a table without indexes and on one
+    // with: both `constraints.eval.*` row sources.
+    let verify_table = e::e2_private_verify::run(quick);
     run_crypto(quick);
     run_pir(quick);
     run_storage(quick);
@@ -401,6 +407,7 @@ fn main() {
     let snap = prever_obs::snapshot();
     println!("# PReVer observability run ({mode} mode)\n");
     println!("{}", ycsb_table.render());
+    println!("{}", verify_table.render());
     println!(
         "{}",
         e::critical_path_table(

@@ -1,15 +1,16 @@
 //! E10 — §6 "TPC": TPC-C-lite new-order throughput, unregulated vs
-//! regulated, reference vs incremental verification.
+//! regulated.
 //!
 //! The regulation: a per-customer sliding-window quantity cap (a credit
-//! limit), checked three ways:
-//! * `unregulated`          — plain inserts (the non-private baseline);
-//! * `regulated-scan`       — reference evaluator, O(rows) per order;
-//! * `regulated-incremental`— maintained aggregate, O(log g) per order.
+//! limit):
+//! * `unregulated` — plain inserts (the non-private baseline);
+//! * `regulated`   — `Pipeline` with the cap registered. Registering it
+//!   indexes `orders` by `(customer, ts)`, so each check reads the
+//!   customer's orders inside the window, not the table.
 
 use crate::experiments::{ops_per_sec, time_once};
 use crate::Table;
-use prever_constraints::{AggFunc, Constraint, ConstraintScope, MaintainedAggregate};
+use prever_constraints::{Constraint, ConstraintScope};
 use prever_core::{Pipeline, Update};
 use prever_storage::{Column, ColumnType, Row, Schema, Value};
 use prever_workloads::tpcc::{TpccConfig, TpccWorkload};
@@ -81,7 +82,7 @@ pub fn run(quick: bool) -> Table {
         ]);
     }
 
-    // Regulated via reference evaluator (full scan).
+    // Regulated: the registered constraint is checked through the index.
     {
         let mut p = Pipeline::new();
         p.create_table("orders", orders_schema()).expect("table");
@@ -97,7 +98,7 @@ pub fn run(quick: bool) -> Table {
             )
             .expect("parses"),
         );
-        let secs = time_once("bench.e10.regulated_scan", || {
+        let secs = time_once("bench.e10.regulated", || {
             for o in &orders {
                 let u = Update::new(
                     o.id,
@@ -111,54 +112,12 @@ pub fn run(quick: bool) -> Table {
         });
         let (a, r) = p.stats();
         table.row(vec![
-            "regulated-scan".into(),
+            "regulated".into(),
             warehouses.to_string(),
             n_orders.to_string(),
             ops_per_sec(n_orders, secs),
             a.to_string(),
             r.to_string(),
-        ]);
-    }
-
-    // Regulated via maintained aggregate.
-    {
-        let mut p = Pipeline::new();
-        p.create_table("orders", orders_schema()).expect("table");
-        // customer col 1, quantity col 2, ts col 3.
-        let mut agg = MaintainedAggregate::new("orders", AggFunc::Sum, 1, Some(2), Some((3, WINDOW)))
-            .expect("agg");
-        let mut applied = 0u64;
-        let mut accepted = 0u64;
-        let mut rejected = 0u64;
-        let secs = time_once("bench.e10.regulated_incremental", || {
-            for o in &orders {
-                let qty = o.total_quantity();
-                let ok = agg.check_upper_bound(
-                    &Value::Uint(o.customer),
-                    qty as i128,
-                    o.ts,
-                    CREDIT_CAP as i128,
-                );
-                if !ok {
-                    rejected += 1;
-                    continue;
-                }
-                let u = Update::new(o.id, "orders", order_row(o.id, o.customer, qty, o.ts), o.ts, "tpcc");
-                p.submit(&u).expect("submit");
-                accepted += 1;
-                for c in p.database().changes_since(applied).to_vec() {
-                    agg.apply(&c).expect("apply");
-                }
-                applied = p.database().version();
-            }
-        });
-        table.row(vec![
-            "regulated-incremental".into(),
-            warehouses.to_string(),
-            n_orders.to_string(),
-            ops_per_sec(n_orders, secs),
-            accepted.to_string(),
-            rejected.to_string(),
         ]);
     }
 

@@ -5,16 +5,18 @@
 //! experiment puts numbers on the spectrum, for the same decision
 //! ("may this update be admitted under the 40-hour bound?"):
 //!
-//! * `plaintext-scan` — reference evaluator, full table scan;
-//! * `incremental`    — maintained aggregate, O(log g);
-//! * `enclave-sim`    — hardware-protected plaintext + transition toll;
-//! * `mpc-3p`         — the federated secure comparison;
-//! * `paillier`       — homomorphic accumulate + owner decrypt;
-//! * `zk-range`       — producer-side range proof (prove + verify).
+//! * `plaintext-scan`    — the evaluator on a table without indexes;
+//! * `plaintext-indexed` — the same evaluator, same constraint, on a
+//!   table with the `(worker, ts)` index `Pipeline` creates: equality and
+//!   window pushed down, O(log n + rows in window);
+//! * `enclave-sim`       — hardware-protected plaintext + transition toll;
+//! * `mpc-3p`            — the federated secure comparison;
+//! * `paillier`          — homomorphic accumulate + owner decrypt;
+//! * `zk-range`          — producer-side range proof (prove + verify).
 
 use crate::experiments::time_per_op;
 use crate::Table;
-use prever_constraints::{evaluate, AggFunc, Constraint, ConstraintScope, MaintainedAggregate, UpdateContext};
+use prever_constraints::{ensure_indexes, evaluate, Constraint, ConstraintScope, UpdateContext};
 use prever_crypto::bignum::BigUint;
 use prever_crypto::schnorr::{self, RangeProof, SchnorrGroup};
 use prever_enclave::Enclave;
@@ -64,9 +66,10 @@ pub fn run(quick: bool) -> Table {
     let rows = if quick { 500 } else { 5_000 };
     let iters = if quick { 20 } else { 200 };
 
-    // Plaintext full-scan reference.
-    {
-        let db = tasks_db(rows);
+    // Plaintext: the one evaluator, without and with the index it can
+    // push the equality and the window down onto.
+    for (mechanism, indexed) in [("plaintext-scan", false), ("plaintext-indexed", true)] {
+        let mut db = tasks_db(rows);
         let constraint = Constraint::parse(
             "flsa",
             ConstraintScope::Regulation,
@@ -76,6 +79,9 @@ pub fn run(quick: bool) -> Table {
             ),
         )
         .expect("parses");
+        if indexed {
+            ensure_indexes(&constraint.expr, &mut db);
+        }
         let row = Row::new(vec![
             Value::Uint(9_999_999),
             Value::Str("w7".into()),
@@ -85,26 +91,10 @@ pub fn run(quick: bool) -> Table {
         let schema = db.table("tasks").expect("table").schema();
         let snapshot = db.snapshot();
         let ctx = UpdateContext { table: "tasks", row: &row, schema, timestamp: rows as u64 * 60 };
-        let us = time_per_op("bench.e2.plaintext_scan", iters, || {
+        let us = time_per_op(&format!("bench.e2.{}", mechanism.replace('-', "_")), iters, || {
             let _ = evaluate(&constraint, &snapshot, &ctx).expect("eval");
         });
-        table.row(vec!["plaintext-scan".into(), rows.to_string(), format!("{us:.1}")]);
-    }
-
-    // Incremental maintained aggregate.
-    {
-        let db = tasks_db(rows);
-        let mut agg =
-            MaintainedAggregate::new("tasks", AggFunc::Sum, 1, Some(2), Some((3, WEEK))).expect("agg");
-        for c in db.change_log() {
-            agg.apply(c).expect("apply");
-        }
-        let worker = Value::Str("w7".into());
-        let at = rows as u64 * 60;
-        let us = time_per_op("bench.e2.incremental", iters * 10, || {
-            let _ = agg.check_upper_bound(&worker, 3, at, 40);
-        });
-        table.row(vec!["incremental".into(), rows.to_string(), format!("{us:.3}")]);
+        table.row(vec![mechanism.into(), rows.to_string(), format!("{us:.1}")]);
     }
 
     // Enclave simulation (plaintext inside + transition toll is virtual;

@@ -232,7 +232,8 @@ impl Expr {
         out
     }
 
-    fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+    /// Calls `f` on this node and every node below it, filters included.
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match self {
             Expr::Binary { lhs, rhs, .. } => {

@@ -1,14 +1,24 @@
-//! The reference evaluator: expressions over (snapshot, update).
+//! The evaluator: expressions over (snapshot, update).
 //!
 //! Semantics follow SQL where SQL has an answer: arithmetic and
 //! comparisons propagate NULL, `AND`/`OR` are three-valued, and a
 //! constraint whose top-level result is NULL **rejects** the update
 //! (unknown is not permission). Aggregates over zero rows follow SQL:
 //! `COUNT` is 0, `SUM`/`MIN`/`MAX`/`AVG` are NULL.
+//!
+//! There is one evaluator. Every aggregate, grouped aggregate and
+//! `EXISTS` runs the same loop ([`for_each_match`]) over a *row source*:
+//! the whole table, or the candidates of an index [`crate::pushdown`]
+//! found for an equality conjunct. The window test, the filter and NULL
+//! handling run unchanged over whichever rows arrive, so on a database
+//! without indexes this is the full-scan oracle.
 
-use crate::ast::{AggFunc, BinOp, Expr, GroupReduce};
-use crate::{Constraint, ConstraintError, Result};
+use crate::ast::{AggFunc, BinOp, Expr, GroupReduce, TimeWindow};
+use crate::{pushdown, Constraint, ConstraintError, Result};
 use prever_storage::{Row, Schema, Snapshot, Value};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// The incoming update, as seen by constraint evaluation.
 ///
@@ -55,198 +65,223 @@ pub fn evaluate(
     }
 }
 
-/// Evaluates an expression with no row bound (aggregates scan the
+/// Evaluates an expression with no row bound (aggregates read the
 /// snapshot; bare `table.column` references are an error here).
 pub fn evaluate_expr(
     expr: &Expr,
     snapshot: &Snapshot<'_>,
     update: &UpdateContext<'_>,
 ) -> Result<Value> {
-    eval(expr, snapshot, update, &[])
+    let env = Env { snapshot, update };
+    eval(expr, &env, &mut Vec::new()).map(Cow::into_owned)
+}
+
+/// What every node of one evaluation reads: the snapshot and the update.
+pub(crate) struct Env<'e, 'a> {
+    pub(crate) snapshot: &'e Snapshot<'a>,
+    pub(crate) update: &'e UpdateContext<'a>,
 }
 
 /// Row binding for `table.column` references inside aggregate filters.
-/// Nested scans push onto a stack; references resolve innermost-first,
-/// which is what makes correlated `EXISTS` (semi-joins) work.
+/// Nested scans push onto one stack (pushed and popped per row, never
+/// copied); references resolve innermost-first, which is what makes
+/// correlated `EXISTS` (semi-joins) work.
 #[derive(Clone, Copy)]
-struct RowBinding<'a> {
-    table: &'a str,
-    schema: &'a Schema,
-    row: &'a Row,
+pub(crate) struct RowBinding<'a> {
+    pub(crate) table: &'a str,
+    pub(crate) schema: &'a Schema,
+    pub(crate) row: &'a Row,
 }
 
-fn eval(
-    expr: &Expr,
-    snapshot: &Snapshot<'_>,
-    update: &UpdateContext<'_>,
-    bound: &[RowBinding<'_>],
-) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Field(name) => Ok(update.field(name)?.clone()),
+impl<'a> RowBinding<'a> {
+    /// The innermost scan of `table` on the stack: correlated references
+    /// reach enclosing scans by table name, the nearest one winning.
+    pub(crate) fn innermost(bound: &[RowBinding<'a>], table: &str) -> Option<RowBinding<'a>> {
+        bound.iter().rev().find(|b| b.table == table).copied()
+    }
+}
+
+/// One table read: what an aggregate, grouped aggregate or `EXISTS`
+/// asks of its row source.
+pub(crate) struct Scan<'a> {
+    pub(crate) table: &'a str,
+    pub(crate) filter: Option<&'a Expr>,
+    pub(crate) window: Option<&'a TimeWindow>,
+}
+
+/// Values are borrowed from the AST, the update or the bound row wherever
+/// they already exist, so comparing a column with a `$field` clones
+/// neither string.
+fn eval<'a>(
+    expr: &'a Expr,
+    env: &Env<'_, 'a>,
+    bound: &mut Vec<RowBinding<'a>>,
+) -> Result<Cow<'a, Value>> {
+    let owned = match expr {
+        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        Expr::Field(name) => return Ok(Cow::Borrowed(env.update.field(name)?)),
         Expr::Column { table, column } => {
-            // Innermost matching scan wins (correlated references reach
-            // enclosing scans by table name).
-            let b = bound.iter().rev().find(|b| b.table == table).ok_or_else(|| {
+            let b = RowBinding::innermost(bound, table).ok_or_else(|| {
                 ConstraintError::TypeMismatch {
                     op: "column reference",
                     detail: format!("{table}.{column} does not match any enclosing scan"),
                 }
             })?;
-            let idx = b.schema.column_index(column)?;
-            Ok(b.row.values[idx].clone())
+            return Ok(Cow::Borrowed(&b.row.values[b.schema.column_index(column)?]));
         }
         Expr::Binary { op, lhs, rhs } => {
-            // Three-valued AND/OR need lazy handling of NULL.
+            // Both sides are always evaluated: three-valued AND/OR need
+            // the other operand even when one is NULL.
+            let l = eval(lhs, env, bound)?;
+            let r = eval(rhs, env, bound)?;
             match op {
-                BinOp::And | BinOp::Or => {
-                    let l = eval(lhs, snapshot, update, bound)?;
-                    let r = eval(rhs, snapshot, update, bound)?;
-                    eval_logic(*op, &l, &r)
-                }
-                _ => {
-                    let l = eval(lhs, snapshot, update, bound)?;
-                    let r = eval(rhs, snapshot, update, bound)?;
-                    eval_binary(*op, &l, &r)
-                }
+                BinOp::And | BinOp::Or => eval_logic(*op, &l, &r)?,
+                _ => eval_binary(*op, &l, &r)?,
             }
         }
-        Expr::Not(e) => match eval(e, snapshot, update, bound)? {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            Value::Null => Ok(Value::Null),
-            other => Err(ConstraintError::TypeMismatch {
-                op: "NOT",
-                detail: format!("expected boolean, got {}", other.type_name()),
-            }),
+        Expr::Not(e) => match &*eval(e, env, bound)? {
+            Value::Bool(b) => Value::Bool(!b),
+            Value::Null => Value::Null,
+            other => {
+                return Err(ConstraintError::TypeMismatch {
+                    op: "NOT",
+                    detail: format!("expected boolean, got {}", other.type_name()),
+                })
+            }
         },
-        Expr::Neg(e) => match eval(e, snapshot, update, bound)? {
-            Value::Null => Ok(Value::Null),
+        Expr::Neg(e) => match &*eval(e, env, bound)? {
+            Value::Null => Value::Null,
             v => {
                 let n = v.as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
                     op: "negation",
                     detail: format!("expected numeric, got {}", v.type_name()),
                 })?;
-                int_value(-n)
+                int_value(-n)?
             }
         },
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, snapshot, update, bound)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+            Value::Bool(eval(expr, env, bound)?.is_null() != *negated)
         }
-        Expr::Aggregate { func, table, column, filter, window } => eval_aggregate(
-            *func,
-            table,
-            column.as_deref(),
-            filter.as_deref(),
-            window.as_ref(),
-            snapshot,
-            update,
-            bound,
-        ),
+        Expr::Aggregate { func, table, column, filter, window } => {
+            let scan = Scan { table, filter: filter.as_deref(), window: window.as_ref() };
+            return eval_aggregate(*func, column.as_deref(), &scan, env, bound);
+        }
         Expr::Exists { table, filter } => {
-            eval_exists(table, filter.as_deref(), snapshot, update, bound)
+            let scan = Scan { table, filter: filter.as_deref(), window: None };
+            let mut found = false;
+            for_each_match(&scan, env, bound, |_| {
+                found = true;
+                Ok(ControlFlow::Break(()))
+            })?;
+            Value::Bool(found)
         }
         Expr::GroupedAggregate { func, table, column, group_by, filter, window, reduce } => {
-            eval_grouped(
-                *func,
-                table,
-                column.as_deref(),
-                group_by,
-                filter.as_deref(),
-                window.as_ref(),
-                *reduce,
-                snapshot,
-                update,
-                bound,
-            )
+            let scan = Scan { table, filter: filter.as_deref(), window: window.as_ref() };
+            eval_grouped(*func, column.as_deref(), group_by, *reduce, &scan, env, bound)?
         }
-    }
+    };
+    Ok(Cow::Owned(owned))
 }
 
-fn eval_exists(
-    table: &str,
-    filter: Option<&Expr>,
-    snapshot: &Snapshot<'_>,
-    update: &UpdateContext<'_>,
-    bound: &[RowBinding<'_>],
-) -> Result<Value> {
-    let schema = snapshot.schema(table)?;
-    for (_key, row) in snapshot.scan(table)? {
-        match filter {
-            None => return Ok(Value::Bool(true)),
-            Some(f) => {
-                let mut stack: Vec<RowBinding<'_>> = bound.to_vec();
-                stack.push(RowBinding { table, schema, row });
-                match eval(f, snapshot, update, &stack)? {
-                    Value::Bool(true) => return Ok(Value::Bool(true)),
+/// The one scan loop. Calls `each` with every row of `scan.table` that
+/// lies inside the sliding window `(update_ts − duration, update_ts]` and
+/// passes the filter, until `each` breaks.
+///
+/// The rows come from an index when [`pushdown::index_rows`] finds one
+/// that provably yields every matching row, from the whole table
+/// otherwise; the tests below run on whichever rows arrive.
+fn for_each_match<'a>(
+    scan: &Scan<'a>,
+    env: &Env<'_, 'a>,
+    bound: &mut Vec<RowBinding<'a>>,
+    mut each: impl FnMut(&'a Row) -> Result<ControlFlow<()>>,
+) -> Result<()> {
+    let table = scan.table;
+    let schema = env.snapshot.schema(table)?;
+    // (window, its column, the instant just before it opens).
+    let anchor = env.update.timestamp as i128;
+    let window = match scan.window {
+        Some(w) => Some((w, schema.column_index(&w.column)?, anchor - w.duration as i128)),
+        None => None,
+    };
+
+    let window_range = window.map(|(_, widx, after)| (widx, after + 1..=anchor));
+    let mut indexed = pushdown::index_rows(scan, schema, window_range, env, bound);
+    let mut scanned;
+    let rows: &mut dyn Iterator<Item = &'a Row> = match &mut indexed {
+        Some(rows) => {
+            prever_obs::counter("constraints.eval.indexed").inc();
+            rows
+        }
+        None => {
+            prever_obs::counter("constraints.eval.scanned").inc();
+            scanned = env.snapshot.scan(table)?.map(|(_, row)| row);
+            &mut scanned
+        }
+    };
+
+    let mut visited = 0u64;
+    let outcome = (|| {
+        for row in rows {
+            visited += 1;
+            if let Some((w, widx, after)) = window {
+                let ts = row.values[widx].as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
+                    op: "window",
+                    detail: format!("window column {} is not numeric", w.column),
+                })?;
+                if ts <= after || ts > anchor {
+                    continue;
+                }
+            }
+            if let Some(f) = scan.filter {
+                bound.push(RowBinding { table, schema, row });
+                let verdict = eval(f, env, bound);
+                bound.pop();
+                match &*verdict? {
+                    Value::Bool(true) => {}
                     Value::Bool(false) | Value::Null => continue,
                     other => {
                         return Err(ConstraintError::TypeMismatch {
-                            op: "EXISTS WHERE",
+                            op: "WHERE",
                             detail: format!("filter must be boolean, got {}", other.type_name()),
                         })
                     }
                 }
             }
+            if each(row)?.is_break() {
+                break;
+            }
         }
-    }
-    Ok(Value::Bool(false))
+        Ok(())
+    })();
+    prever_obs::histogram("constraints.eval.rows").record(visited);
+    outcome
 }
 
-#[allow(clippy::too_many_arguments)]
-fn eval_grouped(
+fn eval_grouped<'a>(
     func: AggFunc,
-    table: &str,
     column: Option<&str>,
     group_by: &str,
-    filter: Option<&Expr>,
-    window: Option<&crate::ast::TimeWindow>,
     reduce: GroupReduce,
-    snapshot: &Snapshot<'_>,
-    update: &UpdateContext<'_>,
-    bound: &[RowBinding<'_>],
+    scan: &Scan<'a>,
+    env: &Env<'_, 'a>,
+    bound: &mut Vec<RowBinding<'a>>,
 ) -> Result<Value> {
-    let schema = snapshot.schema(table)?;
+    let schema = env.snapshot.schema(scan.table)?;
     let col_idx = column.map(|c| schema.column_index(c)).transpose()?;
     let group_idx = schema.column_index(group_by)?;
-    let window_idx = window.map(|w| schema.column_index(&w.column)).transpose()?;
-    let mut groups: std::collections::BTreeMap<Value, i128> = std::collections::BTreeMap::new();
-    for (_key, row) in snapshot.scan(table)? {
-        if let (Some(w), Some(widx)) = (window, window_idx) {
-            let ts = row.values[widx].as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
-                op: "window",
-                detail: format!("window column {} is not numeric", w.column),
-            })?;
-            let anchor = update.timestamp as i128;
-            if ts <= anchor - w.duration as i128 || ts > anchor {
-                continue;
-            }
-        }
-        if let Some(f) = filter {
-            let mut stack: Vec<RowBinding<'_>> = bound.to_vec();
-            stack.push(RowBinding { table, schema, row });
-            match eval(f, snapshot, update, &stack)? {
-                Value::Bool(true) => {}
-                Value::Bool(false) | Value::Null => continue,
-                other => {
-                    return Err(ConstraintError::TypeMismatch {
-                        op: "WHERE",
-                        detail: format!("filter must be boolean, got {}", other.type_name()),
-                    })
-                }
-            }
-        }
+    let mut groups: BTreeMap<&Value, i128> = BTreeMap::new();
+    for_each_match(scan, env, bound, |row| {
         let contribution = match func {
             AggFunc::Count => 1,
             AggFunc::Sum => {
-                let idx = col_idx.expect("parser enforces a column for SUM");
-                let v = &row.values[idx];
+                let v = &row.values[col_idx.expect("parser enforces a column for SUM")];
                 if v.is_null() {
-                    continue;
+                    return Ok(ControlFlow::Continue(()));
                 }
                 v.as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
                     op: "MAXSUM/MINSUM",
-                    detail: format!("non-numeric column value {v}"),
+                    detail: format!("cannot sum {} values", v.type_name()),
                 })?
             }
             other => {
@@ -256,9 +291,10 @@ fn eval_grouped(
                 })
             }
         };
-        let entry = groups.entry(row.values[group_idx].clone()).or_insert(0);
+        let entry = groups.entry(&row.values[group_idx]).or_insert(0);
         *entry = entry.checked_add(contribution).ok_or(ConstraintError::Overflow)?;
-    }
+        Ok(ControlFlow::Continue(()))
+    })?;
     let reduced = match reduce {
         GroupReduce::Max => groups.values().max(),
         GroupReduce::Min => groups.values().min(),
@@ -269,102 +305,64 @@ fn eval_grouped(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn eval_aggregate(
+fn eval_aggregate<'a>(
     func: AggFunc,
-    table: &str,
     column: Option<&str>,
-    filter: Option<&Expr>,
-    window: Option<&crate::ast::TimeWindow>,
-    snapshot: &Snapshot<'_>,
-    update: &UpdateContext<'_>,
-    bound: &[RowBinding<'_>],
-) -> Result<Value> {
-    let schema = snapshot.schema(table)?;
+    scan: &Scan<'a>,
+    env: &Env<'_, 'a>,
+    bound: &mut Vec<RowBinding<'a>>,
+) -> Result<Cow<'a, Value>> {
+    let schema = env.snapshot.schema(scan.table)?;
     let col_idx = column.map(|c| schema.column_index(c)).transpose()?;
-    let window_idx = window.map(|w| schema.column_index(&w.column)).transpose()?;
 
     let mut count: i128 = 0;
     let mut sum: i128 = 0;
-    let mut min: Option<Value> = None;
-    let mut max: Option<Value> = None;
+    let mut min: Option<&'a Value> = None;
+    let mut max: Option<&'a Value> = None;
 
-    for (_key, row) in snapshot.scan(table)? {
-        // Sliding window: (update_ts − duration, update_ts].
-        if let (Some(w), Some(widx)) = (window, window_idx) {
-            let ts = row.values[widx].as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
-                op: "window",
-                detail: format!("window column {} is not numeric", w.column),
-            })?;
-            let anchor = update.timestamp as i128;
-            if ts <= anchor - w.duration as i128 || ts > anchor {
-                continue;
-            }
-        }
-        if let Some(f) = filter {
-            let mut stack: Vec<RowBinding<'_>> = bound.to_vec();
-            stack.push(RowBinding { table, schema, row });
-            match eval(f, snapshot, update, &stack)? {
-                Value::Bool(true) => {}
-                Value::Bool(false) | Value::Null => continue,
-                other => {
-                    return Err(ConstraintError::TypeMismatch {
-                        op: "WHERE",
-                        detail: format!("filter must be boolean, got {}", other.type_name()),
-                    })
-                }
-            }
+    for_each_match(scan, env, bound, |row| {
+        let Some(idx) = col_idx else {
+            count += 1;
+            return Ok(ControlFlow::Continue(()));
+        };
+        let v = &row.values[idx];
+        if v.is_null() {
+            // SQL semantics: NULLs are ignored by aggregates.
+            return Ok(ControlFlow::Continue(()));
         }
         count += 1;
-        if let Some(idx) = col_idx {
-            let v = &row.values[idx];
-            if v.is_null() {
-                // SQL semantics: NULLs are ignored by aggregates.
-                count -= 1;
-                continue;
+        match func {
+            AggFunc::Sum | AggFunc::Avg => {
+                let n = v.as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
+                    op: "SUM",
+                    detail: format!("cannot sum {} values", v.type_name()),
+                })?;
+                sum = sum.checked_add(n).ok_or(ConstraintError::Overflow)?;
             }
-            match func {
-                AggFunc::Sum | AggFunc::Avg => {
-                    let n = v.as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
-                        op: "SUM",
-                        detail: format!("non-numeric column value {v}"),
-                    })?;
-                    sum = sum.checked_add(n).ok_or(ConstraintError::Overflow)?;
+            AggFunc::Min => {
+                if min.is_none_or(|m| v < m) {
+                    min = Some(v);
                 }
-                AggFunc::Min => {
-                    if min.as_ref().is_none_or(|m| v < m) {
-                        min = Some(v.clone());
-                    }
-                }
-                AggFunc::Max => {
-                    if max.as_ref().is_none_or(|m| v > m) {
-                        max = Some(v.clone());
-                    }
-                }
-                AggFunc::Count => {}
             }
+            AggFunc::Max => {
+                if max.is_none_or(|m| v > m) {
+                    max = Some(v);
+                }
+            }
+            AggFunc::Count => {}
         }
-    }
+        Ok(ControlFlow::Continue(()))
+    })?;
 
-    match func {
-        AggFunc::Count => int_value(count),
-        AggFunc::Sum => {
-            if count == 0 {
-                Ok(Value::Null)
-            } else {
-                int_value(sum)
-            }
-        }
-        AggFunc::Avg => {
-            if count == 0 {
-                Ok(Value::Null)
-            } else {
-                int_value(sum / count)
-            }
-        }
-        AggFunc::Min => Ok(min.unwrap_or(Value::Null)),
-        AggFunc::Max => Ok(max.unwrap_or(Value::Null)),
-    }
+    let borrowed = |v: Option<&'a Value>| v.map_or(Cow::Owned(Value::Null), Cow::Borrowed);
+    Ok(match func {
+        AggFunc::Count => Cow::Owned(int_value(count)?),
+        AggFunc::Sum | AggFunc::Avg if count == 0 => Cow::Owned(Value::Null),
+        AggFunc::Sum => Cow::Owned(int_value(sum)?),
+        AggFunc::Avg => Cow::Owned(int_value(sum / count)?),
+        AggFunc::Min => borrowed(min),
+        AggFunc::Max => borrowed(max),
+    })
 }
 
 fn eval_logic(op: BinOp, l: &Value, r: &Value) -> Result<Value> {

@@ -25,10 +25,14 @@
 //!       WITHIN 604800 OF tasks.ts) + $hours <= 40
 //!   ```
 //!
-//! * [`eval`] — the reference evaluator against a storage [`Snapshot`];
-//! * [`incremental`] — maintained aggregates that answer bound
-//!   constraints in O(1) per update (the paper's "efficient incremental
-//!   techniques"), with an ablation bench comparing both paths;
+//! * [`eval`] — the evaluator against a storage [`Snapshot`]; on a
+//!   database without indexes it is the full-scan oracle of the tests;
+//! * [`pushdown`] — the paper's "efficient incremental techniques" without
+//!   a second evaluator: an equality conjunct (`t.worker = $worker`) and a
+//!   sliding window are pushed down onto a storage-maintained
+//!   `(column, timestamp)` index, so a check reads O(log n + rows in the
+//!   window), and scans whenever the result *or the error* could differ
+//!   (the module lists when); [`ensure_indexes`] creates the indexes;
 //! * [`Constraint`] — a named, scoped (internal constraint vs. external
 //!   regulation) boolean policy.
 //!
@@ -39,13 +43,13 @@
 
 pub mod ast;
 pub mod eval;
-pub mod incremental;
 pub mod parse;
+pub mod pushdown;
 pub mod query;
 
 pub use ast::{AggFunc, Expr, GroupReduce, TimeWindow};
 pub use eval::{evaluate, evaluate_expr, UpdateContext};
-pub use incremental::MaintainedAggregate;
+pub use pushdown::ensure_indexes;
 pub use query::{evaluate_query, query};
 
 use prever_storage::StorageError;

@@ -8,7 +8,7 @@
 use crate::update::{Update, UpdateOutcome};
 use crate::{PreverError, Result};
 use bytes::Bytes;
-use prever_constraints::{evaluate, Constraint, UpdateContext};
+use prever_constraints::{ensure_indexes, evaluate, Constraint, UpdateContext};
 use prever_ledger::{Journal, LedgerDigest};
 use prever_storage::{Database, Schema};
 
@@ -33,14 +33,22 @@ impl Pipeline {
         }
     }
 
-    /// Creates a table (schema definition is the owner's act).
+    /// Creates a table (schema definition is the owner's act), with the
+    /// indexes the constraints registered so far can be checked through.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
         self.db.create_table(name, schema)?;
+        for c in &self.constraints {
+            ensure_indexes(&c.expr, &mut self.db);
+        }
         Ok(())
     }
 
-    /// Step 0: an authority registers a constraint or regulation.
+    /// Step 0: an authority registers a constraint or regulation. The
+    /// tables it reads get the secondary indexes its equality and
+    /// sliding-window predicates can be pushed down onto, so checking it
+    /// does not scan them (tables created later get theirs then).
     pub fn register_constraint(&mut self, constraint: Constraint) {
+        ensure_indexes(&constraint.expr, &mut self.db);
         self.constraints.push(constraint);
     }
 
@@ -156,31 +164,33 @@ mod tests {
     use prever_constraints::ConstraintScope;
     use prever_storage::{Column, ColumnType, Row, Value};
 
+    fn tasks_schema() -> Schema {
+        Schema::new(
+            vec![
+                Column::new("id", ColumnType::Uint),
+                Column::new("worker", ColumnType::Str),
+                Column::new("hours", ColumnType::Uint),
+                Column::new("ts", ColumnType::Timestamp),
+            ],
+            &["id"],
+        )
+        .unwrap()
+    }
+
+    fn flsa() -> Constraint {
+        Constraint::parse(
+            "FLSA-40h",
+            ConstraintScope::Regulation,
+            "$hours <= 40 AND (COUNT(tasks WHERE tasks.worker = $worker WITHIN 604800 OF tasks.ts) = 0 \
+             OR SUM(tasks.hours WHERE tasks.worker = $worker WITHIN 604800 OF tasks.ts) + $hours <= 40)",
+        )
+        .unwrap()
+    }
+
     fn pipeline() -> Pipeline {
         let mut p = Pipeline::new();
-        p.create_table(
-            "tasks",
-            Schema::new(
-                vec![
-                    Column::new("id", ColumnType::Uint),
-                    Column::new("worker", ColumnType::Str),
-                    Column::new("hours", ColumnType::Uint),
-                    Column::new("ts", ColumnType::Timestamp),
-                ],
-                &["id"],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        p.register_constraint(
-            Constraint::parse(
-                "FLSA-40h",
-                ConstraintScope::Regulation,
-                "$hours <= 40 AND (COUNT(tasks WHERE tasks.worker = $worker WITHIN 604800 OF tasks.ts) = 0 \
-                 OR SUM(tasks.hours WHERE tasks.worker = $worker WITHIN 604800 OF tasks.ts) + $hours <= 40)",
-            )
-            .unwrap(),
-        );
+        p.create_table("tasks", tasks_schema()).unwrap();
+        p.register_constraint(flsa());
         p
     }
 
@@ -205,6 +215,30 @@ mod tests {
         // Rejected updates leave no trace in DB or journal.
         assert_eq!(p.database().table("tasks").unwrap().len(), 2);
         assert_eq!(p.journal().len(), 2);
+    }
+
+    #[test]
+    fn constraint_tables_are_indexed_in_either_order() {
+        // Rows of w1 inside (100, 200] of `ts`, through the (worker, ts)
+        // index; `None` if `tasks` has no index on worker.
+        let in_window = |p: &Pipeline| {
+            let (w1, tasks) = (Value::Str("w1".into()), p.database().table("tasks").unwrap());
+            tasks.index_scan(1, &w1, Some((3, 101..=200))).map(Iterator::count)
+        };
+        let table_first = pipeline();
+        let mut constraint_first = Pipeline::new();
+        constraint_first.register_constraint(flsa());
+        constraint_first.create_table("tasks", tasks_schema()).unwrap();
+        let mut unregulated = Pipeline::new();
+        unregulated.create_table("tasks", tasks_schema()).unwrap();
+        for mut p in [table_first, constraint_first] {
+            assert_eq!(in_window(&p), Some(0));
+            p.submit(&task(1, "w1", 30, 100)).unwrap();
+            p.submit(&task(2, "w1", 10, 200)).unwrap();
+            assert_eq!(in_window(&p), Some(1), "ordered by ts: the window is a range");
+            assert!(!p.submit(&task(3, "w1", 1, 300)).unwrap().is_accepted());
+        }
+        assert_eq!(in_window(&unregulated), None, "no constraint, no index to maintain");
     }
 
     #[test]

@@ -18,6 +18,16 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Formats one histogram cell. Histograms hold nanoseconds, except the
+/// ones named `*.rows` / `*.size`, which hold counts.
+fn fmt_sample(name: &str, v: u64) -> String {
+    if name.ends_with(".rows") || name.ends_with(".size") {
+        v.to_string()
+    } else {
+        fmt_ns(v)
+    }
+}
+
 fn aligned(rows: &[Vec<String>]) -> String {
     let cols = rows.iter().map(Vec::len).max().unwrap_or(0);
     let mut widths = vec![0usize; cols];
@@ -56,7 +66,7 @@ fn aligned(rows: &[Vec<String>]) -> String {
 pub fn render_table(s: &Snapshot) -> String {
     let mut out = String::new();
     if !s.histograms.is_empty() {
-        out.push_str("## Latency histograms (wall-clock per span)\n\n");
+        out.push_str("## Histograms (wall-clock per span; `.rows`/`.size` are counts)\n\n");
         let mut rows = vec![vec![
             "span".to_string(),
             "count".to_string(),
@@ -75,12 +85,12 @@ pub fn render_table(s: &Snapshot) -> String {
             rows.push(vec![
                 name,
                 h.count.to_string(),
-                fmt_ns(h.mean as u64),
-                fmt_ns(h.p50),
-                fmt_ns(h.p95),
-                fmt_ns(h.p99),
-                fmt_ns(h.max),
-                fmt_ns(h.sum),
+                fmt_sample(&h.name, h.mean as u64),
+                fmt_sample(&h.name, h.p50),
+                fmt_sample(&h.name, h.p95),
+                fmt_sample(&h.name, h.p99),
+                fmt_sample(&h.name, h.max),
+                fmt_sample(&h.name, h.sum),
             ]);
         }
         out.push_str(&aligned(&rows));
@@ -245,6 +255,17 @@ mod tests {
         assert!(t.contains("|--"));
         // Empty snapshot says so instead of emitting nothing.
         assert!(render_table(&Snapshot::default()).contains("no metrics"));
+    }
+
+    #[test]
+    fn count_histograms_are_not_rendered_as_time() {
+        let reg = Registry::new();
+        reg.histogram("export.rows").record(5_000);
+        reg.histogram("export.lat").record(5_000);
+        let t = render_table(&reg.snapshot());
+        let line = |name: &str| t.lines().find(|l| l.contains(name)).unwrap().to_string();
+        assert!(line("export.rows").contains(" 5000 ") && !line("export.rows").contains("µs"));
+        assert!(line("export.lat").contains("5.00µs"));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::table::{Key, Row, Schema, Table};
 use crate::value::Value;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// What a change did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,8 +18,7 @@ pub enum ChangeKind {
     Delete,
 }
 
-/// One entry of the change log — the unit the ledger journals (RC4) and
-/// incremental constraint evaluation consumes.
+/// One entry of the change log — the unit the ledger journals (RC4).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChangeRecord {
     /// Database version this change created.
@@ -283,33 +283,21 @@ impl<'a> Snapshot<'a> {
         Ok(self.db.table(table)?.scan_at(self.version))
     }
 
-    /// Rows of `table` where `column == value`, as of the snapshot.
-    ///
-    /// Note: index lookups reflect the *live* table; for historical
-    /// snapshots this filters a scan instead, trading speed for
-    /// correctness.
-    pub fn filter_eq(
+    /// Rows of `table` whose column `column` equals `value`, through a
+    /// secondary index ([`Table::index_scan`]). `None` when the table has
+    /// no such index **or the snapshot is historical**: indexes describe
+    /// the live table only, so an old snapshot must scan.
+    pub fn index_scan(
         &self,
         table: &str,
-        column: &str,
+        column: usize,
         value: &Value,
-    ) -> Result<Vec<(&'a Key, &'a Row)>> {
-        let t = self.db.table(table)?;
-        let col = t.schema().column_index(column)?;
-        if self.version == self.db.version() {
-            // Live snapshot: the secondary index is exact.
-            let keys = t.lookup_eq(column, value)?;
-            let mut out = Vec::with_capacity(keys.len());
-            for key in keys {
-                if let Some((k, r)) = t.get_key_value(&key) {
-                    out.push((k, r));
-                }
-            }
-            return Ok(out);
+        window: Option<(usize, RangeInclusive<i128>)>,
+    ) -> Result<Option<impl Iterator<Item = (&'a Key, &'a Row)> + 'a>> {
+        if self.version != self.db.version() {
+            return Ok(None);
         }
-        Ok(t.scan_at(self.version)
-            .filter(|(_, r)| r.values[col] == *value)
-            .collect())
+        Ok(self.db.table(table)?.index_scan(column, value, window))
     }
 
     /// The table's schema.
@@ -412,18 +400,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_filter_eq_current_and_past() {
+    fn index_scan_serves_the_live_snapshot_only() {
         let mut d = db();
-        d.table_mut("tasks").unwrap().create_index("worker").unwrap();
+        d.table_mut("tasks").unwrap().create_index("worker", None).unwrap();
         d.insert("tasks", task(1, "w1", 8)).unwrap();
         let v1 = d.version();
         d.insert("tasks", task(2, "w1", 9)).unwrap();
         let w1 = Value::Str("w1".into());
-        assert_eq!(d.snapshot().filter_eq("tasks", "worker", &w1).unwrap().len(), 2);
-        assert_eq!(
-            d.snapshot_at(v1).unwrap().filter_eq("tasks", "worker", &w1).unwrap().len(),
-            1
-        );
+        assert_eq!(d.snapshot().index_scan("tasks", 1, &w1, None).unwrap().unwrap().count(), 2);
+        // The index already holds row 2, which v1 must not see.
+        assert!(d.snapshot_at(v1).unwrap().index_scan("tasks", 1, &w1, None).unwrap().is_none());
+        let latest = d.snapshot_at(d.version()).unwrap();
+        assert!(latest.index_scan("tasks", 1, &w1, None).unwrap().is_some());
+        assert!(d.snapshot().index_scan("tasks", 2, &Value::Uint(8), None).unwrap().is_none());
+        assert!(d.snapshot().index_scan("nope", 0, &w1, None).is_err());
     }
 
     #[test]

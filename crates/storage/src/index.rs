@@ -1,20 +1,38 @@
-//! Secondary indexes: value → set of primary keys.
+//! Secondary indexes: column value → primary keys, optionally ordered
+//! by a second (numeric) column within each value.
 
-use crate::table::Key;
+use crate::table::{Key, Row};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Bound, RangeInclusive};
 
-/// An ordered secondary index over one column.
+/// A secondary index over one column.
+///
+/// With an ordering column the keys of one value — one *group* — sort by
+/// that column's numeric view, so "this worker's tasks of the last week"
+/// is a range inside the group instead of the whole group.
 #[derive(Clone, Debug, Default)]
 pub struct SecondaryIndex {
     column: usize,
-    map: BTreeMap<Value, BTreeSet<Key>>,
+    order_by: Option<usize>,
+    /// Per value: `(ordering value, key)`; the ordering value is 0
+    /// throughout when there is no ordering column.
+    map: BTreeMap<Value, BTreeSet<(i128, Key)>>,
 }
 
 impl SecondaryIndex {
-    /// Creates an empty index over schema column `column`.
-    pub fn new(column: usize) -> Self {
-        SecondaryIndex { column, map: BTreeMap::new() }
+    /// Creates an empty index over schema column `column`, each group
+    /// ordered by schema column `order_by` if given. The ordering column
+    /// must hold numeric, non-NULL values ([`Table::create_index`]
+    /// checks the schema).
+    ///
+    /// [`Table::create_index`]: crate::Table::create_index
+    pub fn new(column: usize, order_by: Option<usize>) -> Self {
+        SecondaryIndex {
+            column,
+            order_by,
+            map: BTreeMap::new(),
+        }
     }
 
     /// The indexed column position.
@@ -22,32 +40,62 @@ impl SecondaryIndex {
         self.column
     }
 
-    /// Adds a (value, key) entry.
-    pub fn insert(&mut self, value: Value, key: Key) {
-        self.map.entry(value).or_default().insert(key);
+    /// The ordering column position, if any.
+    pub fn order_by(&self) -> Option<usize> {
+        self.order_by
     }
 
-    /// Removes a (value, key) entry.
-    pub fn remove(&mut self, value: &Value, key: &Key) {
+    fn order_of(&self, row: &Row) -> i128 {
+        self.order_by.map_or(0, |c| {
+            row.values[c]
+                .as_i128()
+                .expect("schema check: ordering column is numeric and non-NULL")
+        })
+    }
+
+    /// Adds the entry for `row`, stored under `key`.
+    pub fn insert(&mut self, row: &Row, key: Key) {
+        let order = self.order_of(row);
+        self.map
+            .entry(row.values[self.column].clone())
+            .or_default()
+            .insert((order, key));
+    }
+
+    /// Removes the entry for `row`, stored under `key`.
+    pub fn remove(&mut self, row: &Row, key: Key) {
+        let value = &row.values[self.column];
+        let order = self.order_of(row);
         if let Some(set) = self.map.get_mut(value) {
-            set.remove(key);
+            set.remove(&(order, key));
             if set.is_empty() {
                 self.map.remove(value);
             }
         }
     }
 
-    /// Keys with exactly `value`.
-    pub fn get(&self, value: &Value) -> Vec<Key> {
-        self.map.get(value).map(|s| s.iter().cloned().collect()).unwrap_or_default()
-    }
-
-    /// Keys with values in `[lo, hi]` (inclusive).
-    pub fn range(&self, lo: &Value, hi: &Value) -> Vec<Key> {
+    /// Keys whose column equals `value` and whose ordering value lies in
+    /// `lo..=hi`, in (ordering value, key) order; `i128::MIN..=i128::MAX`
+    /// is the whole group. Borrows from the index: nothing is cloned.
+    pub fn keys<'a>(
+        &'a self,
+        value: &Value,
+        order: RangeInclusive<i128>,
+    ) -> impl Iterator<Item = &'a Key> + 'a {
+        // `Key(vec![])` sorts before every real key and owns no heap.
+        let lo = (*order.start(), Key(Vec::new()));
+        let hi = match order.end().checked_add(1) {
+            Some(next) => Bound::Excluded((next, Key(Vec::new()))),
+            None => Bound::Unbounded,
+        };
         self.map
-            .range(lo.clone()..=hi.clone())
-            .flat_map(|(_, keys)| keys.iter().cloned())
-            .collect()
+            .get(value)
+            // `BTreeSet::range` panics on an inverted range; it is empty.
+            .filter(|_| order.start() <= order.end())
+            .map(|set| set.range((Bound::Included(lo), hi)))
+            .into_iter()
+            .flatten()
+            .map(|(_, key)| key)
     }
 
     /// Number of distinct indexed values.
@@ -60,34 +108,56 @@ impl SecondaryIndex {
 mod tests {
     use super::*;
 
+    const ALL: RangeInclusive<i128> = i128::MIN..=i128::MAX;
+
     fn key(s: &str) -> Key {
         Key(vec![Value::Str(s.into())])
     }
 
-    #[test]
-    fn insert_get_remove() {
-        let mut ix = SecondaryIndex::new(0);
-        ix.insert(Value::Uint(10), key("a"));
-        ix.insert(Value::Uint(10), key("b"));
-        ix.insert(Value::Uint(20), key("c"));
-        assert_eq!(ix.get(&Value::Uint(10)).len(), 2);
-        assert_eq!(ix.distinct_values(), 2);
-        ix.remove(&Value::Uint(10), &key("a"));
-        assert_eq!(ix.get(&Value::Uint(10)), vec![key("b")]);
-        ix.remove(&Value::Uint(10), &key("b"));
-        assert_eq!(ix.distinct_values(), 1);
-        // Removing a missing entry is a no-op.
-        ix.remove(&Value::Uint(99), &key("zz"));
+    /// (group, ts) rows; the index is over column 0 ordered by column 1.
+    fn row(group: u64, ts: u64) -> Row {
+        Row::new(vec![Value::Uint(group), Value::Timestamp(ts)])
+    }
+
+    fn keys(ix: &SecondaryIndex, group: u64, order: RangeInclusive<i128>) -> Vec<Key> {
+        ix.keys(&Value::Uint(group), order).cloned().collect()
     }
 
     #[test]
-    fn range_query() {
-        let mut ix = SecondaryIndex::new(0);
-        for (i, v) in [5u64, 10, 15, 20].iter().enumerate() {
-            ix.insert(Value::Uint(*v), key(&format!("k{i}")));
+    fn insert_get_remove() {
+        let mut ix = SecondaryIndex::new(0, None);
+        ix.insert(&row(10, 0), key("a"));
+        ix.insert(&row(10, 0), key("b"));
+        ix.insert(&row(20, 0), key("c"));
+        assert_eq!(keys(&ix, 10, ALL).len(), 2);
+        assert_eq!(ix.distinct_values(), 2);
+        ix.remove(&row(10, 0), key("a"));
+        assert_eq!(keys(&ix, 10, ALL), vec![key("b")]);
+        ix.remove(&row(10, 0), key("b"));
+        assert_eq!(ix.distinct_values(), 1);
+        // Removing a missing entry is a no-op.
+        ix.remove(&row(99, 0), key("zz"));
+        assert!(keys(&ix, 99, ALL).is_empty());
+    }
+
+    #[test]
+    fn ordered_range_within_a_group() {
+        let mut ix = SecondaryIndex::new(0, Some(1));
+        for (i, ts) in [5u64, 10, 15, 20].iter().enumerate() {
+            ix.insert(&row(1, *ts), key(&format!("k{i}")));
         }
-        assert_eq!(ix.range(&Value::Uint(10), &Value::Uint(15)).len(), 2);
-        assert_eq!(ix.range(&Value::Uint(0), &Value::Uint(100)).len(), 4);
-        assert_eq!(ix.range(&Value::Uint(6), &Value::Uint(9)).len(), 0);
+        ix.insert(&row(2, 12), key("other"));
+        assert_eq!(keys(&ix, 1, 10..=15), vec![key("k1"), key("k2")]);
+        assert_eq!(keys(&ix, 1, 0..=100).len(), 4);
+        assert!(keys(&ix, 1, 6..=9).is_empty());
+        // A negative lower bound (anchor < window length) is just a range.
+        assert_eq!(keys(&ix, 1, -604_700..=5), vec![key("k0")]);
+        // Inverted and extreme ranges are empty or whole, never a panic.
+        let (lo, hi) = (15, 10);
+        assert!(keys(&ix, 1, lo..=hi).is_empty());
+        assert_eq!(keys(&ix, 1, ALL).len(), 4);
+        // Same ordering value: ties break by key.
+        ix.insert(&row(1, 10), key("a-tie"));
+        assert_eq!(keys(&ix, 1, 10..=10), vec![key("a-tie"), key("k1")]);
     }
 }

@@ -13,10 +13,10 @@
 //!   [`Snapshot`] — constraint evaluation runs against a stable snapshot
 //!   while new updates queue;
 //! * **a change log** ([`ChangeRecord`]) from which the ledger layer
-//!   derives its append-only journal (RC4), and from which incremental
-//!   constraint evaluation derives deltas;
-//! * **secondary indexes** for the point/range lookups constraint
-//!   evaluation performs.
+//!   derives its append-only journal (RC4);
+//! * **secondary indexes** ([`Table::create_index`]), kept exact on every
+//!   insert, update and delete, for the equality and sliding-window
+//!   lookups constraint evaluation pushes down ([`Snapshot::index_scan`]).
 //!
 //! Everything is deliberately in-memory: PReVer's experiments measure
 //! protocol and cryptography overheads, and an in-memory engine keeps the

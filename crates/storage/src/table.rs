@@ -4,6 +4,7 @@ use crate::index::SecondaryIndex;
 use crate::value::Value;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Column type tags, used for schema validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,7 +24,15 @@ pub enum ColumnType {
 }
 
 impl ColumnType {
-    fn matches(self, v: &Value) -> bool {
+    /// True for the types whose values order numerically
+    /// ([`Value::as_i128`] is `Some` for every non-NULL value).
+    pub fn is_numeric(self) -> bool {
+        use ColumnType::*;
+        matches!(self, Int | Uint | Timestamp | Bool)
+    }
+
+    /// True iff `v` is a (non-NULL) value of this type.
+    pub fn matches(self, v: &Value) -> bool {
         matches!(
             (self, v),
             (ColumnType::Int, Value::Int(_))
@@ -261,16 +270,35 @@ impl Table {
         self.live_count == 0
     }
 
-    /// Creates a secondary index on `column`. Existing rows are indexed.
-    pub fn create_index(&mut self, column: &str) -> Result<()> {
+    /// Creates a secondary index on `column`, each value's keys ordered
+    /// by `order_by` if given (a numeric, non-nullable column — the
+    /// timestamp of a sliding window). Existing rows are indexed; every
+    /// later insert, update and delete keeps the index exact for the live
+    /// table. Idempotent; an ordered index also serves plain equality
+    /// lookups, so asking for the unordered one after it is a no-op.
+    pub fn create_index(&mut self, column: &str, order_by: Option<&str>) -> Result<()> {
         let col = self.schema.column_index(column)?;
-        if self.indexes.iter().any(|ix| ix.column() == col) {
-            return Ok(()); // idempotent
+        let order = order_by.map(|o| self.schema.column_index(o)).transpose()?;
+        if let Some(o) = order {
+            let c = &self.schema.columns[o];
+            if c.nullable || !c.ty.is_numeric() {
+                return Err(StorageError::SchemaViolation(format!(
+                    "index ordering column {} must be numeric and non-nullable",
+                    c.name
+                )));
+            }
         }
-        let mut ix = SecondaryIndex::new(col);
+        if self
+            .indexes
+            .iter()
+            .any(|ix| ix.column() == col && (order.is_none() || ix.order_by() == order))
+        {
+            return Ok(());
+        }
+        let mut ix = SecondaryIndex::new(col, order);
         for (key, versions) in &self.rows {
             if let Some(row) = latest(versions) {
-                ix.insert(row.values[col].clone(), key.clone());
+                ix.insert(row, key.clone());
             }
         }
         self.indexes.push(ix);
@@ -286,7 +314,7 @@ impl Table {
             return Err(StorageError::DuplicateKey(key.to_string()));
         }
         for ix in &mut self.indexes {
-            ix.insert(row.values[ix.column()].clone(), key.clone());
+            ix.insert(&row, key.clone());
         }
         versions.push(RowVersion { version, row: Some(row) });
         self.live_count += 1;
@@ -310,8 +338,8 @@ impl Table {
             .cloned()
             .ok_or_else(|| StorageError::NoSuchKey(key.to_string()))?;
         for ix in &mut self.indexes {
-            ix.remove(&old.values[ix.column()], key);
-            ix.insert(row.values[ix.column()].clone(), key.clone());
+            ix.remove(&old, key.clone());
+            ix.insert(&row, key.clone());
         }
         versions.push(RowVersion { version, row: Some(row) });
         Ok(old)
@@ -327,7 +355,7 @@ impl Table {
             .cloned()
             .ok_or_else(|| StorageError::NoSuchKey(key.to_string()))?;
         for ix in &mut self.indexes {
-            ix.remove(&old.values[ix.column()], key);
+            ix.remove(&old, key.clone());
         }
         versions.push(RowVersion { version, row: None });
         self.live_count -= 1;
@@ -363,34 +391,29 @@ impl Table {
             .filter_map(move |(k, v)| at_version(v, version).map(|r| (k, r)))
     }
 
-    /// Keys whose indexed `column` equals `value`. Falls back to a scan if
-    /// no index exists.
-    pub fn lookup_eq(&self, column: &str, value: &Value) -> Result<Vec<Key>> {
-        let col = self.schema.column_index(column)?;
-        if let Some(ix) = self.indexes.iter().find(|ix| ix.column() == col) {
-            return Ok(ix.get(value));
-        }
-        Ok(self
-            .scan()
-            .filter(|(_, r)| &r.values[col] == value)
-            .map(|(k, _)| k.clone())
-            .collect())
-    }
-
-    /// Keys whose indexed `column` lies in `[lo, hi]`. Falls back to scan.
-    pub fn lookup_range(&self, column: &str, lo: &Value, hi: &Value) -> Result<Vec<Key>> {
-        let col = self.schema.column_index(column)?;
-        if let Some(ix) = self.indexes.iter().find(|ix| ix.column() == col) {
-            return Ok(ix.range(lo, hi));
-        }
-        Ok(self
-            .scan()
-            .filter(|(_, r)| {
-                let v = &r.values[col];
-                v >= lo && v <= hi
-            })
-            .map(|(k, _)| k.clone())
-            .collect())
+    /// Live rows whose column `column` equals `value`, read through a
+    /// secondary index; `None` when no index covers `column`, so the
+    /// caller scans. `window` names a column and an inclusive range of its
+    /// numeric view: with an index ordered by that column only the rows in
+    /// range are visited, otherwise the whole group is (a superset — the
+    /// caller applies its own window test either way).
+    ///
+    /// `value` must have the variant the column declares: the index keys
+    /// on `Value`'s total order, where `Int(5)` and `Uint(5)` differ.
+    pub fn index_scan<'a>(
+        &'a self,
+        column: usize,
+        value: &Value,
+        window: Option<(usize, RangeInclusive<i128>)>,
+    ) -> Option<impl Iterator<Item = (&'a Key, &'a Row)> + 'a> {
+        let on_column = || self.indexes.iter().filter(|ix| ix.column() == column);
+        let ordered = window
+            .and_then(|(w, range)| Some((on_column().find(|ix| ix.order_by() == Some(w))?, range)));
+        let (ix, range) = match ordered {
+            Some(hit) => hit,
+            None => (on_column().next()?, i128::MIN..=i128::MAX),
+        };
+        Some(ix.keys(value, range).filter_map(|key| self.get_key_value(key)))
     }
 
     /// Number of stored row versions across all keys (for GC diagnostics).
@@ -542,45 +565,130 @@ mod tests {
         assert_eq!(t.scan().count(), 3);
     }
 
+    /// Keys `index_scan` yields for `hours = value`, optionally narrowed
+    /// to `week` in `range`; panics if no index applies.
+    fn scan_keys(t: &Table, hours: u64, week: Option<RangeInclusive<i128>>) -> Vec<Key> {
+        t.index_scan(2, &Value::Uint(hours), week.map(|r| (1, r)))
+            .expect("an index on hours")
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    fn key(worker: &str, week: u64) -> Key {
+        Key(vec![worker.into(), week.into()])
+    }
+
     #[test]
     fn index_lookup_and_maintenance() {
         let mut t = Table::new(worker_schema());
-        t.create_index("hours").unwrap();
+        assert!(t.index_scan(2, &Value::Uint(10), None).is_none(), "no index: caller scans");
+        t.create_index("hours", None).unwrap();
         let k1 = t.insert(row("w1", 1, 10), 1).unwrap();
         t.insert(row("w2", 1, 10), 2).unwrap();
         t.insert(row("w3", 1, 30), 3).unwrap();
-        assert_eq!(t.lookup_eq("hours", &Value::Uint(10)).unwrap().len(), 2);
+        assert_eq!(scan_keys(&t, 10, None).len(), 2);
         t.update(&k1, row("w1", 1, 30), 4).unwrap();
-        assert_eq!(t.lookup_eq("hours", &Value::Uint(10)).unwrap().len(), 1);
-        assert_eq!(t.lookup_eq("hours", &Value::Uint(30)).unwrap().len(), 2);
+        assert_eq!(scan_keys(&t, 10, None), vec![key("w2", 1)]);
+        assert_eq!(scan_keys(&t, 30, None).len(), 2);
         t.delete(&k1, 5).unwrap();
-        assert_eq!(t.lookup_eq("hours", &Value::Uint(30)).unwrap().len(), 1);
+        assert_eq!(scan_keys(&t, 30, None), vec![key("w3", 1)]);
+        // An unordered index still answers a windowed probe — with the
+        // whole group; the caller's window test narrows it.
+        assert_eq!(scan_keys(&t, 30, Some(100..=200)), vec![key("w3", 1)]);
+    }
+
+    /// A table whose primary key is `id` alone, so group and ordering
+    /// columns are both free to change on update.
+    fn tasks() -> Table {
+        Table::new(
+            Schema::new(
+                vec![
+                    Column::new("id", ColumnType::Uint),
+                    Column::new("worker", ColumnType::Str),
+                    Column::new("ts", ColumnType::Timestamp),
+                    Column::nullable("note", ColumnType::Uint),
+                ],
+                &["id"],
+            )
+            .unwrap(),
+        )
+    }
+
+    fn task(id: u64, worker: &str, ts: u64) -> Row {
+        Row::new(vec![id.into(), worker.into(), Value::Timestamp(ts), Value::Null])
+    }
+
+    fn ids(t: &Table, worker: &str, range: RangeInclusive<i128>) -> Vec<u64> {
+        t.index_scan(1, &worker.into(), Some((2, range)))
+            .expect("an index on worker")
+            .map(|(_, r)| r.values[0].as_i128().unwrap() as u64)
+            .collect()
     }
 
     #[test]
-    fn index_created_after_rows_exist() {
-        let mut t = Table::new(worker_schema());
-        t.insert(row("w1", 1, 10), 1).unwrap();
-        t.insert(row("w2", 1, 20), 2).unwrap();
-        t.create_index("hours").unwrap();
-        assert_eq!(t.lookup_eq("hours", &Value::Uint(20)).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn range_lookup_with_and_without_index() {
-        let mut t = Table::new(worker_schema());
-        for (i, h) in [5u64, 10, 15, 20, 25].iter().enumerate() {
-            t.insert(row(&format!("w{i}"), 1, *h), i as u64 + 1).unwrap();
+    fn ordered_index_follows_updates_and_deletes() {
+        let mut t = tasks();
+        t.create_index("worker", Some("ts")).unwrap();
+        for (id, w, ts) in [(1, "a", 0), (2, "a", 50), (3, "a", 90), (4, "b", 50)] {
+            t.insert(task(id, w, ts), id).unwrap();
         }
-        let unindexed = t.lookup_range("hours", &Value::Uint(10), &Value::Uint(20)).unwrap();
-        t.create_index("hours").unwrap();
-        let indexed = t.lookup_range("hours", &Value::Uint(10), &Value::Uint(20)).unwrap();
-        assert_eq!(unindexed.len(), 3);
-        let mut a = unindexed.clone();
-        let mut b = indexed.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        assert_eq!(ids(&t, "a", 1..=100), vec![2, 3]);
+        // (anchor − d, anchor] with anchor < d: the lower bound is negative
+        // and the row at ts = 0 is inside.
+        assert_eq!(ids(&t, "a", -49..=50), vec![1, 2]);
+        let k = |id: u64| Key(vec![id.into()]);
+        // Ordering column changes: the row moves inside its group.
+        t.update(&k(1), task(1, "a", 95), 5).unwrap();
+        assert_eq!(ids(&t, "a", 1..=100), vec![2, 3, 1]);
+        // Group changes: it leaves one group and joins the other.
+        t.update(&k(2), task(2, "b", 50), 6).unwrap();
+        assert_eq!(ids(&t, "a", 1..=100), vec![3, 1]);
+        assert_eq!(ids(&t, "b", 1..=100), vec![2, 4], "ties order by key");
+        // Both change at once.
+        t.update(&k(3), task(3, "b", 10), 7).unwrap();
+        assert_eq!(ids(&t, "a", 1..=100), vec![1]);
+        assert_eq!(ids(&t, "b", 1..=100), vec![3, 2, 4]);
+        t.delete(&k(2), 8).unwrap();
+        t.delete(&k(1), 9).unwrap();
+        assert_eq!(ids(&t, "b", 1..=100), vec![3, 4]);
+        assert!(ids(&t, "a", i128::MIN..=i128::MAX).is_empty());
+        // Re-inserting a deleted key indexes the new row.
+        t.insert(task(1, "a", 7), 10).unwrap();
+        assert_eq!(ids(&t, "a", 1..=100), vec![1]);
+    }
+
+    #[test]
+    fn index_created_after_rows_exist_and_recreated() {
+        let mut t = tasks();
+        t.insert(task(1, "a", 10), 1).unwrap();
+        t.insert(task(2, "a", 20), 2).unwrap();
+        t.insert(task(3, "gone", 20), 3).unwrap();
+        t.delete(&Key(vec![3u64.into()]), 4).unwrap();
+        t.create_index("worker", Some("ts")).unwrap();
+        assert_eq!(ids(&t, "a", 15..=25), vec![2]);
+        assert!(ids(&t, "gone", 0..=100).is_empty(), "only live rows are indexed");
+        // Re-creating the same index, or the unordered one it already
+        // serves, changes nothing.
+        t.create_index("worker", Some("ts")).unwrap();
+        t.create_index("worker", None).unwrap();
+        assert_eq!(t.indexes.len(), 1);
+        t.insert(task(4, "a", 16), 5).unwrap();
+        assert_eq!(ids(&t, "a", 15..=25), vec![4, 2]);
+        // An ordered index on top of an unordered one is a second index.
+        let mut u = tasks();
+        u.create_index("worker", None).unwrap();
+        u.create_index("worker", Some("ts")).unwrap();
+        assert_eq!(u.indexes.len(), 2);
+    }
+
+    #[test]
+    fn ordering_column_must_be_numeric_and_non_nullable() {
+        let mut t = tasks();
+        assert!(t.create_index("ts", Some("worker")).is_err());
+        assert!(t.create_index("worker", Some("note")).is_err());
+        assert!(t.create_index("worker", Some("nope")).is_err());
+        assert!(t.create_index("nope", None).is_err());
+        assert!(t.indexes.is_empty());
     }
 
     #[test]

@@ -1,0 +1,484 @@
+//! Differential tests of predicate pushdown: a constraint checked through
+//! the indexes `Pipeline` creates must decide — and fail — exactly as the
+//! same evaluator does on a database without indexes, where every
+//! aggregate is a full scan. That index-free `evaluate` is the oracle.
+
+use bytes::Bytes;
+use prever_constraints::{ensure_indexes, evaluate, Constraint, ConstraintScope, UpdateContext};
+use prever_core::{Pipeline, PreverError, Update};
+use prever_ledger::{Journal, LedgerDigest};
+use prever_storage::{Column, ColumnType, Database, Key, Row, Schema, Value};
+use proptest::prelude::*;
+
+const WEEK: u64 = 604_800;
+
+/// `hours`, the aggregated column, is nullable; `grp` is a numeric group
+/// column, so an `Int` literal probes a `Uint` column; `seen` is a
+/// timestamp a window cannot rely on, being nullable.
+fn tasks_schema() -> Schema {
+    Schema::new(
+        vec![
+            Column::new("id", ColumnType::Uint),
+            Column::new("worker", ColumnType::Str),
+            Column::new("grp", ColumnType::Uint),
+            Column::nullable("hours", ColumnType::Uint),
+            Column::new("ts", ColumnType::Timestamp),
+            Column::nullable("seen", ColumnType::Timestamp),
+        ],
+        &["id"],
+    )
+    .unwrap()
+}
+
+#[derive(Debug, Clone)]
+struct Task {
+    id: u64,
+    worker: u8,
+    grp: u64,
+    hours: Option<u64>,
+    ts: u64,
+    seen: Option<u64>,
+}
+
+impl Task {
+    fn row(&self) -> Row {
+        Row::new(vec![
+            self.id.into(),
+            format!("w{}", self.worker).into(),
+            self.grp.into(),
+            self.hours.map_or(Value::Null, Value::Uint),
+            Value::Timestamp(self.ts),
+            self.seen.map_or(Value::Null, Value::Timestamp),
+        ])
+    }
+}
+
+/// Timestamps in no order, on a grid of 50 (the window lengths are
+/// multiples of it) or one past it, so that rows land on both edges of a
+/// window — `anchor − d` is outside, `anchor − d + 1` inside — and on 0.
+fn arb_ts() -> impl Strategy<Value = u64> {
+    (0u64..20, 0u64..3).prop_map(|(k, jitter)| 50 * k + jitter / 2)
+}
+
+/// Few ids, so a later task often replaces an earlier one under another
+/// worker or group. A fifth of the hours and of the sightings are NULL.
+fn arb_task() -> impl Strategy<Value = Task> {
+    let fifth_null = |v: u64| v.checked_sub(4);
+    (
+        0u64..10,
+        0u8..3,
+        0u64..3,
+        (0u64..19).prop_map(fifth_null),
+        arb_ts(),
+        (0u64..20).prop_map(move |v| fifth_null(v).map(|k| 50 * k)),
+    )
+        .prop_map(|(id, worker, grp, hours, ts, seen)| Task {
+            id,
+            worker,
+            grp,
+            hours,
+            ts,
+            seen,
+        })
+}
+
+/// Equality conjuncts: absent, pushable (operands in either order), a
+/// literal that equals stored values under `=` but is of another variant
+/// (`2` is an `Int`, `grp` holds `Uint`: the index would miss the rows),
+/// never true, an error on every row reached, and two that hide the
+/// equality under `OR` / `NOT`.
+const EQUALITY: &[&str] = &[
+    "",
+    "tasks.worker = $worker",
+    "$worker = tasks.worker",
+    "tasks.grp = $grp",
+    "tasks.grp = 2",
+    "tasks.grp = NULL",
+    "tasks.worker = 2",
+    "(tasks.worker = $worker OR tasks.hours > 12)",
+    "NOT (tasks.grp = $grp)",
+];
+
+/// Other conjuncts. The last two can raise an error on a row the index
+/// would skip (`grp = 0`; any row at all), so they must force a scan.
+const EXTRA: &[&str] = &[
+    "",
+    "",
+    "",
+    "tasks.hours > 2",
+    "tasks.hours IS NOT NULL",
+    "tasks.ts <= $ts",
+    "tasks.id != $id",
+    "tasks.hours / tasks.grp >= 0",
+    "$nope = 1",
+];
+
+const AGGREGATE: &[&str] = &[
+    "COUNT", "SUM", "AVG", "MIN", "MAX", "EXISTS", "MAXSUM", "MINCOUNT",
+];
+
+fn pick<T: Copy + 'static>(from: &'static [T]) -> impl Strategy<Value = T> {
+    (0..from.len()).prop_map(move |i| from[i])
+}
+
+/// One aggregate over `tasks` compared with a constant, optionally
+/// guarded against NULL.
+fn arb_constraint() -> impl Strategy<Value = String> {
+    (
+        (pick(AGGREGATE), pick(EQUALITY), pick(EXTRA), pick(EXTRA)),
+        any::<bool>(),
+        pick(&[
+            "",
+            "",
+            " WITHIN 50 OF tasks.ts",
+            " WITHIN 300 OF tasks.ts",
+            " WITHIN 5000 OF tasks.ts",
+            " WITHIN 300 OF tasks.seen",
+        ]),
+        any::<bool>(),
+        0u64..40,
+    )
+        .prop_map(
+            |((agg, equality, extra1, extra2), equality_first, window, guarded, k)| {
+                let mut conjuncts: Vec<&str> = [extra1, extra2]
+                    .into_iter()
+                    .filter(|c| !c.is_empty())
+                    .collect();
+                if !equality.is_empty() {
+                    let at = if equality_first { 0 } else { conjuncts.len() };
+                    conjuncts.insert(at, equality);
+                }
+                let filter = match conjuncts.is_empty() {
+                    true => String::new(),
+                    false => format!(" WHERE {}", conjuncts.join(" AND ")),
+                };
+                let scan = match agg {
+                    "EXISTS" => return format!("NOT EXISTS(tasks{filter}) OR $hours < {k}"),
+                    "COUNT" => format!("COUNT(tasks{filter}{window})"),
+                    "MAXSUM" => format!("MAXSUM(tasks.hours BY tasks.worker{filter}{window})"),
+                    "MINCOUNT" => format!("MINCOUNT(tasks BY tasks.grp{filter}{window})"),
+                    f => format!("{f}(tasks.hours{filter}{window})"),
+                };
+                match guarded {
+                    true => format!("{scan} IS NULL OR {scan} + $hours <= {k}"),
+                    false => format!("{scan} <= {k}"),
+                }
+            },
+        )
+}
+
+fn constraint(src: &str) -> Constraint {
+    Constraint::parse("c", ConstraintScope::Regulation, src)
+        .unwrap_or_else(|e| panic!("{src}: {e}"))
+}
+
+/// `Pipeline::submit` step by step on a database that never gets an
+/// index: the full-scan oracle.
+struct Reference {
+    db: Database,
+    constraint: Constraint,
+    journal: Journal,
+}
+
+impl Reference {
+    fn new(constraint: Constraint) -> Self {
+        let mut db = Database::new();
+        db.create_table("tasks", tasks_schema()).unwrap();
+        Reference {
+            db,
+            constraint,
+            journal: Journal::new(),
+        }
+    }
+
+    fn submit(&mut self, u: &Update) -> Result<bool, PreverError> {
+        let schema = self.db.table(&u.table)?.schema();
+        let ctx = UpdateContext {
+            table: &u.table,
+            row: &u.row,
+            schema,
+            timestamp: u.timestamp,
+        };
+        if !evaluate(&self.constraint, &self.db.snapshot(), &ctx)? {
+            return Ok(false);
+        }
+        let change = self.db.upsert(&u.table, u.row.clone())?;
+        self.journal
+            .append(u.timestamp, Bytes::from(change.encode()));
+        Ok(true)
+    }
+}
+
+/// Submits `tasks` to an indexed `Pipeline` and to the oracle; panics
+/// unless every outcome — accepted, rejected or the same error — and the
+/// final ledger digest agree. Returns the outcomes and the digest.
+fn differential(
+    src: &str,
+    tasks: &[Task],
+    constraint_first: bool,
+) -> (Vec<Result<bool, String>>, LedgerDigest) {
+    let mut p = Pipeline::new();
+    if constraint_first {
+        p.register_constraint(constraint(src));
+        p.create_table("tasks", tasks_schema()).unwrap();
+    } else {
+        p.create_table("tasks", tasks_schema()).unwrap();
+        p.register_constraint(constraint(src));
+    }
+    let mut oracle = Reference::new(constraint(src));
+    let mut outcomes = Vec::new();
+    for (i, t) in tasks.iter().enumerate() {
+        let u = Update::new(i as u64, "tasks", t.row(), t.ts, "p");
+        let got = p
+            .submit(&u)
+            .map(|o| o.is_accepted())
+            .map_err(|e| e.to_string());
+        let want = oracle.submit(&u).map_err(|e| e.to_string());
+        assert_eq!(got, want, "update {i} ({t:?}) under `{src}`");
+        outcomes.push(got);
+    }
+    assert_eq!(
+        p.digest(),
+        oracle.journal.digest(),
+        "ledger digest under `{src}`"
+    );
+    p.audit().unwrap();
+    (outcomes, p.digest())
+}
+
+/// The update a constraint is checked for: any variant in any field, as
+/// `evaluate` accepts rows no schema has validated.
+fn arb_probe() -> impl Strategy<Value = (Row, u64)> {
+    let worker = (0u8..8).prop_map(|w| match w {
+        6 => Value::Null,
+        7 => Value::Int(1),
+        w => Value::Str(format!("w{}", w % 4)),
+    });
+    // `Int(1)` and `Timestamp(1)` equal a stored `Uint(1)` under `=` but
+    // not under the index's order, so an index lookup with them would miss
+    // the rows; `Int(-1)` equals nothing stored.
+    let grp = prop_oneof![
+        (0u64..4).prop_map(Value::Uint),
+        (0u64..4).prop_map(Value::Uint),
+        (0i64..5).prop_map(|v| Value::Int(v - 1)),
+        (0u64..4).prop_map(Value::Timestamp),
+        pick(&[0u8, 1, 2]).prop_map(|v| match v {
+            0 => Value::Null,
+            1 => Value::Str("1".into()),
+            _ => Value::Bool(true),
+        }),
+    ];
+    let hours = (0u64..19).prop_map(|h| h.checked_sub(4).map_or(Value::Null, Value::Uint));
+    (0u64..12, worker, grp, hours, arb_ts()).prop_map(|(id, worker, grp, hours, ts)| {
+        (
+            Row::new(vec![
+                id.into(),
+                worker,
+                grp,
+                hours,
+                Value::Timestamp(ts),
+                Value::Null,
+            ]),
+            ts,
+        )
+    })
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Upsert(Task),
+    Delete(u64),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (arb_task(), 0u8..5).prop_map(|(t, kind)| match kind {
+        0 => Op::Delete(t.id),
+        _ => Op::Upsert(t),
+    })
+}
+
+proptest! {
+    /// Storage level, so that deletes and unvalidated probe rows are in
+    /// play: the same inserts, upserts and deletes go to a database with
+    /// the constraint's indexes and to one without; before each, and on a
+    /// historical snapshot at the end, both evaluate alike.
+    #[test]
+    fn indexed_database_agrees_with_scan(
+        src in arb_constraint(),
+        steps in proptest::collection::vec((arb_op(), arb_probe()), 1..40),
+        indexed_from_the_start in any::<bool>(),
+    ) {
+        let c = constraint(&src);
+        let mut plain = Database::new();
+        plain.create_table("tasks", tasks_schema()).unwrap();
+        let mut indexed = plain.clone();
+        if indexed_from_the_start {
+            ensure_indexes(&c.expr, &mut indexed);
+        }
+        let schema = tasks_schema();
+        let check = |indexed: &Database, plain: &Database, row: &Row, ts: u64, at: Option<u64>| {
+            let ctx = UpdateContext { table: "tasks", row, schema: &schema, timestamp: ts };
+            [indexed, plain].map(|db| {
+                let snapshot = at.map_or(db.snapshot(), |version| db.snapshot_at(version).unwrap());
+                evaluate(&c, &snapshot, &ctx)
+            })
+        };
+        let half = steps.len() / 2;
+        let mut version_at_half = 0;
+        for (i, (op, (probe, ts))) in steps.iter().enumerate() {
+            if i == half {
+                // Indexing a populated table must find what is in it.
+                ensure_indexes(&c.expr, &mut indexed);
+                version_at_half = plain.version();
+            }
+            let [got, want] = check(&indexed, &plain, probe, *ts, None);
+            prop_assert_eq!(got, want, "step {} under `{}`", i, &src);
+            for db in [&mut indexed, &mut plain] {
+                // A delete of an absent id fails, on both alike.
+                let _ = match op {
+                    Op::Upsert(t) => db.upsert("tasks", t.row()).map(|_| ()),
+                    Op::Delete(id) => db.delete("tasks", &Key(vec![(*id).into()])).map(|_| ()),
+                };
+            }
+            prop_assert_eq!(indexed.version(), plain.version());
+        }
+        let (probe, ts) = &steps[0].1;
+        let [got, want] = check(&indexed, &plain, probe, *ts, Some(version_at_half));
+        prop_assert_eq!(got, want, "historical snapshot under `{}`", &src);
+    }
+
+    /// `Pipeline` level: outcomes and ledger digest.
+    #[test]
+    fn indexed_pipeline_agrees_with_reference(
+        src in arb_constraint(),
+        tasks in proptest::collection::vec(arb_task(), 1..40),
+        constraint_first in any::<bool>(),
+    ) {
+        differential(&src, &tasks, constraint_first);
+    }
+}
+
+fn task(id: u64, worker: u8, hours: Option<u64>, ts: u64) -> Task {
+    Task {
+        id,
+        worker,
+        grp: 0,
+        hours,
+        ts,
+        seen: None,
+    }
+}
+
+fn flsa(bound: u64) -> String {
+    format!(
+        "COUNT(tasks WHERE tasks.worker = $worker WITHIN {WEEK} OF tasks.ts) = 0 \
+         OR SUM(tasks.hours WHERE tasks.worker = $worker WITHIN {WEEK} OF tasks.ts) + $hours <= {bound}"
+    )
+}
+
+// The three ways the deleted `MaintainedAggregate` disagreed with the
+// evaluator. The indexed path must not bring any of them back.
+
+/// It computed the window's lower edge with `saturating_sub`, so with
+/// `anchor < duration` the edge was 0 and a row at `ts = 0` fell out. The
+/// window is `(anchor − d, anchor]` in signed arithmetic: −604 700 < 0.
+#[test]
+fn regression_window_lower_edge_is_signed() {
+    let tasks = [
+        task(1, 1, Some(30), 0),
+        task(2, 1, Some(15), 100),
+        task(3, 1, Some(10), 100),
+    ];
+    let (got, _) = differential(&flsa(40), &tasks, false);
+    assert_eq!(
+        got,
+        [Ok(true), Ok(false), Ok(true)],
+        "the 30 h at ts = 0 count against ts = 100"
+    );
+}
+
+/// It answered 0 for a group without rows. `SUM` over zero rows is NULL,
+/// NULL + hours <= 40 is NULL, and NULL rejects.
+#[test]
+fn regression_sum_over_zero_rows_is_null() {
+    let unguarded = format!(
+        "SUM(tasks.hours WHERE tasks.worker = $worker WITHIN {WEEK} OF tasks.ts) + $hours <= 40"
+    );
+    let tasks = [task(1, 1, Some(5), 100), task(2, 2, Some(5), 200)];
+    let (got, _) = differential(&unguarded, &tasks, false);
+    assert_eq!(
+        got,
+        [Ok(false), Ok(false)],
+        "an empty window is unknown, not zero"
+    );
+}
+
+/// It failed with `TypeMismatch` on a NULL in the summed column.
+/// Aggregates skip NULLs.
+#[test]
+fn regression_null_summed_value_is_skipped() {
+    let sum = format!("SUM(tasks.hours WHERE tasks.worker = $worker WITHIN {WEEK} OF tasks.ts)");
+    let null_guarded = format!("{sum} IS NULL OR {sum} + $hours <= 40");
+    let tasks = [
+        task(1, 1, None, 100),
+        task(2, 1, Some(30), 200),
+        task(3, 1, Some(11), 300),
+        task(4, 1, Some(10), 400),
+    ];
+    let (got, _) = differential(&null_guarded, &tasks, true);
+    assert_eq!(
+        got,
+        [Ok(true), Ok(true), Ok(false), Ok(true)],
+        "NULL hours add nothing"
+    );
+    // A window holding nothing but NULLs sums to NULL, which FLSA's COUNT
+    // guard does not cover: rejected, as by the oracle.
+    let (got, _) = differential(
+        &flsa(40),
+        &[task(1, 1, None, 100), task(2, 1, Some(1), 200)],
+        true,
+    );
+    assert_eq!(got, [Ok(true), Ok(false)]);
+}
+
+/// The index range is `[anchor − d + 1, anchor]`, the window `(anchor − d, anchor]`.
+#[test]
+fn window_edges_are_exact() {
+    let none_in_window = "COUNT(tasks WHERE tasks.worker = $worker WITHIN 100 OF tasks.ts) < 1";
+    let tasks = [
+        task(1, 1, Some(1), 100),
+        task(2, 1, Some(1), 200), // (100, 200]: the row at 100 is just outside
+        task(3, 1, Some(1), 299), // (199, 299]: the row at 200 is just inside
+        task(4, 1, Some(1), 300), // (200, 300]: and outside again
+        task(5, 1, Some(1), 300), // the row at the anchor itself is inside
+        task(6, 2, Some(1), 500),
+        task(7, 2, Some(1), 450), // (350, 450]: a row after the anchor is outside
+    ];
+    let (got, _) = differential(none_in_window, &tasks, false);
+    assert_eq!(
+        got,
+        [
+            Ok(true),
+            Ok(true),
+            Ok(false),
+            Ok(true),
+            Ok(false),
+            Ok(true),
+            Ok(true)
+        ]
+    );
+}
+
+/// A row upserted under another worker leaves the first worker's group.
+#[test]
+fn a_row_that_changes_group_moves_in_the_index() {
+    let tasks = [
+        task(1, 1, Some(30), 100),
+        task(2, 1, Some(20), 200), // rejected: 50 > 40
+        task(1, 2, Some(30), 100), // id 1 moves to worker 2
+        task(2, 1, Some(20), 200), // accepted: worker 1 has nothing left
+        task(3, 2, Some(20), 300), // rejected: worker 2 now carries the 30
+    ];
+    let (got, _) = differential(&flsa(40), &tasks, false);
+    assert_eq!(got, [Ok(true), Ok(false), Ok(true), Ok(true), Ok(false)]);
+}

@@ -116,45 +116,4 @@ proptest! {
         prop_assert_eq!(p.database().table("tasks").unwrap().len() as u64, accepted);
         p.audit().unwrap();
     }
-
-    /// Incremental (maintained-aggregate) evaluation agrees with the
-    /// reference evaluator decision-for-decision.
-    #[test]
-    fn incremental_agrees_with_reference(tasks in arb_tasks()) {
-        use prever_constraints::{AggFunc, MaintainedAggregate};
-        let bound = 40i64;
-        let mut p = pipeline(bound as u64);
-        // worker column index 1, hours 2, ts 3.
-        let mut agg =
-            MaintainedAggregate::new("tasks", AggFunc::Sum, 1, Some(2), Some((3, WEEK))).unwrap();
-        let mut ts = 0u64;
-        let mut applied_version = 0u64;
-        for (i, t) in tasks.iter().enumerate() {
-            ts += t.gap;
-            let worker = format!("w{}", t.worker);
-            // Incremental decision first (constraint also caps a single
-            // task at `bound`, mirroring the text form).
-            let inc_decision = t.hours as i64 <= bound
-                && agg.check_upper_bound(
-                    &Value::Str(worker.clone()),
-                    t.hours as i128,
-                    ts,
-                    bound as i128,
-                );
-            let row = Row::new(vec![
-                Value::Uint(i as u64),
-                Value::Str(worker),
-                Value::Uint(t.hours),
-                Value::Timestamp(ts),
-            ]);
-            let u = Update::new(i as u64, "tasks", row, ts, "p");
-            let ref_decision = p.submit(&u).unwrap().is_accepted();
-            prop_assert_eq!(inc_decision, ref_decision, "task {}", i);
-            // Feed accepted changes into the maintained aggregate.
-            for c in p.database().changes_since(applied_version).to_vec() {
-                agg.apply(&c).unwrap();
-            }
-            applied_version = p.database().version();
-        }
-    }
 }
