@@ -166,23 +166,28 @@ fn bench(c: &mut Criterion) {
         group.finish();
     }
 
-    // Merkle root over large leaf counts: `root()` auto-dispatches to
-    // subtree-parallel hashing on multi-core hosts; `root_at(len)`
-    // always takes the sequential fold, so the pair shows the win (or
-    // its absence on one core).
+    // Merkle: `build_root` is the cold cost (fresh tree over ready leaf
+    // hashes, then its root: n − 1 node hashes); the `_cached` ids ask a
+    // tree that has answered before, one leaf short of a power of two so
+    // the ragged edge is at its longest.
     {
+        use prever_bench::amortized::merkle_tree_over;
+        use prever_crypto::merkle::leaf_hash;
         let mut group = c.benchmark_group("crypto_merkle");
         group.sample_size(10);
         for leaves in [1_024usize, 65_536] {
-            let mut t = prever_crypto::merkle::MerkleTree::new();
-            for i in 0..leaves {
-                t.append(format!("leaf-{i}").as_bytes());
-            }
-            group.bench_with_input(BenchmarkId::new("root_dispatch", leaves), &leaves, |b, _| {
-                b.iter(|| t.root());
+            let hashes: Vec<_> =
+                (0..leaves).map(|i| leaf_hash(format!("leaf-{i}").as_bytes())).collect();
+            group.bench_with_input(BenchmarkId::new("build_root", leaves), &leaves, |b, _| {
+                b.iter(|| merkle_tree_over(&hashes).root());
             });
-            group.bench_with_input(BenchmarkId::new("root_sequential", leaves), &leaves, |b, _| {
-                b.iter(|| t.root_at(leaves).unwrap());
+            let n = leaves - 1;
+            let warm = merkle_tree_over(&hashes[..n]);
+            group.bench_with_input(BenchmarkId::new("root_cached", n), &n, |b, _| {
+                b.iter(|| warm.root());
+            });
+            group.bench_with_input(BenchmarkId::new("prove_inclusion_cached", n), &n, |b, _| {
+                b.iter(|| warm.prove_inclusion(n / 3, n).unwrap());
             });
         }
         group.finish();

@@ -16,6 +16,8 @@
 //! statistic least affected by scheduler noise, and the claim under
 //! test is about achievable cost, not average load.
 
+use prever_crypto::merkle::MerkleTree;
+use prever_crypto::sha256::Digest;
 use std::time::Instant;
 
 /// Best-of-`trials` wall time of `iters` runs of `f`, in nanoseconds
@@ -31,6 +33,17 @@ pub fn best_ns_per_iter<F: FnMut()>(trials: usize, iters: usize, mut f: F) -> f6
         best = best.min(ns);
     }
     best
+}
+
+/// A fresh tree over ready leaf hashes: what the Merkle benches build per
+/// iteration, because `root()` on a tree that has answered before is a
+/// lookup.
+pub fn merkle_tree_over(hashes: &[Digest]) -> MerkleTree {
+    let mut t = MerkleTree::new();
+    for h in hashes {
+        t.append_leaf_hash(*h);
+    }
+    t
 }
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
 //! Emits the "after" side of BENCH_crypto.json's `amortized` section:
 //! best-of-trials wall-clock minima for fixed-base Schnorr/Paillier,
 //! RLC batch verification at n ∈ {1, 8, 64, 256}, multi-query CPIR at
-//! k ∈ {1, 4, 8, 16}, and Merkle roots at 1k/64k leaves, one JSON line
-//! each. The "before" numbers were produced by this same harness
-//! backported onto the pre-amortization commit (same seeds, same
-//! workloads, the then-current single-item APIs).
+//! k ∈ {1, 4, 8, 16}, and Merkle roots at 1k/64k leaves (cold build,
+//! then warm root and inclusion proof), one JSON line each. The "before"
+//! numbers were produced by this same harness backported onto the
+//! pre-amortization commit (same seeds, same workloads, the then-current
+//! single-item APIs).
 
-use prever_bench::amortized::best_ns_per_iter as best_ns;
+use prever_bench::amortized::{best_ns_per_iter as best_ns, merkle_tree_over};
 use prever_crypto::bignum::BigUint;
-use prever_crypto::merkle::MerkleTree;
+use prever_crypto::merkle::leaf_hash;
 use prever_crypto::schnorr::{self, SchnorrGroup};
 use prever_pir::cpir::{CpirClient, CpirServer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::hint::black_box;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(9);
@@ -78,16 +80,28 @@ fn main() {
         println!("{{\"id\": \"answer_seq/{k}\", \"ns\": {seq_ns:.1}}}");
     }
 
-    // Merkle root through the parallel dispatch.
+    // Merkle. `merkle_root/*` is the cold cost `verify_chain` and recovery
+    // pay: a fresh tree over ready leaf hashes, then its root (n − 1 node
+    // hashes). On a tree that has answered before, a root or proof is
+    // lookups plus the ragged right edge, longest one leaf short of a
+    // power of two: `merkle_root_cached/*` and `prove_inclusion/*`.
     for leaves in [1024usize, 65_536] {
-        let mut t = MerkleTree::new();
-        for i in 0..leaves {
-            t.append(format!("leaf-{i}").as_bytes());
-        }
+        let hashes: Vec<_> =
+            (0..leaves).map(|i| leaf_hash(format!("leaf-{i}").as_bytes())).collect();
         let iters = if leaves > 10_000 { 5 } else { 50 };
         let ns = best_ns(3, iters, || {
-            t.root();
+            black_box(merkle_tree_over(&hashes).root());
         });
         println!("{{\"id\": \"merkle_root/{leaves}\", \"ns\": {ns:.1}}}");
+        let n = leaves - 1;
+        let warm = merkle_tree_over(&hashes[..n]);
+        let ns = best_ns(5, 1000, || {
+            black_box(black_box(&warm).root());
+        });
+        println!("{{\"id\": \"merkle_root_cached/{n}\", \"ns\": {ns:.1}}}");
+        let ns = best_ns(5, 1000, || {
+            black_box(black_box(&warm).prove_inclusion(n / 3, n).unwrap());
+        });
+        println!("{{\"id\": \"prove_inclusion/{n}\", \"ns\": {ns:.1}}}");
     }
 }

@@ -12,9 +12,15 @@
 //! (domain separation prevents second-preimage splicing), and trees of
 //! non-power-of-two size are split at the largest power of two strictly
 //! less than the size.
+//!
+//! Appends never change a *complete* subtree (`2^h` leaves starting at a
+//! multiple of `2^h`), so [`MerkleTree`] hashes each one once and keeps
+//! its root: a root or proof at any size `k ≤ len` is lookups plus the
+//! `O(log k)` hashes that join the ragged right edge of the size-`k` tree.
 
 use crate::sha256::{sha256_concat, Digest};
 use crate::{CryptoError, Result};
+use std::cell::RefCell;
 
 /// Hashes a leaf value with domain separation.
 pub fn leaf_hash(data: &[u8]) -> Digest {
@@ -23,22 +29,33 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 
 /// Hashes two child digests into their parent.
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
+    #[cfg(test)]
+    tests::NODE_HASHES.with(|c| c.set(c.get() + 1));
     sha256_concat(&[&[0x01], left.as_bytes(), right.as_bytes()])
 }
 
 /// An append-only Merkle tree over byte-string leaves.
 ///
-/// Stores every leaf hash; roots and proofs are computed over the RFC 6962
-/// tree shape. Appending is O(1) amortized (the tree shape is implicit).
+/// Stores every leaf hash (32 B per leaf) and, from the first root or
+/// proof on, the root of every complete subtree (`n − 1` digests for `n`
+/// leaves: 64 B per leaf). `append` is one leaf hash and touches no
+/// interior node. The first root or proof after `a` appends hashes the
+/// ~`a` subtrees they completed; after that `root` / `root_at(k)` cost
+/// under `log2 k` node hashes and `prove_inclusion(i, k)` /
+/// `prove_consistency(m, k)` under `2·log2 k`, for any `k ≤ len`. The
+/// cache fills behind `&self`, so the tree is `Send` but not `Sync`.
 #[derive(Clone, Debug, Default)]
 pub struct MerkleTree {
     leaves: Vec<Digest>,
+    /// `interior[h - 1][i]` is the root over leaves `[i·2^h, (i+1)·2^h)`;
+    /// [`Self::fill`] extends every level to cover all current leaves.
+    interior: RefCell<Vec<Vec<Digest>>>,
 }
 
 impl MerkleTree {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        MerkleTree { leaves: Vec::new() }
+        Self::default()
     }
 
     /// Creates a tree from existing leaf data.
@@ -52,8 +69,7 @@ impl MerkleTree {
 
     /// Appends a leaf; returns its index.
     pub fn append(&mut self, data: &[u8]) -> usize {
-        self.leaves.push(leaf_hash(data));
-        self.leaves.len() - 1
+        self.append_leaf_hash(leaf_hash(data))
     }
 
     /// Appends a precomputed leaf hash; returns its index.
@@ -74,21 +90,9 @@ impl MerkleTree {
 
     /// The root digest over all leaves (SHA-256 of empty string for an
     /// empty tree, per RFC 6962).
-    ///
-    /// For large trees on multi-core hosts the top of the tree is split
-    /// into independent RFC 6962 subtrees that hash in parallel; the
-    /// result is bit-identical to the sequential fold because every
-    /// subtree boundary is a node the sequential recursion also visits.
     pub fn root(&self) -> Digest {
-        let n = self.leaves.len();
-        let threads = available_threads();
-        if n >= PARALLEL_LEAF_THRESHOLD && threads > 1 {
-            // Spawn down ceil(log2(threads)) levels: one subtree per core.
-            let depth = usize::BITS - (threads - 1).leading_zeros();
-            self.root_of_range_parallel(0, n, depth as usize)
-        } else {
-            self.root_of_range(0, n)
-        }
+        self.fill();
+        self.root_of_range(0, self.leaves.len())
     }
 
     /// The root the tree had when it contained only the first `n` leaves.
@@ -96,32 +100,40 @@ impl MerkleTree {
         if n > self.leaves.len() {
             return Err(CryptoError::OutOfRange("root_at beyond tree size"));
         }
+        self.fill();
         Ok(self.root_of_range(0, n))
     }
 
-    /// Parallel variant of [`Self::root_of_range`]: recurses down the RFC
-    /// 6962 split, handing the left subtree to a scoped worker thread
-    /// until the spawn-depth budget (or the leaf threshold) runs out,
-    /// then falls back to the sequential fold. Leaf hashes are read-only,
-    /// so workers borrow `self` directly.
-    fn root_of_range_parallel(&self, lo: usize, hi: usize, depth: usize) -> Digest {
-        let n = hi - lo;
-        if depth == 0 || n < PARALLEL_LEAF_THRESHOLD / 2 || n < 2 {
-            return self.root_of_range(lo, hi);
+    /// Hashes, level by level, the complete subtrees that the appends
+    /// since the last call completed.
+    fn fill(&self) {
+        let mut levels = self.interior.borrow_mut();
+        for h in 0.. {
+            let want = self.leaves.len() >> (h + 1);
+            if want == 0 {
+                break;
+            }
+            if levels.len() == h {
+                levels.push(Vec::new());
+            }
+            let (below, level) = levels.split_at_mut(h);
+            let (below, level) = (below.last().unwrap_or(&self.leaves), &mut level[0]);
+            level.reserve(want - level.len());
+            for i in level.len()..want {
+                level.push(node_hash(&below[2 * i], &below[2 * i + 1]));
+            }
         }
-        let k = largest_power_of_two_below(n);
-        let (left, right) = std::thread::scope(|s| {
-            let left = s.spawn(move || self.root_of_range_parallel(lo, lo + k, depth - 1));
-            let right = self.root_of_range_parallel(lo + k, hi, depth - 1);
-            (left.join().expect("merkle subtree worker panicked"), right)
-        });
-        node_hash(&left, &right)
     }
 
+    /// RFC 6962 `MTH` over leaves `lo..hi`, after [`Self::fill`]: a lookup
+    /// for a complete subtree, else the split, whose left half is complete.
     fn root_of_range(&self, lo: usize, hi: usize) -> Digest {
         match hi - lo {
             0 => crate::sha256::sha256(b""),
             1 => self.leaves[lo],
+            n if n.is_power_of_two() && lo.is_multiple_of(n) => {
+                self.interior.borrow()[n.trailing_zeros() as usize - 1][lo / n]
+            }
             n => {
                 let k = largest_power_of_two_below(n);
                 let left = self.root_of_range(lo, lo + k);
@@ -140,6 +152,7 @@ impl MerkleTree {
         if index >= tree_size {
             return Err(CryptoError::OutOfRange("leaf index beyond tree_size"));
         }
+        self.fill();
         let mut path = Vec::new();
         self.inclusion_path(index, 0, tree_size, &mut path);
         Ok(InclusionProof { leaf_index: index, tree_size, path })
@@ -168,6 +181,7 @@ impl MerkleTree {
         }
         let mut path = Vec::new();
         if old_size > 0 && old_size < new_size {
+            self.fill();
             self.consistency_path(old_size, 0, new_size, true, &mut path);
         }
         Ok(ConsistencyProof { old_size, new_size, path })
@@ -334,24 +348,10 @@ impl ConsistencyProof {
     }
 }
 
-/// Leaf count below which a parallel root computation is not worth the
-/// thread-spawn overhead: at ~0.5 µs per SHA-256 node hash, 4096 leaves
-/// is ~2 ms of hashing against ~10 µs of scoped-thread setup.
-const PARALLEL_LEAF_THRESHOLD: usize = 4096;
-
-/// Worker threads available for subtree hashing (1 when unknown).
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// Largest power of two strictly less than `n` (n ≥ 2).
 fn largest_power_of_two_below(n: usize) -> usize {
     debug_assert!(n >= 2);
-    let mut k = 1;
-    while k * 2 < n {
-        k *= 2;
-    }
-    k
+    1 << (n - 1).ilog2()
 }
 
 #[cfg(test)]
@@ -365,6 +365,67 @@ mod tests {
             t.append(format!("leaf-{i}").as_bytes());
         }
         t
+    }
+
+    thread_local! {
+        /// Calls to [`node_hash`] on this thread (so: by this test).
+        pub(super) static NODE_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn node_hashes_during(f: impl FnOnce()) -> u64 {
+        let before = NODE_HASHES.with(|c| c.get());
+        f();
+        NODE_HASHES.with(|c| c.get()) - before
+    }
+
+    /// The tree as it was before it cached anything: every root and proof
+    /// recomputed from the leaf hashes. The oracle for the cached tree.
+    mod reference {
+        use super::super::{largest_power_of_two_below, node_hash, Digest};
+
+        pub fn root(leaves: &[Digest]) -> Digest {
+            match leaves.len() {
+                0 => crate::sha256::sha256(b""),
+                1 => leaves[0],
+                n => {
+                    let (left, right) = leaves.split_at(largest_power_of_two_below(n));
+                    node_hash(&root(left), &root(right))
+                }
+            }
+        }
+
+        pub fn inclusion_path(leaves: &[Digest], index: usize, out: &mut Vec<Digest>) {
+            if leaves.len() == 1 {
+                return;
+            }
+            let k = largest_power_of_two_below(leaves.len());
+            let (left, right) = leaves.split_at(k);
+            if index < k {
+                inclusion_path(left, index, out);
+                out.push(root(right));
+            } else {
+                inclusion_path(right, index - k, out);
+                out.push(root(left));
+            }
+        }
+
+        pub fn consistency_path(leaves: &[Digest], m: usize, complete: bool, out: &mut Vec<Digest>) {
+            if m == leaves.len() {
+                if !complete {
+                    out.push(root(leaves));
+                }
+                return;
+            }
+            let k = largest_power_of_two_below(leaves.len());
+            let (left, right) = leaves.split_at(k);
+            if m <= k {
+                consistency_path(left, m, complete, out);
+                out.push(root(right));
+            } else {
+                consistency_path(right, m - k, false, out);
+                out.push(root(left));
+            }
+        }
     }
 
     #[test]
@@ -492,29 +553,49 @@ mod tests {
         assert_eq!(t.root_at(5).unwrap(), r1);
     }
 
+    /// Counted, not timed: what a digest or proof costs does not depend
+    /// on how many leaves lie under complete subtrees.
     #[test]
-    fn parallel_root_matches_sequential() {
-        // Exercise the parallel recursion directly (the container running
-        // CI may report a single core, which would skip it via `root()`)
-        // across ragged sizes straddling the spawn-depth budget.
-        for n in [2usize, 3, 1000, 4096, 4097, 6000] {
-            let t = tree_of(n);
-            for depth in 1..=3 {
-                assert_eq!(
-                    t.root_of_range_parallel(0, n, depth),
-                    t.root_of_range(0, n),
-                    "n={n} depth={depth}"
-                );
+    fn digest_and_proofs_hash_log_n_nodes_and_each_interior_node_once() {
+        const N: usize = 50_000;
+        let log2_n = 16; // 2^16 > N
+        let trio = |t: &MerkleTree| {
+            let n = t.len();
+            node_hashes_during(|| {
+                t.root();
+                t.prove_inclusion(n / 3, n).unwrap();
+                t.prove_consistency(n / 2, n).unwrap();
+            })
+        };
+
+        // N appends with a digest after every tenth.
+        let mut t = MerkleTree::new();
+        let (mut hashed, mut joins) = (0, 0);
+        let mut trio_at_5k = 0;
+        while t.len() < N {
+            t.append(&t.len().to_be_bytes());
+            let n = t.len();
+            if n.is_multiple_of(10) {
+                let by_digest = node_hashes_during(|| {
+                    t.root();
+                });
+                // The subtrees ten appends completed, then the ragged edge
+                // (checked per digest so that a lost cache fails at once).
+                assert!(by_digest <= 10 + 2 * log2_n, "{by_digest} node hashes for a digest at {n}");
+                hashed += by_digest;
+                joins += u64::from(n.count_ones()) - 1;
+            }
+            if n == N / 10 {
+                trio_at_5k = trio(&t);
             }
         }
-    }
+        // A tree of n leaves has n − popcount(n) complete interior nodes.
+        let interior = (N - N.count_ones() as usize) as u64;
+        assert_eq!(hashed, interior + joins, "each interior node once, plus the edge per digest");
 
-    #[test]
-    fn large_root_uses_dispatch_and_matches_prefix_roots() {
-        // `root()` (whichever path it picks) must agree with root_at of
-        // the full size, which always takes the sequential fold.
-        let t = tree_of(PARALLEL_LEAF_THRESHOLD + 37);
-        assert_eq!(t.root(), t.root_at(t.len()).unwrap());
+        let at_50k = trio(&t);
+        assert!(at_50k <= 4 * log2_n, "{at_50k} node hashes for the trio at {N}");
+        assert!(at_50k <= trio_at_5k + 2 * log2_n, "{at_50k} at {N}, {trio_at_5k} at {}", N / 10);
     }
 
     proptest! {
@@ -547,6 +628,76 @@ mod tests {
             let mut t2 = MerkleTree::new();
             t2.append(b.as_bytes());
             prop_assert_ne!(t1.root(), t2.root());
+        }
+
+        /// Any interleaving of appends, roots and proofs, at past sizes
+        /// as well as the current one: the cached tree answers bit for
+        /// bit what recomputing from the leaves answers.
+        #[test]
+        fn prop_cached_tree_matches_reference(
+            ops in proptest::collection::vec((0u8..9, any::<u64>(), any::<u64>()), 1..120),
+        ) {
+            let mut t = MerkleTree::new();
+            let mut appended = 0u64;
+            let mut append = |t: &mut MerkleTree, tag: &str| {
+                appended += 1;
+                t.append(format!("{tag}-{appended}").as_bytes());
+            };
+            // Proofs kept to be verified again once the tree has grown.
+            let mut inclusions = Vec::new();
+            let mut consistencies = Vec::new();
+            for (op, a, b) in ops {
+                let len = t.len();
+                // A size in 0..=len, the current one half the time.
+                let k = if b % 2 == 0 { len } else { (b / 2) as usize % (len + 1) };
+                match op {
+                    0..=3 => (0..=a % 16).for_each(|_| append(&mut t, "leaf")),
+                    4 => prop_assert_eq!(t.root(), reference::root(&t.leaves)),
+                    5 => prop_assert_eq!(t.root_at(k).unwrap(), reference::root(&t.leaves[..k])),
+                    6 if k > 0 => {
+                        let i = a as usize % k;
+                        let proof = t.prove_inclusion(i, k).unwrap();
+                        let mut path = Vec::new();
+                        reference::inclusion_path(&t.leaves[..k], i, &mut path);
+                        prop_assert_eq!(&proof.path, &path);
+                        prop_assert!(proof.verify_leaf_hash(t.leaves[i], &t.root_at(k).unwrap()).is_ok());
+                        inclusions.push(proof);
+                    }
+                    7 => {
+                        let m = a as usize % (k + 1);
+                        let proof = t.prove_consistency(m, k).unwrap();
+                        let mut path = Vec::new();
+                        if m > 0 && m < k {
+                            reference::consistency_path(&t.leaves[..k], m, true, &mut path);
+                        }
+                        prop_assert_eq!(&proof.path, &path);
+                        prop_assert!(proof
+                            .verify(&t.root_at(m).unwrap(), &t.root_at(k).unwrap())
+                            .is_ok());
+                        consistencies.push(proof);
+                    }
+                    8 => {
+                        // A clone owns its cache: both sides grow apart.
+                        let mut fork = t.clone();
+                        (0..=a % 16).for_each(|_| append(&mut fork, "fork"));
+                        (0..=a % 16).for_each(|_| append(&mut t, "leaf"));
+                        prop_assert_eq!(fork.root(), reference::root(&fork.leaves));
+                        prop_assert_eq!(t.root(), reference::root(&t.leaves));
+                        prop_assert_ne!(fork.root(), t.root());
+                        prop_assert_eq!(fork.root_at(len).unwrap(), t.root_at(len).unwrap());
+                    }
+                    _ => {}
+                }
+            }
+            for p in inclusions {
+                let root = reference::root(&t.leaves[..p.tree_size]);
+                prop_assert!(p.verify_leaf_hash(t.leaves[p.leaf_index], &root).is_ok());
+            }
+            for p in consistencies {
+                let old = reference::root(&t.leaves[..p.old_size]);
+                let new = reference::root(&t.leaves[..p.new_size]);
+                prop_assert!(p.verify(&old, &new).is_ok());
+            }
         }
     }
 }

@@ -164,8 +164,7 @@ impl Sha256 {
         let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         // Bypass total_len accounting: padding is not message data.
-        let data = pad[..pad_len + 8].to_vec();
-        let mut rest = &data[..];
+        let mut rest = &pad[..pad_len + 8];
         while !rest.is_empty() {
             let take = (64 - self.buf_len).min(rest.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);

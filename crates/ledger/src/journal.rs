@@ -32,11 +32,11 @@ impl JournalEntry {
     }
 
     /// The bytes hashed into the Merkle tree for this entry.
-    pub fn leaf_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48 + self.payload.len());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.timestamp.to_be_bytes());
-        out.extend_from_slice(self.entry_hash.as_bytes());
+    pub fn leaf_bytes(&self) -> [u8; 48] {
+        let mut out = [0u8; 48];
+        out[..8].copy_from_slice(&self.seq.to_be_bytes());
+        out[8..16].copy_from_slice(&self.timestamp.to_be_bytes());
+        out[16..].copy_from_slice(self.entry_hash.as_bytes());
         out
     }
 }
