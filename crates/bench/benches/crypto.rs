@@ -66,6 +66,53 @@ fn bench(c: &mut Criterion) {
         group.finish();
     }
 
+    // The limb kernel under all of the above: one Montgomery
+    // multiplication at k limbs (timed as `pow(base, 2^2048)`, which is
+    // `KERNEL_CALLS_POW_2_2048` of them), one modular inversion, and the
+    // wallet's two halves of a blind-signature round at a 1024-bit
+    // modulus.
+    {
+        use prever_bench::amortized::{odd_modulus_and_residue, KERNEL_CALLS_POW_2_2048};
+        use prever_crypto::montgomery::MontgomeryCtx;
+        use prever_crypto::rsa;
+        let mut group = c.benchmark_group("crypto_kernel");
+        group.sample_size(10);
+        group.throughput(Throughput::Elements(KERNEL_CALLS_POW_2_2048));
+        for k in [4usize, 16, 32] {
+            let (m, base) = odd_modulus_and_residue(64 * k, &mut rng);
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let exp = BigUint::one().shl(2048);
+            group.bench_with_input(BenchmarkId::new("mont_mul", k), &k, |b, _| {
+                b.iter(|| ctx.pow(&base, &exp).unwrap());
+            });
+        }
+        group.throughput(Throughput::Elements(1));
+        for bits in [256usize, 1024, 2048] {
+            let (m, a) = odd_modulus_and_residue(bits, &mut rng);
+            group.bench_with_input(BenchmarkId::new("mod_inv", bits), &bits, |b, _| {
+                b.iter(|| a.mod_inv(&m).unwrap());
+            });
+        }
+        // The two halves are timed apart (the authority's signature
+        // sits between them); `bench_amortized` sums them in one loop as
+        // `rsa_blind_unblind/1024`.
+        let key = rsa::keygen(512, &mut rng);
+        group.bench_function("rsa_blind/1024", |b| {
+            b.iter(|| rsa::blind(&key.public, b"token", &mut rng).unwrap());
+        });
+        group.bench_function("rsa_unblind/1024", |b| {
+            b.iter_batched(
+                || {
+                    let (blinded, state) = rsa::blind(&key.public, b"token", &mut rng).unwrap();
+                    (key.sign_blinded(&blinded).unwrap(), state)
+                },
+                |(blind_sig, state)| rsa::unblind(&key.public, &blind_sig, &state).unwrap(),
+                criterion::BatchSize::SmallInput,
+            );
+        });
+        group.finish();
+    }
+
     // Blind-signature token issuance roundtrip.
     {
         let mut group = c.benchmark_group("crypto_blindsig");

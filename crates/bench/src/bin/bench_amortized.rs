@@ -1,19 +1,27 @@
 //! Emits the "after" side of BENCH_crypto.json's `amortized` section:
 //! best-of-trials wall-clock minima for fixed-base Schnorr/Paillier,
 //! RLC batch verification at n ∈ {1, 8, 64, 256}, multi-query CPIR at
-//! k ∈ {1, 4, 8, 16}, and Merkle roots at 1k/64k leaves (cold build,
-//! then warm root and inclusion proof), one JSON line each. The "before"
+//! k ∈ {1, 4, 8, 16}, the limb kernel (`mont_mul/k`, `mod_inv/bits`,
+//! the wallet side of a blind-signature round) and Merkle roots at
+//! 1k/64k leaves (cold build, then warm root and inclusion proof), one
+//! JSON line each. The "before"
 //! numbers were produced by this same harness backported onto the
 //! pre-amortization commit (same seeds, same workloads, the then-current
 //! single-item APIs).
 
-use prever_bench::amortized::{best_ns_per_iter as best_ns, merkle_tree_over};
+use prever_bench::amortized::{
+    best_ns_per_iter as best_ns, merkle_tree_over, odd_modulus_and_residue,
+    KERNEL_CALLS_POW_2_2048,
+};
 use prever_crypto::bignum::BigUint;
 use prever_crypto::merkle::leaf_hash;
+use prever_crypto::montgomery::MontgomeryCtx;
+use prever_crypto::rsa;
 use prever_crypto::schnorr::{self, SchnorrGroup};
 use prever_pir::cpir::{CpirClient, CpirServer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(9);
@@ -79,6 +87,47 @@ fn main() {
         });
         println!("{{\"id\": \"answer_seq/{k}\", \"ns\": {seq_ns:.1}}}");
     }
+
+    // The limb kernel. `mont_mul/k` is nanoseconds per Montgomery
+    // multiplication of k-limb residues inside `pow(base, 2^2048)`;
+    // `mod_inv/bits` inverts a random residue of a random odd modulus.
+    for k in [4usize, 16, 32] {
+        let (m, base) = odd_modulus_and_residue(64 * k, &mut rng);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let exp = BigUint::one().shl(2048);
+        let ns = best_ns(5, 5, || {
+            black_box(ctx.pow(black_box(&base), &exp).unwrap());
+        });
+        let ns = ns / KERNEL_CALLS_POW_2_2048 as f64;
+        println!("{{\"id\": \"mont_mul/{k}\", \"ns\": {ns:.1}}}");
+    }
+    for bits in [256usize, 1024, 2048] {
+        let (m, a) = odd_modulus_and_residue(bits, &mut rng);
+        let ns = best_ns(5, 20, || {
+            black_box(black_box(&a).mod_inv(&m).unwrap());
+        });
+        println!("{{\"id\": \"mod_inv/{bits}\", \"ns\": {ns:.1}}}");
+    }
+
+    // The wallet's side of one blind-signature round at a 1024-bit
+    // modulus: `blind` plus `unblind` (which checks sig^e == H(msg));
+    // the authority's signature in between is not timed.
+    let rsa_key = rsa::keygen(512, &mut rng);
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let mut wallet = Duration::ZERO;
+        for _ in 0..20 {
+            let start = Instant::now();
+            let (blinded, state) = rsa::blind(&rsa_key.public, b"token", &mut rng).unwrap();
+            wallet += start.elapsed();
+            let blind_sig = rsa_key.sign_blinded(&blinded).unwrap();
+            let start = Instant::now();
+            black_box(rsa::unblind(&rsa_key.public, &blind_sig, &state).unwrap());
+            wallet += start.elapsed();
+        }
+        best = best.min(wallet.as_nanos() as f64 / 20.0);
+    }
+    println!("{{\"id\": \"rsa_blind_unblind/1024\", \"ns\": {best:.1}}}");
 
     // Merkle. `merkle_root/*` is the cold cost `verify_chain` and recovery
     // pay: a fresh tree over ready leaf hashes, then its root (n − 1 node

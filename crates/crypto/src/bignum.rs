@@ -2,13 +2,18 @@
 //!
 //! A deliberately compact big-integer implementation: little-endian `u64`
 //! limbs, schoolbook multiplication with a Karatsuba path for large
-//! operands, Knuth Algorithm D division, extended-Euclid modular
-//! inversion, and Miller–Rabin primality testing. Modular
-//! exponentiation dispatches on the modulus: odd moduli use the
-//! division-free Montgomery engine in [`crate::montgomery`] (CIOS
-//! reduction plus sliding 4-bit-window exponentiation), while even
-//! moduli fall back to binary square-and-multiply with one division
-//! per step ([`BigUint::mod_exp_schoolbook`]). It is sized for the
+//! operands, Knuth Algorithm D division, modular inversion, and
+//! Miller–Rabin primality testing. Both modular exponentiation and
+//! inversion dispatch on the modulus, and for the odd moduli every
+//! protocol here uses neither divides: exponentiation goes through the
+//! Montgomery engine in [`crate::montgomery`] (one fused multiply-reduce
+//! kernel plus sliding 4-bit-window exponentiation), inversion through
+//! Bernstein–Yang division steps taken 62 at a time on the low words.
+//! Even moduli fall back to binary square-and-multiply with one
+//! division per step ([`BigUint::mod_exp_schoolbook`]) and to extended
+//! Euclid. `gcd` and `mod_inv` calls are counted (`crypto.bignum.gcd`,
+//! `crypto.bignum.mod_inv`), so tests can assert that a request path
+//! inverts exactly as often as its algebra requires. It is sized for the
 //! demo-scale moduli PReVer's experiments use (256–2048 bits), not for
 //! general-purpose numerics.
 
@@ -542,7 +547,11 @@ impl BigUint {
     }
 
     /// Greatest common divisor (binary-free Euclid via div_rem).
+    ///
+    /// Counted in `crypto.bignum.gcd`: key generation may call this, a
+    /// request path should not.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
+        prever_obs::counter("crypto.bignum.gcd").inc();
         let mut a = self.clone();
         let mut b = other.clone();
         while !b.is_zero() {
@@ -614,7 +623,8 @@ impl BigUint {
                 }
                 std::mem::swap(&mut a, &mut m);
             }
-            limbs_sub_assign(&mut a, &m);
+            let borrow = sub_in_place(&mut a, &m);
+            debug_assert!(!borrow, "a >= m after the swap");
         }
         limbs_trim(&mut m);
         if m == [1] {
@@ -624,13 +634,42 @@ impl BigUint {
         }
     }
 
-    /// Modular inverse: `self^-1 mod modulus`.
+    /// Modular inverse: `self^-1 mod modulus`, or
+    /// [`CryptoError::NotInvertible`] when the two share a factor.
     ///
-    /// Extended Euclid with explicitly signed Bézout coefficients.
+    /// Odd moduli — every modulus a request path inverts by — take the
+    /// division-free batched divsteps of [`mod_inv_odd`]; `self` is
+    /// reduced first only if it is not already below the modulus. That
+    /// algorithm divides by two modulo `m`, which needs `m` odd, so
+    /// even moduli (RSA key generation's `e⁻¹ mod φ(n)` is the one
+    /// caller) keep extended Euclid. Counted in `crypto.bignum.mod_inv`.
     pub fn mod_inv(&self, modulus: &BigUint) -> Result<BigUint> {
         if modulus.is_zero() || modulus.is_one() {
             return Err(CryptoError::OutOfRange("modulus must be > 1"));
         }
+        prever_obs::counter("crypto.bignum.mod_inv").inc();
+        if modulus.is_even() {
+            return self.mod_inv_euclid(modulus);
+        }
+        let reduced;
+        let a = if self.cmp_to(modulus) == Ordering::Less {
+            self
+        } else {
+            reduced = self.rem(modulus)?;
+            &reduced
+        };
+        if a.is_zero() {
+            return Err(CryptoError::NotInvertible);
+        }
+        mod_inv_odd(&a.limbs, &modulus.limbs)
+            .map(BigUint::from_limbs)
+            .ok_or(CryptoError::NotInvertible)
+    }
+
+    /// Modular inverse by extended Euclid with explicitly signed Bézout
+    /// coefficients: one Knuth division per step. Serves even moduli,
+    /// and is the reference [`mod_inv_odd`] is tested against.
+    fn mod_inv_euclid(&self, modulus: &BigUint) -> Result<BigUint> {
         let a = self.rem(modulus)?;
         if a.is_zero() {
             return Err(CryptoError::NotInvertible);
@@ -768,6 +807,204 @@ impl BigUint {
     }
 }
 
+/// `-x^-1 mod 2^64` for odd `x`, by Newton iteration: `x·x = 1 mod 8`,
+/// and each step doubles the number of correct low bits
+/// (3 -> 6 -> 12 -> 24 -> 48 -> 96 >= 64).
+pub(crate) fn word_neg_inv(x: u64) -> u64 {
+    let mut inv = x;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv)));
+    }
+    debug_assert_eq!(x.wrapping_mul(inv), 1);
+    inv.wrapping_neg()
+}
+
+/// Divsteps per batch: the transition matrix of 62 of them has entries
+/// of magnitude at most `2^62`, which an `i64` holds.
+const DIVSTEPS: u32 = 62;
+
+/// `a^-1 mod m` for odd `m > 1` and `0 < a < m`, or `None` when
+/// `gcd(a, m) != 1`. No division anywhere.
+///
+/// Bernstein–Yang division steps (`δ` carried as `η = −δ`), batched the
+/// way libsecp256k1's variable-time `modinv64` batches them. A divstep
+/// maps `(f, g)` with `f` odd to `(g, (g − f)/2)` when `δ > 0` and `g`
+/// is odd, and to `(f, (g + (g mod 2)·f)/2)` otherwise; it reads only
+/// the low bits of `f` and `g`, so [`divsteps`] runs 62 of them on the
+/// low words alone and returns their product as one 2×2 integer matrix.
+/// That matrix is then applied once to the full-width `(f, g)`
+/// ([`update_fg`], an exact division by `2^62`) and once, modulo `m`,
+/// to the cofactors `(d, e)` ([`update_de`]), which keep `f ≡ d·a` and
+/// `g ≡ e·a (mod m)`. So the big numbers are touched once per 62 bit
+/// steps instead of once per step. `g` reaches zero with `f = ±gcd`.
+///
+/// `f` and `g` are two's-complement `k + 1`-limb values (neither ever
+/// exceeds `max(|f|, |g|) ≤ m` in magnitude), and shed their top limb
+/// as they shrink; `d` and `e` stay in `[0, m)`.
+fn mod_inv_odd(a: &[u64], m: &[u64]) -> Option<Vec<u64>> {
+    let k = m.len();
+    let m_neg_inv = word_neg_inv(m[0]);
+    let (mut f, mut g) = (m.to_vec(), a.to_vec());
+    f.push(0);
+    g.resize(k + 1, 0);
+    let (mut d, mut e) = (vec![0u64; k], vec![0u64; k]);
+    e[0] = 1;
+    // `m − d`, `m − e` for the matrix's negative entries, and the two
+    // buffers the next `(d, e)` is written to.
+    let mut scratch = [(); 4].map(|()| vec![0u64; k]);
+    let mut eta = -1i64;
+    let mut len = k + 1;
+    while g[..len].iter().any(|&l| l != 0) {
+        let t;
+        (eta, t) = divsteps(eta, f[0], g[0]);
+        update_fg(&mut f[..len], &mut g[..len], t);
+        let [neg_d, neg_e, next_d, next_e] = &mut scratch;
+        for (neg, x) in [(&mut *neg_d, &d), (&mut *neg_e, &e)] {
+            neg.copy_from_slice(m);
+            sub_in_place(neg, x);
+        }
+        update_de(next_d, signed(t[0], &d, neg_d), signed(t[1], &e, neg_e), m, m_neg_inv);
+        update_de(next_e, signed(t[2], &d, neg_d), signed(t[3], &e, neg_e), m, m_neg_inv);
+        std::mem::swap(&mut d, next_d);
+        std::mem::swap(&mut e, next_e);
+        // Drop the top limb once it is pure sign extension in both.
+        let redundant = |x: &[u64]| x[x.len() - 1] == ((x[x.len() - 2] as i64) >> 63) as u64;
+        while len > 2 && redundant(&f[..len]) && redundant(&g[..len]) {
+            len -= 1;
+        }
+    }
+    // f = ±1, or the inputs share a factor; d·a ≡ f.
+    let f = &f[..len];
+    if f[0] == 1 && f[1..].iter().all(|&l| l == 0) {
+        Some(d)
+    } else if f.iter().all(|&l| l == u64::MAX) {
+        let mut inv = m.to_vec();
+        sub_in_place(&mut inv, &d);
+        Some(inv)
+    } else {
+        None
+    }
+}
+
+/// [`DIVSTEPS`] division steps on the low words `f0` (odd) and `g0`.
+/// Returns the new `η` and `[u, v, q, r]` with
+/// `2^62·(f', g') = (u·f + v·g, q·f + r·g)`; `|u| + |v|` and
+/// `|q| + |r|` are at most `2^62`. Runs of zero bits in `g` are
+/// divsteps that only halve, and are taken in one shift each.
+fn divsteps(mut eta: i64, f0: u64, g0: u64) -> (i64, [i64; 4]) {
+    let (mut f, mut g) = (f0, g0);
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let mut left = DIVSTEPS;
+    loop {
+        // The sentinel bit stops the count at the steps left.
+        let zeros = (g | (u64::MAX << left)).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= zeros as i64;
+        left -= zeros;
+        if left == 0 {
+            return (eta, [u as i64, v as i64, q as i64, r as i64]);
+        }
+        // g is odd. δ > 0: (f, g) ← (g, −f), then in either case g += f
+        // leaves g even for the next round's shift.
+        if eta < 0 {
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+        }
+        g = g.wrapping_add(f);
+        q = q.wrapping_add(u);
+        r = r.wrapping_add(v);
+    }
+}
+
+/// `(f, g) ← ((u·f + v·g) / 2^62, (q·f + r·g) / 2^62)` in place over
+/// two's-complement limbs of one length; the divisions are exact.
+fn update_fg(f: &mut [u64], g: &mut [u64], [u, v, q, r]: [i64; 4]) {
+    let n = f.len();
+    let [u, v, q, r] = [u, v, q, r].map(i128::from);
+    // |u·fⱼ + v·gⱼ| ≤ (|u| + |v|)·2^64 ≤ 2^126: the sums fit an i128.
+    let (mut carry_f, mut carry_g) = (0i128, 0i128);
+    let (mut prev_f, mut prev_g) = (0u64, 0u64);
+    for j in 0..n {
+        // The top limb carries the sign; the rest are plain digits.
+        let (fj, gj) = if j + 1 == n {
+            (f[j] as i64 as i128, g[j] as i64 as i128)
+        } else {
+            (f[j] as i128, g[j] as i128)
+        };
+        let (sf, sg) = (u * fj + v * gj + carry_f, q * fj + r * gj + carry_g);
+        (carry_f, carry_g) = (sf >> 64, sg >> 64);
+        if j > 0 {
+            f[j - 1] = (prev_f >> DIVSTEPS) | ((sf as u64) << (64 - DIVSTEPS));
+            g[j - 1] = (prev_g >> DIVSTEPS) | ((sg as u64) << (64 - DIVSTEPS));
+        }
+        (prev_f, prev_g) = (sf as u64, sg as u64);
+    }
+    f[n - 1] = (prev_f >> DIVSTEPS) | ((carry_f as u64) << (64 - DIVSTEPS));
+    g[n - 1] = (prev_g >> DIVSTEPS) | ((carry_g as u64) << (64 - DIVSTEPS));
+}
+
+/// A signed matrix entry times a residue, as a non-negative multiplier
+/// and operand: `c·x ≡ |c|·(m − x) (mod m)` for negative `c`.
+fn signed<'a>(c: i64, x: &'a [u64], neg_x: &'a [u64]) -> (u128, &'a [u64]) {
+    (c.unsigned_abs() as u128, if c < 0 { neg_x } else { x })
+}
+
+/// `out ← (a·x + b·y) / 2^62 mod m`, in `[0, m)`, for `x, y ≤ m` and
+/// `a + b ≤ 2^62`: adds the multiple `c·m` that clears the low 62 bits
+/// (`c = −(a·x + b·y)·m⁻¹ mod 2^62`, the Montgomery trick at that
+/// radix) and shifts, in one sweep. The sum is below `2^63·m`, the
+/// quotient below `2m`: one conditional subtraction finishes.
+fn update_de(
+    out: &mut [u64],
+    (a, x): (u128, &[u64]),
+    (b, y): (u128, &[u64]),
+    m: &[u64],
+    m_neg_inv: u64,
+) {
+    let k = m.len();
+    let (x, y, out) = (&x[..k], &y[..k], &mut out[..k]);
+    let low = (a as u64).wrapping_mul(x[0]).wrapping_add((b as u64).wrapping_mul(y[0]));
+    let c = (low.wrapping_mul(m_neg_inv) & ((1 << DIVSTEPS) - 1)) as u128;
+    let (mut carry, mut prev) = (0u128, 0u64);
+    for j in 0..k {
+        let s = a * x[j] as u128 + b * y[j] as u128 + carry;
+        let with_m = (s as u64) as u128 + c * m[j] as u128;
+        carry = (s >> 64) + (with_m >> 64);
+        if j > 0 {
+            out[j - 1] = (prev >> DIVSTEPS) | ((with_m as u64) << (64 - DIVSTEPS));
+        }
+        prev = with_m as u64;
+    }
+    out[k - 1] = (prev >> DIVSTEPS) | ((carry as u64) << (64 - DIVSTEPS));
+    if carry >> DIVSTEPS != 0 || limbs_cmp(out, m) != Ordering::Less {
+        sub_in_place(out, m);
+    }
+}
+
+/// `a -= b` in place, `b` no longer than `a`; returns whether it
+/// borrowed out of the top.
+pub(crate) fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let (low, high) = a.split_at_mut(b.len());
+    let mut borrow = false;
+    for (ai, &bi) in low.iter_mut().zip(b) {
+        let (d1, b1) = ai.overflowing_sub(bi);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *ai = d2;
+        borrow = b1 | b2;
+    }
+    for ai in high {
+        if !borrow {
+            break;
+        }
+        (*ai, borrow) = ai.overflowing_sub(1);
+    }
+    borrow
+}
+
 /// Trims trailing zero limbs in place (zero becomes the empty vector,
 /// matching `normalize`).
 fn limbs_trim(v: &mut Vec<u64>) {
@@ -805,8 +1042,9 @@ fn limbs_shr(v: &mut Vec<u64>, k: usize) {
     limbs_trim(v);
 }
 
-/// Compares two trimmed little-endian limb vectors.
-fn limbs_cmp(a: &[u64], b: &[u64]) -> Ordering {
+/// Compares two little-endian limb vectors, both trimmed or both of
+/// one width.
+pub(crate) fn limbs_cmp(a: &[u64], b: &[u64]) -> Ordering {
     match a.len().cmp(&b.len()) {
         Ordering::Equal => {}
         o => return o,
@@ -818,19 +1056,6 @@ fn limbs_cmp(a: &[u64], b: &[u64]) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-/// `a -= b` in place; caller guarantees `a >= b`.
-fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for (i, ai) in a.iter_mut().enumerate() {
-        let bv = b.get(i).copied().unwrap_or(0);
-        let (d1, b1) = ai.overflowing_sub(bv);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *ai = d2;
-        borrow = (b1 as u64) + (b2 as u64);
-    }
-    debug_assert_eq!(borrow, 0);
 }
 
 /// Binary Jacobi specialised to 4-limb (≤256-bit) operands on stack
@@ -1219,6 +1444,53 @@ mod tests {
             prop_assume!(!a.is_zero());
             let inv = a.mod_inv(&p).unwrap();
             prop_assert_eq!(a.mul_mod(&inv, &p).unwrap(), BigUint::one());
+        }
+
+        /// `mod_inv` against the extended-Euclid reference: odd moduli
+        /// of 1–40 limbs (the binary path) and even ones (whatever
+        /// serves them), with the operands most likely to trip an
+        /// in-place limb algorithm.
+        #[test]
+        fn prop_mod_inv_matches_euclid(
+            m_limbs in proptest::collection::vec(any::<u64>(), 1..=40),
+            a_limbs in proptest::collection::vec(any::<u64>(), 0..=42),
+            zero_low_limbs in 0usize..4,
+            factor in any::<u64>(),
+            even in any::<bool>(),
+        ) {
+            let mut m_limbs = m_limbs;
+            m_limbs[0] = if even { m_limbs[0] & !1 } else { m_limbs[0] | 1 };
+            let m = BigUint::from_limbs(m_limbs);
+            prop_assume!(!m.is_zero() && !m.is_one());
+            let one = BigUint::one();
+            let random = BigUint::from_limbs(a_limbs); // often >= m
+            let plain = [
+                BigUint::zero(),
+                one.clone(),
+                m.sub(&one),
+                m.clone(),
+                m.add(&one),
+                random.clone(),
+                random.shl(64 * zero_low_limbs).add(&one.shl(64 * zero_low_limbs)),
+                one.shl(64 * zero_low_limbs),
+            ];
+            // A modulus with a known odd factor, and multiples of that
+            // factor: both sides must refuse.
+            let f = BigUint::from_u64(factor | 1).add(&BigUint::from_u64(2));
+            let m_f = m.mul(&f);
+            let multiples: Vec<BigUint> = plain.iter().map(|a| a.mul(&f)).collect();
+            for a in plain.iter().chain(&multiples) {
+                for modulus in [&m, &m_f] {
+                    let want = a.mod_inv_euclid(modulus);
+                    let got = a.mod_inv(modulus);
+                    prop_assert_eq!(&got, &want, "a = {:?}, m = {:?}", a, modulus);
+                    if let Ok(inv) = got {
+                        prop_assert!(inv < *modulus);
+                        prop_assert_eq!(a.mul_mod(&inv, modulus).unwrap(), one.clone());
+                    }
+                }
+                prop_assert_eq!(a.mul(&f).mod_inv(&m_f), Err(CryptoError::NotInvertible));
+            }
         }
 
         #[test]

@@ -22,6 +22,11 @@
 //! Two tables over the same modulus can also share one squaring
 //! chain ([`FixedBaseTable::mul_pow`]), putting Pedersen's `g^m·h^r`
 //! at barely more than one fixed-base exponentiation.
+//!
+//! The table is one flat limb vector (entry `m` at offset `m·k`), and
+//! an evaluation is a walk over it with an accumulator and one spare
+//! buffer handed to the Montgomery kernel in turn: two allocations per
+//! call however wide the exponent, and none per multiplication.
 
 use crate::bignum::BigUint;
 use crate::montgomery::MontgomeryCtx;
@@ -41,9 +46,9 @@ pub struct FixedBaseTable {
     cols: usize,
     /// Widest exponent the comb covers.
     max_bits: usize,
-    /// `2^TEETH` entries, Montgomery form; entry `m` is
-    /// `Π_{j: bit j of m} base^(2^(j·cols))`.
-    table: Vec<Vec<u64>>,
+    /// `2^TEETH` entries of `k` limbs each, flat, Montgomery form;
+    /// entry `m` is `Π_{j: bit j of m} base^(2^(j·cols))`.
+    table: Vec<u64>,
 }
 
 impl FixedBaseTable {
@@ -56,34 +61,32 @@ impl FixedBaseTable {
         let max_bits = max_bits.max(1);
         let cols = max_bits.div_ceil(TEETH);
         let k = ctx.limb_count();
+        let mut table = vec![0u64; k << TEETH];
+        table[..k].copy_from_slice(ctx.mont_one());
 
         // Tooth anchors: base^(2^(j·cols)) for each tooth j, by
-        // repeated squaring of the previous anchor.
-        let mut anchors: Vec<Vec<u64>> = Vec::with_capacity(TEETH);
-        anchors.push(ctx.prepare(base)?);
-        for j in 1..TEETH {
-            let mut cur = anchors[j - 1].clone();
-            for _ in 0..cols {
-                cur = ctx.mont_mul(&cur, &cur);
+        // repeated squaring of the previous anchor; tooth j alone is
+        // entry 2^j.
+        let mut anchor = ctx.prepare(base)?;
+        let mut tmp = vec![0u64; k];
+        for j in 0..TEETH {
+            table[k << j..][..k].copy_from_slice(&anchor);
+            if j + 1 < TEETH {
+                for _ in 0..cols {
+                    ctx.square_assign(&mut anchor, &mut tmp);
+                }
             }
-            anchors.push(cur);
         }
-
         // Subset products: entry m extends entry m-with-lowest-bit-
-        // cleared by one anchor multiplication.
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(1 << TEETH);
-        table.push(ctx.mont_one().to_vec());
+        // cleared (earlier in the table) by one anchor multiplication.
         for m in 1usize..(1 << TEETH) {
-            let low = m.trailing_zeros() as usize;
             let rest = m & (m - 1);
-            let entry = if rest == 0 {
-                anchors[low].clone()
-            } else {
-                ctx.mont_mul(&table[rest], &anchors[low])
-            };
-            table.push(entry);
+            if rest != 0 {
+                let (done, entry) = table.split_at_mut(m * k);
+                let low = m & m.wrapping_neg();
+                ctx.mont_mul_into(&mut entry[..k], &done[rest * k..][..k], &done[low * k..][..k]);
+            }
         }
-        debug_assert!(table.iter().all(|t| t.len() == k));
 
         Ok(FixedBaseTable {
             ctx: ctx.clone(),
@@ -104,14 +107,21 @@ impl FixedBaseTable {
         self.max_bits
     }
 
-    /// Tooth-subset index for bit column `i` of `exp`.
+    /// The table entry for bit column `i` of `exp`: the product of the
+    /// teeth whose block has that bit set, or `None` for the empty
+    /// subset (the identity — nothing to multiply) and for columns this
+    /// comb does not have.
     #[inline]
-    fn column(&self, exp: &BigUint, i: usize) -> usize {
+    fn column(&self, exp: &BigUint, i: usize) -> Option<&[u64]> {
+        if i >= self.cols {
+            return None;
+        }
         let mut m = 0usize;
         for j in 0..TEETH {
             m |= (exp.bit(j * self.cols + i) as usize) << j;
         }
-        m
+        let k = self.ctx.limb_count();
+        (m != 0).then(|| &self.table[m * k..][..k])
     }
 
     /// `base^exp mod n` through the comb.
@@ -124,21 +134,7 @@ impl FixedBaseTable {
             return self.ctx.pow(&self.base, exp);
         }
         prever_obs::counter("crypto.fixed_base.hits").inc();
-        let mut acc: Option<Vec<u64>> = None;
-        for i in (0..self.cols).rev() {
-            if let Some(a) = acc.as_mut() {
-                *a = self.ctx.mont_mul(a, a);
-            }
-            let m = self.column(exp, i);
-            if m != 0 {
-                acc = Some(match acc {
-                    Some(a) => self.ctx.mont_mul(&a, &self.table[m]),
-                    None => self.table[m].clone(),
-                });
-            }
-        }
-        let acc = acc.unwrap_or_else(|| self.ctx.mont_one().to_vec());
-        Ok(BigUint::from_limbs(self.ctx.redc(&acc)))
+        Ok(comb_product(&self.ctx, &[(self, exp)]))
     }
 
     /// `self.base^e1 · other.base^e2 mod n` with one shared squaring
@@ -158,27 +154,32 @@ impl FixedBaseTable {
                 .multi_pow(&[&self.base, &other.base], &[e1, e2]);
         }
         prever_obs::counter("crypto.fixed_base.hits").add(2);
-        let cols = self.cols.max(other.cols);
-        let mut acc: Option<Vec<u64>> = None;
-        for i in (0..cols).rev() {
-            if let Some(a) = acc.as_mut() {
-                *a = self.ctx.mont_mul(a, a);
-            }
-            for (tab, e) in [(self, e1), (other, e2)] {
-                if i >= tab.cols {
-                    continue;
-                }
-                let m = tab.column(e, i);
-                if m != 0 {
-                    acc = Some(match acc {
-                        Some(a) => self.ctx.mont_mul(&a, &tab.table[m]),
-                        None => tab.table[m].clone(),
-                    });
-                }
+        Ok(comb_product(&self.ctx, &[(self, e1), (other, e2)]))
+    }
+}
+
+/// The comb evaluation both entry points share: `Π_t Π_i T_t[mᵢ]^(2^i)`
+/// over tables on one modulus, most-significant column first — one
+/// squaring per column and one multiplication per nonempty table
+/// entry, on an accumulator and one spare buffer (nothing allocated per
+/// step; leading empty columns cost nothing at all).
+fn comb_product(ctx: &MontgomeryCtx, terms: &[(&FixedBaseTable, &BigUint)]) -> BigUint {
+    let cols = terms.iter().map(|(tab, _)| tab.cols).max().unwrap_or(0);
+    let mut tmp = vec![0u64; ctx.limb_count()];
+    let mut acc: Option<Vec<u64>> = None;
+    for i in (0..cols).rev() {
+        if let Some(a) = acc.as_mut() {
+            ctx.square_assign(a, &mut tmp);
+        }
+        for (tab, exp) in terms {
+            if let Some(entry) = tab.column(exp, i) {
+                ctx.fold(&mut acc, &mut tmp, entry);
             }
         }
-        let acc = acc.unwrap_or_else(|| self.ctx.mont_one().to_vec());
-        Ok(BigUint::from_limbs(self.ctx.redc(&acc)))
+    }
+    match acc {
+        Some(a) => ctx.finish(&a, tmp),
+        None => BigUint::one(),
     }
 }
 
@@ -217,6 +218,44 @@ mod tests {
                 ctx.pow(&base, &e).unwrap(),
                 "bits={bits}"
             );
+        }
+    }
+
+    #[test]
+    fn comb_does_an_eighth_of_the_sliding_windows_multiplications() {
+        // The comb's claim, counted rather than timed: one kernel
+        // serves both paths, so time follows the multiplication count.
+        use crate::montgomery::MONT_MULS;
+        let muls = |f: &dyn Fn() -> BigUint| {
+            let before = MONT_MULS.with(|c| c.get());
+            f();
+            MONT_MULS.with(|c| c.get()) - before
+        };
+        let mut rng = StdRng::seed_from_u64(25);
+        let m = BigUint::gen_prime(256, &mut rng);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let (g, h) = (BigUint::from_u64(4), BigUint::random_below(&m, &mut rng));
+        let bits = 255usize;
+        let (tg, th) = (
+            FixedBaseTable::new(&ctx, &g, bits).unwrap(),
+            FixedBaseTable::new(&ctx, &h, bits).unwrap(),
+        );
+        let cols = bits.div_ceil(TEETH) as u64;
+        for _ in 0..8 {
+            let top = BigUint::one().shl(bits - 1);
+            let e1 = top.add(&BigUint::random_bits(bits - 1, &mut rng));
+            let e2 = top.add(&BigUint::random_bits(bits - 1, &mut rng));
+            // Per column at most one squaring and one multiplication
+            // per table, then the conversion out of Montgomery form.
+            let comb = muls(&|| tg.pow(&e1).unwrap());
+            assert!(comb <= 2 * cols, "comb: {comb} > 2·{cols}");
+            let shared = muls(&|| tg.mul_pow(&e1, &th, &e2).unwrap());
+            assert!(shared <= 3 * cols, "shared chain: {shared} > 3·{cols}");
+            // The variable-base path squares once per exponent bit
+            // before it multiplies at all.
+            let window = muls(&|| ctx.pow(&g, &e1).unwrap());
+            assert!(window >= bits as u64, "sliding window: {window} < {bits}");
+            assert!(window >= 4 * comb, "sliding window {window} vs comb {comb}");
         }
     }
 

@@ -2,13 +2,28 @@
 //!
 //! The schoolbook [`BigUint::mod_exp`] pays a full Knuth division per
 //! multiplication. A [`MontgomeryCtx`] precomputes, once per modulus,
-//! everything needed to replace those divisions with CIOS (coarsely
-//! integrated operand scanning) Montgomery multiplications: the word
-//! inverse `n0 = -n^-1 mod 2^64`, `R mod n`, and `R^2 mod n` where
-//! `R = 2^(64k)` for a `k`-limb modulus.
+//! everything needed to replace those divisions with Montgomery
+//! multiplications: the word inverse `n0 = -n^-1 mod 2^64`, `R mod n`,
+//! and `R^2 mod n` where `R = 2^(64k)` for a `k`-limb modulus.
 //!
-//! All arithmetic here operates on fixed-width little-endian `u64`
-//! limb vectors of length `k`; values enter and leave as [`BigUint`].
+//! One kernel does every multiplication: `mont_mul_into`, a
+//! finely-integrated operand scan. For each limb `bᵢ` it walks the
+//! accumulator once, adding the `a·bᵢ` row and the `m·n` reduction row
+//! in the same inner loop on two independent carry chains (the
+//! multiplier `m` is fixed by the first column, so neither chain waits
+//! for the other), and stores each limb one place down — the division
+//! by `2^64`. The accumulator is the caller's `k`-limb buffer plus one
+//! carry bit held in a register.
+//!
+//! Scratch discipline: the kernel never allocates. Every exponentiation
+//! loop ([`MontgomeryCtx::pow`], the `multi_pow*` family, the combs in
+//! [`crate::fixed_base`]) owns an accumulator and one spare buffer and
+//! ping-pongs them through `mul_assign` / `square_assign`; window tables
+//! are one flat `Vec` with a stride of `k` limbs, and the spare buffer
+//! ends its life as the result's limb vector.
+//!
+//! Values enter and leave as [`BigUint`]; in between they are
+//! little-endian `u64` limb slices of length exactly `k`.
 //! Exponentiation uses a sliding 4-bit window with a table of the 8
 //! odd powers of the base, cutting multiplications by ~4x over binary
 //! square-and-multiply on top of the per-step division savings.
@@ -17,8 +32,20 @@
 //! are rejected at construction; callers (see [`BigUint::mod_exp`])
 //! fall back to the schoolbook path for them.
 
-use crate::bignum::BigUint;
+use crate::bignum::{limbs_cmp, sub_in_place, word_neg_inv, BigUint};
 use crate::{CryptoError, Result};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
+#[cfg(test)]
+thread_local! {
+    /// Montgomery multiplications this thread has done: what the tests
+    /// of the exponentiation strategies count instead of timing.
+    pub(crate) static MONT_MULS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Odd powers `base^1, base^3, …, base^15` kept per sliding window.
+const WINDOW_TABLE: usize = 8;
 
 /// Precomputed per-modulus state for Montgomery arithmetic.
 ///
@@ -40,6 +67,8 @@ pub struct MontgomeryCtx {
     r1: Vec<u64>,
     /// `R^2 mod n` — multiplier that maps a value into Montgomery form.
     r2: Vec<u64>,
+    /// Plain 1 — multiplier that maps a value out of Montgomery form.
+    one: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -58,17 +87,6 @@ impl MontgomeryCtx {
         let n_limbs = n.limbs().to_vec();
         let k = n_limbs.len();
 
-        // Word inverse by Newton iteration: for odd x, x*x = 1 mod 8,
-        // and each step doubles the number of correct low bits
-        // (3 -> 6 -> 12 -> 24 -> 48 -> 96 >= 64).
-        let x = n_limbs[0];
-        let mut inv = x;
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(x.wrapping_mul(inv), 1);
-        let n0 = inv.wrapping_neg();
-
         // R = 2^(64k): one shifted division each for R mod n and
         // R^2 mod n. These are the only divisions the context ever does.
         let r1_big = BigUint::one().shl(64 * k).rem(n)?;
@@ -76,11 +94,12 @@ impl MontgomeryCtx {
 
         Ok(MontgomeryCtx {
             n: n.clone(),
+            n0: word_neg_inv(n_limbs[0]),
             n_limbs,
             k,
-            n0,
             r1: pad(&r1_big, k),
             r2: pad(&r2_big, k),
+            one: pad(&BigUint::one(), k),
         })
     }
 
@@ -99,74 +118,96 @@ impl MontgomeryCtx {
         &self.r1
     }
 
-    /// CIOS Montgomery multiplication: `a * b * R^-1 mod n`.
+    /// Montgomery multiplication into caller scratch:
+    /// `out = a * b * R^-1 mod n`.
     ///
-    /// Inputs are `k`-limb vectors representing values `< n`; the
-    /// output is likewise `< n` (at most one trailing subtraction is
-    /// needed because `a, b < n` keeps the accumulator below `2n`).
-    pub(crate) fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// `a` and `b` are `k`-limb values `< n`; `out` is any `k`-limb
+    /// buffer (its old contents are ignored) and comes back `< n`: the
+    /// accumulator stays below `2n`, so it needs one bit above `out`
+    /// and at most one trailing subtraction.
+    pub(crate) fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        #[cfg(test)]
+        MONT_MULS.with(|c| c.set(c.get() + 1));
+        // Every slice cut to `k` here, so the loops below index without
+        // bounds checks.
         let k = self.k;
-        let n = &self.n_limbs;
-        let mut t = vec![0u64; k + 2];
-
-        for &bi in b.iter().take(k) {
-            // t += a * b[i]
-            let mut carry: u64 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
-                t[j] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let s = t[k] as u128 + carry as u128;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // t = (t + m*n) / 2^64 with m chosen so the low word cancels
-            let m = t[0].wrapping_mul(self.n0);
-            let s = t[0] as u128 + m as u128 * n[0] as u128;
-            let mut carry = (s >> 64) as u64;
+        let (t, a, b, n) = (&mut out[..k], &a[..k], &b[..k], &self.n_limbs[..k]);
+        t.fill(0);
+        let mut top = 0u64;
+        for &bi in b {
+            let bi = bi as u128;
+            // Column 0 fixes m so that the low word of t + a·bᵢ + m·n
+            // cancels; after that the two rows only meet in the store.
+            let s = t[0] as u128 + a[0] as u128 * bi;
+            let m = (s as u64).wrapping_mul(self.n0) as u128;
+            let r = (s as u64) as u128 + m * n[0] as u128;
+            let (mut c1, mut c2) = ((s >> 64) as u64, (r >> 64) as u64);
             for j in 1..k {
-                let s = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                t[j - 1] = s as u64;
-                carry = (s >> 64) as u64;
+                let s = t[j] as u128 + a[j] as u128 * bi + c1 as u128;
+                c1 = (s >> 64) as u64;
+                let r = (s as u64) as u128 + m * n[j] as u128 + c2 as u128;
+                c2 = (r >> 64) as u64;
+                t[j - 1] = r as u64;
             }
-            let s = t[k] as u128 + carry as u128;
+            let s = top as u128 + c1 as u128 + c2 as u128;
             t[k - 1] = s as u64;
-            t[k] = t[k + 1] + (s >> 64) as u64;
-            t[k + 1] = 0;
+            top = (s >> 64) as u64;
         }
-
-        if t[k] != 0 || !limbs_lt(&t[..k], n) {
-            limbs_sub_in_place(&mut t, n);
+        if top != 0 || limbs_cmp(t, n) != Ordering::Less {
+            let borrow = sub_in_place(t, n);
+            debug_assert_eq!(borrow as u64, top, "montgomery accumulator reached 2n");
         }
-        t.truncate(k);
-        t
     }
 
-    /// Maps a reduced value into Montgomery form: `a * R mod n`.
-    pub(crate) fn to_mont(&self, a: &[u64]) -> Vec<u64> {
-        self.mont_mul(a, &self.r2)
+    /// Allocating form of [`Self::mont_mul_into`], for table entries
+    /// and conversions that keep their result.
+    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.k];
+        self.mont_mul_into(&mut out, a, b);
+        out
     }
 
-    /// Maps a Montgomery-form value back: `a * R^-1 mod n`.
-    pub(crate) fn redc(&self, a: &[u64]) -> Vec<u64> {
-        let mut one = vec![0u64; self.k];
-        one[0] = 1;
-        self.mont_mul(a, &one)
+    /// `acc ← acc · b` through the spare buffer `tmp` (which then holds
+    /// the old accumulator's storage).
+    #[inline]
+    pub(crate) fn mul_assign(&self, acc: &mut Vec<u64>, tmp: &mut Vec<u64>, b: &[u64]) {
+        self.mont_mul_into(tmp, acc, b);
+        std::mem::swap(acc, tmp);
     }
 
-    /// Reduces (only if needed) and maps a value into Montgomery form.
-    ///
-    /// Values already `< n` — ciphertexts, group elements, anything
-    /// produced by this context — skip the Knuth division and the limb
-    /// copy `rem` would allocate just to throw away; the padded buffer
-    /// is borrowed straight from the caller's limbs.
-    pub(crate) fn prepare(&self, v: &BigUint) -> Result<Vec<u64>> {
-        if v.cmp_to(&self.n) == std::cmp::Ordering::Less {
-            Ok(self.to_mont(&pad(v, self.k)))
+    /// `acc ← acc²` through the spare buffer `tmp`.
+    #[inline]
+    pub(crate) fn square_assign(&self, acc: &mut Vec<u64>, tmp: &mut Vec<u64>) {
+        self.mont_mul_into(tmp, acc, acc);
+        std::mem::swap(acc, tmp);
+    }
+
+    /// Maps the Montgomery-form `acc` back (`acc * R^-1 mod n`) into
+    /// the spare buffer, which becomes the result's limbs.
+    pub(crate) fn finish(&self, acc: &[u64], mut tmp: Vec<u64>) -> BigUint {
+        self.mont_mul_into(&mut tmp, acc, &self.one);
+        BigUint::from_limbs(tmp)
+    }
+
+    /// `v mod n` as exactly `k` limbs. Values already `< n` and `k`
+    /// limbs wide — ciphertexts, group elements, anything produced by
+    /// this context — are borrowed as they are: no Knuth division, no
+    /// copy.
+    fn reduced<'a>(&self, v: &'a BigUint) -> Result<Cow<'a, [u64]>> {
+        if v.cmp_to(&self.n) != Ordering::Less {
+            return Ok(Cow::Owned(pad(&v.rem(&self.n)?, self.k)));
+        }
+        Ok(if v.limbs().len() == self.k {
+            Cow::Borrowed(v.limbs())
         } else {
-            Ok(self.to_mont(&pad(&v.rem(&self.n)?, self.k)))
-        }
+            Cow::Owned(pad(v, self.k))
+        })
+    }
+
+    /// Reduces (only if needed) and maps a value into Montgomery form:
+    /// `v * R mod n`.
+    pub(crate) fn prepare(&self, v: &BigUint) -> Result<Vec<u64>> {
+        Ok(self.mont_mul(&self.reduced(v)?, &self.r2))
     }
 
     /// `(a * b) mod n` without division.
@@ -176,12 +217,21 @@ impl MontgomeryCtx {
     /// ab mod n` directly.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> Result<BigUint> {
         let am = self.prepare(a)?;
-        let b = if b.cmp_to(&self.n) == std::cmp::Ordering::Less {
-            pad(b, self.k)
-        } else {
-            pad(&b.rem(&self.n)?, self.k)
-        };
-        Ok(BigUint::from_limbs(self.mont_mul(&am, &b)))
+        Ok(BigUint::from_limbs(self.mont_mul(&am, &self.reduced(b)?)))
+    }
+
+    /// The 8 odd powers `bm^1, bm^3, …, bm^15` of a Montgomery-form
+    /// base, flat with a stride of `k` limbs. `tmp` is scratch.
+    fn odd_powers(&self, bm: &[u64], tmp: &mut [u64]) -> Vec<u64> {
+        let k = self.k;
+        self.mont_mul_into(tmp, bm, bm);
+        let mut table = vec![0u64; WINDOW_TABLE * k];
+        table[..k].copy_from_slice(bm);
+        for i in 1..WINDOW_TABLE {
+            let (done, rest) = table.split_at_mut(i * k);
+            self.mont_mul_into(&mut rest[..k], &done[(i - 1) * k..], tmp);
+        }
+        table
     }
 
     /// `base^exp mod n` by sliding-window Montgomery exponentiation.
@@ -194,58 +244,43 @@ impl MontgomeryCtx {
         if exp.is_zero() {
             return Ok(BigUint::one());
         }
+        let k = self.k;
         let bm = self.prepare(base)?;
+        let mut tmp = vec![0u64; k];
 
-        // Short exponents (scalar weights, small plaintexts): the
-        // 8-entry window table would cost more multiplications than it
-        // saves, so run plain left-to-right square-and-multiply.
+        // Sparse exponents (scalar weights, small plaintexts, RSA's
+        // e = 2^16 + 1): with at most 9 set bits the window table's 8
+        // multiplications cost more than it saves, so run plain
+        // left-to-right square-and-multiply.
         let bits = exp.bits();
-        if bits <= 8 {
+        if exp.limbs().iter().map(|l| l.count_ones()).sum::<u32>() <= 9 {
             let mut acc = bm.clone();
             for i in (0..bits - 1).rev() {
-                acc = self.mont_mul(&acc, &acc);
+                self.square_assign(&mut acc, &mut tmp);
                 if exp.bit(i) {
-                    acc = self.mont_mul(&acc, &bm);
+                    self.mul_assign(&mut acc, &mut tmp, &bm);
                 }
             }
-            return Ok(BigUint::from_limbs(self.redc(&acc)));
+            return Ok(self.finish(&acc, tmp));
         }
 
-        // Odd powers: table[i] = base^(2i+1) in Montgomery form.
-        let b2 = self.mont_mul(&bm, &bm);
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(8);
-        table.push(bm);
-        for i in 1..8 {
-            let next = self.mont_mul(&table[i - 1], &b2);
-            table.push(next);
-        }
-
+        let table = self.odd_powers(&bm, &mut tmp);
         let mut acc = self.r1.clone();
         let mut i = bits as isize - 1;
         while i >= 0 {
             if !exp.bit(i as usize) {
-                acc = self.mont_mul(&acc, &acc);
+                self.square_assign(&mut acc, &mut tmp);
                 i -= 1;
                 continue;
             }
-            // Greedy window: extend down to 4 bits, then shrink back so
-            // the window ends on a set bit (keeps the table odd-only).
-            let mut lo = (i - 3).max(0);
-            while !exp.bit(lo as usize) {
-                lo += 1;
-            }
-            let mut val: u64 = 0;
-            for b in (lo..=i).rev() {
-                val = (val << 1) | exp.bit(b as usize) as u64;
-            }
+            let (lo, idx) = window_at(exp, i);
             for _ in lo..=i {
-                acc = self.mont_mul(&acc, &acc);
+                self.square_assign(&mut acc, &mut tmp);
             }
-            acc = self.mont_mul(&acc, &table[((val - 1) / 2) as usize]);
+            self.mul_assign(&mut acc, &mut tmp, &table[idx * k..(idx + 1) * k]);
             i = lo - 1;
         }
-
-        Ok(BigUint::from_limbs(self.redc(&acc)))
+        Ok(self.finish(&acc, tmp))
     }
 
     /// Simultaneous multi-exponentiation (Straus): `Π bᵢ^{eᵢ} mod n`
@@ -268,15 +303,16 @@ impl MontgomeryCtx {
         let max_bits = exps.iter().map(|e| 64 - e.leading_zeros()).max().unwrap_or(0);
 
         let mut acc = self.r1.clone();
+        let mut tmp = vec![0u64; self.k];
         for bit in (0..max_bits).rev() {
-            acc = self.mont_mul(&acc, &acc);
+            self.square_assign(&mut acc, &mut tmp);
             for (bm, &e) in bases_m.iter().zip(exps) {
                 if (e >> bit) & 1 == 1 {
-                    acc = self.mont_mul(&acc, bm);
+                    self.mul_assign(&mut acc, &mut tmp, bm);
                 }
             }
         }
-        Ok(BigUint::from_limbs(self.redc(&acc)))
+        Ok(self.finish(&acc, tmp))
     }
 
     /// Shared-exponent multi-exponentiation over a whole batch:
@@ -333,17 +369,18 @@ impl MontgomeryCtx {
                 p += 1;
             }
         }
+        let mut tmp = vec![0u64; self.k];
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
             let row_m: Vec<Vec<u64>> =
                 row.iter().map(|b| self.prepare(b)).collect::<Result<_>>()?;
-            // `None` accumulators stand for the identity, so empty
-            // positions cost nothing.
+            // Absent accumulators stand for the identity, so empty
+            // buckets and positions cost nothing.
             let mut acc: Option<Vec<u64>> = None;
             for p in (0..positions).rev() {
                 if let Some(a) = acc.as_mut() {
                     for _ in 0..w {
-                        *a = self.mont_mul(a, a);
+                        self.square_assign(a, &mut tmp);
                     }
                 }
                 let (events, max_d) = &digits[p];
@@ -352,39 +389,26 @@ impl MontgomeryCtx {
                 }
                 let mut buckets: Vec<Option<Vec<u64>>> = vec![None; max_d + 1];
                 for &(i, d) in events {
-                    let slot = &mut buckets[d as usize];
-                    *slot = Some(match slot.take() {
-                        Some(prev) => self.mont_mul(&prev, &row_m[i as usize]),
-                        None => row_m[i as usize].clone(),
-                    });
+                    self.fold(&mut buckets[d as usize], &mut tmp, &row_m[i as usize]);
                 }
                 // W_p = Π_d bucket[d]^d: walking d downward, `running`
                 // is Π_{d'≥d} bucket[d'] and folds into `sum` once per
                 // step, so bucket[d'] ends up multiplied in d' times.
                 let (mut running, mut sum): (Option<Vec<u64>>, Option<Vec<u64>>) = (None, None);
-                for d in (1..=*max_d).rev() {
-                    if let Some(b) = &buckets[d] {
-                        running = Some(match running.take() {
-                            Some(r) => self.mont_mul(&r, b),
-                            None => b.clone(),
-                        });
+                for bucket in buckets[1..].iter().rev() {
+                    if let Some(b) = bucket {
+                        self.fold(&mut running, &mut tmp, b);
                     }
                     if let Some(r) = &running {
-                        sum = Some(match sum.take() {
-                            Some(s) => self.mont_mul(&s, r),
-                            None => r.clone(),
-                        });
+                        self.fold(&mut sum, &mut tmp, r);
                     }
                 }
                 if let Some(s) = sum {
-                    acc = Some(match acc.take() {
-                        Some(a) => self.mont_mul(&a, &s),
-                        None => s,
-                    });
+                    self.fold(&mut acc, &mut tmp, &s);
                 }
             }
             out.push(match acc {
-                Some(a) => BigUint::from_limbs(self.redc(&a)),
+                Some(a) => self.finish(&a, vec![0u64; self.k]),
                 None => BigUint::one(),
             });
         }
@@ -409,87 +433,77 @@ impl MontgomeryCtx {
         if max_bits == 0 {
             return Ok(BigUint::one());
         }
+        let k = self.k;
+        let mut tmp = vec![0u64; k];
         // Per-base odd-power table (base^1, base^3, …, base^15) and a
         // greedy sliding-window recoding of its exponent — the same
         // recoding `pow` uses, but all bases ride one squaring chain.
         // `events[pos]` lists the (base, table-entry) multiplications
         // that fire once the chain has squared down to bit `pos`.
         let mut events: Vec<Vec<(u32, u8)>> = vec![Vec::new(); max_bits];
-        let mut tables: Vec<Vec<Vec<u64>>> = Vec::with_capacity(bases.len());
+        let mut tables: Vec<Vec<u64>> = Vec::with_capacity(bases.len());
         for (bi, (b, e)) in bases.iter().zip(exps).enumerate() {
             if e.is_zero() {
                 tables.push(Vec::new());
                 continue;
             }
-            let bm = self.prepare(b)?;
-            let b2 = self.mont_mul(&bm, &bm);
-            let mut table: Vec<Vec<u64>> = Vec::with_capacity(8);
-            table.push(bm);
-            for i in 1..8 {
-                let next = self.mont_mul(&table[i - 1], &b2);
-                table.push(next);
-            }
-            tables.push(table);
-
+            tables.push(self.odd_powers(&self.prepare(b)?, &mut tmp));
             let mut i = e.bits() as isize - 1;
             while i >= 0 {
                 if !e.bit(i as usize) {
                     i -= 1;
                     continue;
                 }
-                let mut lo = (i - 3).max(0);
-                while !e.bit(lo as usize) {
-                    lo += 1;
-                }
-                let mut val: u64 = 0;
-                for bit in (lo..=i).rev() {
-                    val = (val << 1) | e.bit(bit as usize) as u64;
-                }
-                events[lo as usize].push((bi as u32, ((val - 1) / 2) as u8));
+                let (lo, idx) = window_at(e, i);
+                events[lo as usize].push((bi as u32, idx as u8));
                 i = lo - 1;
             }
         }
 
         let mut acc = self.r1.clone();
         for pos in (0..max_bits).rev() {
-            acc = self.mont_mul(&acc, &acc);
+            self.square_assign(&mut acc, &mut tmp);
             for &(bi, idx) in &events[pos] {
-                acc = self.mont_mul(&acc, &tables[bi as usize][idx as usize]);
+                let entry = &tables[bi as usize][idx as usize * k..][..k];
+                self.mul_assign(&mut acc, &mut tmp, entry);
             }
         }
-        Ok(BigUint::from_limbs(self.redc(&acc)))
+        Ok(self.finish(&acc, tmp))
+    }
+
+    /// `acc ← acc · b`, an absent accumulator standing for the identity
+    /// (so the first factor is a copy, not a multiplication).
+    #[inline]
+    pub(crate) fn fold(&self, acc: &mut Option<Vec<u64>>, tmp: &mut Vec<u64>, b: &[u64]) {
+        match acc {
+            Some(a) => self.mul_assign(a, tmp, b),
+            None => *acc = Some(b.to_vec()),
+        }
     }
 }
 
+/// The greedy sliding window whose top bit is the set bit `i` of `exp`:
+/// extend down to 4 bits, then shrink back so the window ends on a set
+/// bit (keeps the table odd-only). Returns the window's lowest bit and
+/// the odd-power table index `(value − 1) / 2`.
+fn window_at(exp: &BigUint, i: isize) -> (isize, usize) {
+    let mut lo = (i - 3).max(0);
+    while !exp.bit(lo as usize) {
+        lo += 1;
+    }
+    let mut val = 0usize;
+    for b in (lo..=i).rev() {
+        val = (val << 1) | exp.bit(b as usize) as usize;
+    }
+    (lo, (val - 1) / 2)
+}
+
 /// Pads a reduced value out to exactly `k` limbs.
-pub(crate) fn pad(v: &BigUint, k: usize) -> Vec<u64> {
+fn pad(v: &BigUint, k: usize) -> Vec<u64> {
     let mut limbs = v.limbs().to_vec();
     debug_assert!(limbs.len() <= k);
     limbs.resize(k, 0);
     limbs
-}
-
-/// `a < b` over equal-length limb slices.
-fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
-        }
-    }
-    false
-}
-
-/// `a -= b` in place; `a` may be longer than `b` (borrow propagates).
-fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let rhs = if i < b.len() { b[i] } else { 0 };
-        let (d1, o1) = a[i].overflowing_sub(rhs);
-        let (d2, o2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
-        borrow = (o1 | o2) as u64;
-    }
-    debug_assert_eq!(borrow, 0, "montgomery subtraction underflow");
 }
 
 #[cfg(test)]
@@ -514,6 +528,96 @@ mod tests {
         for n in [3u64, 0xffff_ffff_ffff_ffff, 0x1234_5678_9abc_def1] {
             let ctx = MontgomeryCtx::new(&BigUint::from_u64(n)).unwrap();
             assert_eq!(n.wrapping_mul(ctx.n0), u64::MAX); // n * (-n^-1) = -1
+        }
+    }
+
+    /// The coarsely-integrated (CIOS) multiplication `mont_mul_into`
+    /// replaced — the `a·bᵢ` row, then the `m·n` row, on a `k + 2`-limb
+    /// accumulator — kept as its reference.
+    fn mont_mul_cios(ctx: &MontgomeryCtx, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let k = ctx.k;
+        let n = &ctx.n_limbs;
+        let mut t = vec![0u64; k + 2];
+        for &bi in b.iter().take(k) {
+            let mut carry: u64 = 0;
+            for j in 0..k {
+                let s = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
+                t[j] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[k] as u128 + carry as u128;
+            t[k] = s as u64;
+            t[k + 1] = (s >> 64) as u64;
+
+            let m = t[0].wrapping_mul(ctx.n0);
+            let s = t[0] as u128 + m as u128 * n[0] as u128;
+            let mut carry = (s >> 64) as u64;
+            for j in 1..k {
+                let s = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+                t[j - 1] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[k] as u128 + carry as u128;
+            t[k - 1] = s as u64;
+            t[k] = t[k + 1] + (s >> 64) as u64;
+            t[k + 1] = 0;
+        }
+        let mut t = BigUint::from_limbs(t);
+        if t.cmp_to(&ctx.n) != Ordering::Less {
+            t = t.sub(&ctx.n);
+        }
+        pad(&t, k)
+    }
+
+    /// `mont_mul_into` is `a·b·R⁻¹ mod n`: checked against `mul().rem()`
+    /// (multiply the answer back by `R`) and against the CIOS body, into
+    /// an output buffer that holds stale limbs.
+    fn check_mont_mul(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint) {
+        let k = ctx.k;
+        let (al, bl) = (pad(a, k), pad(b, k));
+        let mut out = vec![0xdead_beef_dead_beef_u64; k];
+        ctx.mont_mul_into(&mut out, &al, &bl);
+        assert_eq!(out, mont_mul_cios(ctx, &al, &bl), "k = {k}: {a:?} * {b:?}");
+        let got = BigUint::from_limbs(out);
+        assert!(got < ctx.n);
+        assert_eq!(
+            got.shl(64 * k).rem(&ctx.n).unwrap(),
+            a.mul(b).rem(&ctx.n).unwrap(),
+            "k = {k}: {a:?} * {b:?}"
+        );
+    }
+
+    #[test]
+    fn mont_mul_into_matches_schoolbook_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for k in [1usize, 2, 3, 4, 8, 16, 17, 32, 33] {
+            // The all-ones modulus makes the longest carries; the others
+            // are random odd values with the top limb in use.
+            let all_ones = BigUint::from_limbs(vec![u64::MAX; k]);
+            let mut moduli = vec![all_ones];
+            for _ in 0..3 {
+                let mut limbs: Vec<u64> = (0..k).map(|_| rand::Rng::gen(&mut rng)).collect();
+                limbs[0] |= 1;
+                limbs[k - 1] |= 1 << 63;
+                moduli.push(BigUint::from_limbs(limbs));
+            }
+            for n in moduli {
+                let ctx = MontgomeryCtx::new(&n).unwrap();
+                let top = n.sub(&BigUint::one());
+                let edge = [BigUint::zero(), BigUint::one(), top.clone()];
+                for a in &edge {
+                    for b in &edge {
+                        check_mont_mul(&ctx, a, b);
+                    }
+                }
+                for _ in 0..8 {
+                    let a = BigUint::random_below(&n, &mut rng);
+                    let b = BigUint::random_below(&n, &mut rng);
+                    check_mont_mul(&ctx, &a, &b);
+                    check_mont_mul(&ctx, &a, &top);
+                    check_mont_mul(&ctx, &a, &a);
+                }
+            }
         }
     }
 
@@ -577,6 +681,15 @@ mod tests {
             m.pow(&BigUint::zero(), &BigUint::from_u64(5)).unwrap(),
             BigUint::zero()
         );
+        // Either side of the sparse-exponent cut (9 set bits), however
+        // far apart the bits sit.
+        for e in ["10001", "80000000000000ff", "800000000000000000001ff"] {
+            let e = BigUint::from_hex(e).unwrap();
+            assert_eq!(
+                m.pow(&b, &e).unwrap(),
+                b.mod_exp_schoolbook(&e, m.modulus()).unwrap()
+            );
+        }
         // base >= n gets reduced first
         let big_base = m.modulus().add(&b);
         assert_eq!(
@@ -717,6 +830,19 @@ mod tests {
                     ctx.mul_mod(&a, &b).unwrap(),
                     a.mul_mod(&b, &m).unwrap()
                 );
+            }
+
+            // The kernel itself, between the conversions `mul_mod`
+            // wraps around it: any odd modulus up to 40 limbs, any
+            // reduced operands, output buffer arbitrary on entry.
+            #[test]
+            fn prop_mont_mul_into_matches_schoolbook(
+                m in arb_odd_modulus(40),
+                a in arb_biguint(41),
+                b in arb_biguint(41),
+            ) {
+                let ctx = MontgomeryCtx::new(&m).unwrap();
+                check_mont_mul(&ctx, &a.rem(&m).unwrap(), &b.rem(&m).unwrap());
             }
 
             // Exponentiation agreement. The schoolbook reference pays a

@@ -239,41 +239,46 @@ impl PublicKey {
     }
 }
 
-/// Client-side state of a blind-signature request: the blinding factor
-/// must be kept to unblind the authority's response.
+/// Client-side state of a blind-signature request: what `unblind` needs
+/// to strip the blinding factor from the authority's response.
 #[derive(Clone, Debug)]
 pub struct BlindingState {
-    r: BigUint,
+    /// `r⁻¹ mod n` for the blinding factor `r`.
+    r_inv: BigUint,
     msg_hash: BigUint,
 }
 
 /// Blinds `msg` for signing: returns the blinded element to send to the
 /// authority and the state needed to unblind its response.
 ///
-/// `blinded = H(msg) · r^e mod n` for random `r` coprime to `n`.
+/// `blinded = H(msg) · r^e mod n` for random `r` coprime to `n`. The
+/// coprimality test *is* the inversion `unblind` needs — `r` is
+/// invertible exactly when it is coprime to `n` (which also rules out
+/// zero) — so each blinding factor meets Euclid once, here.
 pub fn blind<R: Rng + ?Sized>(
     pk: &PublicKey,
     msg: &[u8],
     rng: &mut R,
 ) -> Result<(BigUint, BlindingState)> {
     let msg_hash = full_domain_hash(msg, &pk.n);
-    let r = loop {
+    let (r, r_inv) = loop {
         let r = BigUint::random_below(&pk.n, rng);
-        if !r.is_zero() && r.gcd(&pk.n).is_one() {
-            break r;
+        match r.mod_inv(&pk.n) {
+            Ok(r_inv) => break (r, r_inv),
+            Err(CryptoError::NotInvertible) => continue,
+            Err(e) => return Err(e),
         }
     };
     let re = pk.mont_n.pow(&r, &pk.e)?;
     let blinded = pk.mont_n.mul_mod(&msg_hash, &re)?;
-    Ok((blinded, BlindingState { r, msg_hash }))
+    Ok((blinded, BlindingState { r_inv, msg_hash }))
 }
 
 /// Unblinds the authority's signature on a blinded element:
 /// `sig = blind_sig · r^−1 mod n`, a valid FDH signature on the original
 /// message. Verifies the result before returning it.
 pub fn unblind(pk: &PublicKey, blind_sig: &BigUint, state: &BlindingState) -> Result<Signature> {
-    let r_inv = state.r.mod_inv(&pk.n)?;
-    let sig = pk.mont_n.mul_mod(blind_sig, &r_inv)?;
+    let sig = pk.mont_n.mul_mod(blind_sig, &state.r_inv)?;
     // Sanity-check against the stored hash (catches a cheating authority).
     let recovered = pk.mont_n.pow(&sig, &pk.e)?;
     if recovered != state.msg_hash {

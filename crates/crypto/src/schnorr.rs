@@ -33,7 +33,10 @@ use std::cmp::Ordering;
 /// share one precomputed reduction state, plus Lim–Lee comb tables
 /// for the fixed generators `g` and `h` — every signature, proof and
 /// commitment exponentiates those two, so the per-group table build
-/// (about one exponentiation each) repays itself immediately.
+/// (about one exponentiation each) repays itself immediately — and
+/// `g⁻¹`, the one inverse the proofs need. Everything else that looks
+/// like a division is an exponentiation: inside the prime-order
+/// subgroup `Y⁻ᶜ = Y^(q−c)`.
 #[derive(Clone, Debug)]
 pub struct SchnorrGroup {
     /// Safe prime modulus.
@@ -47,6 +50,8 @@ pub struct SchnorrGroup {
     mont_p: MontgomeryCtx,
     fb_g: FixedBaseTable,
     fb_h: FixedBaseTable,
+    /// `g⁻¹ mod p`: every bit proof's second statement is `C·g⁻¹`.
+    g_inv: BigUint,
 }
 
 impl PartialEq for SchnorrGroup {
@@ -108,7 +113,8 @@ impl SchnorrGroup {
         // Exponents live in Z_q, so the combs cover q's width.
         let fb_g = FixedBaseTable::new(&mont_p, &g, q.bits()).expect("group generator");
         let fb_h = FixedBaseTable::new(&mont_p, &h, q.bits()).expect("group generator");
-        SchnorrGroup { p, q, g, h, mont_p, fb_g, fb_h }
+        let g_inv = g.mod_inv(&p).expect("0 < g < p prime");
+        SchnorrGroup { p, q, g, h, mont_p, fb_g, fb_h, g_inv }
     }
 
     /// `g^e mod p` through the fixed-base comb.
@@ -664,6 +670,10 @@ pub struct BitProof {
 
 impl BitProof {
     /// Proves that `c` commits to `bit` with randomness `r`.
+    ///
+    /// `c` must lie in the order-`q` subgroup (checked here, a Jacobi
+    /// symbol): the simulated branch computes `Y⁻ᶜ` as `Y^(q−c)`, which
+    /// is the inverse only where `Y^q = 1`.
     pub fn prove<R: Rng + ?Sized>(
         group: &SchnorrGroup,
         c: &Commitment,
@@ -672,24 +682,20 @@ impl BitProof {
         context: &[u8],
         rng: &mut R,
     ) -> Result<Self> {
+        group.check_element(&c.0)?;
         let q = &group.q;
         // Statement bases: Y0 = C, Y1 = C / g; real witness satisfies
         // Y_real = h^r.
-        let y0 = c.0.clone();
-        let y1 = group.mul(&c.0, &group.inv(&group.g)?);
+        let y_sim = if bit { c.0.clone() } else { group.mul(&c.0, &group.g_inv) };
         // Simulated branch.
         let c_sim = group.random_exponent(rng);
         let s_sim = group.random_exponent(rng);
         // Real branch nonce.
         let k = group.random_exponent(rng);
         let t_real = group.pow_h(&k);
-        let (y_sim,) = if bit { (y0.clone(),) } else { (y1.clone(),) };
-        // t_sim = h^{s_sim} · Y_sim^{-c_sim}.
-        let t_sim = group.mul(
-            &group.pow_h(&s_sim),
-            &group.inv(&group.pow(&y_sim, &c_sim))?,
-        );
-        let (t0, t1) = if bit { (t_sim.clone(), t_real.clone()) } else { (t_real.clone(), t_sim.clone()) };
+        // t_sim = h^{s_sim} · Y_sim^{-c_sim}, with c_sim ∈ [1, q).
+        let t_sim = group.mul(&group.pow_h(&s_sim), &group.pow(&y_sim, &q.sub(&c_sim)));
+        let (t0, t1) = if bit { (t_sim, t_real) } else { (t_real, t_sim) };
         let ch = bit_challenge(group, &c.0, &t0, &t1, context);
         // c_real = ch − c_sim mod q.
         let c_real = ch.sub_mod(&c_sim, q)?;
@@ -709,10 +715,9 @@ impl BitProof {
         if self.c0.add(&self.c1).rem(q)? != ch {
             return Err(CryptoError::VerificationFailed("bit proof: challenge split"));
         }
-        let y0 = c.0.clone();
-        let y1 = group.mul(&c.0, &group.inv(&group.g)?);
+        let y1 = group.mul(&c.0, &group.g_inv);
         // h^{s0} == t0 · Y0^{c0}  and  h^{s1} == t1 · Y1^{c1}.
-        let ok0 = group.pow_h(&self.s0) == group.mul(&self.t0, &group.pow(&y0, &self.c0));
+        let ok0 = group.pow_h(&self.s0) == group.mul(&self.t0, &group.pow(&c.0, &self.c0));
         let ok1 = group.pow_h(&self.s1) == group.mul(&self.t1, &group.pow(&y1, &self.c1));
         if ok0 && ok1 {
             Ok(())
@@ -1090,6 +1095,90 @@ mod tests {
             let proof = BitProof::prove(&g, &c, bit, &r, b"ctx", &mut rng).unwrap();
             proof.verify(&g, &c, b"ctx").unwrap();
         }
+    }
+
+    /// `BitProof::prove` as it was before the simulated branch stopped
+    /// inverting: `t_sim = h^s · inv(Y^c)`, `Y1 = C · inv(g)`.
+    fn bit_prove_by_inversion(
+        group: &SchnorrGroup,
+        c: &Commitment,
+        bit: bool,
+        r: &BigUint,
+        context: &[u8],
+        rng: &mut StdRng,
+    ) -> BitProof {
+        let q = &group.q;
+        let y0 = c.0.clone();
+        let y1 = group.mul(&c.0, &group.inv(&group.g).unwrap());
+        let c_sim = group.random_exponent(rng);
+        let s_sim = group.random_exponent(rng);
+        let k = group.random_exponent(rng);
+        let t_real = group.pow_h(&k);
+        let y_sim = if bit { y0 } else { y1 };
+        let t_sim = group.mul(
+            &group.pow_h(&s_sim),
+            &group.inv(&group.pow(&y_sim, &c_sim)).unwrap(),
+        );
+        let (t0, t1) = if bit { (t_sim, t_real) } else { (t_real, t_sim) };
+        let ch = bit_challenge(group, &c.0, &t0, &t1, context);
+        let c_real = ch.sub_mod(&c_sim, q).unwrap();
+        let s_real = k.add(&c_real.mul_mod(r, q).unwrap()).rem(q).unwrap();
+        let (c0, c1, s0, s1) = if bit {
+            (c_sim, c_real, s_sim, s_real)
+        } else {
+            (c_real, c_sim, s_real, s_sim)
+        };
+        BitProof { t0, t1, c0, c1, s0, s1 }
+    }
+
+    /// `BitProof::verify` with `Y1 = C · inv(g)` recomputed by inversion.
+    fn bit_verify_by_inversion(
+        proof: &BitProof,
+        group: &SchnorrGroup,
+        c: &Commitment,
+        context: &[u8],
+    ) -> bool {
+        let ch = bit_challenge(group, &c.0, &proof.t0, &proof.t1, context);
+        let y1 = group.mul(&c.0, &group.inv(&group.g).unwrap());
+        proof.c0.add(&proof.c1).rem(&group.q).unwrap() == ch
+            && group.pow_h(&proof.s0) == group.mul(&proof.t0, &group.pow(&c.0, &proof.c0))
+            && group.pow_h(&proof.s1) == group.mul(&proof.t1, &group.pow(&y1, &proof.c1))
+    }
+
+    #[test]
+    fn bit_proof_without_inversion_is_the_same_proof() {
+        // Exponentiating by q − c inside the order-q subgroup is the
+        // inversion: for one rng stream the two provers emit the same
+        // proof, and each verifier accepts what the other's prover made
+        // and rejects a proof for another commitment.
+        let g = group();
+        for (seed, bit) in [(80u64, false), (81, true), (82, false), (83, true)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = if bit { BigUint::one() } else { BigUint::zero() };
+            let (c, r) = commit(&g, &m, &mut rng).unwrap();
+            let (other, _) = commit(&g, &m, &mut rng).unwrap();
+            let new = BitProof::prove(&g, &c, bit, &r, b"ctx", &mut rng.clone()).unwrap();
+            let old = bit_prove_by_inversion(&g, &c, bit, &r, b"ctx", &mut rng);
+            assert_eq!(new, old);
+            old.verify(&g, &c, b"ctx").unwrap();
+            assert!(bit_verify_by_inversion(&new, &g, &c, b"ctx"));
+            assert!(old.verify(&g, &other, b"ctx").is_err());
+            assert!(!bit_verify_by_inversion(&new, &g, &other, b"ctx"));
+        }
+    }
+
+    #[test]
+    fn bit_proof_refuses_commitment_outside_subgroup() {
+        // Y^(q−c) inverts Y^c only where Y^q = 1, so the prover checks
+        // membership itself instead of trusting its caller.
+        let g = group();
+        let mut rng = StdRng::seed_from_u64(84);
+        let mut x = BigUint::from_u64(2);
+        while x.jacobi(&g.p).unwrap() == 1 {
+            x = x.add(&BigUint::one());
+        }
+        let r = g.random_exponent(&mut rng);
+        assert!(BitProof::prove(&g, &Commitment(x), false, &r, b"ctx", &mut rng).is_err());
     }
 
     #[test]
