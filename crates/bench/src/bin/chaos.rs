@@ -16,6 +16,14 @@
 //! cargo run --release -p prever-bench --bin chaos -- --protocol pbft --seed 17
 //! ```
 //!
+//! Digest mode — one `protocol seed commands sha256` line per run, the
+//! format of the committed `crates/bench/golden/chaos_digests.txt` (a
+//! refactor that claims "same executions" regenerates it and diffs):
+//!
+//! ```text
+//! cargo run --release -p prever-bench --bin chaos -- --digest --seeds 25
+//! ```
+//!
 //! Exit code is non-zero iff any run violated an invariant, so the
 //! binary doubles as a CI gate (see `.github/workflows/ci.yml`).
 
@@ -29,6 +37,7 @@ struct Args {
     seeds: Option<u64>,
     commands: Option<u64>,
     flight_check: bool,
+    digest: bool,
 }
 
 fn parse_args() -> Args {
@@ -38,6 +47,7 @@ fn parse_args() -> Args {
         seeds: None,
         commands: None,
         flight_check: false,
+        digest: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -63,12 +73,13 @@ fn parse_args() -> Args {
             "--seeds" => args.seeds = Some(parse_u64(&value("--seeds"))),
             "--commands" => args.commands = Some(parse_u64(&value("--commands"))),
             "--flight-check" => args.flight_check = true,
+            "--digest" => args.digest = true,
             "--help" | "-h" => {
                 println!(
                     "usage: chaos [--protocol pbft|pbft-batched|paxos|sharded\
                      |sharded-parallel|pbft-disk|ledger-disk|server-overload\
                      |gateway-failover] [--seed N] [--seeds N] [--commands N] \
-                     [--flight-check]"
+                     [--flight-check] [--digest]"
                 );
                 std::process::exit(0);
             }
@@ -221,6 +232,9 @@ fn main() {
                     prever_obs::counter("chaos.runs").inc();
                     trace::reset();
                     let outcome = run_seed(protocol, seed, commands);
+                    if args.digest {
+                        println!("{} {seed} {commands} {}", protocol.name(), outcome.digest());
+                    }
                     if !outcome.ok() {
                         prever_obs::counter("chaos.violations").inc();
                         report_violation(&outcome);
@@ -247,12 +261,18 @@ fn main() {
                 outcomes.iter().map(|o| o.detected_corruptions).sum::<u64>().to_string(),
             ]);
         }
-        println!("{}", table.render());
+        // In digest mode the digest lines are the whole of stdout, so
+        // it can be redirected straight into the golden file.
+        if !args.digest {
+            println!("{}", table.render());
+        }
     }
 
     if violations > 0 {
         eprintln!("chaos: {violations} run(s) violated invariants");
         std::process::exit(1);
     }
-    println!("chaos: all runs upheld safety and liveness invariants");
+    if !args.digest {
+        println!("chaos: all runs upheld safety and liveness invariants");
+    }
 }

@@ -28,7 +28,7 @@ use prever_consensus::paxos::{self, PaxosMsg, PaxosNode};
 use prever_consensus::pbft::{chain_digest, Byzantine, PbftCore, PbftMsg, PbftNode};
 use prever_consensus::sharded::{self, ShardedMsg, ShardedNode, Topology};
 use prever_consensus::{BatchConfig, Command};
-use prever_crypto::Digest;
+use prever_crypto::{Digest, Sha256};
 use prever_ledger::{Journal, LedgerError, PersistentJournal};
 use prever_server::{
     ClientCfg, ClientPeer, FrontConfig, Gateway, LoadMode, QuotaUpdate, Replica, ServerMsg,
@@ -157,6 +157,68 @@ impl ChaosOutcome {
     /// True iff no invariant was violated.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// SHA-256 over a canonical encoding (little-endian words,
+    /// length-prefixed strings) of everything the run decided: identity,
+    /// counters, [`SimStats`], commit history and violations. The trace
+    /// tail is left out — it is diagnostic text, captured only on a
+    /// violation. `golden/chaos_digests.txt` pins these per seed, so two
+    /// *different builds* can be shown to run the same executions.
+    pub fn digest(&self) -> Digest {
+        fn word(h: &mut Sha256, v: u64) {
+            h.update(&v.to_le_bytes());
+        }
+        fn text(h: &mut Sha256, s: &str) {
+            word(h, s.len() as u64);
+            h.update(s.as_bytes());
+        }
+        // Exhaustive: a new counter must be added here to compile.
+        let SimStats {
+            messages_sent,
+            messages_delivered,
+            messages_dropped,
+            timers_fired,
+            messages_duplicated,
+            messages_corrupted,
+            crashes,
+            recoveries,
+            restarts_with_loss,
+            disk_faults,
+        } = self.stats;
+        let mut h = Sha256::new();
+        text(&mut h, self.protocol);
+        for v in [
+            self.seed,
+            self.commands,
+            self.executed,
+            self.synced,
+            self.recovered_frames,
+            self.truncated_bytes,
+            self.detected_corruptions,
+            messages_sent,
+            messages_delivered,
+            messages_dropped,
+            timers_fired,
+            messages_duplicated,
+            messages_corrupted,
+            crashes,
+            recoveries,
+            restarts_with_loss,
+            disk_faults,
+            self.history.len() as u64,
+        ] {
+            word(&mut h, v);
+        }
+        for &(slot, id) in &self.history {
+            word(&mut h, slot);
+            word(&mut h, id);
+        }
+        word(&mut h, self.violations.len() as u64);
+        for v in &self.violations {
+            text(&mut h, v);
+        }
+        h.finalize()
     }
 }
 
@@ -1416,7 +1478,7 @@ fn sharded_liveness_report(
 /// real threads.
 pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     use prever_consensus::sharded::ShardProbe;
-    use prever_sim::{ParallelConfig, ParallelFaultPlan};
+    use prever_sim::ParallelConfig;
 
     let topo = Topology { n_shards: 3, replicas_per_shard: 4 };
     let n = topo.n_nodes();
@@ -1426,7 +1488,7 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     // links stay up — the partition is between shards).
     let isolated = (seed % 3) as usize;
     let groups: Vec<usize> =
-        (0..topo.n_shards).map(|s| if s == isolated { 1 } else { 0 }).collect();
+        (0..n).map(|id| usize::from(topo.shard_of(id) == isolated)).collect();
     let part_at = 60_000 + rng.gen_range(0..120_000u64);
     let part_heal = part_at + 150_000 + rng.gen_range(0..400_000u64);
     // Blank restart of a backup in a different shard than the isolated
@@ -1444,7 +1506,7 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     };
     let mut sim = sharded::parallel_cluster(topo, None, cfg);
     sim.set_fault_plan(
-        ParallelFaultPlan::new()
+        FaultPlan::new()
             .partition_at(part_at, groups)
             .heal_at(part_heal)
             .crash_at(crash_at, victim)
@@ -1921,6 +1983,26 @@ mod tests {
             let b = run_seed(protocol, 424_242, 8);
             assert_eq!(a, b, "{} chaos run is not deterministic", protocol.name());
         }
+    }
+
+    #[test]
+    fn chaos_digests_match_the_golden_file() {
+        // `chaos_runs_are_bit_identical` compares a build with itself;
+        // this compares it with the build that wrote the file (`chaos
+        // --digest --seeds 25`). A refactor must leave it untouched; a
+        // change that means to alter executions regenerates it and says so.
+        let golden = include_str!("../golden/chaos_digests.txt");
+        let mut checked = 0;
+        for line in golden.lines() {
+            let f: Vec<&str> = line.split(' ').collect();
+            let [name, seed, commands, digest] = f[..] else { panic!("bad golden line {line:?}") };
+            let protocol = Protocol::ALL.into_iter().find(|p| p.name() == name).expect(name);
+            let outcome = run_seed(protocol, seed.parse().unwrap(), commands.parse().unwrap());
+            let got = outcome.digest().to_hex();
+            assert_eq!(got, digest, "{name} seed {seed} diverged from the golden run");
+            checked += 1;
+        }
+        assert_eq!(checked, 25 * Protocol::ALL.len());
     }
 
     #[test]

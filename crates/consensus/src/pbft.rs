@@ -1875,10 +1875,15 @@ impl PbftCore {
     }
 }
 
-const TIMER_TICK: u64 = 1;
+/// Periodic tick timer id of every host around a [`PbftCore`].
+pub(crate) const TIMER_TICK: u64 = 1;
 /// One-shot timer id for `max_delay` batch-fill deadlines.
-const TIMER_BATCH: u64 = 2;
-const TICK_EVERY: u64 = 25_000; // 25 ms
+pub(crate) const TIMER_BATCH: u64 = 2;
+/// The first timer id [`PbftNode::timer`] does not claim: an actor that
+/// embeds a `PbftNode` numbers its own timers from here, so a timer
+/// added to the host can never shadow one of the embedder's.
+pub const FIRST_FREE_TIMER: u64 = 3;
+pub(crate) const TICK_EVERY: u64 = 25_000; // 25 ms
 /// Request-staleness threshold before a replica votes for a view change.
 pub const VIEW_TIMEOUT: u64 = 150_000; // 150 ms
 /// Max messages held for a not-yet-adopted view.
@@ -1893,7 +1898,15 @@ const HEARTBEAT_EVERY: u64 = 500_000; // 500 ms
 /// still grow past the offset scale.
 const VC_BACKOFF_CAP: u32 = 6;
 
-/// Simulator adapter around [`PbftCore`] for a full-membership cluster.
+/// The replica host for a full-membership cluster: the one owner of a
+/// [`PbftCore`] together with its [`DurableLog`], exec cursor, batch
+/// timer and `wal-flush` trace stamping.
+///
+/// The step methods ([`Self::start`], [`Self::deliver`], [`Self::submit`],
+/// [`Self::timer`]) are generic over the message type the surrounding
+/// actor speaks (`M: From<PbftMsg>`), so an actor with a wider protocol —
+/// the serving layer's gateway — embeds a `PbftNode` instead of copying
+/// it. `impl Actor for PbftNode` is the `M = PbftMsg` instance.
 ///
 /// With a [`DurableLog`] attached ([`Self::with_durable`]) the node
 /// persists every executed command and every prepare-vote binding after
@@ -2007,15 +2020,76 @@ impl PbftNode {
         self.exec_cursor = self.core.executed_batches().len();
     }
 
-    /// Arms (or tightens) the one-shot batch-fill timer to the core's
-    /// next `max_delay` deadline.
-    fn arm_batch_timer(&mut self, ctx: &mut Ctx<PbftMsg>) {
-        if let Some(deadline) = self.core.next_batch_deadline() {
-            let due = deadline.max(ctx.now() + 1);
-            if self.batch_timer_at.is_none_or(|t| t > due) {
-                self.batch_timer_at = Some(due);
-                ctx.set_timer(due - ctx.now(), TIMER_BATCH);
+    /// The one exit of every core step: persist, *then* put the step's
+    /// messages on the network, then arm the batch timer. Flush-before-
+    /// vote lives here and nowhere else.
+    fn ship<M: From<PbftMsg>>(&mut self, out: Outbox, ctx: &mut Ctx<M>) {
+        self.persist();
+        for (to, m) in out {
+            ctx.send(to, m.into());
+        }
+        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
+    }
+
+    /// Host step for [`Actor::on_start`]: arms the tick and, on a replica
+    /// built by [`Self::recover_with`], asks for a state transfer. The
+    /// request stages nothing, so it is sent bare — starting is not a
+    /// dispatch and must not advance the group-commit counter.
+    pub fn start<M: From<PbftMsg>>(&mut self, ctx: &mut Ctx<M>) {
+        ctx.set_timer(TICK_EVERY, TIMER_TICK);
+        if self.recovering {
+            self.recovering = false;
+            for (to, m) in self.core.request_sync(ctx.now()) {
+                ctx.send(to, m.into());
             }
+        }
+    }
+
+    /// Host step for a consensus message from `from`.
+    pub fn deliver<M: From<PbftMsg>>(&mut self, from: NodeId, msg: PbftMsg, ctx: &mut Ctx<M>) {
+        let out = self.core.on_message(from, msg, ctx.now());
+        self.ship(out, ctx);
+    }
+
+    /// Host step for a client command submitted at this replica
+    /// (`urgent` bypasses the batch fill delay).
+    pub fn submit<M: From<PbftMsg>>(&mut self, command: Command, urgent: bool, ctx: &mut Ctx<M>) {
+        let out = if urgent {
+            self.core.on_urgent_request(command, ctx.now())
+        } else {
+            self.core.on_request(command, ctx.now())
+        };
+        self.ship(out, ctx);
+    }
+
+    /// Host step for [`Actor::on_timer`]. Ids from [`FIRST_FREE_TIMER`]
+    /// up belong to the embedding actor and are ignored here.
+    pub fn timer<M: From<PbftMsg>>(&mut self, timer: u64, ctx: &mut Ctx<M>) {
+        let out = match timer {
+            TIMER_TICK => {
+                ctx.set_timer(TICK_EVERY, TIMER_TICK);
+                self.core.on_tick(ctx.now(), VIEW_TIMEOUT)
+            }
+            TIMER_BATCH => {
+                self.batch_timer_at = None;
+                self.core.on_batch_timer(ctx.now())
+            }
+            _ => return,
+        };
+        self.ship(out, ctx);
+    }
+}
+
+/// Arms (or tightens) a host's one-shot batch-fill timer to `core`'s
+/// next `max_delay` deadline. `armed_at` is the earliest deadline already
+/// armed: simulator timers cannot be cancelled, so it dedups re-arms
+/// (spurious fires are harmless).
+pub(crate) fn arm_batch_timer<M>(core: &PbftCore, armed_at: &mut Option<u64>, ctx: &mut Ctx<M>) {
+    if let Some(deadline) = core.next_batch_deadline() {
+        let due = deadline.max(ctx.now() + 1);
+        if armed_at.is_none_or(|t| t > due) {
+            *armed_at = Some(due);
+            ctx.set_timer(due - ctx.now(), TIMER_BATCH);
         }
     }
 }
@@ -2024,48 +2098,15 @@ impl Actor for PbftNode {
     type Msg = PbftMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<PbftMsg>) {
-        ctx.set_timer(TICK_EVERY, TIMER_TICK);
-        if self.recovering {
-            self.recovering = false;
-            let out = self.core.request_sync(ctx.now());
-            for (to, m) in out {
-                ctx.send(to, m);
-            }
-        }
+        self.start(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: PbftMsg, ctx: &mut Ctx<PbftMsg>) {
-        // Client injections use `from == self` by convention; map them to
-        // the request path.
-        let out = self.core.on_message(from, msg, ctx.now());
-        self.persist();
-        for (to, m) in out {
-            ctx.send(to, m);
-        }
-        self.arm_batch_timer(ctx);
+        self.deliver(from, msg, ctx);
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<PbftMsg>) {
-        match timer {
-            TIMER_TICK => {
-                let out = self.core.on_tick(ctx.now(), VIEW_TIMEOUT);
-                self.persist();
-                for (to, m) in out {
-                    ctx.send(to, m);
-                }
-                ctx.set_timer(TICK_EVERY, TIMER_TICK);
-            }
-            TIMER_BATCH => {
-                self.batch_timer_at = None;
-                let out = self.core.on_batch_timer(ctx.now());
-                self.persist();
-                for (to, m) in out {
-                    ctx.send(to, m);
-                }
-            }
-            _ => {}
-        }
-        self.arm_batch_timer(ctx);
+        self.timer(timer, ctx);
     }
 }
 

@@ -40,7 +40,10 @@
 //! extra wide-area rounds and can abort under faults, intra-shard
 //! transactions scale linearly — which is what experiment E7 measures.
 
-use crate::pbft::{Byzantine, PbftCore, PbftMsg, NOOP_ID, VIEW_TIMEOUT};
+use crate::pbft::{
+    arm_batch_timer, Byzantine, PbftCore, PbftMsg, NOOP_ID, TICK_EVERY, TIMER_BATCH, TIMER_TICK,
+    VIEW_TIMEOUT,
+};
 use crate::{BatchConfig, Command};
 use prever_crypto::Digest;
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
@@ -120,9 +123,6 @@ pub enum ShardedMsg {
     },
 }
 
-const TIMER_TICK: u64 = 1;
-const TIMER_BATCH: u64 = 2;
-const TICK_EVERY: u64 = 25_000;
 /// How long a transaction may sit stuck before shard-mates are queried
 /// (also the per-transaction re-query/re-announce interval).
 const QUERY_AFTER: u64 = 300_000; // 300 ms
@@ -244,7 +244,12 @@ pub struct ShardedNode {
     batch_timer_at: Option<u64>,
 }
 
-// Shard cores cross thread boundaries on the parallel runtime.
+// Shard cores cross thread boundaries on the parallel runtime. This is
+// why `ShardedNode` keeps an actor loop of its own around `PbftCore`
+// instead of embedding the one host, `PbftNode`: that owns a
+// `DurableLog`, which is `Rc`-backed and would make the node `!Send`.
+// What the two loops share (timer ids, tick period, batch-timer arming)
+// comes from `pbft`.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ShardedNode>();
@@ -380,18 +385,6 @@ impl ShardedNode {
     fn forward_pbft(&self, out: Vec<(NodeId, PbftMsg)>, ctx: &mut Ctx<ShardedMsg>) {
         for (to, msg) in out {
             ctx.send(to, ShardedMsg::Pbft(msg));
-        }
-    }
-
-    /// Arms a timer for the earliest pending batch fill-delay expiry
-    /// (no-op when the core batches immediately).
-    fn arm_batch_timer(&mut self, ctx: &mut Ctx<ShardedMsg>) {
-        if let Some(deadline) = self.core.next_batch_deadline() {
-            let due = deadline.max(ctx.now() + 1);
-            if self.batch_timer_at.is_none_or(|t| t > due) {
-                self.batch_timer_at = Some(due);
-                ctx.set_timer(due - ctx.now(), TIMER_BATCH);
-            }
         }
     }
 
@@ -561,7 +554,7 @@ impl ShardedNode {
         // decision wait out the fill delay in a partial batch.
         let out = self.core.on_urgent_request(Command::new(DECIDE_BIT | tx_id, payload), ctx.now());
         self.forward_pbft(out, ctx);
-        self.arm_batch_timer(ctx);
+        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
     }
 
     /// A decision command executed in this (coordinator-shard)
@@ -893,7 +886,7 @@ impl Actor for ShardedNode {
                 }
             }
         }
-        self.arm_batch_timer(ctx);
+        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<ShardedMsg>) {
@@ -914,7 +907,7 @@ impl Actor for ShardedNode {
             }
             _ => {}
         }
-        self.arm_batch_timer(ctx);
+        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
     }
 }
 
@@ -1008,7 +1001,7 @@ pub fn parallel_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prever_sim::{NetConfig, ParallelConfig, ParallelFaultPlan, Simulation};
+    use prever_sim::{FaultPlan, NetConfig, ParallelConfig, Simulation};
 
     fn topo(shards: usize) -> Topology {
         Topology { n_shards: shards, replicas_per_shard: 4 }
@@ -1288,8 +1281,8 @@ mod tests {
         let t = topo(2);
         let mut sim = parallel_cluster(t, None, ParallelConfig { seed: 41, ..Default::default() });
         sim.set_fault_plan(
-            ParallelFaultPlan::new()
-                .partition_at(2_000, vec![0, 1])
+            FaultPlan::new()
+                .partition_at(2_000, t.shard_map())
                 .heal_at(1_500_000),
         );
         submit_parallel(&mut sim, t, Command::new(5, "doomed"), vec![0, 1], 1);

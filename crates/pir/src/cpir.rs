@@ -124,7 +124,7 @@ impl CpirServer {
         }
 
         let chunk_len = nonzero.len().div_ceil(threads);
-        let partials: Vec<Result<Ciphertext>> = crossbeam::thread::scope(|s| {
+        let partials: Vec<Result<Ciphertext>> = std::thread::scope(|s| {
             let handles: Vec<_> = nonzero
                 .chunks(chunk_len)
                 .map(|chunk| s.spawn(move || Self::fold_terms(pk, chunk)))
@@ -133,8 +133,7 @@ impl CpirServer {
                 .into_iter()
                 .map(|h| h.join().expect("cpir worker panicked"))
                 .collect()
-        })
-        .expect("cpir thread scope");
+        });
 
         let mut acc: Option<Ciphertext> = None;
         for partial in partials {
@@ -208,7 +207,7 @@ impl CpirServer {
             return Ok(pk.weighted_sum_rows(&row_refs, &weights)?);
         }
         let chunk = k.div_ceil(threads);
-        let tiles: Vec<Result<Vec<Ciphertext>>> = crossbeam::thread::scope(|s| {
+        let tiles: Vec<Result<Vec<Ciphertext>>> = std::thread::scope(|s| {
             let handles: Vec<_> = row_refs
                 .chunks(chunk)
                 .map(|tile| {
@@ -220,8 +219,7 @@ impl CpirServer {
                 .into_iter()
                 .map(|h| h.join().expect("cpir worker panicked"))
                 .collect()
-        })
-        .expect("cpir thread scope");
+        });
 
         let mut out = Vec::with_capacity(k);
         for tile in tiles {

@@ -36,6 +36,5 @@ pub use client::{ClientCfg, ClientConn, ClientStats, LoadMode};
 pub use frontend::{Action, FrontConfig, FrontEnd, FrontStats};
 pub use quota::{is_quota_id, QuotaUpdate, QUOTA_ID_BIT};
 pub use sim::{
-    multi_gateway_cluster, server_cluster, ClientPeer, ConsensusAdapter, Gateway, Replica,
-    ServerMsg, ServerPeer,
+    multi_gateway_cluster, server_cluster, ClientPeer, Gateway, Replica, ServerMsg, ServerPeer,
 };

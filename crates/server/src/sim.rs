@@ -19,7 +19,7 @@
 //! reach the replication layer un-decoded).
 
 use prever_consensus::durable::DurableLog;
-use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, VIEW_TIMEOUT};
+use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, PbftNode, FIRST_FREE_TIMER};
 use prever_consensus::{BatchConfig, Command};
 use prever_sim::{Actor, Ctx, NodeId};
 use prever_wire::{Frame, Request, Response};
@@ -47,172 +47,25 @@ pub enum ServerMsg {
     },
 }
 
-const TIMER_TICK: u64 = 1;
-const TIMER_BATCH: u64 = 2;
-/// Gateway-only: periodic deadline sweep + pump + cache eviction.
-const TIMER_FRONT: u64 = 3;
-const TICK_EVERY: u64 = 25_000;
+impl From<PbftMsg> for ServerMsg {
+    fn from(msg: PbftMsg) -> Self {
+        ServerMsg::Pbft(msg)
+    }
+}
+
+/// Gateway-only: periodic deadline sweep + pump + cache eviction. The
+/// embedded [`PbftNode`] owns every id below this one.
+const TIMER_FRONT: u64 = FIRST_FREE_TIMER;
 /// Gateway front-end housekeeping period.
 const FRONT_EVERY: u64 = 10_000;
-
-/// [`prever_consensus::pbft::PbftNode`] reimplemented over
-/// [`ServerMsg`]: the same persist-before-send and batch-timer
-/// discipline, but emitting wrapped messages so it can live inside the
-/// serving cluster's actor enum.
-#[derive(Clone, Debug)]
-pub struct ConsensusAdapter {
-    /// The protocol core (public for harness inspection).
-    pub core: PbftCore,
-    durable: Option<DurableLog>,
-    exec_cursor: usize,
-    recovering: bool,
-    batch_timer_at: Option<u64>,
-}
-
-impl ConsensusAdapter {
-    /// Honest replica `id` of `n`, no persistence.
-    pub fn new(id: NodeId, n: usize) -> Self {
-        ConsensusAdapter {
-            core: PbftCore::new(id, (0..n).collect(), Byzantine::Honest),
-            durable: None,
-            exec_cursor: 0,
-            recovering: false,
-            batch_timer_at: None,
-        }
-    }
-
-    /// Sets the batching configuration (builder style).
-    pub fn with_batching(mut self, cfg: BatchConfig) -> Self {
-        self.core.set_batch_config(cfg);
-        self
-    }
-
-    /// Honest replica persisting to a fresh `log`.
-    pub fn with_durable(id: NodeId, n: usize, log: DurableLog) -> Self {
-        let mut a = Self::new(id, n);
-        a.core.set_record_bindings(true);
-        a.durable = Some(log);
-        a
-    }
-
-    /// Rebuilds replica `id` from a surviving durable `log` after a
-    /// crash-with-state-loss. Panics if the log fails verification.
-    pub fn recover_with(id: NodeId, n: usize, log: DurableLog) -> Self {
-        let replayed = log.replay().expect("durable log failed verification");
-        let mut a = Self::new(id, n);
-        a.core.set_record_bindings(true);
-        a.core.install_history(replayed.entries, replayed.bindings, replayed.prepared);
-        a.exec_cursor = a.core.executed_batches().len();
-        a.durable = Some(log);
-        a.recovering = true;
-        prever_obs::counter("pbft.recoveries").inc();
-        a
-    }
-
-    /// The attached durable log, if any.
-    pub fn durable(&self) -> Option<&DurableLog> {
-        self.durable.as_ref()
-    }
-
-    /// Same persist discipline as `PbftNode`: bindings and prepared
-    /// certificates before our votes hit the network, then newly
-    /// executed commands, one group-commit flush per dispatch.
-    fn persist(&mut self) {
-        if let Some(log) = &self.durable {
-            for (seq, view, digest) in self.core.take_bindings() {
-                log.append_bind(seq, view, &digest);
-            }
-            for (seq, view, batch) in self.core.take_prepared() {
-                log.append_prep(seq, view, &batch);
-            }
-            for (seq, batch, at) in &self.core.executed_batches()[self.exec_cursor..] {
-                log.append_exec(*seq, batch, *at);
-            }
-            log.commit_dispatch();
-            if prever_obs::trace::active() {
-                let me = self.core.id() as u64;
-                for (seq, batch, at) in &self.core.executed_batches()[self.exec_cursor..] {
-                    for c in batch.commands() {
-                        prever_obs::trace::event(
-                            me,
-                            *at,
-                            c.trace.child("exec", me),
-                            "wal-flush",
-                            *seq,
-                        );
-                    }
-                }
-            }
-        }
-        self.exec_cursor = self.core.executed_batches().len();
-    }
-
-    fn ship(&mut self, out: Vec<(NodeId, PbftMsg)>, ctx: &mut Ctx<ServerMsg>) {
-        self.persist();
-        for (to, m) in out {
-            ctx.send(to, ServerMsg::Pbft(m));
-        }
-        self.arm_batch_timer(ctx);
-    }
-
-    fn arm_batch_timer(&mut self, ctx: &mut Ctx<ServerMsg>) {
-        if let Some(deadline) = self.core.next_batch_deadline() {
-            let due = deadline.max(ctx.now() + 1);
-            if self.batch_timer_at.is_none_or(|t| t > due) {
-                self.batch_timer_at = Some(due);
-                ctx.set_timer(due - ctx.now(), TIMER_BATCH);
-            }
-        }
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<ServerMsg>) {
-        ctx.set_timer(TICK_EVERY, TIMER_TICK);
-        if self.recovering {
-            self.recovering = false;
-            let out = self.core.request_sync(ctx.now());
-            self.ship(out, ctx);
-        }
-    }
-
-    fn deliver(&mut self, from: NodeId, msg: PbftMsg, ctx: &mut Ctx<ServerMsg>) {
-        let out = self.core.on_message(from, msg, ctx.now());
-        self.ship(out, ctx);
-    }
-
-    /// Submits a client command on this gateway's replica.
-    fn submit(&mut self, command: Command, urgent: bool, ctx: &mut Ctx<ServerMsg>) {
-        let out = if urgent {
-            self.core.on_urgent_request(command, ctx.now())
-        } else {
-            self.core.on_request(command, ctx.now())
-        };
-        self.ship(out, ctx);
-    }
-
-    fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<ServerMsg>) {
-        match timer {
-            TIMER_TICK => {
-                let out = self.core.on_tick(ctx.now(), VIEW_TIMEOUT);
-                self.ship(out, ctx);
-                ctx.set_timer(TICK_EVERY, TIMER_TICK);
-            }
-            TIMER_BATCH => {
-                self.batch_timer_at = None;
-                let out = self.core.on_batch_timer(ctx.now());
-                self.ship(out, ctx);
-            }
-            _ => {}
-        }
-    }
-}
 
 /// A consensus member that also runs the serving front end. In
 /// [`server_cluster`] only node 0 is one; in [`multi_gateway_cluster`]
 /// every replica is.
 #[derive(Clone, Debug)]
 pub struct Gateway {
-    /// The embedded consensus replica.
-    pub adapter: ConsensusAdapter,
+    /// The embedded consensus replica host.
+    pub adapter: PbftNode,
     /// The admission-control front end.
     pub front: FrontEnd,
     /// How many `core.executed()` entries have been acked to clients.
@@ -223,7 +76,7 @@ impl Gateway {
     /// Fresh gateway at node `id` of an `n`-replica cluster.
     pub fn new(id: NodeId, n: usize, front: FrontConfig, batch: BatchConfig) -> Self {
         Gateway {
-            adapter: ConsensusAdapter::new(id, n).with_batching(batch),
+            adapter: PbftNode::new(id, n, Byzantine::Honest).with_batching(batch),
             front: FrontEnd::new(id as u64, front),
             ack_cursor: 0,
         }
@@ -238,7 +91,7 @@ impl Gateway {
         log: DurableLog,
     ) -> Self {
         Gateway {
-            adapter: ConsensusAdapter::with_durable(id, n, log).with_batching(batch),
+            adapter: PbftNode::with_durable(id, n, Byzantine::Honest, log).with_batching(batch),
             front: FrontEnd::new(id as u64, front),
             ack_cursor: 0,
         }
@@ -257,7 +110,7 @@ impl Gateway {
         batch: BatchConfig,
         log: DurableLog,
     ) -> Self {
-        let adapter = ConsensusAdapter::recover_with(id, n, log).with_batching(batch);
+        let adapter = PbftNode::recover_with(id, n, Byzantine::Honest, log).with_batching(batch);
         let mut fe = FrontEnd::new(id as u64, front);
         fe.install_committed(
             adapter
@@ -387,24 +240,26 @@ impl Gateway {
 /// Plain consensus replicas (no front end; [`server_cluster`] only).
 #[derive(Clone, Debug)]
 pub struct Replica {
-    /// The consensus replica.
-    pub adapter: ConsensusAdapter,
+    /// The consensus replica host.
+    pub adapter: PbftNode,
 }
 
 impl Replica {
     /// Fresh replica `id` of `n`.
     pub fn new(id: NodeId, n: usize, batch: BatchConfig) -> Self {
-        Replica { adapter: ConsensusAdapter::new(id, n).with_batching(batch) }
+        Replica { adapter: PbftNode::new(id, n, Byzantine::Honest).with_batching(batch) }
     }
 
     /// Fresh replica persisting to `log`.
     pub fn with_durable(id: NodeId, n: usize, batch: BatchConfig, log: DurableLog) -> Self {
-        Replica { adapter: ConsensusAdapter::with_durable(id, n, log).with_batching(batch) }
+        let adapter = PbftNode::with_durable(id, n, Byzantine::Honest, log).with_batching(batch);
+        Replica { adapter }
     }
 
     /// Replica rebuilt from a surviving durable log.
     pub fn recover_with(id: NodeId, n: usize, batch: BatchConfig, log: DurableLog) -> Self {
-        Replica { adapter: ConsensusAdapter::recover_with(id, n, log).with_batching(batch) }
+        let adapter = PbftNode::recover_with(id, n, Byzantine::Honest, log).with_batching(batch);
+        Replica { adapter }
     }
 }
 
@@ -486,10 +341,10 @@ impl Actor for ServerPeer {
     fn on_start(&mut self, ctx: &mut Ctx<ServerMsg>) {
         match self {
             ServerPeer::Gateway(g) => {
-                g.adapter.on_start(ctx);
+                g.adapter.start(ctx);
                 ctx.set_timer(FRONT_EVERY, TIMER_FRONT);
             }
-            ServerPeer::Replica(r) => r.adapter.on_start(ctx),
+            ServerPeer::Replica(r) => r.adapter.start(ctx),
             ServerPeer::Client(c) => {
                 let now = ctx.now();
                 let actions = c.conn.on_start(now);
@@ -536,11 +391,11 @@ impl Actor for ServerPeer {
                     g.drain_and_pump(ctx);
                     ctx.set_timer(FRONT_EVERY, TIMER_FRONT);
                 } else {
-                    g.adapter.on_timer(timer, ctx);
+                    g.adapter.timer(timer, ctx);
                     g.drain_and_pump(ctx);
                 }
             }
-            ServerPeer::Replica(r) => r.adapter.on_timer(timer, ctx),
+            ServerPeer::Replica(r) => r.adapter.timer(timer, ctx),
             ServerPeer::Client(c) => {
                 let now = ctx.now();
                 let actions = c.conn.on_timer(timer, now);

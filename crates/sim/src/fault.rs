@@ -125,7 +125,9 @@ pub enum FaultEvent {
 /// A deterministic schedule of link faults and fault events.
 ///
 /// Built with the fluent methods below, then installed via
-/// [`crate::Simulation::set_fault_plan`]. Events run interleaved with the
+/// [`crate::Simulation::set_fault_plan`] (or
+/// [`crate::ParallelSim::set_fault_plan`], which refuses disk and
+/// per-link faults). Events run interleaved with the
 /// event loop at their scheduled virtual times (before any message
 /// carrying the same timestamp).
 #[derive(Clone, Debug, Default)]

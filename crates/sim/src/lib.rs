@@ -17,12 +17,25 @@
 //! outputs. Determinism invariant: identical (actors, config, fault plan,
 //! seed, injected events) ⇒ identical executions.
 //!
+//! ## One engine, hosted subsets
+//!
+//! [`Simulation`] is the only event engine in the workspace. It normally
+//! hosts every node of the system, but it can host a *subset* of the
+//! node ids (a node-id ↔ slot table that [`Simulation::new`] fills with
+//! the identity): actors keep their system-wide ids and `n_nodes`, and a
+//! send to a node hosted elsewhere lands in an outbox instead of the
+//! event queue. That is how the shard-per-thread runtime ([`parallel`])
+//! runs: one `Simulation` per shard thread over the shard's members,
+//! with [`ParallelSim`] carrying the outboxes across at epoch barriers.
+//!
 //! ## Fault injection
 //!
 //! Beyond the uniform [`NetConfig`] faults, a seeded [`FaultPlan`] (see
 //! [`fault`]) adds per-link asymmetric drop/delay/duplication/reordering/
 //! corruption plus *scheduled* crash, recovery, restart-with-state-loss,
-//! and partition events replayed at fixed virtual times.
+//! and partition events replayed at fixed virtual times. Both runtimes
+//! take the same plan type; [`ParallelSim::set_fault_plan`] refuses the
+//! parts it does not model.
 //!
 //! ## Crash semantics: `crash`/`recover` vs `restart_with_loss`
 //!
@@ -51,7 +64,7 @@ pub mod fault;
 pub mod parallel;
 
 pub use fault::{DiskFault, FaultEvent, FaultPlan, LinkFault};
-pub use parallel::{ParallelConfig, ParallelFaultEvent, ParallelFaultPlan, ParallelSim};
+pub use parallel::{ParallelConfig, ParallelSim};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,6 +77,10 @@ pub type NodeId = usize;
 /// Buffered outputs of one actor dispatch: `(to, msg)` sends and
 /// `(delay, timer-id)` timer arms.
 type DispatchOutputs<M> = (Vec<(NodeId, M)>, Vec<(u64, u64)>);
+
+/// A send to a node this simulation does not host, left for whoever
+/// does: `(sent_at, from, to, msg)`.
+pub(crate) type ForeignSend<M> = (u64, NodeId, NodeId, M);
 
 /// In-flight corruption hook: mutates a message using the supplied
 /// deterministic random word.
@@ -185,7 +202,8 @@ enum EventKind<M> {
 struct Event<M> {
     at: u64,
     seq: u64,
-    to: NodeId,
+    /// Slot of the target node.
+    to: usize,
     /// Incarnation of the target node at schedule time. A crash bumps the
     /// node's incarnation, so deliveries and timers addressed to the dead
     /// process are dropped at dispatch even if the node has since
@@ -273,13 +291,20 @@ impl<M> Tracer<M> {
 
 /// The discrete-event simulator.
 pub struct Simulation<A: Actor> {
+    /// The hosted actors, by slot. Per-node state below is by slot too.
     nodes: Vec<A>,
+    /// Slot → node id, and node id → slot (`None`: hosted elsewhere).
+    /// Both are the identity for [`Simulation::new`].
+    ids: Vec<NodeId>,
+    slot_of: Vec<Option<usize>>,
+    /// Sends to nodes hosted elsewhere, in send order.
+    outbox: Vec<ForeignSend<A::Msg>>,
     crashed: Vec<bool>,
     /// Incarnation counter per node; bumped on crash/restart so events
     /// addressed to a dead process are recognizable at dispatch.
     incarnation: Vec<u64>,
-    /// partition\[i\] = group id of node i; messages cross groups only if
-    /// no partition is active.
+    /// partition\[i\] = group id of node id i; messages cross groups
+    /// only if no partition is active.
     partition: Option<Vec<usize>>,
     queue: BinaryHeap<Reverse<Event<A::Msg>>>,
     cfg: NetConfig,
@@ -304,8 +329,32 @@ impl<A: Actor> Simulation<A> {
     /// Creates a simulation over `nodes` with network `cfg` and RNG `seed`.
     pub fn new(nodes: Vec<A>, cfg: NetConfig, seed: u64) -> Self {
         let n = nodes.len();
+        Self::hosting((0..n).collect(), n, nodes, cfg, seed)
+    }
+
+    /// A simulation hosting only the nodes `ids` (`nodes[k]` is node
+    /// `ids[k]`) of an `n_nodes`-node system: the engine one shard
+    /// thread of [`ParallelSim`] runs. Actors see system-wide ids and
+    /// `n_nodes`; a send to a node hosted elsewhere goes to the outbox
+    /// ([`Self::take_outbox`]) instead of the event queue.
+    pub(crate) fn hosting(
+        ids: Vec<NodeId>,
+        n_nodes: usize,
+        nodes: Vec<A>,
+        cfg: NetConfig,
+        seed: u64,
+    ) -> Self {
+        let n = nodes.len();
+        assert_eq!(ids.len(), n);
+        let mut slot_of = vec![None; n_nodes];
+        for (slot, &id) in ids.iter().enumerate() {
+            slot_of[id] = Some(slot);
+        }
         Simulation {
             nodes,
+            ids,
+            slot_of,
+            outbox: Vec::new(),
             crashed: vec![false; n],
             incarnation: vec![0; n],
             partition: None,
@@ -338,17 +387,23 @@ impl<A: Actor> Simulation<A> {
 
     /// Immutable access to a node (assertions, result extraction).
     pub fn node(&self, id: NodeId) -> &A {
-        &self.nodes[id]
+        &self.nodes[self.slot(id)]
     }
 
     /// Mutable access to a node (test setup).
     pub fn node_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.nodes[id]
+        let slot = self.slot(id);
+        &mut self.nodes[slot]
     }
 
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.slot_of.len()
+    }
+
+    /// The slot of a node that must be hosted here.
+    fn slot(&self, id: NodeId) -> usize {
+        self.slot_of[id].expect("node is hosted by this simulation")
     }
 
     /// Installs a fault plan: per-link faults apply to subsequent sends,
@@ -411,11 +466,12 @@ impl<A: Actor> Simulation<A> {
     /// [`SimStats::messages_dropped`]) — they do not survive into a later
     /// recovery. Idempotent.
     pub fn crash(&mut self, node: NodeId) {
-        if self.crashed[node] {
+        let slot = self.slot(node);
+        if self.crashed[slot] {
             return;
         }
-        self.crashed[node] = true;
-        self.incarnation[node] = self.incarnation[node].wrapping_add(1);
+        self.crashed[slot] = true;
+        self.incarnation[slot] = self.incarnation[slot].wrapping_add(1);
         self.stats.crashes += 1;
     }
 
@@ -424,14 +480,15 @@ impl<A: Actor> Simulation<A> {
     /// can re-arm its timers; messages sent during the outage are
     /// delivered if they arrive after this point. No-op if not crashed.
     pub fn recover(&mut self, node: NodeId) {
-        if !self.crashed[node] {
+        let slot = self.slot(node);
+        if !self.crashed[slot] {
             return;
         }
-        self.crashed[node] = false;
-        self.busy_until[node] = self.now;
+        self.crashed[slot] = false;
+        self.busy_until[slot] = self.now;
         self.stats.recoveries += 1;
         if self.started {
-            self.start_node(node);
+            self.start_node(slot);
         }
     }
 
@@ -440,25 +497,26 @@ impl<A: Actor> Simulation<A> {
     /// [`Actor::on_start`] runs immediately. Works on crashed and live
     /// nodes alike (a live node is implicitly crashed first).
     pub fn restart_with_loss(&mut self, node: NodeId, actor: A) {
-        self.nodes[node] = actor;
-        self.crashed[node] = false;
-        self.incarnation[node] = self.incarnation[node].wrapping_add(1);
-        self.busy_until[node] = self.now;
+        let slot = self.slot(node);
+        self.nodes[slot] = actor;
+        self.crashed[slot] = false;
+        self.incarnation[slot] = self.incarnation[slot].wrapping_add(1);
+        self.busy_until[slot] = self.now;
         self.stats.restarts_with_loss += 1;
         if self.started {
-            self.start_node(node);
+            self.start_node(slot);
         }
     }
 
     /// True iff the node is crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node]
+        self.crashed[self.slot(node)]
     }
 
     /// Installs a partition: `groups[i]` is node `i`'s side. Messages
     /// between different sides are dropped.
     pub fn set_partition(&mut self, groups: Vec<usize>) {
-        assert_eq!(groups.len(), self.nodes.len());
+        assert_eq!(groups.len(), self.n_nodes());
         self.partition = Some(groups);
     }
 
@@ -479,10 +537,35 @@ impl<A: Actor> Simulation<A> {
         self.queue.push(Reverse(Event {
             at,
             seq,
-            to,
+            to: self.slot(to),
             inc: EXTERNAL_INC,
             kind: EventKind::Deliver { from, msg },
         }));
+    }
+
+    /// A message from a node hosted elsewhere reaches `to` at `at`. Like
+    /// an injection it is addressed to whatever process is alive on
+    /// arrival; unlike one — a client's request appears at the node's
+    /// door — it queues behind the receiver's service backlog, as any
+    /// node-to-node delivery does.
+    pub(crate) fn arrive(&mut self, from: NodeId, to: NodeId, msg: A::Msg, mut at: u64) {
+        let slot = self.slot(to);
+        if self.cfg.processing > 0 && !self.crashed[slot] {
+            at = at.max(self.busy_until[slot]);
+            self.busy_until[slot] = at + self.cfg.processing;
+        }
+        self.inject(from, to, msg, at);
+    }
+
+    /// Takes the sends addressed to nodes hosted elsewhere, in send order.
+    pub(crate) fn take_outbox(&mut self) -> Vec<ForeignSend<A::Msg>> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Moves the clock forward to `at` (never backwards): the instant of
+    /// a fault applied from outside, or the end of an epoch.
+    pub(crate) fn advance_to(&mut self, at: u64) {
+        self.now = self.now.max(at);
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -635,22 +718,24 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
-    fn ensure_started(&mut self) {
+    /// Runs every live node's [`Actor::on_start`] once; the run loops
+    /// call it first.
+    pub(crate) fn ensure_started(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for id in 0..self.nodes.len() {
-            if self.crashed[id] {
+        for slot in 0..self.nodes.len() {
+            if self.crashed[slot] {
                 continue;
             }
-            self.start_node(id);
+            self.start_node(slot);
         }
     }
 
-    fn start_node(&mut self, id: NodeId) {
-        let (sends, timers) = self.with_ctx(id, |node, ctx| node.on_start(ctx));
-        self.schedule_outputs(id, sends, timers);
+    fn start_node(&mut self, slot: usize) {
+        let (sends, timers) = self.with_ctx(slot, |node, ctx| node.on_start(ctx));
+        self.schedule_outputs(slot, sends, timers);
     }
 
     fn trace_note(&mut self, kind: &'static str, from: NodeId, to: NodeId, detail: &str) {
@@ -667,13 +752,14 @@ impl<A: Actor> Simulation<A> {
     }
 
     fn dispatch(&mut self, ev: Event<A::Msg>) {
-        let to = ev.to;
-        if self.crashed[to] {
+        let slot = ev.to;
+        let to = self.ids[slot];
+        if self.crashed[slot] {
             self.stats.messages_dropped += 1;
             self.trace_note("drop.crashed", to, to, "");
             return;
         }
-        if ev.inc != EXTERNAL_INC && ev.inc != self.incarnation[to] {
+        if ev.inc != EXTERNAL_INC && ev.inc != self.incarnation[slot] {
             // Addressed to a previous incarnation: it was in flight when
             // the node crashed and died with that process.
             self.stats.messages_dropped += 1;
@@ -685,39 +771,39 @@ impl<A: Actor> Simulation<A> {
                 self.stats.messages_delivered += 1;
                 self.trace_msg("deliver", from, to, &msg);
                 let (sends, timers) =
-                    self.with_ctx(to, |node, ctx| node.on_message(from, msg, ctx));
-                self.schedule_outputs(to, sends, timers);
+                    self.with_ctx(slot, |node, ctx| node.on_message(from, msg, ctx));
+                self.schedule_outputs(slot, sends, timers);
             }
             EventKind::Timer { timer } => {
                 self.stats.timers_fired += 1;
-                let (sends, timers) = self.with_ctx(to, |node, ctx| node.on_timer(timer, ctx));
-                self.schedule_outputs(to, sends, timers);
+                let (sends, timers) = self.with_ctx(slot, |node, ctx| node.on_timer(timer, ctx));
+                self.schedule_outputs(slot, sends, timers);
             }
         }
     }
 
     fn with_ctx(
         &mut self,
-        id: NodeId,
+        slot: usize,
         f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
     ) -> DispatchOutputs<A::Msg> {
         let mut sends = Vec::new();
         let mut timers = Vec::new();
-        let n_nodes = self.nodes.len();
         let mut ctx = Ctx {
             now: self.now,
-            self_id: id,
-            n_nodes,
+            self_id: self.ids[slot],
+            n_nodes: self.slot_of.len(),
             sends: &mut sends,
             timers: &mut timers,
         };
-        f(&mut self.nodes[id], &mut ctx);
+        f(&mut self.nodes[slot], &mut ctx);
         (sends, timers)
     }
 
-    /// Draws a delivery time for one network hop to `to`, honoring base
-    /// latency, jitter, link delay/reordering, and receiver service time.
-    fn draw_delivery_time(&mut self, to: NodeId, link: &LinkFault) -> u64 {
+    /// Draws a delivery time for one network hop to the node in slot
+    /// `to`, honoring base latency, jitter, link delay/reordering, and
+    /// receiver service time.
+    fn draw_delivery_time(&mut self, to: usize, link: &LinkFault) -> u64 {
         let mut latency = self.cfg.base_latency
             + if self.cfg.jitter > 0 { self.rng.gen_range(0..=self.cfg.jitter) } else { 0 };
         if link.delay_max > 0 {
@@ -735,7 +821,8 @@ impl<A: Actor> Simulation<A> {
         at
     }
 
-    fn push_deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg, at: u64) {
+    /// Queues a delivery from node `from` to the node in slot `to`.
+    fn push_deliver(&mut self, from: NodeId, to: usize, msg: A::Msg, at: u64) {
         let seq = self.next_seq();
         let inc = self.incarnation[to];
         self.queue.push(Reverse(Event { at, seq, to, inc, kind: EventKind::Deliver { from, msg } }));
@@ -743,13 +830,14 @@ impl<A: Actor> Simulation<A> {
 
     fn schedule_outputs(
         &mut self,
-        from: NodeId,
+        from_slot: usize,
         sends: Vec<(NodeId, A::Msg)>,
         timers: Vec<(u64, u64)>,
     ) {
+        let from = self.ids[from_slot];
         for (to, msg) in sends {
             self.stats.messages_sent += 1;
-            if to >= self.nodes.len() {
+            if to >= self.slot_of.len() {
                 // Actor bug guard: a send to a nonexistent node is
                 // counted as dropped rather than crashing the run.
                 self.stats.messages_dropped += 1;
@@ -767,9 +855,15 @@ impl<A: Actor> Simulation<A> {
                 // Self-sends are reliable and fast: a local queue, not
                 // the network — no drops, faults, or service time.
                 let at = self.now + 1;
-                self.push_deliver(from, to, msg, at);
+                self.push_deliver(from, from_slot, msg, at);
                 continue;
             }
+            let Some(to_slot) = self.slot_of[to] else {
+                // Hosted elsewhere: whoever joins the hosts carries it
+                // over, and models that hop's latency, loss and cuts.
+                self.outbox.push((self.now, from, to, msg));
+                continue;
+            };
             // Random drop.
             if self.cfg.drop_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.drop_rate {
                 self.stats.messages_dropped += 1;
@@ -802,17 +896,18 @@ impl<A: Actor> Simulation<A> {
             if link.duplicate > 0.0 && self.rng.gen::<f64>() < link.duplicate {
                 self.stats.messages_duplicated += 1;
                 self.trace_msg("dup", from, to, &msg);
-                let at = self.draw_delivery_time(to, &link);
-                self.push_deliver(from, to, msg.clone(), at);
+                let at = self.draw_delivery_time(to_slot, &link);
+                self.push_deliver(from, to_slot, msg.clone(), at);
             }
-            let at = self.draw_delivery_time(to, &link);
-            self.push_deliver(from, to, msg, at);
+            let at = self.draw_delivery_time(to_slot, &link);
+            self.push_deliver(from, to_slot, msg, at);
         }
         for (delay, timer) in timers {
             let at = self.now + delay.max(1);
             let seq = self.next_seq();
-            let inc = self.incarnation[from];
-            self.queue.push(Reverse(Event { at, seq, to: from, inc, kind: EventKind::Timer { timer } }));
+            let inc = self.incarnation[from_slot];
+            let kind = EventKind::Timer { timer };
+            self.queue.push(Reverse(Event { at, seq, to: from_slot, inc, kind }));
         }
     }
 

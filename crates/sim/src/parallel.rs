@@ -4,9 +4,15 @@
 //! experiment at one core: a 64-shard SharPer-style deployment is 256
 //! PBFT replicas time-sliced through one event loop. This module runs
 //! each *shard* (a group of nodes that talk to each other constantly)
-//! as a self-contained engine on its own OS thread, and lets shards
-//! talk to each other only through explicit cross-shard channels merged
-//! deterministically by a coordinator.
+//! on its own OS thread, and lets shards talk to each other only through
+//! explicit cross-shard channels merged deterministically by a
+//! coordinator. There is no second event engine here: a shard thread
+//! runs the same [`Simulation`](crate::Simulation), hosting only the
+//! shard's members, and what its nodes send to other shards comes back
+//! out through that simulation's outbox. [`ParallelSim`] is the
+//! coordinator and owns only what is its own: epochs and the barrier,
+//! per-edge RNG routing of cross-shard messages, the send-time partition
+//! timeline, and probes.
 //!
 //! ## Determinism under parallelism
 //!
@@ -14,7 +20,7 @@
 //! barrier:
 //!
 //! * Virtual time is divided into fixed epochs of `epoch` µs. Every
-//!   engine runs `[k·E, (k+1)·E)` to completion before any engine
+//!   shard runs `[k·E, (k+1)·E)` to completion before any shard
 //!   starts epoch `k + 1`.
 //! * Cross-shard messages sent during epoch `k` are collected by the
 //!   coordinator *after* the barrier, routed in a fixed schedule
@@ -23,8 +29,8 @@
 //!   epoch `k + 1`. Cross-shard latency/jitter is drawn from a
 //!   per-edge RNG keyed by `(seed, src, dst)`, so a draw never depends
 //!   on which thread finished first.
-//! * Each engine owns a private RNG keyed by `(seed, shard)` for
-//!   intra-shard jitter.
+//! * Each shard's simulation is seeded from `(seed, shard)` for
+//!   intra-shard jitter and drops.
 //!
 //! Consequently the interleaving observed by every actor is a pure
 //! function of `(actors, config, fault plan, injections, seed)` — the
@@ -35,28 +41,31 @@
 //!
 //! ## Fault model
 //!
-//! Faults are scheduled on a [`ParallelFaultPlan`]: shard-granular
-//! partitions (a partitioned shard keeps ordering locally but its
-//! cross-shard channels drop), per-node crash / recover /
-//! restart-with-loss. Cross-shard messages are not pinned to a
-//! receiver incarnation: like client retries, they are delivered to
+//! Faults are scheduled on the one [`FaultPlan`], indexed by node as
+//! everywhere else. Crash / recover / restart-with-loss are forwarded to
+//! the owning shard and applied by its simulation at their virtual time
+//! (faults win ties, as on one thread). A partition cuts *cross-shard*
+//! channels only, judged by send time at the coordinator: a partitioned
+//! shard keeps ordering locally while its channels drop. What the runtime
+//! does not model is refused by [`ParallelSim::set_fault_plan`] with a
+//! panic naming it rather than ignored: disk faults (the media handler
+//! cannot cross threads), per-link faults (a cross-shard hop is the
+//! coordinator's, which models latency, jitter and partitions only), and
+//! a partition that splits a shard. Cross-shard messages are not pinned
+//! to a receiver incarnation: like client retries, they are delivered to
 //! whatever process is alive on arrival (they model durable channel
 //! buffers between clusters).
 
-use crate::{Actor, Ctx, NetConfig, NodeId, SimStats};
+use crate::{Actor, FaultEvent, FaultPlan, ForeignSend, NetConfig, NodeId, SimStats, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Shard identifier (dense, 0-based) — the unit of parallelism.
 pub type ShardId = usize;
-
-/// Sentinel incarnation for cross-shard and injected deliveries.
-const EXTERNAL_INC: u64 = u64::MAX;
 
 /// SplitMix64-style mixer for deriving independent RNG streams.
 fn mix(a: u64, b: u64) -> u64 {
@@ -68,11 +77,16 @@ fn mix(a: u64, b: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The seed of shard `shard`'s simulation under the run's `seed`.
+fn shard_seed(seed: u64, shard: ShardId) -> u64 {
+    mix(seed, mix(0x5aad, shard as u64))
+}
+
 /// Configuration of a [`ParallelSim`].
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
     /// Intra-shard network behavior (latency, jitter, drops, service
-    /// time), applied independently inside each shard engine.
+    /// time), applied independently inside each shard's simulation.
     pub net: NetConfig,
     /// Minimum one-way cross-shard latency in µs. Must be ≥ `epoch`
     /// (the conservative lookahead bound); the constructor asserts it.
@@ -100,77 +114,8 @@ impl Default for ParallelConfig {
     }
 }
 
-/// A scheduled fault event on the parallel runtime.
-#[derive(Clone, Debug)]
-pub enum ParallelFaultEvent {
-    /// Install a shard-granular partition: `groups[s]` is shard `s`'s
-    /// side; cross-shard messages between different sides are dropped
-    /// at the coordinator. Intra-shard traffic is unaffected.
-    Partition(Vec<usize>),
-    /// Remove any partition.
-    Heal,
-    /// Crash a node (process dies; queued local deliveries and timers
-    /// die with it).
-    Crash(NodeId),
-    /// Recover a crashed node with state intact (`on_start` re-runs).
-    Recover(NodeId),
-    /// Restart a node as a fresh actor built by the node factory,
-    /// losing all in-memory state.
-    RestartWithLoss(NodeId),
-}
-
-/// A time-ordered plan of [`ParallelFaultEvent`]s.
-#[derive(Clone, Debug, Default)]
-pub struct ParallelFaultPlan {
-    events: Vec<(u64, ParallelFaultEvent)>,
-}
-
-impl ParallelFaultPlan {
-    /// Empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules a shard-granular partition at `at`.
-    pub fn partition_at(mut self, at: u64, groups: Vec<usize>) -> Self {
-        self.events.push((at, ParallelFaultEvent::Partition(groups)));
-        self
-    }
-
-    /// Schedules a heal at `at`.
-    pub fn heal_at(mut self, at: u64) -> Self {
-        self.events.push((at, ParallelFaultEvent::Heal));
-        self
-    }
-
-    /// Schedules a crash of `node` at `at`.
-    pub fn crash_at(mut self, at: u64, node: NodeId) -> Self {
-        self.events.push((at, ParallelFaultEvent::Crash(node)));
-        self
-    }
-
-    /// Schedules a state-intact recovery of `node` at `at`.
-    pub fn recover_at(mut self, at: u64, node: NodeId) -> Self {
-        self.events.push((at, ParallelFaultEvent::Recover(node)));
-        self
-    }
-
-    /// Schedules a restart-with-state-loss of `node` at `at` (requires
-    /// [`ParallelSim::set_node_factory`]).
-    pub fn restart_with_loss_at(mut self, at: u64, node: NodeId) -> Self {
-        self.events.push((at, ParallelFaultEvent::RestartWithLoss(node)));
-        self
-    }
-
-    fn sorted_events(&self) -> Vec<(u64, ParallelFaultEvent)> {
-        let mut ev = self.events.clone();
-        ev.sort_by_key(|(t, _)| *t);
-        ev
-    }
-}
-
 /// A cross-shard message en route: scheduled by the coordinator,
-/// delivered by the destination engine.
+/// delivered by the destination shard's simulation.
 struct CrossArrival<M> {
     at: u64,
     from: NodeId,
@@ -178,7 +123,9 @@ struct CrossArrival<M> {
     msg: M,
 }
 
-/// A fault forwarded into an engine, applied at its virtual time.
+/// A fault forwarded to the owning shard, applied at its virtual time.
+/// A restart carries the fresh actor: the factory is a harness closure
+/// that lives, and stays, on the coordinator's thread.
 enum NodeFault<A> {
     Crash(NodeId),
     Recover(NodeId),
@@ -201,318 +148,49 @@ enum Reply<A: Actor, P> {
     Done(Vec<(NodeId, A)>),
 }
 
-/// One epoch's outputs from a shard engine.
+/// One epoch's outputs from a shard.
 struct EpochOut<M, P> {
-    /// Cross-shard sends in deterministic local order: `(sent_at,
-    /// from, to, msg)`.
-    outbox: Vec<(u64, NodeId, NodeId, M)>,
+    /// Cross-shard sends in deterministic local order.
+    outbox: Vec<ForeignSend<M>>,
     /// Probe values per local node (global ids).
     probes: Vec<(NodeId, P)>,
-    /// Cumulative engine statistics.
+    /// Cumulative statistics of the shard's simulation.
     stats: SimStats,
 }
-
-enum LocalEventKind<M> {
-    Deliver { from: NodeId, msg: M },
-    Timer { timer: u64 },
-}
-
-struct LocalEvent<M> {
-    at: u64,
-    seq: u64,
-    to: NodeId,
-    inc: u64,
-    kind: LocalEventKind<M>,
-}
-
-impl<M> PartialEq for LocalEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for LocalEvent<M> {}
-impl<M> PartialOrd for LocalEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for LocalEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// One outbound cross-shard send: `(sent_at, from, to, msg)`.
-type CrossSend<M> = (u64, NodeId, NodeId, M);
-
-/// Sends and timers produced by one actor-handler invocation.
-type HandlerOut<M> = (Vec<(NodeId, M)>, Vec<(u64, u64)>);
 
 /// A pending cross arrival keyed for deterministic ordering:
 /// `(deliver_at, coordinator_seq, arrival)`.
 type PendingArrival<M> = (u64, u64, CrossArrival<M>);
 
-/// The per-shard event loop: a restricted [`Simulation`](crate::Simulation)
-/// over the shard's nodes whose foreign sends go to an outbox instead
-/// of the local queue.
-struct Engine<A: Actor, P> {
-    node_ids: Vec<NodeId>,
-    index: HashMap<NodeId, usize>,
-    n_global: usize,
-    nodes: Vec<A>,
-    crashed: Vec<bool>,
-    incarnation: Vec<u64>,
-    busy_until: Vec<u64>,
-    queue: BinaryHeap<Reverse<LocalEvent<A::Msg>>>,
-    rng: StdRng,
-    now: u64,
-    seq: u64,
-    stats: SimStats,
-    cfg: NetConfig,
-    outbox: Vec<CrossSend<A::Msg>>,
-    probe: Arc<dyn Fn(&A) -> P + Send + Sync>,
-    started: bool,
-}
-
-impl<A: Actor, P> Engine<A, P> {
-    fn local(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).copied()
+/// Runs one shard's simulation through `[now, until)`: enqueues the
+/// inbound cross-shard arrivals, applies the epoch's faults at their
+/// virtual times, and processes every event with `at < until`.
+fn run_epoch<A: Actor>(
+    sim: &mut Simulation<A>,
+    until: u64,
+    inbound: Vec<CrossArrival<A::Msg>>,
+    faults: Vec<(u64, NodeFault<A>)>,
+) {
+    // Start before enqueueing: `on_start` outputs take the first event
+    // seqs, then arrivals in the coordinator's order.
+    sim.ensure_started();
+    for arr in inbound {
+        sim.arrive(arr.from, arr.to, arr.msg, arr.at);
     }
-
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
+    for (at, fault) in faults {
+        // Faults win ties: only events strictly before `at` run first.
+        if let Some(before) = at.checked_sub(1) {
+            sim.run_until(before);
         }
-        self.started = true;
-        for li in 0..self.nodes.len() {
-            if !self.crashed[li] {
-                self.start_node(li);
-            }
-        }
-    }
-
-    fn start_node(&mut self, li: usize) {
-        let (sends, timers) = self.with_ctx(li, |node, ctx| node.on_start(ctx));
-        self.schedule_outputs(li, sends, timers);
-    }
-
-    fn with_ctx(
-        &mut self,
-        li: usize,
-        f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
-    ) -> HandlerOut<A::Msg> {
-        let mut sends = Vec::new();
-        let mut timers = Vec::new();
-        let mut ctx = Ctx {
-            now: self.now,
-            self_id: self.node_ids[li],
-            n_nodes: self.n_global,
-            sends: &mut sends,
-            timers: &mut timers,
-        };
-        f(&mut self.nodes[li], &mut ctx);
-        (sends, timers)
-    }
-
-    fn schedule_outputs(
-        &mut self,
-        from_li: usize,
-        sends: Vec<(NodeId, A::Msg)>,
-        timers: Vec<(u64, u64)>,
-    ) {
-        let from = self.node_ids[from_li];
-        for (to, msg) in sends {
-            self.stats.messages_sent += 1;
-            if to >= self.n_global {
-                self.stats.messages_dropped += 1;
-                continue;
-            }
-            if to == from {
-                // Self-sends are reliable and fast (local queue).
-                let at = self.now + 1;
-                let seq = self.next_seq();
-                let inc = self.incarnation[from_li];
-                self.queue.push(Reverse(LocalEvent {
-                    at,
-                    seq,
-                    to,
-                    inc,
-                    kind: LocalEventKind::Deliver { from, msg },
-                }));
-                continue;
-            }
-            let Some(to_li) = self.local(to) else {
-                // Foreign node: hand to the coordinator after the
-                // barrier. Send order is the deterministic per-edge
-                // lamport order.
-                self.outbox.push((self.now, from, to, msg));
-                continue;
-            };
-            if self.cfg.drop_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.drop_rate {
-                self.stats.messages_dropped += 1;
-                continue;
-            }
-            let mut at = self.now
-                + self.cfg.base_latency
-                + if self.cfg.jitter > 0 { self.rng.gen_range(0..=self.cfg.jitter) } else { 0 };
-            if self.cfg.processing > 0 {
-                at = at.max(self.busy_until[to_li]);
-                self.busy_until[to_li] = at + self.cfg.processing;
-            }
-            let seq = self.next_seq();
-            let inc = self.incarnation[to_li];
-            self.queue.push(Reverse(LocalEvent {
-                at,
-                seq,
-                to,
-                inc,
-                kind: LocalEventKind::Deliver { from, msg },
-            }));
-        }
-        for (delay, timer) in timers {
-            let at = self.now + delay.max(1);
-            let seq = self.next_seq();
-            let inc = self.incarnation[from_li];
-            self.queue.push(Reverse(LocalEvent {
-                at,
-                seq,
-                to: from,
-                inc,
-                kind: LocalEventKind::Timer { timer },
-            }));
-        }
-    }
-
-    fn dispatch(&mut self, ev: LocalEvent<A::Msg>) {
-        let li = self.local(ev.to).expect("local event for local node");
-        if self.crashed[li] {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        if ev.inc != EXTERNAL_INC && ev.inc != self.incarnation[li] {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        match ev.kind {
-            LocalEventKind::Deliver { from, msg } => {
-                self.stats.messages_delivered += 1;
-                let (sends, timers) =
-                    self.with_ctx(li, |node, ctx| node.on_message(from, msg, ctx));
-                self.schedule_outputs(li, sends, timers);
-            }
-            LocalEventKind::Timer { timer } => {
-                self.stats.timers_fired += 1;
-                let (sends, timers) = self.with_ctx(li, |node, ctx| node.on_timer(timer, ctx));
-                self.schedule_outputs(li, sends, timers);
-            }
-        }
-    }
-
-    fn apply_fault(&mut self, fault: NodeFault<A>) {
+        sim.advance_to(at);
         match fault {
-            NodeFault::Crash(n) => {
-                let li = self.local(n).expect("fault for local node");
-                if !self.crashed[li] {
-                    self.crashed[li] = true;
-                    self.incarnation[li] = self.incarnation[li].wrapping_add(1);
-                    self.stats.crashes += 1;
-                }
-            }
-            NodeFault::Recover(n) => {
-                let li = self.local(n).expect("fault for local node");
-                if self.crashed[li] {
-                    self.crashed[li] = false;
-                    self.busy_until[li] = self.now;
-                    self.stats.recoveries += 1;
-                    if self.started {
-                        self.start_node(li);
-                    }
-                }
-            }
-            NodeFault::Restart(n, actor) => {
-                let li = self.local(n).expect("fault for local node");
-                self.nodes[li] = actor;
-                self.crashed[li] = false;
-                self.incarnation[li] = self.incarnation[li].wrapping_add(1);
-                self.busy_until[li] = self.now;
-                self.stats.restarts_with_loss += 1;
-                if self.started {
-                    self.start_node(li);
-                }
-            }
+            NodeFault::Crash(n) => sim.crash(n),
+            NodeFault::Recover(n) => sim.recover(n),
+            NodeFault::Restart(n, actor) => sim.restart_with_loss(n, actor),
         }
     }
-
-    /// Runs the engine through `[now, until)`: enqueues the inbound
-    /// cross-shard arrivals, interleaves scheduled faults with local
-    /// events in time order, and processes every event with `at <
-    /// until`. Returns the epoch outputs.
-    fn run_epoch(
-        &mut self,
-        until: u64,
-        inbound: Vec<CrossArrival<A::Msg>>,
-        faults: Vec<(u64, NodeFault<A>)>,
-    ) -> EpochOut<A::Msg, P> {
-        self.ensure_started();
-        for arr in inbound {
-            // Cross-shard deliveries keep the coordinator's order via
-            // fresh local seqs; they are not pinned to an incarnation.
-            let mut at = arr.at;
-            if let Some(to_li) = self.local(arr.to) {
-                if self.cfg.processing > 0 && !self.crashed[to_li] {
-                    at = at.max(self.busy_until[to_li]);
-                    self.busy_until[to_li] = at + self.cfg.processing;
-                }
-            }
-            let seq = self.next_seq();
-            self.queue.push(Reverse(LocalEvent {
-                at,
-                seq,
-                to: arr.to,
-                inc: EXTERNAL_INC,
-                kind: LocalEventKind::Deliver { from: arr.from, msg: arr.msg },
-            }));
-        }
-        let mut faults: VecDeque<(u64, NodeFault<A>)> = faults.into();
-        loop {
-            let next_fault = faults.front().map(|(t, _)| *t);
-            let next_event = self.queue.peek().map(|Reverse(e)| e.at);
-            // Faults win ties, as in the single-threaded simulator.
-            match (next_fault, next_event) {
-                (Some(tf), te) if tf < until && te.is_none_or(|t| tf <= t) => {
-                    let (tf, fault) = faults.pop_front().expect("peeked");
-                    self.now = self.now.max(tf);
-                    self.apply_fault(fault);
-                }
-                (_, Some(te)) if te < until => {
-                    let Reverse(ev) = self.queue.pop().expect("peeked");
-                    self.now = ev.at;
-                    self.dispatch(ev);
-                }
-                _ => break,
-            }
-        }
-        // Any fault scheduled in this epoch but after the last event
-        // still applies before the barrier.
-        while let Some((tf, fault)) = faults.pop_front() {
-            self.now = self.now.max(tf);
-            self.apply_fault(fault);
-        }
-        self.now = until;
-        let probe = Arc::clone(&self.probe);
-        let probes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(li, node)| (self.node_ids[li], probe(node)))
-            .collect();
-        EpochOut { outbox: std::mem::take(&mut self.outbox), probes, stats: self.stats }
-    }
+    sim.run_until(until - 1);
+    sim.advance_to(until);
 }
 
 struct Worker<A: Actor, P> {
@@ -527,7 +205,7 @@ type NodeFactory<A> = Box<dyn FnMut(NodeId) -> A>;
 /// The shard-per-thread parallel simulator.
 ///
 /// `P` is the *probe* type: a cheap, `Send` summary of one actor's
-/// state (e.g. a completion count) computed by every engine at each
+/// state (e.g. a completion count) computed by every shard at each
 /// epoch barrier. Run-loop predicates observe probes rather than the
 /// actors themselves, which live on their shard's thread; the full
 /// actors come back via [`ParallelSim::into_nodes`].
@@ -545,9 +223,12 @@ pub struct ParallelSim<A: Actor, P> {
     /// External injections not yet released: `(at, seq, from, to, msg)`.
     injections: Vec<(u64, u64, NodeId, NodeId, A::Msg)>,
     /// Scheduled fault events not yet applied, sorted by time.
-    pending_faults: VecDeque<(u64, ParallelFaultEvent)>,
-    /// Active shard-granular partition at the head of the timeline,
-    /// plus the in-epoch change log used to route by send time.
+    pending_faults: VecDeque<(u64, FaultEvent)>,
+    /// Partition changes by time (`groups[i]` = node `i`'s side), used
+    /// to route cross-shard sends by *send* time. Kept here rather than
+    /// in the shard simulations: it also covers `on_start` sends when a
+    /// partition is scheduled at `t = 0`, and a shard never sees a
+    /// cross-shard send's fate anyway.
     partition_timeline: Vec<(u64, Option<Vec<usize>>)>,
     factory: Option<NodeFactory<A>>,
     /// Per-edge RNGs for cross-shard latency draws.
@@ -596,27 +277,10 @@ where
             .enumerate()
             .map(|(shard, members)| {
                 assert!(!members.is_empty(), "shard {shard} has no nodes");
-                let node_ids: Vec<NodeId> = members.iter().map(|(id, _)| *id).collect();
-                let index = node_ids.iter().enumerate().map(|(li, &id)| (id, li)).collect();
-                let n = node_ids.len();
-                let mut engine = Engine {
-                    node_ids,
-                    index,
-                    n_global,
-                    nodes: members.into_iter().map(|(_, a)| a).collect(),
-                    crashed: vec![false; n],
-                    incarnation: vec![0; n],
-                    busy_until: vec![0; n],
-                    queue: BinaryHeap::new(),
-                    rng: StdRng::seed_from_u64(mix(cfg.seed, mix(0x5aad, shard as u64))),
-                    now: 0,
-                    seq: 0,
-                    stats: SimStats::default(),
-                    cfg: cfg.net.clone(),
-                    outbox: Vec::new(),
-                    probe: Arc::clone(&probe),
-                    started: false,
-                };
+                let (ids, actors): (Vec<NodeId>, Vec<A>) = members.into_iter().unzip();
+                let net = cfg.net.clone();
+                let seed = shard_seed(cfg.seed, shard);
+                let probe = Arc::clone(&probe);
                 let (tx, cmd_rx) = channel::<Cmd<A>>();
                 let (reply_tx, rx) = channel::<Reply<A, P>>();
                 // Spans opened on the worker would otherwise lose their
@@ -625,21 +289,24 @@ where
                 let span_parent = prever_obs::current_span();
                 let join = std::thread::spawn(move || {
                     prever_obs::adopt_parent(span_parent);
+                    // Built here, not by the coordinator: a `Simulation`
+                    // has slots for harness closures and is not `Send`.
+                    let mut sim = Simulation::hosting(ids.clone(), n_global, actors, net, seed);
                     while let Ok(cmd) = cmd_rx.recv() {
                         match cmd {
                             Cmd::Epoch { until, inbound, faults } => {
-                                let out = engine.run_epoch(until, inbound, faults);
+                                run_epoch(&mut sim, until, inbound, faults);
+                                let out = EpochOut {
+                                    outbox: sim.take_outbox(),
+                                    probes: ids.iter().map(|&id| (id, probe(sim.node(id)))).collect(),
+                                    stats: sim.stats(),
+                                };
                                 if reply_tx.send(Reply::Epoch(out)).is_err() {
                                     return;
                                 }
                             }
                             Cmd::Finish => {
-                                let nodes = engine
-                                    .node_ids
-                                    .iter()
-                                    .copied()
-                                    .zip(std::mem::take(&mut engine.nodes))
-                                    .collect();
+                                let nodes = ids.into_iter().zip(sim.into_nodes()).collect();
                                 let _ = reply_tx.send(Reply::Done(nodes));
                                 return;
                             }
@@ -678,7 +345,7 @@ where
         self.n_shards
     }
 
-    /// Aggregate statistics: sum of the shard engines plus the
+    /// Aggregate statistics: sum of the shard simulations plus the
     /// coordinator's cross-shard drops.
     pub fn stats(&self) -> SimStats {
         let mut total = self.local_stats;
@@ -702,13 +369,41 @@ where
         &self.probes
     }
 
-    /// Installs the fault plan (replacing any previous one).
-    pub fn set_fault_plan(&mut self, plan: ParallelFaultPlan) {
+    /// Installs the fault plan (replacing any previous one). Panics on
+    /// what this runtime does not model (see the module docs): a disk
+    /// fault, per-link faults, a partition that splits a shard.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        assert!(
+            plan.default_link.is_clean() && plan.links.is_empty(),
+            "ParallelSim does not model per-link faults"
+        );
+        for (at, ev) in &plan.events {
+            match ev {
+                FaultEvent::Disk { node, .. } => {
+                    panic!("ParallelSim does not model disk faults (node {node} at {at})")
+                }
+                FaultEvent::ClearLinkFaults => {
+                    panic!("ParallelSim does not model per-link faults (clear at {at})")
+                }
+                FaultEvent::Partition(groups) => {
+                    assert_eq!(groups.len(), self.shard_of.len(), "partition groups are per node");
+                    let mut side: Vec<Option<usize>> = vec![None; self.n_shards];
+                    for (&shard, &g) in self.shard_of.iter().zip(groups) {
+                        assert_eq!(
+                            *side[shard].get_or_insert(g),
+                            g,
+                            "ParallelSim does not model a partition that splits shard {shard} (at {at})"
+                        );
+                    }
+                }
+                _ => {}
+            }
+        }
         self.pending_faults = plan.sorted_events().into();
     }
 
-    /// Registers the factory used for
-    /// [`ParallelFaultEvent::RestartWithLoss`] events.
+    /// Registers the factory used for [`FaultEvent::RestartWithLoss`]
+    /// events.
     pub fn set_node_factory(&mut self, factory: impl FnMut(NodeId) -> A + 'static) {
         self.factory = Some(Box::new(factory));
     }
@@ -736,30 +431,30 @@ where
         let until = self.now + self.cfg.epoch;
         // 1. Collect this epoch's faults: partitions change the
         //    coordinator's routing timeline; node faults are forwarded
-        //    to the owning engine.
+        //    to the owning shard.
         let mut shard_faults: Vec<Vec<(u64, NodeFault<A>)>> =
             (0..self.n_shards).map(|_| Vec::new()).collect();
         while self.pending_faults.front().is_some_and(|(t, _)| *t < until) {
             let (t, ev) = self.pending_faults.pop_front().expect("peeked");
             match ev {
-                ParallelFaultEvent::Partition(groups) => {
-                    assert_eq!(groups.len(), self.n_shards, "partition groups are per shard");
-                    self.partition_timeline.push((t, Some(groups)));
-                }
-                ParallelFaultEvent::Heal => self.partition_timeline.push((t, None)),
-                ParallelFaultEvent::Crash(n) => {
+                FaultEvent::Partition(groups) => self.partition_timeline.push((t, Some(groups))),
+                FaultEvent::Heal => self.partition_timeline.push((t, None)),
+                FaultEvent::Crash(n) => {
                     shard_faults[self.shard_of[n]].push((t, NodeFault::Crash(n)));
                 }
-                ParallelFaultEvent::Recover(n) => {
+                FaultEvent::Recover(n) => {
                     shard_faults[self.shard_of[n]].push((t, NodeFault::Recover(n)));
                 }
-                ParallelFaultEvent::RestartWithLoss(n) => {
-                    let mut factory = self.factory.take().expect(
-                        "ParallelFaultEvent::RestartWithLoss requires set_node_factory",
-                    );
+                FaultEvent::RestartWithLoss(n) => {
+                    let factory = self
+                        .factory
+                        .as_mut()
+                        .expect("FaultEvent::RestartWithLoss requires set_node_factory");
                     let fresh = factory(n);
-                    self.factory = Some(factory);
                     shard_faults[self.shard_of[n]].push((t, NodeFault::Restart(n, fresh)));
+                }
+                FaultEvent::Disk { .. } | FaultEvent::ClearLinkFaults => {
+                    unreachable!("refused by set_fault_plan")
                 }
             }
         }
@@ -798,8 +493,7 @@ where
         }
         // 4. Collect results in fixed shard order and route outboxes
         //    deterministically.
-        let mut outboxes: Vec<Vec<CrossSend<A::Msg>>> =
-            Vec::with_capacity(self.n_shards);
+        let mut outboxes: Vec<Vec<ForeignSend<A::Msg>>> = Vec::with_capacity(self.n_shards);
         for (shard, worker) in self.workers.iter().enumerate() {
             match worker.rx.recv().expect("worker alive") {
                 Reply::Epoch(out) => {
@@ -816,7 +510,7 @@ where
             for (sent_at, from, to, msg) in outbox {
                 let dst_shard = self.shard_of[to];
                 if let Some(groups) = self.partition_at(sent_at) {
-                    if groups[src_shard] != groups[dst_shard] {
+                    if groups[from] != groups[to] {
                         self.local_stats.messages_dropped += 1;
                         continue;
                     }
@@ -895,6 +589,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ctx, DiskFault, LinkFault};
 
     /// Node 0 (shard 0) pings node 1 (shard 1); node 1 echoes.
     #[derive(Clone, Default)]
@@ -966,7 +661,7 @@ mod tests {
     #[test]
     fn shard_partition_blocks_cross_traffic_by_send_time() {
         let mut sim = cross_sim(5);
-        sim.set_fault_plan(ParallelFaultPlan::new().partition_at(0, vec![0, 1]));
+        sim.set_fault_plan(FaultPlan::new().partition_at(0, vec![0, 1]));
         sim.run_until(100_000);
         assert_eq!(sim.probes()[1].0, 0, "partition must drop cross-shard pings");
         assert!(sim.stats().messages_dropped >= 10);
@@ -976,7 +671,7 @@ mod tests {
     fn heal_then_inject_delivers() {
         let mut sim = cross_sim(6);
         sim.set_fault_plan(
-            ParallelFaultPlan::new().partition_at(0, vec![0, 1]).heal_at(50_000),
+            FaultPlan::new().partition_at(0, vec![0, 1]).heal_at(50_000),
         );
         sim.run_until(60_000);
         sim.inject(1, 1, PP::Ping, sim.now() + 10);
@@ -988,7 +683,7 @@ mod tests {
     fn crash_and_recover_follow_single_threaded_semantics() {
         let mut sim = cross_sim(9);
         sim.set_fault_plan(
-            ParallelFaultPlan::new().crash_at(100, 1).recover_at(400_000, 1),
+            FaultPlan::new().crash_at(100, 1).recover_at(400_000, 1),
         );
         // Pings arrive ~1 ms; node 1 is down, so they drop.
         sim.run_until(500_000);
@@ -1005,12 +700,102 @@ mod tests {
     fn restart_with_loss_uses_factory() {
         let mut sim = cross_sim(11);
         sim.set_node_factory(|_| Pinger::default());
-        sim.set_fault_plan(ParallelFaultPlan::new().restart_with_loss_at(50_000, 0));
+        sim.set_fault_plan(FaultPlan::new().restart_with_loss_at(50_000, 0));
         sim.run_until(40_000);
         assert_eq!(sim.probes()[0].1, 10, "initial exchange completes");
         // The fresh node 0 re-runs on_start: 10 more pings on the wire.
         let ok = sim.run_until_probe(1_000_000, |p| p[1].0 >= 20);
         assert!(ok, "restarted node must re-send from on_start");
         assert_eq!(sim.stats().restarts_with_loss, 1);
+    }
+
+    /// Self-driving traffic whose state depends on every delivery's
+    /// order and time: a per-node timer, broadcasts, and forwarding.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Gossip {
+        heard: u64,
+        ticks: u64,
+        sum: u64,
+        last_at: u64,
+    }
+
+    impl Actor for Gossip {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<u64>) {
+            ctx.set_timer(700 + 100 * ctx.id() as u64, 1);
+            ctx.broadcast(self.sum);
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<u64>) {
+            self.heard += 1;
+            self.sum = mix(self.sum ^ msg, from as u64 + ctx.now());
+            self.last_at = ctx.now();
+            if self.heard.is_multiple_of(3) {
+                ctx.send((from + 1) % ctx.n_nodes(), self.sum);
+            }
+        }
+        fn on_timer(&mut self, _: u64, ctx: &mut Ctx<u64>) {
+            self.ticks += 1;
+            ctx.send((ctx.id() + 1) % ctx.n_nodes(), self.sum);
+            ctx.set_timer(700, 1);
+        }
+    }
+
+    #[test]
+    fn one_shard_runs_exactly_as_the_single_threaded_simulation() {
+        // "The parallel runtime is semantics-preserving": with every node
+        // in one shard there is no cross-shard hop, so the coordinator
+        // must add nothing — same stats, same actor state as a plain
+        // `Simulation` on the shard's seed, faults included.
+        let net = NetConfig { base_latency: 300, jitter: 250, drop_rate: 0.05, processing: 40 };
+        let plan = || {
+            FaultPlan::new()
+                .crash_at(3_000, 1)
+                .recover_at(9_400, 1)
+                .restart_with_loss_at(15_500, 2)
+                .crash_at(21_000, 0)
+                .restart_with_loss_at(21_000, 3)
+        };
+        let nodes = || vec![Gossip::default(); 4];
+        const END: u64 = 40_000;
+
+        let cfg = ParallelConfig { net: net.clone(), seed: 19, ..Default::default() };
+        let mut par = ParallelSim::new(nodes(), vec![0; 4], cfg, |g: &Gossip| g.heard);
+        par.set_fault_plan(plan());
+        par.set_node_factory(|_| Gossip::default());
+        par.run_until(END);
+        let par_stats = par.stats();
+
+        let mut one = Simulation::new(nodes(), net, shard_seed(19, 0));
+        one.set_fault_plan(plan());
+        one.set_node_factory(|_| Gossip::default());
+        // An epoch is `[k·E, (k+1)·E)`: the event at `END` is not run.
+        one.run_until(END - 1);
+
+        assert!(par_stats.messages_delivered > 200 && par_stats.messages_dropped > 0);
+        let faults = (par_stats.crashes, par_stats.recoveries, par_stats.restarts_with_loss);
+        assert_eq!(faults, (2, 1, 2));
+        assert_eq!(par_stats, one.stats());
+        assert_eq!(par.into_nodes(), one.into_nodes());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not model disk faults")]
+    fn fault_plan_with_a_disk_fault_is_refused() {
+        cross_sim(1).set_fault_plan(FaultPlan::new().disk_fault_at(10, 0, DiskFault::TornWrite));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not model per-link faults")]
+    fn fault_plan_with_link_faults_is_refused() {
+        let lossy = LinkFault { drop: 0.5, ..Default::default() };
+        cross_sim(1).set_fault_plan(FaultPlan::new().link(0, 1, lossy));
+    }
+
+    #[test]
+    #[should_panic(expected = "a partition that splits shard 0")]
+    fn partition_that_splits_a_shard_is_refused() {
+        let nodes = vec![Pinger::default(); 3];
+        let mut sim = ParallelSim::new(nodes, vec![0, 0, 1], ParallelConfig::default(), |_| ());
+        sim.set_fault_plan(FaultPlan::new().partition_at(10, vec![0, 1, 1]));
     }
 }
