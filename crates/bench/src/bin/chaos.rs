@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Replay mode — reproduce one run (e.g. a seed the sweep flagged, or a
-//! seed CI printed) and dump its event-trace tail:
+//! seed CI printed) and, if it violates, print its event-trace tail and
+//! per-node dump:
 //!
 //! ```text
 //! cargo run --release -p prever-bench --bin chaos -- --protocol pbft --seed 17
@@ -22,12 +23,13 @@
 //!
 //! ```text
 //! cargo run --release -p prever-bench --bin chaos -- --digest --seeds 25
+//! cargo run --release -p prever-bench --bin chaos -- --digest --protocol pbft --seed 17
 //! ```
 //!
 //! Exit code is non-zero iff any run violated an invariant, so the
 //! binary doubles as a CI gate (see `.github/workflows/ci.yml`).
 
-use prever_bench::chaos::{run_seed, ChaosOutcome, Protocol};
+use prever_bench::chaos::{run_seed, sweep, ChaosOutcome, Protocol};
 use prever_bench::Table;
 use prever_obs::trace;
 
@@ -57,16 +59,9 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--protocol" => {
                 let v = value("--protocol");
-                let p = Protocol::ALL
-                    .into_iter()
-                    .find(|p| p.name() == v)
-                    .unwrap_or_else(|| {
-                        die(&format!(
-                            "unknown protocol {v:?} (pbft|pbft-batched|paxos|sharded\
-                             |sharded-parallel|pbft-disk|ledger-disk|server-overload\
-                             |gateway-failover)"
-                        ))
-                    });
+                let p = Protocol::from_name(&v).unwrap_or_else(|| {
+                    die(&format!("unknown protocol {v:?} ({})", Protocol::names()))
+                });
                 args.protocols = vec![p];
             }
             "--seed" => args.seed = Some(parse_u64(&value("--seed"))),
@@ -76,10 +71,9 @@ fn parse_args() -> Args {
             "--digest" => args.digest = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: chaos [--protocol pbft|pbft-batched|paxos|sharded\
-                     |sharded-parallel|pbft-disk|ledger-disk|server-overload\
-                     |gateway-failover] [--seed N] [--seeds N] [--commands N] \
-                     [--flight-check] [--digest]"
+                    "usage: chaos [--protocol {}] [--seed N] [--seeds N] [--commands N] \
+                     [--flight-check] [--digest]",
+                    Protocol::names()
                 );
                 std::process::exit(0);
             }
@@ -98,19 +92,9 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Default sweep widths and workload sizes per protocol.
-fn defaults(protocol: Protocol) -> (u64, u64) {
-    match protocol {
-        Protocol::Pbft => (50, 30),
-        Protocol::PbftBatched => (50, 30),
-        Protocol::Paxos => (20, 25),
-        Protocol::Sharded => (10, 12),
-        Protocol::ShardedParallel => (10, 12),
-        Protocol::PbftDisk => (30, 20),
-        Protocol::LedgerDisk => (120, 60),
-        Protocol::ServerOverload => (50, 10),
-        Protocol::GatewayFailover => (50, 10),
-    }
+/// One line of the committed golden file: `protocol seed commands sha256`.
+fn digest_line(outcome: &ChaosOutcome) -> String {
+    format!("{} {} {} {}", outcome.protocol, outcome.seed, outcome.commands, outcome.digest())
 }
 
 fn report_violation(outcome: &ChaosOutcome) {
@@ -123,7 +107,7 @@ fn report_violation(outcome: &ChaosOutcome) {
         println!("  - {v}");
     }
     if !outcome.trace_tail.is_empty() {
-        println!("  event trace tail ({} events):", outcome.trace_tail.len());
+        println!("  event trace tail and node dump ({} lines):", outcome.trace_tail.len());
         for line in &outcome.trace_tail {
             println!("    {line}");
         }
@@ -162,7 +146,7 @@ fn main() {
         // violation.
         trace::reset();
         let protocol = args.protocols.first().copied().unwrap_or(Protocol::Pbft);
-        let commands = args.commands.unwrap_or(defaults(protocol).1);
+        let commands = args.commands.unwrap_or(protocol.defaults().1);
         let outcome = run_seed(protocol, args.seed.unwrap_or(1), commands);
         let dump = trace::flight_dump_lines(8);
         println!(
@@ -188,18 +172,23 @@ fn main() {
             die("--seed requires --protocol");
         }
         let protocol = args.protocols[0];
-        let commands = args.commands.unwrap_or(defaults(protocol).1);
+        let commands = args.commands.unwrap_or(protocol.defaults().1);
         trace::reset();
         let outcome = run_seed(protocol, seed, commands);
-        println!(
-            "protocol={} seed={} commands={} executed={} synced={}",
-            outcome.protocol, outcome.seed, outcome.commands, outcome.executed, outcome.synced
-        );
-        println!("stats: {:?}", outcome.stats);
-        println!("history ({} entries): {:?}", outcome.history.len(), outcome.history);
-        if outcome.ok() {
-            println!("all invariants held");
+        if args.digest {
+            println!("{}", digest_line(&outcome));
         } else {
+            println!(
+                "protocol={} seed={} commands={} executed={} synced={}",
+                outcome.protocol, outcome.seed, outcome.commands, outcome.executed, outcome.synced
+            );
+            println!("stats: {:?}", outcome.stats);
+            println!("history ({} entries): {:?}", outcome.history.len(), outcome.history);
+            if outcome.ok() {
+                println!("all invariants held");
+            }
+        }
+        if !outcome.ok() {
             report_violation(&outcome);
             violations += 1;
         }
@@ -220,28 +209,22 @@ fn main() {
             ],
         );
         for &protocol in &args.protocols {
-            let (default_seeds, default_commands) = defaults(protocol);
+            let (default_seeds, default_commands) = protocol.defaults();
             let seeds = args.seeds.unwrap_or(default_seeds);
             let commands = args.commands.unwrap_or(default_commands);
-            // The sweep loop lives here (not `chaos::sweep`) so the
-            // flight rings can be reset per seed: a violation's
-            // postmortem then shows only the offending run, reported
-            // while its rings are still intact.
-            let outcomes: Vec<ChaosOutcome> = (0..seeds)
-                .map(|seed| {
-                    prever_obs::counter("chaos.runs").inc();
-                    trace::reset();
-                    let outcome = run_seed(protocol, seed, commands);
-                    if args.digest {
-                        println!("{} {seed} {commands} {}", protocol.name(), outcome.digest());
-                    }
-                    if !outcome.ok() {
-                        prever_obs::counter("chaos.violations").inc();
-                        report_violation(&outcome);
-                    }
-                    outcome
-                })
-                .collect();
+            // The flight rings are reset around every run, so a
+            // violation's postmortem shows only the offending run,
+            // reported while its rings are still intact.
+            trace::reset();
+            let outcomes = sweep(protocol, 0, seeds, commands, |outcome| {
+                if args.digest {
+                    println!("{}", digest_line(outcome));
+                }
+                if !outcome.ok() {
+                    report_violation(outcome);
+                }
+                trace::reset();
+            });
             let bad = outcomes.iter().filter(|o| !o.ok()).count();
             violations += bad;
             table.row(vec![

@@ -1,42 +1,68 @@
-//! Deterministic chaos harness: seeded fault sweeps over the three
-//! consensus protocols with safety/liveness invariant checking.
+//! Deterministic chaos harness: seeded fault sweeps over nine
+//! scenarios with safety/liveness invariant checking.
 //!
 //! Each scenario derives a [`prever_sim::FaultPlan`] (per-link
 //! drop/delay/duplication/reordering/corruption, scheduled crashes,
-//! restarts-with-state-loss, partitions) *and* the workload from a
-//! single seed, runs the protocol under it, and then checks:
+//! restarts-with-state-loss, partitions, disk faults) *and* the
+//! workload from a single seed, runs the protocol under it, and then
+//! judges the end state with the shared checks of [`invariants`]. The
+//! five PBFT-core scenarios (`pbft`, `pbft-batched`, `pbft-disk`,
+//! `server-overload`, `gateway-failover`) all apply the first two:
 //!
-//! * **Safety** — no two correct replicas commit different commands at
-//!   the same sequence number; the committed prefix matches the durable
-//!   ledger (journal replay digest == in-memory chained state digest).
-//! * **Liveness after heal** — once the scheduled faults clear, every
-//!   submitted command executes at every correct replica.
-//! * **Recovery** — a replica restarted with state loss provably catches
-//!   up via state transfer (its executed-history digest matches the
-//!   quorum's).
+//! * **Safety** (`check_agreement`) — no two correct replicas commit
+//!   different commands at the same sequence number.
+//! * **Ledger** (`check_journal`) — the committed prefix matches the
+//!   durable journal (replay digest == in-memory chained state digest,
+//!   and as many commands).
+//! * **Liveness after heal** (`report_unfinished`; `pbft*`) — once the
+//!   scheduled faults clear, every submitted command executes at every
+//!   correct replica.
+//! * **Recovery** (`check_caught_up`; `pbft*`, `server-overload`) — a
+//!   replica restarted with state loss provably catches up via state
+//!   transfer (its executed-history digest matches the quorum's).
+//! * **Durability** — an acked write is executed at a correct replica
+//!   (`check_acks`; the two serving scenarios), and a journal recovered
+//!   from faulted media keeps every flushed record and is a prefix of
+//!   the pre-crash one (`check_recovered_prefix`; `pbft-disk`,
+//!   `ledger-disk`).
+//!
+//! `sharded` and `sharded-parallel` share `sharded_invariants`; `paxos`
+//! judges its decided logs itself; what only one scenario asserts
+//! (fairness, bounded queue, exactly-once, failover, read-your-writes,
+//! quota agreement, loud corruption) is in that scenario's function.
+//! Adding a scenario is such a function plus one row of [`Protocol`]'s
+//! table, which the binary, the sweeps and the golden test all read.
 //!
 //! Everything is deterministic: the same seed replays the same
 //! execution bit-for-bit (see `chaos_runs_are_bit_identical`), so a
 //! violating seed printed by the `chaos` binary is a complete
-//! reproduction recipe. Corruption runs in *detected* mode (no
-//! corruptor hook): PBFT's base premise is that messages are
-//! authenticated, so damaged bytes surface as drops, not forgeries.
+//! reproduction recipe, and a violating outcome carries its fault
+//! schedule and every node's state after its event-trace tail.
+//! Corruption runs in *detected* mode (no corruptor hook): PBFT's base
+//! premise is that messages are authenticated, so damaged bytes surface
+//! as drops, not forgeries.
+
+mod invariants;
 
 use bytes::Bytes;
+use invariants::{
+    check_acks, check_agreement, check_caught_up, check_journal, check_recovered_prefix,
+    has_duplicates, report_unfinished, sharded_invariants, ReplicaCore,
+};
 use prever_consensus::durable::{DurableLog, DurableMedia, FlushPolicy};
 use prever_consensus::paxos::{self, PaxosMsg, PaxosNode};
-use prever_consensus::pbft::{chain_digest, Byzantine, PbftCore, PbftMsg, PbftNode};
+use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, PbftNode};
 use prever_consensus::sharded::{self, ShardedMsg, ShardedNode, Topology};
 use prever_consensus::{BatchConfig, Command};
 use prever_crypto::{Digest, Sha256};
 use prever_ledger::{Journal, LedgerError, PersistentJournal};
 use prever_server::{
-    ClientCfg, ClientPeer, FrontConfig, Gateway, LoadMode, QuotaUpdate, Replica, ServerMsg,
-    ServerPeer,
+    ClientCfg, ClientConn, ClientPeer, FrontConfig, Gateway, LoadMode, QuotaUpdate, Replica,
+    ServerMsg, ServerPeer,
 };
-use prever_sim::{DiskFault, FaultPlan, LinkFault, NetConfig, SimStats, Simulation};
-use prever_wire::Class;
+use prever_sim::{Actor, DiskFault, FaultPlan, LinkFault, NetConfig, SimStats, Simulation};
 use prever_storage::SharedDisk;
+use prever_wire::Class;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -46,47 +72,36 @@ use std::rc::Rc;
 /// differ from the simulator's own seeded stream.
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The protocols the harness can exercise.
+/// The protocols the harness can exercise; each variant's scenario
+/// function documents its faults and invariants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Protocol {
-    /// PBFT with an equivocating replica and a restart-with-loss.
+    /// [`pbft_chaos`]: an equivocating replica and a restart-with-loss.
     Pbft,
-    /// The same PBFT scenario with multi-command batching and a
-    /// pipelined in-flight window enabled (batch 8, 20 ms fill delay,
-    /// window 4) — the batched ordering path under identical faults.
+    /// [`pbft_batched_chaos`]: the same under batched, pipelined ordering.
     PbftBatched,
-    /// Multi-Paxos with a partition window and a leader crash/recover.
+    /// [`paxos_chaos`]: a partition window and a leader crash/recover.
     Paxos,
-    /// Sharded PBFT with an inter-shard partition and a blank restart.
+    /// [`sharded_chaos`]: an inter-shard partition and a blank restart.
     Sharded,
-    /// The same sharded protocol on the shard-per-thread parallel
-    /// runtime (`prever_sim::ParallelSim`): a mid-commit inter-shard
-    /// partition, a blank restart, and real OS threads — the outcome
-    /// must still be bit-identical per seed.
+    /// [`sharded_parallel_chaos`]: the same on the shard-per-thread
+    /// runtime, real OS threads and still bit-identical per seed.
     ShardedParallel,
-    /// PBFT over fault-injected disks: a seeded disk fault (torn write,
-    /// dropped cache, or sector corruption) lands with a crash, and the
-    /// victim is rebuilt from whatever its media actually hold.
+    /// [`pbft_disk_chaos`]: a seeded disk fault lands with a crash.
     PbftDisk,
-    /// The standalone persistent ledger journal under the same disk
-    /// faults, no consensus in the loop.
+    /// [`ledger_disk_chaos`]: the persistent journal alone under the
+    /// same disk faults.
     LedgerDisk,
-    /// The serving front end under overload: a flooding low-priority
-    /// tenant, a well-behaved tenant behind a stalled connection, and a
-    /// gateway crash + restart-with-state-loss mid-flood. Checks that
-    /// acked writes survive the crash, that well-behaved tenants finish
-    /// despite the flood, and that the admission queue stays bounded.
+    /// [`server_overload_chaos`]: a flooding tenant, a stalled client and
+    /// a gateway restart-with-loss mid-flood.
     ServerOverload,
-    /// Multi-gateway serving under gateway faults: every replica fronts
-    /// its own gateway, clients hold ranked endpoint lists with
-    /// verified read-your-writes probes, and one gateway suffers a
-    /// seed-chosen fate (long-outage crash, partition, restart with
-    /// state loss, or flapping) mid-session. Checks exactly-once execution
-    /// across resumed sessions, durability of every ack, zero
-    /// read-your-writes violations, and consensus-carried quota
-    /// agreement across gateways.
+    /// [`gateway_failover_chaos`]: a gateway per replica, one of which
+    /// suffers a seed-chosen fate mid-session.
     GatewayFailover,
 }
+
+/// A scenario: `(seed, commands)` in, judged outcome out.
+type Scenario = fn(u64, u64) -> ChaosOutcome;
 
 impl Protocol {
     /// All protocols, sweep order.
@@ -102,19 +117,41 @@ impl Protocol {
         Protocol::GatewayFailover,
     ];
 
+    /// The scenario table: display name, scenario function, and the
+    /// default sweep `(seeds, commands per seed)`. Everything that
+    /// names, parses, runs or sizes a protocol reads this.
+    fn row(self) -> (&'static str, Scenario, (u64, u64)) {
+        match self {
+            Protocol::Pbft => ("pbft", pbft_chaos, (50, 30)),
+            Protocol::PbftBatched => ("pbft-batched", pbft_batched_chaos, (50, 30)),
+            Protocol::Paxos => ("paxos", paxos_chaos, (20, 25)),
+            Protocol::Sharded => ("sharded", sharded_chaos, (10, 12)),
+            Protocol::ShardedParallel => ("sharded-parallel", sharded_parallel_chaos, (10, 12)),
+            Protocol::PbftDisk => ("pbft-disk", pbft_disk_chaos, (30, 20)),
+            Protocol::LedgerDisk => ("ledger-disk", ledger_disk_chaos, (120, 60)),
+            Protocol::ServerOverload => ("server-overload", server_overload_chaos, (50, 10)),
+            Protocol::GatewayFailover => ("gateway-failover", gateway_failover_chaos, (50, 10)),
+        }
+    }
+
     /// Display name.
     pub fn name(&self) -> &'static str {
-        match self {
-            Protocol::Pbft => "pbft",
-            Protocol::PbftBatched => "pbft-batched",
-            Protocol::Paxos => "paxos",
-            Protocol::Sharded => "sharded",
-            Protocol::ShardedParallel => "sharded-parallel",
-            Protocol::PbftDisk => "pbft-disk",
-            Protocol::LedgerDisk => "ledger-disk",
-            Protocol::ServerOverload => "server-overload",
-            Protocol::GatewayFailover => "gateway-failover",
-        }
+        self.row().0
+    }
+
+    /// Default sweep width and workload size: `(seeds, commands)`.
+    pub fn defaults(&self) -> (u64, u64) {
+        self.row().2
+    }
+
+    /// The protocol called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Protocol> {
+        Protocol::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// Every name, `|`-separated in sweep order (usage strings).
+    pub fn names() -> String {
+        Protocol::ALL.map(|p| p.name()).join("|")
     }
 }
 
@@ -141,7 +178,9 @@ pub struct ChaosOutcome {
     pub stats: SimStats,
     /// Reference replica's commit history as `(slot, command id)`.
     pub history: Vec<(u64, u64)>,
-    /// Tail of the replayable event trace (only captured on violation).
+    /// Tail of the replayable event trace, then the scenario's dump of
+    /// its fault schedule and per-node state (only captured on
+    /// violation).
     pub trace_tail: Vec<String>,
     /// Records recovered from durable media (snapshot + WAL replay)
     /// across the run's disk-fault recoveries.
@@ -154,6 +193,66 @@ pub struct ChaosOutcome {
 }
 
 impl ChaosOutcome {
+    /// A blank outcome for one run; the scenario fills in what it
+    /// measured and seals it with [`Self::close`] or [`Self::finish`].
+    fn new(protocol: Protocol, seed: u64, commands: u64) -> Self {
+        ChaosOutcome {
+            seed,
+            protocol: protocol.name(),
+            commands,
+            executed: 0,
+            synced: 0,
+            violations: Vec::new(),
+            stats: SimStats::default(),
+            history: Vec::new(),
+            trace_tail: Vec::new(),
+            recovered_frames: 0,
+            truncated_bytes: 0,
+            detected_corruptions: 0,
+        }
+    }
+
+    /// Records the reference replica's executed count and history, and
+    /// what the restarted `victim` had to fetch by state transfer.
+    fn reference(mut self, core: &PbftCore, victim: &PbftCore) -> Self {
+        self.executed = core.executed_commands() as u64;
+        self.history = core.executed().iter().map(|d| (d.slot, d.command.id)).collect();
+        self.synced = victim.synced();
+        self
+    }
+
+    /// Seals the outcome. `diagnostics` runs only if the run violated,
+    /// so a clean sweep never pays for it; it must be deterministic
+    /// (the determinism test compares `trace_tail`).
+    fn finish(
+        mut self,
+        stats: SimStats,
+        violations: Vec<String>,
+        diagnostics: impl FnOnce() -> Vec<String>,
+    ) -> Self {
+        self.stats = stats;
+        if !violations.is_empty() {
+            self.trace_tail = diagnostics();
+        }
+        self.violations = violations;
+        self
+    }
+
+    /// [`Self::finish`] for a `Simulation` run: a violating outcome
+    /// carries the event-trace tail followed by the scenario's `dump`.
+    fn close<A: Actor>(
+        self,
+        sim: &Simulation<A>,
+        violations: Vec<String>,
+        dump: impl FnOnce() -> Vec<String>,
+    ) -> Self {
+        self.finish(sim.stats(), violations, || {
+            let mut tail = sim.trace_tail(80);
+            tail.extend(dump());
+            tail
+        })
+    }
+
     /// True iff no invariant was violated.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
@@ -224,17 +323,7 @@ impl ChaosOutcome {
 
 /// Runs one seeded scenario for `protocol`.
 pub fn run_seed(protocol: Protocol, seed: u64, commands: u64) -> ChaosOutcome {
-    match protocol {
-        Protocol::Pbft => pbft_chaos(seed, commands),
-        Protocol::PbftBatched => pbft_batched_chaos(seed, commands),
-        Protocol::Paxos => paxos_chaos(seed, commands),
-        Protocol::Sharded => sharded_chaos(seed, commands),
-        Protocol::ShardedParallel => sharded_parallel_chaos(seed, commands),
-        Protocol::PbftDisk => pbft_disk_chaos(seed, commands),
-        Protocol::LedgerDisk => ledger_disk_chaos(seed, commands),
-        Protocol::ServerOverload => server_overload_chaos(seed, commands),
-        Protocol::GatewayFailover => gateway_failover_chaos(seed, commands),
-    }
+    (protocol.row().1)(seed, commands)
 }
 
 /// The disk fault a seed exercises (round-robin so a sweep covers all
@@ -271,6 +360,64 @@ fn rough_links(mut plan: FaultPlan, n: usize, rng: &mut StdRng) -> FaultPlan {
     plan
 }
 
+/// Settle: a liveness predicate fires the instant the last replica
+/// catches up, which can leave a trailing slot's commits still in
+/// flight to a subset of replicas. Drain them before comparing
+/// whole-history digests.
+fn settle<A: Actor>(sim: &mut Simulation<A>, live: bool) {
+    if live {
+        let settle_until = sim.now() + 2_000_000;
+        sim.run_until(settle_until);
+    }
+}
+
+/// One line of a violating run's dump: a replica's view, digest,
+/// view-change probe and executed history as `slot:id` (`*` marks an
+/// equivocated payload).
+fn core_line((i, core): ReplicaCore) -> String {
+    let log: Vec<String> = core
+        .executed()
+        .iter()
+        .map(|d| {
+            let mark = if d.command.payload.ends_with(b"equivocated") { "*" } else { "" };
+            format!("{}:{}{mark}", d.slot, d.command.id)
+        })
+        .collect();
+    format!(
+        "node {i} view={} digest={} {} executed: {}",
+        core.view(),
+        core.state_digest(),
+        core.debug_probe(),
+        log.join(" ")
+    )
+}
+
+/// The workload and the wait the PBFT scenarios share: `commands`
+/// requests injected at replica 1 at seeded instants, the plan run to
+/// `heal_at`, then liveness after heal — every replica in `expect`
+/// executes everything — and the settle. Returns whether it went live.
+fn drive_pbft(
+    sim: &mut Simulation<PbftNode>,
+    rng: &mut StdRng,
+    commands: u64,
+    heal_at: u64,
+    expect: &[usize],
+) -> bool {
+    for i in 0..commands {
+        let at = 1 + rng.gen_range(0..400_000u64);
+        sim.inject(1, 1, PbftMsg::request(Command::new(i, format!("chaos-{i}"))), at);
+    }
+    sim.run_until(heal_at);
+    // Count *distinct* ids — an equivocating primary can get the same
+    // command committed at two slots, and the raw entry count would
+    // then declare victory while the real workload is still in flight.
+    let live = sim.run_until_pred(3_000_000, |nodes| {
+        expect.iter().all(|&i| nodes[i].core.distinct_executed_commands() as u64 >= commands)
+    });
+    settle(sim, live);
+    live
+}
+
 /// PBFT acceptance scenario: n = 4 with replica 0 equivocating whenever
 /// it holds the primary role (f = 1 Byzantine), plus a scheduled
 /// crash-and-restart-with-state-loss of correct replica 2, under rough
@@ -278,22 +425,18 @@ fn rough_links(mut plan: FaultPlan, n: usize, rng: &mut StdRng) -> FaultPlan {
 /// replica is rebuilt from its journal and catches up via state
 /// transfer.
 pub fn pbft_chaos(seed: u64, commands: u64) -> ChaosOutcome {
-    pbft_chaos_with(seed, commands, BatchConfig::default(), "pbft")
+    pbft_chaos_with(Protocol::Pbft, seed, commands, BatchConfig::default())
 }
 
 /// The PBFT acceptance scenario with multi-command batching and a
-/// pipelined window enabled — identical fault plan and workload, but
-/// every ordering round carries a cut batch.
+/// pipelined window enabled (batch 8, 20 ms fill delay, window 4) —
+/// identical fault plan and workload, but every ordering round carries
+/// a cut batch.
 pub fn pbft_batched_chaos(seed: u64, commands: u64) -> ChaosOutcome {
-    pbft_chaos_with(seed, commands, BatchConfig::new(8, 20_000, 4), "pbft-batched")
+    pbft_chaos_with(Protocol::PbftBatched, seed, commands, BatchConfig::new(8, 20_000, 4))
 }
 
-fn pbft_chaos_with(
-    seed: u64,
-    commands: u64,
-    cfg: BatchConfig,
-    protocol: &'static str,
-) -> ChaosOutcome {
+fn pbft_chaos_with(protocol: Protocol, seed: u64, commands: u64, cfg: BatchConfig) -> ChaosOutcome {
     const N: usize = 4;
     const VICTIM: usize = 2;
     let correct = [1usize, 2, 3];
@@ -328,145 +471,103 @@ fn pbft_chaos_with(
     });
     sim.enable_trace(|m: &PbftMsg| m.kind().to_string(), 256);
 
-    for i in 0..commands {
-        let at = 1 + rng.gen_range(0..400_000u64);
-        sim.inject(1, 1, PbftMsg::request(Command::new(i, format!("chaos-{i}"))), at);
-    }
+    let live = drive_pbft(&mut sim, &mut rng, commands, heal_at, &correct);
 
-    sim.run_until(heal_at);
-    // Liveness after heal: every correct replica executes everything.
-    // Count *distinct* ids — an equivocating primary can get the same
-    // command committed at two slots, and the raw entry count would
-    // then declare victory while the real workload is still in flight.
-    let live = sim.run_until_pred(3_000_000, |nodes| {
-        correct.iter().all(|&i| nodes[i].core.distinct_executed_commands() as u64 >= commands)
-    });
+    // Judged over the correct replicas only; replica 1 is the quorum's
+    // reference.
+    let cores: Vec<ReplicaCore> = correct.iter().map(|&i| (i, &sim.node(i).core)).collect();
+    let reference = &sim.node(1).core;
+    let mut violations = check_agreement(&cores);
+    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
     if live {
-        // Settle: the predicate fires the instant the last correct
-        // replica catches up, which can leave a trailing slot's commits
-        // still in flight to a subset of replicas. Drain them before
-        // comparing whole-history digests.
-        let settle_until = sim.now() + 2_000_000;
-        sim.run_until(settle_until);
+        violations.extend(check_caught_up((VICTIM, &sim.node(VICTIM).core), reference));
+    } else {
+        violations.extend(report_unfinished(&cores, commands));
     }
 
-    let mut violations = Vec::new();
-    // Safety: no two correct replicas commit different commands at the
-    // same sequence number.
-    for (ai, &a) in correct.iter().enumerate() {
-        for &b in &correct[ai + 1..] {
-            let other = sim.node(b).core.executed();
-            for (da, db) in sim.node(a).core.executed().iter().zip(other) {
-                if da.slot != db.slot || da.command.digest() != db.command.digest() {
-                    violations.push(format!(
-                        "safety: replicas {a} and {b} diverge at slot {} ({} vs {})",
-                        da.slot, da.command.id, db.command.id
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-    // Committed prefix matches the ledger: replay the journal, verify
-    // the hash chain, recompute the chained digest.
-    for &i in &correct {
-        match logs[i].replay() {
-            Ok(replayed) => {
-                let mut d = Digest::ZERO;
-                let mut journal_commands = 0usize;
-                for (_, batch, _) in &replayed.entries {
-                    for c in batch.commands() {
-                        d = chain_digest(d, c);
-                        journal_commands += 1;
-                    }
-                }
-                if d != sim.node(i).core.state_digest() {
-                    violations.push(format!("ledger: replica {i} journal digest mismatch"));
-                }
-                if journal_commands != sim.node(i).core.executed().len() {
-                    violations.push(format!(
-                        "ledger: replica {i} journal has {} commands, memory has {}",
-                        journal_commands,
-                        sim.node(i).core.executed().len()
-                    ));
-                }
-            }
-            Err(e) => violations.push(format!("ledger: replica {i} replay failed: {e:?}")),
-        }
-    }
-    if !live {
-        for &i in &correct {
-            let got = sim.node(i).core.distinct_executed_commands() as u64;
-            if got < commands {
-                violations
-                    .push(format!("liveness: replica {i} executed {got}/{commands} after heal"));
-            }
-        }
-    }
-    // Provable catch-up: the restarted replica's executed-history digest
-    // matches the quorum's.
-    let reference = sim.node(1).core.state_digest();
-    if live && sim.node(VICTIM).core.state_digest() != reference {
-        violations.push(format!(
-            "recovery: restarted replica {VICTIM} state digest differs from the quorum's"
-        ));
-    }
-
-    if !violations.is_empty() && std::env::var("CHAOS_DEBUG").is_ok() {
-        eprintln!("crash_at={crash_at} restart_at={restart_at} heal_at={heal_at} now={}", sim.now());
-        for i in 0..N {
-            let log: Vec<String> = sim
-                .node(i)
-                .core
-                .executed()
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{}:{}{}",
-                        d.slot,
-                        d.command.id,
-                        if d.command.payload.ends_with(b"equivocated") { "*" } else { "" }
-                    )
-                })
-                .collect();
-            eprintln!(
-                "node {i} view={} {} executed: {}",
-                sim.node(i).core.view(),
-                sim.node(i).core.debug_probe(),
-                log.join(" ")
-            );
-        }
-    }
-    let trace_tail = if violations.is_empty() { Vec::new() } else { sim.trace_tail(80) };
-    ChaosOutcome {
-        seed,
-        protocol,
-        commands,
-        executed: sim.node(1).core.executed_commands() as u64,
-        synced: sim.node(VICTIM).core.synced(),
-        violations,
-        stats: sim.stats(),
-        history: sim
-            .node(1)
-            .core
-            .executed()
-            .iter()
-            .map(|d| (d.slot, d.command.id))
-            .collect(),
-        trace_tail,
-        recovered_frames: 0,
-        truncated_bytes: 0,
-        detected_corruptions: 0,
-    }
+    let outcome = ChaosOutcome::new(protocol, seed, commands);
+    outcome.reference(reference, &sim.node(VICTIM).core).close(&sim, violations, || {
+        let schedule = format!(
+            "crash_at={crash_at} restart_at={restart_at} heal_at={heal_at} now={}",
+            sim.now()
+        );
+        std::iter::once(schedule).chain((0..N).map(|i| core_line((i, &sim.node(i).core)))).collect()
+    })
 }
 
-/// The consensus core of a serving-cluster node (clients have none).
-fn serving_core(peer: &ServerPeer) -> &PbftCore {
-    match peer {
-        ServerPeer::Gateway(g) => &g.adapter.core,
-        ServerPeer::Replica(r) => &r.adapter.core,
-        ServerPeer::Client(_) => unreachable!("clients carry no consensus core"),
-    }
+/// The front-end tuning every serving scenario runs under.
+const FRONT: FrontConfig = FrontConfig {
+    queue_cap: 64,
+    inflight_cap: 16,
+    tenant_rate: 800,
+    tenant_burst: 16,
+    service_estimate_us: 500,
+    retry_after_cap_us: 2_000_000,
+};
+
+/// A traced, durable serving cluster under `plan`: `logs.len()`
+/// consensus members of which the first `gateways` front clients (the
+/// rest are plain replicas), then one client per `clients` entry. One
+/// closure builds node `id` both at the start and when the plan
+/// restarts it with state loss — `recovered` then rebuilds a member
+/// from its journal where a fresh one starts empty.
+fn serving_sim(
+    gateways: usize,
+    batch: BatchConfig,
+    logs: &[DurableLog],
+    clients: &[ClientCfg],
+    plan: FaultPlan,
+    seed: u64,
+) -> Simulation<ServerPeer> {
+    let (logs, clients) = (logs.to_vec(), clients.to_vec());
+    let (n, total) = (logs.len(), logs.len() + clients.len());
+    let serving_node = move |id: usize, recovered: bool| {
+        if id >= n {
+            return ServerPeer::Client(Box::new(ClientPeer::new(clients[id - n].clone())));
+        }
+        let log = logs[id].clone();
+        if id < gateways {
+            let build = if recovered { Gateway::recover_with } else { Gateway::with_durable };
+            ServerPeer::Gateway(Box::new(build(id, n, FRONT, batch, log)))
+        } else {
+            let build = if recovered { Replica::recover_with } else { Replica::with_durable };
+            ServerPeer::Replica(Box::new(build(id, n, batch, log)))
+        }
+    };
+    let nodes = (0..total).map(|id| serving_node(id, false)).collect();
+    let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
+    sim.set_fault_plan(plan);
+    sim.set_node_factory(move |id| serving_node(id, true));
+    sim.enable_trace(
+        |m: &ServerMsg| match m {
+            ServerMsg::Pbft(p) => p.kind().to_string(),
+            ServerMsg::Frame(buf) => format!("frame[{}]", buf.len()),
+            ServerMsg::Quota { update, .. } => format!("quota[{}]", update.tenant),
+        },
+        256,
+    );
+    sim
+}
+
+/// The consensus cores of a serving cluster's `n` members.
+fn serving_cores(sim: &Simulation<ServerPeer>, n: usize) -> Vec<ReplicaCore<'_>> {
+    (0..n).map(|i| (i, sim.node(i).core().expect("consensus member"))).collect()
+}
+
+/// The client connection at node `i` of a serving cluster.
+fn client_conn(sim: &Simulation<ServerPeer>, i: usize) -> &ClientConn {
+    &sim.node(i).as_client().expect("client node").conn
+}
+
+/// One line of a violating run's dump: where client `i` ended up.
+fn client_line(sim: &Simulation<ServerPeer>, i: usize) -> String {
+    let conn = client_conn(sim, i);
+    format!(
+        "client {i}: {:?} unresolved={} server={}",
+        conn.stats(),
+        conn.unresolved(),
+        conn.current_server()
+    )
 }
 
 /// Serving-layer overload scenario: a 4-replica durable cluster whose
@@ -497,14 +598,6 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     let mut rng = StdRng::seed_from_u64(seed ^ SEED_MIX);
 
     let batch = BatchConfig::new(8, 5_000, 4);
-    let front = FrontConfig {
-        queue_cap: 64,
-        inflight_cap: 16,
-        tenant_rate: 800,
-        tenant_burst: 16,
-        service_estimate_us: 500,
-        retry_after_cap_us: 2_000_000,
-    };
     // The two well-behaved tenants run closed-loop (their offered load
     // collapses when the cluster slows, like a real interactive client)
     // with a retry budget generous enough to ride out the whole crash
@@ -522,24 +615,17 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         backoff_cap_us: 200_000,
         ..ClientCfg::default()
     };
+    let tenant = |tenant: u32, class: Class, id_base: u64, salt: u64| ClientCfg {
+        tenant,
+        class,
+        id_base,
+        seed: seed ^ salt,
+        ..patient.clone()
+    };
     let clients = [
+        tenant(1, Class::High, 1_000, 0xa5a5),
+        tenant(2, Class::Normal, 2_000, 0x5a5a),
         ClientCfg {
-            tenant: 1,
-            class: Class::High,
-            id_base: 1_000,
-            seed: seed ^ 0xa5a5,
-            ..patient.clone()
-        },
-        ClientCfg {
-            tenant: 2,
-            class: Class::Normal,
-            id_base: 2_000,
-            seed: seed ^ 0x5a5a,
-            ..patient.clone()
-        },
-        ClientCfg {
-            tenant: 3,
-            class: Class::Low,
             mode: LoadMode::Open { interval_us: 600 },
             requests: 200 + commands * 20,
             deadline_us: 40_000,
@@ -547,32 +633,10 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             retry_budget: 2,
             backoff_base_us: 2_000,
             backoff_cap_us: 20_000,
-            id_base: 1_000_000,
-            seed: seed ^ 0x3c3c,
-            ..patient
+            ..tenant(3, Class::Low, 1_000_000, 0x3c3c)
         },
     ];
-
     let logs: Vec<DurableLog> = (0..N).map(|_| DurableLog::new()).collect();
-    let mut nodes = Vec::with_capacity(N + clients.len());
-    nodes.push(ServerPeer::Gateway(Box::new(Gateway::with_durable(
-        0,
-        N,
-        front,
-        batch,
-        logs[0].clone(),
-    ))));
-    for (id, log) in logs.iter().enumerate().skip(1) {
-        nodes.push(ServerPeer::Replica(Box::new(Replica::with_durable(
-            id,
-            N,
-            batch,
-            log.clone(),
-        ))));
-    }
-    for cfg in &clients {
-        nodes.push(ServerPeer::Client(Box::new(ClientPeer::new(cfg.clone()))));
-    }
 
     let crash_at = 120_000 + rng.gen_range(0..200_000u64);
     let restart_at = crash_at + 80_000 + rng.gen_range(0..150_000u64);
@@ -588,34 +652,7 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         .crash_at(crash_at, 0)
         .restart_with_loss_at(restart_at, 0)
         .clear_links_at(heal_at);
-
-    let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
-    sim.set_fault_plan(plan);
-    let factory_logs = logs.clone();
-    sim.set_node_factory(move |id| match id {
-        0 => ServerPeer::Gateway(Box::new(Gateway::recover_with(
-            0,
-            N,
-            front,
-            batch,
-            factory_logs[0].clone(),
-        ))),
-        i if i < N => ServerPeer::Replica(Box::new(Replica::recover_with(
-            i,
-            N,
-            batch,
-            factory_logs[i].clone(),
-        ))),
-        i => ServerPeer::Client(Box::new(ClientPeer::new(clients[i - N].clone()))),
-    });
-    sim.enable_trace(
-        |m: &ServerMsg| match m {
-            ServerMsg::Pbft(p) => p.kind().to_string(),
-            ServerMsg::Frame(buf) => format!("frame[{}]", buf.len()),
-            ServerMsg::Quota { update, .. } => format!("quota[{}]", update.tenant),
-        },
-        256,
-    );
+    let mut sim = serving_sim(1, batch, &logs, &clients, plan, seed);
 
     sim.run_until(heal_at);
     // Liveness after heal: both well-behaved tenants resolve their full
@@ -623,76 +660,27 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     let live = sim.run_until_pred(6_000_000, |nodes: &[ServerPeer]| {
         [HIGH, SLOW].iter().all(|&i| nodes[i].as_client().is_some_and(|c| c.conn.done()))
     });
-    if live {
-        let settle_until = sim.now() + 2_000_000;
-        sim.run_until(settle_until);
-    }
+    settle(&mut sim, live);
 
-    let mut violations = Vec::new();
     // Safety: the gateway (post-recovery) and the three replicas agree
-    // on every slot both executed.
-    for a in 0..N {
-        for b in a + 1..N {
-            let other = serving_core(sim.node(b)).executed();
-            for (da, db) in serving_core(sim.node(a)).executed().iter().zip(other) {
-                if da.slot != db.slot || da.command.digest() != db.command.digest() {
-                    violations.push(format!(
-                        "safety: nodes {a} and {b} diverge at slot {} ({} vs {})",
-                        da.slot, da.command.id, db.command.id
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-    // Committed prefix matches the durable ledger on every node,
-    // including the gateway's post-restart journal.
-    for (i, log) in logs.iter().enumerate() {
-        match log.replay() {
-            Ok(replayed) => {
-                let mut d = Digest::ZERO;
-                let mut journal_commands = 0usize;
-                for (_, batch, _) in &replayed.entries {
-                    for c in batch.commands() {
-                        d = chain_digest(d, c);
-                        journal_commands += 1;
-                    }
-                }
-                let core = serving_core(sim.node(i));
-                if d != core.state_digest() {
-                    violations.push(format!("ledger: node {i} journal digest mismatch"));
-                }
-                if journal_commands != core.executed().len() {
-                    violations.push(format!(
-                        "ledger: node {i} journal has {} commands, memory has {}",
-                        journal_commands,
-                        core.executed().len()
-                    ));
-                }
-            }
-            Err(e) => violations.push(format!("ledger: node {i} replay failed: {e:?}")),
-        }
-    }
+    // on every slot both executed; and the committed prefix matches the
+    // durable ledger on every node, including the gateway's
+    // post-restart journal.
+    let cores = serving_cores(&sim, N);
+    let reference = cores[1].1;
+    let mut violations = check_agreement(&cores);
+    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
     // Durability of acks: every id any client saw `Committed` — before
     // or after the gateway crash — must be executed at replica 1, which
     // never crashed.
-    for &i in &[HIGH, SLOW, FLOOD] {
-        let conn = &sim.node(i).as_client().expect("client node").conn;
-        let mut acked: Vec<u64> = conn.acked_ids().iter().copied().collect();
-        acked.sort_unstable();
-        for id in acked {
-            if !serving_core(sim.node(1)).has_executed(id) {
-                violations.push(format!(
-                    "durability: client {i} holds an ack for id {id} that replica 1 never executed"
-                ));
-            }
-        }
+    for i in [HIGH, SLOW, FLOOD] {
+        violations.extend(check_acks(i, client_conn(&sim, i), "replica 1", reference));
     }
     // Fairness: the flood and the crash may slow the well-behaved
     // tenants down, but must not starve them out.
     if live {
         for (i, label) in [(HIGH, "high-priority"), (SLOW, "stalled")] {
-            let stats = sim.node(i).as_client().expect("client node").conn.stats();
+            let stats = client_conn(&sim, i).stats();
             if stats.committed < commands {
                 violations.push(format!(
                     "fairness: well-behaved {label} tenant committed {}/{commands} \
@@ -704,64 +692,39 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     } else {
         violations.push(format!(
             "liveness: well-behaved tenants unresolved after heal (high={}, stalled={})",
-            sim.node(HIGH).as_client().expect("client node").conn.unresolved(),
-            sim.node(SLOW).as_client().expect("client node").conn.unresolved()
+            client_conn(&sim, HIGH).unresolved(),
+            client_conn(&sim, SLOW).unresolved()
         ));
     }
     // Bounded queue: overload must surface as explicit sheds, never as
     // an admission queue growing past its cap. (The stat covers the
     // post-restart front end; the pre-crash one enforced the same cap.)
     let fstats = sim.node(0).as_gateway().expect("gateway node").front.stats();
-    if fstats.max_queue_depth > front.queue_cap {
+    if fstats.max_queue_depth > FRONT.queue_cap {
         violations.push(format!(
             "backpressure: admission queue reached {} entries, cap is {}",
-            fstats.max_queue_depth, front.queue_cap
+            fstats.max_queue_depth, FRONT.queue_cap
         ));
     }
     // Provable catch-up: the restarted gateway's history digest matches
     // the quorum's.
-    if live && serving_core(sim.node(0)).state_digest() != serving_core(sim.node(1)).state_digest()
-    {
-        violations
-            .push("recovery: restarted gateway state digest differs from the quorum's".into());
+    if live {
+        violations.extend(check_caught_up(cores[0], reference));
     }
 
-    if !violations.is_empty() && std::env::var("CHAOS_DEBUG").is_ok() {
-        eprintln!("crash_at={crash_at} restart_at={restart_at} heal_at={heal_at} now={}", sim.now());
-        eprintln!("front: {fstats:?}");
-        for &i in &[HIGH, SLOW, FLOOD] {
-            let conn = &sim.node(i).as_client().expect("client node").conn;
-            eprintln!("client {i}: {:?} unresolved={}", conn.stats(), conn.unresolved());
-        }
-        for i in 0..N {
-            let core = serving_core(sim.node(i));
-            eprintln!(
-                "node {i} view={} executed={} digest={:?}",
-                core.view(),
-                core.executed().len(),
-                core.state_digest()
-            );
-        }
-    }
-    let trace_tail = if violations.is_empty() { Vec::new() } else { sim.trace_tail(80) };
-    ChaosOutcome {
-        seed,
-        protocol: "server-overload",
-        commands,
-        executed: serving_core(sim.node(1)).executed_commands() as u64,
-        synced: serving_core(sim.node(0)).synced(),
-        violations,
-        stats: sim.stats(),
-        history: serving_core(sim.node(1))
-            .executed()
-            .iter()
-            .map(|d| (d.slot, d.command.id))
-            .collect(),
-        trace_tail,
-        recovered_frames: 0,
-        truncated_bytes: 0,
-        detected_corruptions: 0,
-    }
+    let outcome = ChaosOutcome::new(Protocol::ServerOverload, seed, commands);
+    outcome.reference(reference, cores[0].1).close(&sim, violations, || {
+        let mut dump = vec![
+            format!(
+                "crash_at={crash_at} restart_at={restart_at} heal_at={heal_at} now={}",
+                sim.now()
+            ),
+            format!("front: {fstats:?}"),
+        ];
+        dump.extend([HIGH, SLOW, FLOOD].map(|i| client_line(&sim, i)));
+        dump.extend(cores.iter().copied().map(core_line));
+        dump
+    })
 }
 
 /// Multi-gateway failover scenario: a 4-node durable cluster where
@@ -805,15 +768,6 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     let mut rng = StdRng::seed_from_u64(seed ^ SEED_MIX);
 
     let batch = BatchConfig::new(8, 5_000, 4);
-    let front = FrontConfig {
-        queue_cap: 64,
-        inflight_cap: 16,
-        tenant_rate: 800,
-        tenant_burst: 16,
-        service_estimate_us: 500,
-        retry_after_cap_us: 2_000_000,
-    };
-
     let victim = rng.gen_range(0..REF);
     let flavor = seed % 4;
 
@@ -843,26 +797,11 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             ..base.clone()
         })
         .collect();
-
     let logs: Vec<DurableLog> = (0..N).map(|_| DurableLog::new()).collect();
-    let mut nodes = Vec::with_capacity(N + CLIENTS);
-    for (id, log) in logs.iter().enumerate() {
-        nodes.push(ServerPeer::Gateway(Box::new(Gateway::with_durable(
-            id,
-            N,
-            front,
-            batch,
-            log.clone(),
-        ))));
-    }
-    for cfg in &clients {
-        nodes.push(ServerPeer::Client(Box::new(ClientPeer::new(cfg.clone()))));
-    }
 
     let fault_at = 30_000 + rng.gen_range(0..50_000u64);
-    let mut plan = rough_links(FaultPlan::new(), N, &mut rng);
-    let end_of_faults;
-    match flavor {
+    let plan = rough_links(FaultPlan::new(), N, &mut rng);
+    let (plan, end_of_faults) = match flavor {
         0 => {
             // Long outage: far beyond the client timeout (forcing real
             // mid-session failovers) and spanning several view-timeout
@@ -876,57 +815,29 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             // sync can prove. Recovery restores the second source and
             // the cluster must fully reconverge.
             let back = fault_at + 400_000 + rng.gen_range(0..200_000u64);
-            plan = plan.crash_at(fault_at, victim).recover_at(back, victim);
-            end_of_faults = back;
+            (plan.crash_at(fault_at, victim).recover_at(back, victim), back)
         }
         1 => {
             let heal = fault_at + 150_000 + rng.gen_range(0..100_000u64);
             let groups: Vec<usize> =
                 (0..N + CLIENTS).map(|i| usize::from(i == victim)).collect();
-            plan = plan.partition_at(fault_at, groups).heal_at(heal);
-            end_of_faults = heal;
+            (plan.partition_at(fault_at, groups).heal_at(heal), heal)
         }
         2 => {
             let restart = fault_at + 80_000 + rng.gen_range(0..120_000u64);
-            plan = plan.crash_at(fault_at, victim).restart_with_loss_at(restart, victim);
-            end_of_faults = restart;
+            (plan.crash_at(fault_at, victim).restart_with_loss_at(restart, victim), restart)
         }
         _ => {
             let step = 70_000 + rng.gen_range(0..50_000u64);
-            plan = plan
+            let plan = plan
                 .crash_at(fault_at, victim)
                 .recover_at(fault_at + step, victim)
                 .crash_at(fault_at + 2 * step, victim)
                 .recover_at(fault_at + 3 * step, victim);
-            end_of_faults = fault_at + 3 * step;
+            (plan, fault_at + 3 * step)
         }
-    }
-
-    let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
-    sim.set_fault_plan(plan);
-    let factory_logs = logs.clone();
-    let factory_clients = clients.clone();
-    sim.set_node_factory(move |id| {
-        if id < N {
-            ServerPeer::Gateway(Box::new(Gateway::recover_with(
-                id,
-                N,
-                front,
-                batch,
-                factory_logs[id].clone(),
-            )))
-        } else {
-            ServerPeer::Client(Box::new(ClientPeer::new(factory_clients[id - N].clone())))
-        }
-    });
-    sim.enable_trace(
-        |m: &ServerMsg| match m {
-            ServerMsg::Pbft(p) => p.kind().to_string(),
-            ServerMsg::Frame(buf) => format!("frame[{}]", buf.len()),
-            ServerMsg::Quota { update, .. } => format!("quota[{}]", update.tenant),
-        },
-        256,
-    );
+    };
+    let mut sim = serving_sim(N, batch, &logs, &clients, plan, seed);
 
     // A quota change lands at the reference gateway before the fault;
     // consensus must carry it to every gateway (including the victim,
@@ -946,65 +857,23 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     // client timeout, so flapping does not hard-require one).
     sim.run_until(fault_at);
     let victim_client = N + victim; // client i is homed on gateway i
-    let failover_expected = flavor != 3
-        && sim.node(victim_client).as_client().expect("client node").conn.unresolved() >= 2;
+    let outstanding_at_fault = client_conn(&sim, victim_client).unresolved();
+    let failover_expected = flavor != 3 && outstanding_at_fault >= 2;
 
     sim.run_until(end_of_faults);
     let live = sim.run_until_pred(8_000_000, |nodes: &[ServerPeer]| {
         (N..N + CLIENTS).all(|i| nodes[i].as_client().is_some_and(|c| c.conn.done()))
     });
-    if live {
-        let settle_until = sim.now() + 2_000_000;
-        sim.run_until(settle_until);
-    }
+    settle(&mut sim, live);
 
-    let mut violations = Vec::new();
-    // Safety: all gateways agree on every slot both executed.
-    for a in 0..N {
-        for b in a + 1..N {
-            let other = serving_core(sim.node(b)).executed();
-            for (da, db) in serving_core(sim.node(a)).executed().iter().zip(other) {
-                if da.slot != db.slot || da.command.digest() != db.command.digest() {
-                    violations.push(format!(
-                        "safety: gateways {a} and {b} diverge at slot {} ({} vs {})",
-                        da.slot, da.command.id, db.command.id
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-    // Committed prefix matches the durable journal on every gateway.
-    for (i, log) in logs.iter().enumerate() {
-        match log.replay() {
-            Ok(replayed) => {
-                let mut d = Digest::ZERO;
-                let mut journal_commands = 0usize;
-                for (_, batch, _) in &replayed.entries {
-                    for c in batch.commands() {
-                        d = chain_digest(d, c);
-                        journal_commands += 1;
-                    }
-                }
-                let core = serving_core(sim.node(i));
-                if d != core.state_digest() {
-                    violations.push(format!("ledger: gateway {i} journal digest mismatch"));
-                }
-                if journal_commands != core.executed().len() {
-                    violations.push(format!(
-                        "ledger: gateway {i} journal has {} commands, memory has {}",
-                        journal_commands,
-                        core.executed().len()
-                    ));
-                }
-            }
-            Err(e) => violations.push(format!("ledger: gateway {i} replay failed: {e:?}")),
-        }
-    }
+    // Safety: all gateways agree on every slot both executed, and the
+    // committed prefix matches the durable journal on every gateway.
+    let cores = serving_cores(&sim, N);
+    let mut violations = check_agreement(&cores);
+    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
     // Exactly once across resumed sessions: no gateway's history holds
     // a command id twice (a double-execute of a resumed retry would).
-    for i in 0..N {
-        let core = serving_core(sim.node(i));
+    for &(i, core) in &cores {
         if core.distinct_executed_commands() != core.executed_commands() {
             violations.push(format!(
                 "exactly-once: gateway {i} executed {} commands but only {} distinct ids",
@@ -1018,30 +887,24 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     // history. Judged at the most advanced never-faulted gateway: with
     // f = 1 a correct replica may legitimately trail the commit quorum,
     // so "the longest correct history" is the cluster's history (the
-    // pairwise prefix check above already proved they agree).
-    let longest = (0..N)
-        .filter(|&i| i != victim)
-        .max_by_key(|&i| serving_core(sim.node(i)).executed().len())
+    // pairwise prefix check above already proved they agree). Of equally
+    // long histories `max_by_key` keeps the last, i.e. the highest id.
+    let (longest, reference) = cores
+        .iter()
+        .copied()
+        .filter(|&(i, _)| i != victim)
+        .max_by_key(|(_, core)| core.executed().len())
         .expect("non-victim gateway exists");
+    let at = format!("gateway {longest} (longest correct history)");
     for i in N..N + CLIENTS {
-        let conn = &sim.node(i).as_client().expect("client node").conn;
-        let mut acked: Vec<u64> = conn.acked_ids().iter().copied().collect();
-        acked.sort_unstable();
-        for id in acked {
-            if !serving_core(sim.node(longest)).has_executed(id) {
-                violations.push(format!(
-                    "durability: client {i} holds an ack for id {id} that gateway {longest} \
-                     (longest correct history) never executed"
-                ));
-            }
-        }
+        violations.extend(check_acks(i, client_conn(&sim, i), &at, reference));
     }
     // Liveness + transparent failover: every client finishes, and the
     // victim-homed client that had work outstanding at the crash must
     // have rotated to a survivor.
     if live {
         for i in N..N + CLIENTS {
-            let stats = sim.node(i).as_client().expect("client node").conn.stats();
+            let stats = client_conn(&sim, i).stats();
             if stats.committed < commands {
                 violations.push(format!(
                     "liveness: client {i} committed {}/{commands} (gave_up={})",
@@ -1049,26 +912,24 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                 ));
             }
         }
-        let vstats = sim.node(victim_client).as_client().expect("client node").conn.stats();
-        if failover_expected && vstats.failovers == 0 {
+        if failover_expected && client_conn(&sim, victim_client).stats().failovers == 0 {
             violations.push(format!(
-                "failover: victim-homed client had {} commands outstanding at the fault \
-                 but never rotated endpoints",
-                vstats.committed
+                "failover: victim-homed client had {outstanding_at_fault} commands outstanding \
+                 at the fault but never rotated endpoints"
             ));
         }
     } else {
-        let unresolved: Vec<u64> = (N..N + CLIENTS)
-            .map(|i| sim.node(i).as_client().expect("client node").conn.unresolved())
-            .collect();
-        violations.push(format!("liveness: clients unresolved after faults cleared: {unresolved:?}"));
+        let unresolved: Vec<u64> =
+            (N..N + CLIENTS).map(|i| client_conn(&sim, i).unresolved()).collect();
+        violations
+            .push(format!("liveness: clients unresolved after faults cleared: {unresolved:?}"));
     }
     // Read-your-writes: verified-fresh replicas are never missing acked
     // writes and never present conflicting digests; and the read path
     // was actually exercised.
     let mut fresh_total = 0;
     for i in N..N + CLIENTS {
-        let stats = sim.node(i).as_client().expect("client node").conn.stats();
+        let stats = client_conn(&sim, i).stats();
         fresh_total += stats.fresh_reads;
         if stats.read_violations > 0 {
             violations.push(format!(
@@ -1084,9 +945,10 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     // Quota agreement: the consensus-carried update reaches the whole
     // non-victim quorum, and everyone who executed it agrees on the
     // effective value.
+    let front_of = |i: usize| &sim.node(i).as_gateway().expect("gateway node").front;
     if live {
-        for i in 0..N {
-            let executed_quota = serving_core(sim.node(i)).has_executed(quota_id);
+        for &(i, core) in &cores {
+            let executed_quota = core.has_executed(quota_id);
             if !executed_quota && i != victim {
                 violations.push(format!("quota: gateway {i} never executed the quota command"));
             }
@@ -1099,7 +961,7 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                 ));
             }
             if executed_quota {
-                let got = sim.node(i).as_gateway().expect("gateway node").front.quota_for(2);
+                let got = front_of(i).quota_for(2);
                 if got != (quota.rate, quota.burst) {
                     violations.push(format!(
                         "quota: gateway {i} reports {:?}, consensus carried {:?}",
@@ -1111,56 +973,22 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         }
     }
 
-    if !violations.is_empty() && std::env::var("CHAOS_DEBUG").is_ok() {
-        eprintln!(
+    let outcome = ChaosOutcome::new(Protocol::GatewayFailover, seed, commands);
+    outcome.reference(reference, cores[victim].1).close(&sim, violations, || {
+        let mut dump = vec![format!(
             "victim={victim} flavor={flavor} fault_at={fault_at} \
              end_of_faults={end_of_faults} now={}",
             sim.now()
-        );
-        for i in N..N + CLIENTS {
-            let conn = &sim.node(i).as_client().expect("client node").conn;
-            eprintln!(
-                "client {i}: {:?} unresolved={} server={}",
-                conn.stats(),
-                conn.unresolved(),
-                conn.current_server()
-            );
+        )];
+        dump.extend((N..N + CLIENTS).map(|i| client_line(&sim, i)));
+        for &(i, core) in &cores {
+            let front = front_of(i);
+            let quota = front.quota_for(2);
+            dump.push(format!("gateway {i} quota={quota:?} front={:?}", front.stats()));
+            dump.push(core_line((i, core)));
         }
-        for i in 0..N {
-            let core = serving_core(sim.node(i));
-            eprintln!(
-                "gateway {i} view={} executed={} quota={:?} probe={} front={:?}",
-                core.view(),
-                core.executed().len(),
-                sim.node(i).as_gateway().expect("gateway node").front.quota_for(2),
-                core.debug_probe(),
-                sim.node(i).as_gateway().expect("gateway node").front.stats()
-            );
-            eprintln!(
-                "gateway {i} history={:?}",
-                core.executed().iter().map(|d| (d.slot, d.command.id)).collect::<Vec<_>>()
-            );
-        }
-    }
-    let trace_tail = if violations.is_empty() { Vec::new() } else { sim.trace_tail(80) };
-    ChaosOutcome {
-        seed,
-        protocol: "gateway-failover",
-        commands,
-        executed: serving_core(sim.node(longest)).executed_commands() as u64,
-        synced: serving_core(sim.node(victim)).synced(),
-        violations,
-        stats: sim.stats(),
-        history: serving_core(sim.node(longest))
-            .executed()
-            .iter()
-            .map(|d| (d.slot, d.command.id))
-            .collect(),
-        trace_tail,
-        recovered_frames: 0,
-        truncated_bytes: 0,
-        detected_corruptions: 0,
-    }
+        dump
+    })
 }
 
 /// Paxos scenario: n = 5 under rough links with a minority-partition
@@ -1198,6 +1026,9 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         nodes.iter().all(|nd| nd.decided_ids().len() as u64 >= commands)
     });
 
+    let ids_of = |batch: &prever_consensus::Batch| -> Vec<u64> {
+        batch.commands().iter().map(|c| c.id).collect()
+    };
     let mut violations = Vec::new();
     // Safety: every pair of nodes agrees on every slot both decided
     // (Batch equality is digest equality).
@@ -1208,8 +1039,8 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                     if other != batch {
                         violations.push(format!(
                             "safety: nodes {a} and {b} diverge at slot {slot} ({:?} vs {:?})",
-                            batch.commands().iter().map(|c| c.id).collect::<Vec<_>>(),
-                            other.commands().iter().map(|c| c.id).collect::<Vec<_>>()
+                            ids_of(batch),
+                            ids_of(other)
                         ));
                     }
                 }
@@ -1218,11 +1049,7 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     }
     // No duplicate command ids within one log.
     for i in 0..N {
-        let mut ids = sim.node(i).decided_ids();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        if ids.len() != before {
+        if has_duplicates(sim.node(i).decided_ids()) {
             violations.push(format!("safety: node {i} decided a command twice"));
         }
     }
@@ -1235,26 +1062,45 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         }
     }
 
-    let trace_tail = if violations.is_empty() { Vec::new() } else { sim.trace_tail(80) };
-    ChaosOutcome {
-        seed,
-        protocol: "paxos",
-        commands,
-        executed: sim.node(3).decided_ids().len() as u64,
-        synced: 0,
-        violations,
-        stats: sim.stats(),
-        history: sim
-            .node(3)
-            .decided()
-            .iter()
-            .flat_map(|(s, b)| b.commands().iter().map(|c| (*s, c.id)).collect::<Vec<_>>())
-            .collect(),
-        trace_tail,
-        recovered_frames: 0,
-        truncated_bytes: 0,
-        detected_corruptions: 0,
-    }
+    let mut outcome = ChaosOutcome::new(Protocol::Paxos, seed, commands);
+    outcome.executed = sim.node(3).decided_ids().len() as u64;
+    outcome.history = sim
+        .node(3)
+        .decided()
+        .iter()
+        .flat_map(|(s, b)| b.commands().iter().map(move |c| (*s, c.id)))
+        .collect();
+    outcome.close(&sim, violations, Vec::new)
+}
+
+/// Transaction `i` of a sharded workload.
+fn tx(i: u64) -> Command {
+    Command::new(i, format!("tx-{i}"))
+}
+
+/// A blank sharded outcome with its reference (node 0) and restarted
+/// `victim` recorded.
+fn sharded_outcome(
+    protocol: Protocol,
+    seed: u64,
+    txs: u64,
+    nodes: &[&ShardedNode],
+    victim: usize,
+) -> ChaosOutcome {
+    let mut outcome = ChaosOutcome::new(protocol, seed, txs);
+    outcome.executed = nodes[0].resolved_count() as u64;
+    outcome.synced = nodes[victim].resolved_count() as u64;
+    outcome.history = nodes[0].completed().iter().map(|c| (c.slot, c.tx_id)).collect();
+    outcome
+}
+
+/// A violating sharded run's dump: the fault schedule, then every
+/// node's resolution sets and stuck transactions.
+fn sharded_dump(schedule: String, topo: Topology, nodes: &[&ShardedNode]) -> Vec<String> {
+    let lines = nodes.iter().enumerate().map(|(id, node)| {
+        format!("node {id} (shard {}): {}", topo.shard_of(id), node.debug_summary())
+    });
+    std::iter::once(schedule).chain(lines).collect()
 }
 
 /// Sharded scenario: 2 shards × 4 replicas under rough links, an
@@ -1322,7 +1168,7 @@ pub fn sharded_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     };
     for i in 0..txs {
         let at = 1 + rng.gen_range(0..300_000u64);
-        sharded::submit(&mut sim, topo, Command::new(i, format!("tx-{i}")), involved_of(i), at);
+        sharded::submit(&mut sim, topo, tx(i), involved_of(i), at);
     }
 
     sim.run_until(clear_at);
@@ -1331,7 +1177,7 @@ pub fn sharded_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     // idempotent (executed transactions just re-announce their votes).
     for i in 0..txs {
         let at = sim.now() + 10 + i;
-        sharded::submit(&mut sim, topo, Command::new(i, format!("tx-{i}")), involved_of(i), at);
+        sharded::submit(&mut sim, topo, tx(i), involved_of(i), at);
     }
 
     // Resolution liveness: every replica of every involved shard
@@ -1345,127 +1191,16 @@ pub fn sharded_chaos(seed: u64, txs: u64) -> ChaosOutcome {
         })
     });
 
-    if std::env::var("CHAOS_DEBUG").is_ok() {
-        eprintln!(
+    let nodes: Vec<&ShardedNode> = (0..n).map(|id| sim.node(id)).collect();
+    let violations = sharded_invariants(topo, txs, &involved_of, &nodes, live);
+    sharded_outcome(Protocol::Sharded, seed, txs, &nodes, VICTIM).close(&sim, violations, || {
+        let schedule = format!(
             "part_at={part_at} part_heal={part_heal} crash_at={crash_at} \
              restart_at={restart_at} clear_at={clear_at} now={}",
             sim.now()
         );
-        for id in 0..n {
-            eprintln!("node {id} (shard {}): {}", topo.shard_of(id), sim.node(id).debug_summary());
-        }
-    }
-
-    let nodes: Vec<ShardedNode> = (0..n).map(|id| sim.node(id).clone()).collect();
-    let mut violations = sharded_invariants(topo, txs, &involved_of, &nodes, live);
-    violations.extend(sharded_liveness_report(topo, txs, &involved_of, &nodes, live));
-
-    let trace_tail = if violations.is_empty() { Vec::new() } else { sim.trace_tail(80) };
-    ChaosOutcome {
-        seed,
-        protocol: "sharded",
-        commands: txs,
-        executed: sim.node(0).resolved_count() as u64,
-        synced: sim.node(VICTIM).resolved_count() as u64,
-        violations,
-        stats: sim.stats(),
-        history: sim
-            .node(0)
-            .completed()
-            .iter()
-            .map(|c| (c.slot, c.tx_id))
-            .collect(),
-        trace_tail,
-        recovered_frames: 0,
-        truncated_bytes: 0,
-        detected_corruptions: 0,
-    }
-}
-
-/// Shared invariant checks for the sharded scenarios: leaks, duplicate
-/// completions, intra-shard aborts, and cross-replica outcome
-/// agreement.
-fn sharded_invariants(
-    topo: Topology,
-    txs: u64,
-    involved_of: &dyn Fn(u64) -> Vec<usize>,
-    nodes: &[ShardedNode],
-    live: bool,
-) -> Vec<String> {
-    let n = topo.n_nodes();
-    let mut violations = Vec::new();
-    for (id, node) in nodes.iter().enumerate() {
-        let shard = topo.shard_of(id);
-        for c in node.completed() {
-            if !involved_of(c.tx_id).contains(&shard) {
-                violations.push(format!(
-                    "safety: node {id} (shard {shard}) completed uninvolved tx {}",
-                    c.tx_id
-                ));
-            }
-        }
-        let mut ids: Vec<u64> = node.completed().iter().map(|c| c.tx_id).collect();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        if ids.len() != before {
-            violations.push(format!("safety: node {id} completed a tx twice"));
-        }
-        // Intra-shard transactions never enter the cross-shard decision
-        // path, so they must not abort.
-        for i in 0..txs {
-            let inv = involved_of(i);
-            if inv.len() == 1 && inv[0] == shard && node.outcome_of(i) == Some(false) {
-                violations.push(format!("safety: node {id} aborted intra-shard tx {i}"));
-            }
-        }
-    }
-    // Outcome agreement: no two replicas resolve the same tx differently.
-    for i in 0..txs {
-        let outcomes: Vec<(usize, bool)> = (0..n)
-            .filter_map(|id| nodes[id].outcome_of(i).map(|o| (id, o)))
-            .collect();
-        if let Some(&(first_id, first)) = outcomes.first() {
-            for &(id, o) in &outcomes[1..] {
-                if o != first {
-                    violations.push(format!(
-                        "safety: tx {i} resolved {} at node {first_id} but {} at node {id}",
-                        if first { "commit" } else { "abort" },
-                        if o { "commit" } else { "abort" },
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-    let _ = live;
-    violations
-}
-
-/// Per-node liveness diagnostics when the resolution predicate failed.
-fn sharded_liveness_report(
-    topo: Topology,
-    txs: u64,
-    involved_of: &dyn Fn(u64) -> Vec<usize>,
-    nodes: &[ShardedNode],
-    live: bool,
-) -> Vec<String> {
-    if live {
-        return Vec::new();
-    }
-    let mut violations = Vec::new();
-    for (id, node) in nodes.iter().enumerate() {
-        let shard = topo.shard_of(id);
-        let unresolved: Vec<u64> = (0..txs)
-            .filter(|&i| involved_of(i).contains(&shard) && !node.is_resolved(i))
-            .collect();
-        if !unresolved.is_empty() {
-            violations.push(format!(
-                "liveness: node {id} left {unresolved:?} unresolved after heal"
-            ));
-        }
-    }
-    violations
+        sharded_dump(schedule, topo, &nodes)
+    })
 }
 
 /// The sharded scenario on the shard-per-thread parallel runtime:
@@ -1530,13 +1265,7 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     };
     for i in 0..txs {
         let at = 1 + rng.gen_range(0..300_000u64);
-        sharded::submit_parallel(
-            &mut sim,
-            topo,
-            Command::new(i, format!("tx-{i}")),
-            involved_of(i),
-            at,
-        );
+        sharded::submit_parallel(&mut sim, topo, tx(i), involved_of(i), at);
     }
 
     sim.run_until(clear_at);
@@ -1544,13 +1273,7 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     // died in the partition; resubmission is idempotent).
     for i in 0..txs {
         let at = sim.now() + 10 + i;
-        sharded::submit_parallel(
-            &mut sim,
-            topo,
-            Command::new(i, format!("tx-{i}")),
-            involved_of(i),
-            at,
-        );
+        sharded::submit_parallel(&mut sim, topo, tx(i), involved_of(i), at);
     }
 
     // Resolution liveness via probes (actors stay on their threads):
@@ -1566,34 +1289,23 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
         (0..n).all(|id| probes[id].completed + probes[id].aborted >= expect[id])
     });
 
+    // Stats first: `into_nodes` consumes the runtime. It keeps no event
+    // trace, so a violating run carries the dump alone.
     let stats = sim.stats();
-    let nodes = sim.into_nodes();
-    let mut violations = sharded_invariants(topo, txs, &involved_of, &nodes, live);
-    violations.extend(sharded_liveness_report(topo, txs, &involved_of, &nodes, live));
-    if std::env::var("CHAOS_DEBUG").is_ok() {
-        eprintln!(
-            "isolated={isolated} part_at={part_at} part_heal={part_heal} victim={victim} \
-             crash_at={crash_at} restart_at={restart_at} clear_at={clear_at}"
-        );
-        for (id, node) in nodes.iter().enumerate() {
-            eprintln!("node {id} (shard {}): {}", topo.shard_of(id), node.debug_summary());
-        }
-    }
-
-    ChaosOutcome {
-        seed,
-        protocol: "sharded-parallel",
-        commands: txs,
-        executed: nodes[0].resolved_count() as u64,
-        synced: nodes[victim].resolved_count() as u64,
-        violations,
+    let owned = sim.into_nodes();
+    let nodes: Vec<&ShardedNode> = owned.iter().collect();
+    let violations = sharded_invariants(topo, txs, &involved_of, &nodes, live);
+    sharded_outcome(Protocol::ShardedParallel, seed, txs, &nodes, victim).finish(
         stats,
-        history: nodes[0].completed().iter().map(|c| (c.slot, c.tx_id)).collect(),
-        trace_tail: Vec::new(),
-        recovered_frames: 0,
-        truncated_bytes: 0,
-        detected_corruptions: 0,
-    }
+        violations,
+        || {
+            let schedule = format!(
+                "isolated={isolated} part_at={part_at} part_heal={part_heal} victim={victim} \
+                 crash_at={crash_at} restart_at={restart_at} clear_at={clear_at}"
+            );
+            sharded_dump(schedule, topo, &nodes)
+        },
+    )
 }
 
 /// Book-keeping shared between the disk handler, the node factory, and
@@ -1637,7 +1349,7 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     let media: Vec<DurableMedia> = (0..N)
         .map(|id| DurableMedia::new(seed.wrapping_mul(31).wrapping_add(id as u64)))
         .collect();
-    let logs: Vec<DurableLog> = media
+    let mut logs: Vec<DurableLog> = media
         .iter()
         .map(|m| DurableLog::on(m).with_policy(FlushPolicy::Every(3)))
         .collect();
@@ -1707,15 +1419,12 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                 st.recovered_frames += report.snapshot_entries + report.frames_replayed;
                 st.truncated_bytes += report.truncated_bytes;
                 let k = log.len() as u64;
-                if k < flushed || k > total {
-                    st.violations.push(format!(
-                        "durability: recovered {k} records outside [flushed={flushed}, total={total}]"
-                    ));
-                } else if pre.digest_at(k).ok() != Some(log.digest()) {
-                    st.violations.push(format!(
-                        "durability: recovered digest is not the pre-crash prefix digest at {k}"
-                    ));
-                }
+                st.violations.extend(check_recovered_prefix(
+                    k,
+                    (flushed, total),
+                    pre.digest_at(k).ok(),
+                    log.digest(),
+                ));
                 log
             }
             Err(e) => {
@@ -1738,109 +1447,44 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     });
     sim.enable_trace(|m: &PbftMsg| m.kind().to_string(), 256);
 
-    for i in 0..commands {
-        let at = 1 + rng.gen_range(0..400_000u64);
-        sim.inject(1, 1, PbftMsg::request(Command::new(i, format!("chaos-{i}"))), at);
-    }
+    let live = drive_pbft(&mut sim, &mut rng, commands, heal_at, &[0, 1, 2, 3]);
 
-    sim.run_until(heal_at);
-    let live = sim.run_until_pred(3_000_000, |nodes| {
-        (0..N).all(|i| nodes[i].core.distinct_executed_commands() as u64 >= commands)
-    });
-    if live {
-        let settle_until = sim.now() + 2_000_000;
-        sim.run_until(settle_until);
-    }
-
-    // The sim's closures still hold harness handles; take what we need.
-    let st = {
-        let mut b = harness.borrow_mut();
-        DiskHarness {
-            pre_crash: None,
-            corruption_applied: b.corruption_applied,
-            recovered_frames: b.recovered_frames,
-            truncated_bytes: b.truncated_bytes,
-            detected_corruptions: b.detected_corruptions,
-            violations: std::mem::take(&mut b.violations),
-            victim_log: b.victim_log.clone(),
-        }
-    };
+    // The run is over, so the sim's closures will not touch the harness
+    // again: take what it gathered.
+    let st = harness.take();
     let mut violations = st.violations;
-
-    // Safety across all replicas (everyone is honest here).
-    for a in 0..N {
-        for b in a + 1..N {
-            let other = sim.node(b).core.executed();
-            for (da, db) in sim.node(a).core.executed().iter().zip(other) {
-                if da.slot != db.slot || da.command.digest() != db.command.digest() {
-                    violations.push(format!(
-                        "safety: replicas {a} and {b} diverge at slot {} ({} vs {})",
-                        da.slot, da.command.id, db.command.id
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-    // Committed prefix matches the (possibly replaced) durable journal.
-    for (i, replica_log) in logs.iter().enumerate() {
-        let log = if i == VICTIM {
-            st.victim_log.clone().unwrap_or_else(|| replica_log.clone())
-        } else {
-            replica_log.clone()
-        };
-        match log.replay() {
-            Ok(replayed) => {
-                let mut d = Digest::ZERO;
-                for (_, batch, _) in &replayed.entries {
-                    for c in batch.commands() {
-                        d = chain_digest(d, c);
-                    }
-                }
-                if d != sim.node(i).core.state_digest() {
-                    violations.push(format!("ledger: replica {i} journal digest mismatch"));
-                }
-            }
-            Err(e) => violations.push(format!("ledger: replica {i} replay failed: {e:?}")),
-        }
-    }
-    if !live {
-        for i in 0..N {
-            let got = sim.node(i).core.distinct_executed_commands() as u64;
-            if got < commands {
-                violations
-                    .push(format!("liveness: replica {i} executed {got}/{commands} after heal"));
-            }
-        }
-    }
-    let reference = sim.node(1).core.state_digest();
-    if live && sim.node(VICTIM).core.state_digest() != reference {
-        violations.push(format!(
-            "recovery: restarted replica {VICTIM} state digest differs from the quorum's"
-        ));
+    // The victim's journal is whatever its restart recovered (or
+    // replaced), not the handle it was born with.
+    if let Some(log) = st.victim_log {
+        logs[VICTIM] = log;
     }
 
-    let trace_tail = if violations.is_empty() { Vec::new() } else { sim.trace_tail(80) };
-    ChaosOutcome {
-        seed,
-        protocol: "pbft-disk",
-        commands,
-        executed: sim.node(1).core.executed_commands() as u64,
-        synced: sim.node(VICTIM).core.synced(),
-        violations,
-        stats: sim.stats(),
-        history: sim
-            .node(1)
-            .core
-            .executed()
-            .iter()
-            .map(|d| (d.slot, d.command.id))
-            .collect(),
-        trace_tail,
-        recovered_frames: st.recovered_frames,
-        truncated_bytes: st.truncated_bytes,
-        detected_corruptions: st.detected_corruptions,
+    // Safety across all replicas (everyone is honest here), and the
+    // committed prefix matches the (possibly replaced) durable journal.
+    let cores: Vec<ReplicaCore> = (0..N).map(|i| (i, &sim.node(i).core)).collect();
+    let reference = cores[1].1;
+    violations.extend(check_agreement(&cores));
+    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
+    if live {
+        violations.extend(check_caught_up(cores[VICTIM], reference));
+    } else {
+        violations.extend(report_unfinished(&cores, commands));
     }
+
+    let mut outcome =
+        ChaosOutcome::new(Protocol::PbftDisk, seed, commands).reference(reference, cores[VICTIM].1);
+    outcome.recovered_frames = st.recovered_frames;
+    outcome.truncated_bytes = st.truncated_bytes;
+    outcome.detected_corruptions = st.detected_corruptions;
+    outcome.close(&sim, violations, || {
+        let schedule = format!(
+            "fault={fault:?} corruption_applied={} crash_at={crash_at} restart_at={restart_at} \
+             heal_at={heal_at} now={}",
+            st.corruption_applied,
+            sim.now()
+        );
+        std::iter::once(schedule).chain(cores.iter().copied().map(core_line)).collect()
+    })
 }
 
 /// Standalone ledger durability scenario: a [`PersistentJournal`] driven
@@ -1887,33 +1531,27 @@ pub fn ledger_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     }
 
     let mut violations = Vec::new();
-    let mut recovered_frames = 0;
-    let mut truncated_bytes = 0;
-    let mut detected_corruptions = 0;
-    let mut executed = 0;
-    let mut history = Vec::new();
+    let mut outcome = ChaosOutcome::new(Protocol::LedgerDisk, seed, commands);
     match PersistentJournal::recover(wal.clone(), snap.clone()) {
         Ok((mut rec, report)) => {
             if corruption_applied {
                 violations.push("durability: corrupted media recovered silently".to_string());
             }
-            recovered_frames = report.snapshot_entries + report.frames_replayed;
-            truncated_bytes = report.truncated_bytes;
+            outcome.recovered_frames = report.snapshot_entries + report.frames_replayed;
+            outcome.truncated_bytes = report.truncated_bytes;
             let k = rec.len();
-            executed = k;
-            if k < flushed || k > total {
-                violations.push(format!(
-                    "durability: recovered {k} entries outside [flushed={flushed}, total={total}]"
-                ));
-            } else if pre.digest_at(k).ok() != Some(rec.journal().digest()) {
-                violations.push(format!(
-                    "durability: recovered digest is not the pre-crash prefix digest at {k}"
-                ));
-            }
+            outcome.executed = k;
+            violations.extend(check_recovered_prefix(
+                k,
+                (flushed, total),
+                pre.digest_at(k).ok(),
+                rec.journal().digest(),
+            ));
             if Journal::verify_chain(rec.journal().entries(), &rec.journal().digest()).is_err() {
                 violations.push("durability: recovered hash chain fails verification".to_string());
             }
-            history = rec.journal().entries().iter().map(|e| (e.seq, e.timestamp)).collect();
+            outcome.history =
+                rec.journal().entries().iter().map(|e| (e.seq, e.timestamp)).collect();
             // The recovered journal must still be writable — and the new
             // tail must itself survive a crash + second recovery.
             let base = rec.len();
@@ -1932,32 +1570,27 @@ pub fn ledger_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             }
         }
         Err(LedgerError::TamperDetected(_)) if corruption_applied => {
-            detected_corruptions = 1;
+            outcome.detected_corruptions = 1;
         }
         Err(e) => {
             violations.push(format!("durability: recovery failed without corruption: {e:?}"));
         }
     }
 
-    ChaosOutcome {
-        seed,
-        protocol: "ledger-disk",
-        commands,
-        executed,
-        synced: 0,
-        violations,
-        stats: SimStats::default(),
-        history,
-        trace_tail: Vec::new(),
-        recovered_frames,
-        truncated_bytes,
-        detected_corruptions,
-    }
+    outcome.finish(SimStats::default(), violations, Vec::new)
 }
 
-/// Sweeps `seeds` consecutive seeds starting at `first_seed`; returns
-/// every outcome (violating ones carry their trace tail).
-pub fn sweep(protocol: Protocol, first_seed: u64, seeds: u64, commands: u64) -> Vec<ChaosOutcome> {
+/// Sweeps `seeds` consecutive seeds starting at `first_seed`, handing
+/// each outcome to `each` as soon as its run ends (the binary reports a
+/// violation there, while that run's flight rings are still intact);
+/// returns every outcome (violating ones carry their trace tail).
+pub fn sweep(
+    protocol: Protocol,
+    first_seed: u64,
+    seeds: u64,
+    commands: u64,
+    mut each: impl FnMut(&ChaosOutcome),
+) -> Vec<ChaosOutcome> {
     (first_seed..first_seed + seeds)
         .map(|seed| {
             prever_obs::counter("chaos.runs").inc();
@@ -1965,6 +1598,7 @@ pub fn sweep(protocol: Protocol, first_seed: u64, seeds: u64, commands: u64) -> 
             if !outcome.ok() {
                 prever_obs::counter("chaos.violations").inc();
             }
+            each(&outcome);
             outcome
         })
         .collect()
@@ -1991,12 +1625,12 @@ mod tests {
         // this compares it with the build that wrote the file (`chaos
         // --digest --seeds 25`). A refactor must leave it untouched; a
         // change that means to alter executions regenerates it and says so.
-        let golden = include_str!("../golden/chaos_digests.txt");
+        let golden = include_str!("../../golden/chaos_digests.txt");
         let mut checked = 0;
         for line in golden.lines() {
             let f: Vec<&str> = line.split(' ').collect();
             let [name, seed, commands, digest] = f[..] else { panic!("bad golden line {line:?}") };
-            let protocol = Protocol::ALL.into_iter().find(|p| p.name() == name).expect(name);
+            let protocol = Protocol::from_name(name).expect(name);
             let outcome = run_seed(protocol, seed.parse().unwrap(), commands.parse().unwrap());
             let got = outcome.digest().to_hex();
             assert_eq!(got, digest, "{name} seed {seed} diverged from the golden run");
@@ -2006,75 +1640,85 @@ mod tests {
     }
 
     #[test]
-    fn pbft_chaos_smoke_seeds_are_clean() {
-        for seed in 0..3 {
-            let outcome = pbft_chaos(seed, 12);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
-                outcome.violations,
-                outcome.trace_tail.join("\n")
-            );
-            assert!(outcome.stats.restarts_with_loss >= 1);
-        }
+    fn a_violating_outcome_carries_its_dump_and_a_clean_one_does_not() {
+        // The dump is built only for a run that violated, so a red seed
+        // shows its nodes' state without being run again.
+        let blank = || ChaosOutcome::new(Protocol::Pbft, 1, 2);
+        let dump = || vec!["node 0 view=3".to_string()];
+        let clean = blank().finish(SimStats::default(), Vec::new(), dump);
+        assert!(clean.ok() && clean.trace_tail.is_empty());
+        let red = blank().finish(SimStats::default(), vec!["safety: x".into()], dump);
+        assert_eq!(red.trace_tail, ["node 0 view=3"]);
+        assert_ne!(red.digest(), clean.digest(), "violation text is part of the digest");
     }
 
     #[test]
-    fn pbft_batched_chaos_smoke_seeds_are_clean() {
-        // Same fault plan as the unbatched scenario, but ordering rounds
-        // carry multi-command batches through view changes and the
-        // restart-with-loss recovery.
-        for seed in 0..3 {
-            let outcome = pbft_batched_chaos(seed, 12);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
-                outcome.violations,
-                outcome.trace_tail.join("\n")
-            );
-            assert!(outcome.stats.restarts_with_loss >= 1);
+    fn the_readme_lists_the_table_s_protocols() {
+        let readme = include_str!("../../../../README.md");
+        assert!(readme.contains(&Protocol::names()), "README.md should list {}", Protocol::names());
+        for protocol in Protocol::ALL {
+            assert_eq!(Protocol::from_name(protocol.name()), Some(protocol));
         }
     }
 
-    #[test]
-    fn paxos_chaos_smoke_seeds_are_clean() {
-        for seed in 0..2 {
-            let outcome = paxos_chaos(seed, 10);
+    /// One row of the smoke table: `seeds` of `protocol` at `commands`
+    /// each uphold every invariant, restart the victim with state loss
+    /// at least `min_restarts` times and inject `disk_faults` disk faults.
+    fn smoke(
+        protocol: Protocol,
+        seeds: std::ops::Range<u64>,
+        commands: u64,
+        min_restarts: u64,
+        disk_faults: u64,
+    ) {
+        for seed in seeds {
+            let outcome = run_seed(protocol, seed, commands);
             assert!(
                 outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
+                "{} seed {seed} violated invariants: {:?}\ntrace:\n{}",
+                protocol.name(),
                 outcome.violations,
                 outcome.trace_tail.join("\n")
             );
+            assert!(outcome.stats.restarts_with_loss >= min_restarts);
+            assert_eq!(outcome.stats.disk_faults, disk_faults);
         }
     }
 
-    #[test]
-    fn pbft_disk_chaos_smoke_seeds_are_clean() {
+    /// The smoke table. Each row is its own `#[test]` (the names tier-1
+    /// has always listed, and they run in parallel).
+    macro_rules! smoke_table {
+        ($(
+            $test:ident: $protocol:ident, $seeds:expr, $commands:expr, $restarts:expr, $disk:expr;
+        )*) => {
+            $(#[test]
+            fn $test() {
+                smoke(Protocol::$protocol, $seeds, $commands, $restarts, $disk);
+            })*
+        };
+    }
+
+    smoke_table! {
+        // test: protocol, seeds, commands, min restarts_with_loss, disk_faults
+        pbft_chaos_smoke_seeds_are_clean: Pbft, 0..3, 12, 1, 0;
+        // Same fault plan, but ordering rounds carry multi-command batches
+        // through view changes and the restart-with-loss recovery.
+        pbft_batched_chaos_smoke_seeds_are_clean: PbftBatched, 0..3, 12, 1, 0;
+        paxos_chaos_smoke_seeds_are_clean: Paxos, 0..2, 10, 0, 0;
+        sharded_chaos_smoke_seeds_are_clean: Sharded, 0..2, 9, 0, 0;
+        // Seeds 0..3 rotate the isolated shard (seed % 3).
+        sharded_parallel_chaos_smoke_seeds_are_clean: ShardedParallel, 0..3, 9, 1, 0;
         // Seeds 0..3 cover all three disk-fault classes (seed % 3).
-        for seed in 0..3 {
-            let outcome = pbft_disk_chaos(seed, 12);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
-                outcome.violations,
-                outcome.trace_tail.join("\n")
-            );
-            assert_eq!(outcome.stats.disk_faults, 1);
-            assert!(outcome.stats.restarts_with_loss >= 1);
-        }
-    }
-
-    #[test]
-    fn ledger_disk_chaos_smoke_seeds_are_clean() {
-        for seed in 0..12 {
-            let outcome = ledger_disk_chaos(seed, 40);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}",
-                outcome.violations
-            );
-        }
+        pbft_disk_chaos_smoke_seeds_are_clean: PbftDisk, 0..3, 12, 1, 1;
+        ledger_disk_chaos_smoke_seeds_are_clean: LedgerDisk, 0..12, 40, 0, 0;
+        // Flooding tenant + stalled client + gateway restart-with-loss:
+        // acked writes survive, well-behaved tenants finish, the
+        // admission queue stays bounded.
+        server_overload_chaos_smoke_seeds_are_clean: ServerOverload, 0..3, 10, 1, 0;
+        // Seeds 0..4 cover all four fault flavors (seed % 4): long-outage
+        // crash, partition, restart-with-loss, and flapping — each with a
+        // victim-homed client mid-session.
+        gateway_failover_chaos_smoke_seeds_are_clean: GatewayFailover, 0..4, 10, 0, 0;
     }
 
     #[test]
@@ -2084,65 +1728,5 @@ mod tests {
         let outcome = ledger_disk_chaos(2, 60);
         assert!(outcome.ok(), "violations: {:?}", outcome.violations);
         assert_eq!(outcome.detected_corruptions, 1);
-    }
-
-    #[test]
-    fn server_overload_chaos_smoke_seeds_are_clean() {
-        // Flooding tenant + stalled client + gateway restart-with-loss:
-        // acked writes survive, well-behaved tenants finish, the
-        // admission queue stays bounded.
-        for seed in 0..3 {
-            let outcome = server_overload_chaos(seed, 10);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
-                outcome.violations,
-                outcome.trace_tail.join("\n")
-            );
-            assert!(outcome.stats.restarts_with_loss >= 1);
-        }
-    }
-
-    #[test]
-    fn gateway_failover_chaos_smoke_seeds_are_clean() {
-        // Seeds 0..4 cover all four fault flavors (seed % 4):
-        // long-outage crash, partition, restart-with-loss, and
-        // flapping — each with a victim-homed client mid-session.
-        for seed in 0..4 {
-            let outcome = gateway_failover_chaos(seed, 10);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
-                outcome.violations,
-                outcome.trace_tail.join("\n")
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_chaos_smoke_seeds_are_clean() {
-        for seed in 0..2 {
-            let outcome = sharded_chaos(seed, 9);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}\ntrace:\n{}",
-                outcome.violations,
-                outcome.trace_tail.join("\n")
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_parallel_chaos_smoke_seeds_are_clean() {
-        // Seeds 0..3 rotate the isolated shard (seed % 3).
-        for seed in 0..3 {
-            let outcome = sharded_parallel_chaos(seed, 9);
-            assert!(
-                outcome.ok(),
-                "seed {seed} violated invariants: {:?}",
-                outcome.violations
-            );
-            assert!(outcome.stats.restarts_with_loss >= 1);
-        }
     }
 }

@@ -59,7 +59,7 @@ pub fn run(quick: bool) -> Table {
         (Protocol::Sharded, sh, csh),
         (Protocol::ShardedParallel, sh, csh),
     ] {
-        let outcomes = sweep(protocol, 0, seeds, commands);
+        let outcomes = sweep(protocol, 0, seeds, commands, |_| {});
         table.row(summarize(protocol, commands, &outcomes));
     }
     table

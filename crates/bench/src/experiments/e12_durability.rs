@@ -58,7 +58,7 @@ pub fn run(quick: bool) -> Table {
     for (protocol, seeds, commands) in
         [(Protocol::PbftDisk, pd, cd), (Protocol::LedgerDisk, ld, cl)]
     {
-        let outcomes = sweep(protocol, 0, seeds, commands);
+        let outcomes = sweep(protocol, 0, seeds, commands, |_| {});
         table.row(summarize(protocol, commands, &outcomes));
     }
     table
