@@ -19,10 +19,15 @@
 //!   index on its column;
 //! * a historical snapshot (`snapshot_at`): indexes describe the live
 //!   table;
-//! * a probe that fails to evaluate (unknown `$field`), is NULL, or is
-//!   not of the variant the column declares: the index keys on `Value`'s
-//!   total order, where `Int(5) ≠ Uint(5)`, while `=` compares
-//!   numerically (so `t.hours = 5` scans a `Uint` column: `5` is an `Int`);
+//! * a probe that fails to evaluate (unknown `$field`), is NULL, or has
+//!   no equal of the variant the column declares ([`probe_as`]): the
+//!   index keys on `Value`'s total order, where `Int(5) ≠ Uint(5)`, while
+//!   `=` compares numerically, so a numeric probe is looked up as the
+//!   column's own variant — `t.hours = 5`, an `Int` literal, probes a
+//!   `Uint` column as `Uint(5)`; every numeric literal of a query is an
+//!   `Int` — and one no stored value can equal (a negative `$field`
+//!   against `Uint`, `'x'` against a number) scans, as does `-1`, which
+//!   is not a literal but a negation;
 //! * a filter that could raise an error on a row the index would skip:
 //!   only comparisons between operands of comparable declared types,
 //!   `IS [NOT] NULL`, and `AND`/`OR`/`NOT` over those are known not to
@@ -30,13 +35,25 @@
 //! * a window over a nullable or non-numeric column, where the window
 //!   test itself can fail on a skipped row.
 //!
-//! There is no switch: the choice follows from the constraint's shape and
-//! the table's indexes. [`ensure_indexes`] creates the indexes a
-//! constraint can use.
+//! There is no switch: the choice follows from the expression's shape and
+//! the table's indexes. [`ensure_indexes`] creates the indexes an
+//! expression can use; `Pipeline` calls it for every constraint it
+//! registers and every query it answers, so the first read of a shape
+//! builds its index from the rows already stored and every later read and
+//! write uses and maintains it.
+//!
+//! The index set is bounded by the schema, not by how many constraints or
+//! queries arrive: at most one index per (column, orderable column or
+//! none) of a table, and only for pairs some expression asked for. Each
+//! costs a write one `BTreeMap` lookup plus one `BTreeSet` insert of
+//! `(ordering value, primary key)` — the key is cloned, the group value
+//! only when the group is new — and as much again on an update or delete
+//! for the old row; in memory, one key clone per live row.
 
 use crate::ast::{BinOp, Expr};
 use crate::eval::{Env, RowBinding, Scan};
 use prever_storage::{ColumnType, Database, Row, Schema, Value};
+use std::borrow::Cow;
 use std::ops::RangeInclusive;
 
 /// The first `Some` that `f` returns for a conjunct of `filter`'s
@@ -92,6 +109,26 @@ fn fixed_value<'a>(e: &'a Expr, env: &Env<'_, 'a>, bound: &[RowBinding<'a>]) -> 
         }
         _ => None,
     }
+}
+
+/// The value a column of type `ty` must hold to equal `probe` under `=`:
+/// `probe` itself if it is of that variant, a numeric probe converted
+/// through its numeric view otherwise (`=` compares `Int`, `Uint`,
+/// `Timestamp` and `Bool` as numbers; the index does not). `None` when no
+/// value of the variant equals it — NULL, another type, or out of the
+/// variant's range.
+fn probe_as(probe: &Value, ty: ColumnType) -> Option<Cow<'_, Value>> {
+    if ty.matches(probe) {
+        return Some(Cow::Borrowed(probe));
+    }
+    let n = probe.as_i128()?;
+    Some(Cow::Owned(match ty {
+        ColumnType::Int => Value::Int(i64::try_from(n).ok()?),
+        ColumnType::Uint => Value::Uint(u64::try_from(n).ok()?),
+        ColumnType::Timestamp => Value::Timestamp(u64::try_from(n).ok()?),
+        ColumnType::Bool if n == 0 || n == 1 => Value::Bool(n == 1),
+        _ => return None,
+    }))
 }
 
 /// What a filter operand can be at run time, as far as errors go.
@@ -196,13 +233,10 @@ pub(crate) fn index_rows<'a>(
     find_conjunct(filter, &mut |conjunct| {
         let (column, probe) = equality_probe(conjunct, scan.table)?;
         let column = schema.column_index(column).ok()?;
-        let probe = fixed_value(probe, env, bound)?;
-        if !schema.columns()[column].ty.matches(probe) {
-            return None;
-        }
+        let probe = probe_as(fixed_value(probe, env, bound)?, schema.columns()[column].ty)?;
         let rows = env
             .snapshot
-            .index_scan(scan.table, column, probe, window.clone())
+            .index_scan(scan.table, column, &probe, window.clone())
             .ok()??;
         Some(rows.map(|(_, row)| row))
     })
@@ -357,6 +391,12 @@ mod tests {
             ("COUNT(tasks WHERE tasks.grp = $grp)", 2),
             // The first equality has no index, the second does.
             ("COUNT(tasks WHERE tasks.hours = 1 AND tasks.worker = $worker)", 3),
+            // A numeric probe of another variant is looked up as the
+            // column's: `1` parses as Int, `$ts` is a Timestamp, TRUE = 1
+            // under `=`; grp holds Uint.
+            ("COUNT(tasks WHERE tasks.grp = 1)", 2),
+            ("COUNT(tasks WHERE tasks.grp = TRUE)", 2),
+            ("COUNT(tasks WHERE tasks.grp = $ts)", 0),
         ] {
             assert_eq!(candidates(&s, src), Some(rows), "{src}");
         }
@@ -379,16 +419,15 @@ mod tests {
             "COUNT(tasks WHERE tasks.grp = $grp + 0)",
             // No index on the column.
             "COUNT(tasks WHERE tasks.hours = 1)",
-            // The probe fails, is NULL, or is not of the column's variant:
-            // `1` parses as Int, grp holds Uint.
-            "COUNT(tasks WHERE tasks.grp = 1)",
+            // The probe fails, is NULL, or nothing the column can hold
+            // equals it (`-1` is not even a literal: it parses as a
+            // negation).
             "COUNT(tasks WHERE tasks.worker = $nope)",
             "COUNT(tasks WHERE tasks.worker = other.worker)",
             "COUNT(tasks WHERE tasks.worker = NULL)",
             "COUNT(tasks WHERE tasks.worker = 5)",
             "COUNT(tasks WHERE tasks.grp = -1)",
             "COUNT(tasks WHERE tasks.grp = 'one')",
-            "COUNT(tasks WHERE tasks.grp = TRUE)",
             // Another conjunct could raise an error on a skipped row.
             "COUNT(tasks WHERE tasks.worker = $worker AND tasks.hours / tasks.grp > 0)",
             "COUNT(tasks WHERE tasks.worker = $worker AND tasks.hours < 'x')",
@@ -407,6 +446,37 @@ mod tests {
             candidates(&old, "COUNT(tasks WHERE tasks.worker = $worker)"),
             None
         );
+    }
+
+    #[test]
+    fn a_probe_converts_only_to_a_value_that_equals_it() {
+        use ColumnType::*;
+        let max = u64::MAX;
+        for (probe, ty, want) in [
+            (Value::Int(5), Uint, Some(Value::Uint(5))),
+            (Value::Int(5), Timestamp, Some(Value::Timestamp(5))),
+            (Value::Timestamp(5), Int, Some(Value::Int(5))),
+            (Value::Uint(5), Uint, Some(Value::Uint(5))),
+            (Value::Bool(true), Uint, Some(Value::Uint(1))),
+            (Value::Int(1), Bool, Some(Value::Bool(true))),
+            (Value::Int(i64::MAX), Uint, Some(Value::Uint(i64::MAX as u64))),
+            // Out of the variant's range: nothing stored equals it.
+            (Value::Int(-1), Uint, None),
+            (Value::Int(-1), Timestamp, None),
+            (Value::Uint(max), Int, None),
+            (Value::Int(2), Bool, None),
+            // Not comparable as numbers at all.
+            (Value::Null, Uint, None),
+            (Value::Str("5".into()), Uint, None),
+            (Value::Int(5), Str, None),
+            (Value::Str("w".into()), Str, Some(Value::Str("w".into()))),
+        ] {
+            let got = probe_as(&probe, ty).map(Cow::into_owned);
+            assert_eq!(got, want, "{probe} as {ty:?}");
+            if let Some(v) = got {
+                assert!(ty.matches(&v) && v.compare(&probe).is_some_and(|o| o.is_eq()));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use crate::ast::Expr;
 use crate::eval::{evaluate_expr, UpdateContext};
 use crate::{ConstraintError, Result};
-use prever_storage::{Row, Schema, Snapshot, Value};
+use prever_storage::{Column, ColumnType, Row, Schema, Snapshot, Value};
+use std::sync::OnceLock;
 
 /// Evaluates a read-only expression at `anchor_ts` (the timestamp
 /// sliding windows anchor to — "as of now").
@@ -23,15 +24,14 @@ pub fn evaluate_query(expr: &Expr, snapshot: &Snapshot<'_>, anchor_ts: u64) -> R
             "{field} (queries cannot reference update fields)"
         )));
     }
-    // A dummy empty-row context: $fields are already ruled out, and the
-    // schema/row are never consulted for them.
-    let schema = Schema::new(
-        vec![prever_storage::Column::new("_q", prever_storage::ColumnType::Uint)],
-        &["_q"],
-    )
-    .expect("static schema");
-    let row = Row::new(vec![Value::Uint(0)]);
-    let ctx = UpdateContext { table: "_query", row: &row, schema: &schema, timestamp: anchor_ts };
+    // A dummy one-column update, built once: $fields are already ruled
+    // out, so its schema and row are never consulted.
+    static NO_UPDATE: OnceLock<(Schema, Row)> = OnceLock::new();
+    let (schema, row) = NO_UPDATE.get_or_init(|| {
+        let schema = Schema::new(vec![Column::new("_q", ColumnType::Uint)], &["_q"]);
+        (schema.expect("static schema"), Row::new(vec![Value::Uint(0)]))
+    });
+    let ctx = UpdateContext { table: "_query", row, schema, timestamp: anchor_ts };
     evaluate_expr(expr, snapshot, &ctx)
 }
 
@@ -43,7 +43,7 @@ pub fn query(src: &str, snapshot: &Snapshot<'_>, anchor_ts: u64) -> Result<Value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prever_storage::{Column, ColumnType, Database};
+    use prever_storage::Database;
 
     fn db() -> Database {
         let mut db = Database::new();

@@ -8,7 +8,8 @@
 use crate::update::{Update, UpdateOutcome};
 use crate::{PreverError, Result};
 use bytes::Bytes;
-use prever_constraints::{ensure_indexes, evaluate, Constraint, UpdateContext};
+use prever_constraints::parse::parse;
+use prever_constraints::{ensure_indexes, evaluate, evaluate_query, Constraint, UpdateContext};
 use prever_ledger::{Journal, LedgerDigest};
 use prever_storage::{Database, Schema};
 
@@ -113,8 +114,8 @@ impl Pipeline {
         Ok(outcomes)
     }
 
-    /// Read access for queries (queries are out of scope per §3.1; this
-    /// is for tests/examples).
+    /// Read access to the tables (for tests/examples; [`Pipeline::query`]
+    /// is the read path).
     pub fn database(&self) -> &Database {
         &self.db
     }
@@ -144,10 +145,22 @@ impl Pipeline {
     /// EXISTS) anchored at `as_of_ts`, returning the value together
     /// with the ledger digest it was computed under — the "freshness
     /// anchor" a client checks against the digests its auditor tracks.
-    pub fn query(&self, src: &str, as_of_ts: u64) -> Result<(prever_storage::Value, LedgerDigest)> {
+    ///
+    /// Reads are planned like checks: the tables get the indexes the
+    /// query's equality and sliding-window predicates can be pushed down
+    /// onto, so the first query of a shape builds its index from the rows
+    /// already stored and later queries of that shape do not scan. Hence
+    /// `&mut self`. Indexes are per (column, window column), so their
+    /// number is bounded by the schema, not by how many queries arrive.
+    pub fn query(
+        &mut self,
+        src: &str,
+        as_of_ts: u64,
+    ) -> Result<(prever_storage::Value, LedgerDigest)> {
         let _span = prever_obs::span!("pipeline.query");
-        let snapshot = self.db.snapshot();
-        let value = prever_constraints::query(src, &snapshot, as_of_ts)?;
+        let expr = parse(src)?;
+        ensure_indexes(&expr, &mut self.db);
+        let value = evaluate_query(&expr, &self.db.snapshot(), as_of_ts)?;
         Ok((value, self.digest()))
     }
 }

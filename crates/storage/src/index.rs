@@ -55,11 +55,18 @@ impl SecondaryIndex {
 
     /// Adds the entry for `row`, stored under `key`.
     pub fn insert(&mut self, row: &Row, key: Key) {
-        let order = self.order_of(row);
-        self.map
-            .entry(row.values[self.column].clone())
-            .or_default()
-            .insert((order, key));
+        let entry = (self.order_of(row), key);
+        let value = &row.values[self.column];
+        // Not `entry(value.clone())`: that clones the group value (a heap
+        // `String` for a worker name) even when the group exists.
+        match self.map.get_mut(value) {
+            Some(group) => {
+                group.insert(entry);
+            }
+            None => {
+                self.map.insert(value.clone(), BTreeSet::from([entry]));
+            }
+        }
     }
 
     /// Removes the entry for `row`, stored under `key`.

@@ -1,10 +1,14 @@
-//! Differential tests of predicate pushdown: a constraint checked through
-//! the indexes `Pipeline` creates must decide — and fail — exactly as the
-//! same evaluator does on a database without indexes, where every
-//! aggregate is a full scan. That index-free `evaluate` is the oracle.
+//! Differential tests of predicate pushdown: a constraint checked, or a
+//! query answered, through the indexes `Pipeline` creates must decide —
+//! and fail — exactly as the same evaluator does on a database without
+//! indexes, where every aggregate is a full scan. That index-free
+//! `evaluate` / `query` is the oracle.
 
 use bytes::Bytes;
-use prever_constraints::{ensure_indexes, evaluate, Constraint, ConstraintScope, UpdateContext};
+use prever_constraints::parse::parse;
+use prever_constraints::{
+    ensure_indexes, evaluate, evaluate_query, Constraint, ConstraintScope, UpdateContext,
+};
 use prever_core::{Pipeline, PreverError, Update};
 use prever_ledger::{Journal, LedgerDigest};
 use prever_storage::{Column, ColumnType, Database, Key, Row, Schema, Value};
@@ -84,9 +88,9 @@ fn arb_task() -> impl Strategy<Value = Task> {
 
 /// Equality conjuncts: absent, pushable (operands in either order), a
 /// literal that equals stored values under `=` but is of another variant
-/// (`2` is an `Int`, `grp` holds `Uint`: the index would miss the rows),
-/// never true, an error on every row reached, and two that hide the
-/// equality under `OR` / `NOT`.
+/// (`2` is an `Int`, `grp` holds `Uint`: the index is probed with
+/// `Uint(2)`), never true, an error on every row reached, and two that
+/// hide the equality under `OR` / `NOT`.
 const EQUALITY: &[&str] = &[
     "",
     "tasks.worker = $worker",
@@ -117,8 +121,33 @@ const AGGREGATE: &[&str] = &[
     "COUNT", "SUM", "AVG", "MIN", "MAX", "EXISTS", "MAXSUM", "MINCOUNT",
 ];
 
+/// No window, three lengths on the timestamp grid, and one over a
+/// nullable column, which no index may narrow.
+const WINDOW: &[&str] = &[
+    "",
+    "",
+    " WITHIN 50 OF tasks.ts",
+    " WITHIN 300 OF tasks.ts",
+    " WITHIN 5000 OF tasks.ts",
+    " WITHIN 300 OF tasks.seen",
+];
+
 fn pick<T: Copy + 'static>(from: &'static [T]) -> impl Strategy<Value = T> {
     (0..from.len()).prop_map(move |i| from[i])
+}
+
+/// ` WHERE a AND b AND c` over the non-empty conjuncts, the equality
+/// first or last; empty without any.
+fn where_clause(equality: &str, equality_first: bool, extras: [&str; 2]) -> String {
+    let mut conjuncts: Vec<&str> = extras.into_iter().filter(|c| !c.is_empty()).collect();
+    if !equality.is_empty() {
+        let at = if equality_first { 0 } else { conjuncts.len() };
+        conjuncts.insert(at, equality);
+    }
+    match conjuncts.is_empty() {
+        true => String::new(),
+        false => format!(" WHERE {}", conjuncts.join(" AND ")),
+    }
 }
 
 /// One aggregate over `tasks` compared with a constant, optionally
@@ -127,31 +156,13 @@ fn arb_constraint() -> impl Strategy<Value = String> {
     (
         (pick(AGGREGATE), pick(EQUALITY), pick(EXTRA), pick(EXTRA)),
         any::<bool>(),
-        pick(&[
-            "",
-            "",
-            " WITHIN 50 OF tasks.ts",
-            " WITHIN 300 OF tasks.ts",
-            " WITHIN 5000 OF tasks.ts",
-            " WITHIN 300 OF tasks.seen",
-        ]),
+        pick(WINDOW),
         any::<bool>(),
         0u64..40,
     )
         .prop_map(
             |((agg, equality, extra1, extra2), equality_first, window, guarded, k)| {
-                let mut conjuncts: Vec<&str> = [extra1, extra2]
-                    .into_iter()
-                    .filter(|c| !c.is_empty())
-                    .collect();
-                if !equality.is_empty() {
-                    let at = if equality_first { 0 } else { conjuncts.len() };
-                    conjuncts.insert(at, equality);
-                }
-                let filter = match conjuncts.is_empty() {
-                    true => String::new(),
-                    false => format!(" WHERE {}", conjuncts.join(" AND ")),
-                };
+                let filter = where_clause(equality, equality_first, [extra1, extra2]);
                 let scan = match agg {
                     "EXISTS" => return format!("NOT EXISTS(tasks{filter}) OR $hours < {k}"),
                     "COUNT" => format!("COUNT(tasks{filter}{window})"),
@@ -162,6 +173,83 @@ fn arb_constraint() -> impl Strategy<Value = String> {
                 match guarded {
                     true => format!("{scan} IS NULL OR {scan} + $hours <= {k}"),
                     false => format!("{scan} <= {k}"),
+                }
+            },
+        )
+}
+
+/// Equality conjuncts of a query. A query has no `$fields`, so every
+/// numeric probe is an `Int` literal against a `Uint` or `Timestamp`
+/// column: in range (`1`, `100`, `i64::MAX`), out of it (`-1`, which is a
+/// negation, not a literal), a boolean (`=` compares it as a number);
+/// against nullable columns and the primary key; never true; an error on
+/// every row reached; hidden under `OR` / `NOT`.
+const QUERY_EQUALITY: &[&str] = &[
+    "",
+    "tasks.worker = 'w1'",
+    "'w2' = tasks.worker",
+    "tasks.worker = 'nobody'",
+    "tasks.grp = 1",
+    "2 = tasks.grp",
+    "tasks.grp = 9223372036854775807",
+    "tasks.grp = -1",
+    "tasks.grp = TRUE",
+    "tasks.ts = 100",
+    "tasks.ts = -50",
+    "tasks.seen = 100",
+    "tasks.hours = 5",
+    "tasks.id = 3",
+    "tasks.grp = NULL",
+    "tasks.grp = 'one'",
+    "tasks.worker = 2",
+    "(tasks.grp = 1 OR tasks.hours > 12)",
+    "NOT (tasks.worker = 'w1')",
+];
+
+/// Other conjuncts of a query. The last four can raise an error on a row
+/// an index would skip, hold a scan of their own, or make the whole
+/// query an error (`$hours`: there is no update).
+const QUERY_EXTRA: &[&str] = &[
+    "",
+    "",
+    "",
+    "tasks.hours > 2",
+    "tasks.hours IS NOT NULL",
+    "tasks.ts <= 500",
+    "tasks.id != 3",
+    "tasks.hours / tasks.grp >= 0",
+    "tasks.nope = 1",
+    "EXISTS(tasks WHERE tasks.worker = 'w0')",
+    "$hours = 1",
+];
+
+/// One update-free aggregate, grouped aggregate or `EXISTS` over `tasks`,
+/// bare or inside arithmetic and a NULL test.
+fn arb_query() -> impl Strategy<Value = String> {
+    (
+        (
+            pick(AGGREGATE),
+            pick(QUERY_EQUALITY),
+            pick(QUERY_EXTRA),
+            pick(QUERY_EXTRA),
+        ),
+        any::<bool>(),
+        pick(WINDOW),
+        any::<bool>(),
+    )
+        .prop_map(
+            |((agg, equality, extra1, extra2), equality_first, window, bare)| {
+                let filter = where_clause(equality, equality_first, [extra1, extra2]);
+                let scan = match agg {
+                    "EXISTS" => return format!("EXISTS(tasks{filter})"),
+                    "COUNT" => format!("COUNT(tasks{filter}{window})"),
+                    "MAXSUM" => format!("MAXSUM(tasks.hours BY tasks.worker{filter}{window})"),
+                    "MINCOUNT" => format!("MINCOUNT(tasks BY tasks.grp{filter}{window})"),
+                    f => format!("{f}(tasks.hours{filter}{window})"),
+                };
+                match bare {
+                    true => scan,
+                    false => format!("{scan} IS NULL OR {scan} + 1 <= 20"),
                 }
             },
         )
@@ -255,8 +343,8 @@ fn arb_probe() -> impl Strategy<Value = (Row, u64)> {
         w => Value::Str(format!("w{}", w % 4)),
     });
     // `Int(1)` and `Timestamp(1)` equal a stored `Uint(1)` under `=` but
-    // not under the index's order, so an index lookup with them would miss
-    // the rows; `Int(-1)` equals nothing stored.
+    // not under the index's order, so the index is probed with `Uint(1)`;
+    // `Int(-1)` equals nothing a `Uint` column stores.
     let grp = prop_oneof![
         (0u64..4).prop_map(Value::Uint),
         (0u64..4).prop_map(Value::Uint),
@@ -299,28 +387,39 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Storage level, so that deletes and unvalidated probe rows are in
-    /// play: the same inserts, upserts and deletes go to a database with
-    /// the constraint's indexes and to one without; before each, and on a
-    /// historical snapshot at the end, both evaluate alike.
+    /// play (`Pipeline` has no delete): the same inserts, upserts and
+    /// deletes go to a database with the constraint's and the query's
+    /// indexes and to one without; before each, and on a historical
+    /// snapshot at the end, both evaluate both alike. The indexes arrive
+    /// the way `Pipeline::query` brings them — `ensure_indexes`, then
+    /// `evaluate_query` on the live snapshot — half of the time halfway,
+    /// over version chains and tombstones.
     #[test]
     fn indexed_database_agrees_with_scan(
         src in arb_constraint(),
+        query_src in arb_query(),
         steps in proptest::collection::vec((arb_op(), arb_probe()), 1..40),
         indexed_from_the_start in any::<bool>(),
     ) {
         let c = constraint(&src);
+        let q = parse(&query_src).unwrap_or_else(|e| panic!("{query_src}: {e}"));
         let mut plain = Database::new();
         plain.create_table("tasks", tasks_schema()).unwrap();
         let mut indexed = plain.clone();
+        let index = |db: &mut Database| {
+            for e in [&c.expr, &q] {
+                ensure_indexes(e, db);
+            }
+        };
         if indexed_from_the_start {
-            ensure_indexes(&c.expr, &mut indexed);
+            index(&mut indexed);
         }
         let schema = tasks_schema();
         let check = |indexed: &Database, plain: &Database, row: &Row, ts: u64, at: Option<u64>| {
             let ctx = UpdateContext { table: "tasks", row, schema: &schema, timestamp: ts };
             [indexed, plain].map(|db| {
                 let snapshot = at.map_or(db.snapshot(), |version| db.snapshot_at(version).unwrap());
-                evaluate(&c, &snapshot, &ctx)
+                (evaluate(&c, &snapshot, &ctx), evaluate_query(&q, &snapshot, ts))
             })
         };
         let half = steps.len() / 2;
@@ -328,11 +427,11 @@ proptest! {
         for (i, (op, (probe, ts))) in steps.iter().enumerate() {
             if i == half {
                 // Indexing a populated table must find what is in it.
-                ensure_indexes(&c.expr, &mut indexed);
+                index(&mut indexed);
                 version_at_half = plain.version();
             }
             let [got, want] = check(&indexed, &plain, probe, *ts, None);
-            prop_assert_eq!(got, want, "step {} under `{}`", i, &src);
+            prop_assert_eq!(got, want, "step {} under `{}` / `{}`", i, &src, &query_src);
             for db in [&mut indexed, &mut plain] {
                 // A delete of an absent id fails, on both alike.
                 let _ = match op {
@@ -344,7 +443,7 @@ proptest! {
         }
         let (probe, ts) = &steps[0].1;
         let [got, want] = check(&indexed, &plain, probe, *ts, Some(version_at_half));
-        prop_assert_eq!(got, want, "historical snapshot under `{}`", &src);
+        prop_assert_eq!(got, want, "historical snapshot under `{}` / `{}`", &src, &query_src);
     }
 
     /// `Pipeline` level: outcomes and ledger digest.
@@ -355,6 +454,46 @@ proptest! {
         constraint_first in any::<bool>(),
     ) {
         differential(&src, &tasks, constraint_first);
+    }
+
+    /// `Pipeline::query` against `query` on a database no one indexes,
+    /// fed the same inserts and updates: equal values, equal errors, and
+    /// the digest of the journal as it stands. Writes come before the
+    /// first query (its indexes are built over version chains) and
+    /// between the later ones (they are maintained); with `regulated`, a
+    /// constraint has already put an ordered index on `worker`.
+    #[test]
+    fn planned_query_agrees_with_scan(
+        queries in proptest::collection::vec(arb_query(), 1..4),
+        steps in proptest::collection::vec((arb_task(), arb_ts()), 1..30),
+        first_query_at in 0usize..30,
+        regulated in any::<bool>(),
+    ) {
+        let mut p = Pipeline::new();
+        p.create_table("tasks", tasks_schema()).unwrap();
+        if regulated {
+            p.register_constraint(constraint(
+                "COUNT(tasks WHERE tasks.worker = $worker WITHIN 300 OF tasks.ts) < 100",
+            ));
+        }
+        let mut plain = Database::new();
+        plain.create_table("tasks", tasks_schema()).unwrap();
+        for (i, (t, anchor)) in steps.iter().enumerate() {
+            let accepted = p.submit(&Update::new(i as u64, "tasks", t.row(), t.ts, "p")).unwrap();
+            prop_assert!(accepted.is_accepted());
+            plain.upsert("tasks", t.row()).unwrap();
+            if i < first_query_at.min(steps.len() - 1) {
+                continue;
+            }
+            for src in &queries {
+                let got = p.query(src, *anchor).map_err(|e| e.to_string());
+                let want = prever_constraints::query(src, &plain.snapshot(), *anchor)
+                    .map_err(|e| PreverError::from(e).to_string());
+                let digest = p.digest();
+                prop_assert_eq!(digest.size, i as u64 + 1);
+                prop_assert_eq!(got, want.map(|v| (v, digest)), "`{}` after write {}", src, i);
+            }
+        }
     }
 }
 
