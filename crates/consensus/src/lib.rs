@@ -152,19 +152,17 @@ pub struct Batch {
 #[derive(Debug)]
 struct BatchInner {
     commands: Vec<Command>,
-    digest: Digest,
+    /// Compute-once, like [`Command::digest`]: a batch that is only
+    /// carried and unpacked (a relayed `Request`, a decoded journal
+    /// record) hashes nothing, and clones share the one result.
+    digest: OnceLock<Digest>,
 }
 
 impl Batch {
-    /// Builds a batch over `commands`, computing the Merkle batch digest
-    /// (RFC 6962 tree over the cached per-command digests) eagerly.
+    /// Builds a batch over `commands`. Nothing is hashed until something
+    /// asks for [`Batch::digest`].
     pub fn new(commands: Vec<Command>) -> Self {
-        let mut tree = MerkleTree::new();
-        for c in &commands {
-            tree.append(c.digest().as_bytes());
-        }
-        let digest = tree.root();
-        Batch { inner: Arc::new(BatchInner { commands, digest }) }
+        Batch { inner: Arc::new(BatchInner { commands, digest: OnceLock::new() }) }
     }
 
     /// A batch of one command.
@@ -172,10 +170,18 @@ impl Batch {
         Self::new(vec![command])
     }
 
-    /// The Merkle root over the per-command digests. This is the `D(m)`
-    /// that PBFT prepare/commit votes and durable vote bindings carry.
+    /// The Merkle root (RFC 6962 tree) over the cached per-command
+    /// digests. This is the `D(m)` that PBFT prepare/commit votes and
+    /// durable vote bindings carry. Computed on first call, cached
+    /// thereafter.
     pub fn digest(&self) -> Digest {
-        self.inner.digest
+        *self.inner.digest.get_or_init(|| {
+            let mut tree = MerkleTree::new();
+            for c in &self.inner.commands {
+                tree.append(c.digest().as_bytes());
+            }
+            tree.root()
+        })
     }
 
     /// The batched commands, in execution order.
@@ -228,7 +234,7 @@ impl Batch {
 
 impl PartialEq for Batch {
     fn eq(&self, other: &Self) -> bool {
-        self.inner.digest == other.inner.digest
+        Arc::ptr_eq(&self.inner, &other.inner) || self.digest() == other.digest()
     }
 }
 impl Eq for Batch {}
@@ -305,6 +311,57 @@ mod tests {
         assert_eq!(batch.len(), 5);
         assert!(batch.contains_id(3));
         assert!(!batch.contains_id(9));
+    }
+
+    /// SHA-256 blocks this thread compresses while running `f`.
+    #[cfg(debug_assertions)]
+    fn compressions_during(f: impl FnOnce()) -> u64 {
+        let before = prever_crypto::sha256::compressions();
+        f();
+        prever_crypto::sha256::compressions() - before
+    }
+
+    // Counted, not timed. The counter exists in debug builds of
+    // `prever-crypto` only, so these are debug-build tests.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_batch_nobody_asks_the_digest_of_hashes_nothing() {
+        let commands = || (0..8).map(|i| Command::new(i, vec![i as u8; 8])).collect::<Vec<_>>();
+        // A relayed request: built, carried, unpacked.
+        let relayed = compressions_during(|| {
+            let msg = pbft::PbftMsg::Request(Batch::new(commands()));
+            let pbft::PbftMsg::Request(batch) = &msg else { unreachable!() };
+            assert_eq!(batch.commands().len(), 8);
+            assert!(batch.contains_id(3));
+            drop(batch.clone());
+        });
+        assert_eq!(relayed, 0, "building and unpacking a relay Request hashed");
+        // A batch read back from its encoding (a journal record).
+        let mut buf = Vec::new();
+        Batch::new(commands()).encode_into(&mut buf);
+        let decoded = compressions_during(|| {
+            let (batch, _) = Batch::decode(&buf).expect("decodes");
+            assert_eq!(batch.len(), 8);
+        });
+        assert_eq!(decoded, 0, "encoding and decoding a batch hashed");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn batch_digest_builds_the_tree_once() {
+        let batch = Batch::new((0..8).map(|i| Command::new(i, vec![i as u8; 8])).collect());
+        // 8 command digests and 8 leaf hashes of one block each, 7
+        // interior nodes of two (65 bytes pad into a second block).
+        let first = compressions_during(|| {
+            batch.digest();
+        });
+        assert_eq!(first, 8 + 8 + 7 * 2);
+        let copy = batch.clone();
+        let again = compressions_during(|| {
+            assert_eq!(batch.digest(), copy.digest());
+            assert_eq!(batch, copy);
+        });
+        assert_eq!(again, 0, "a second digest(), a clone's digest() or == hashed again");
     }
 
     #[test]

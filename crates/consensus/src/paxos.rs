@@ -17,6 +17,7 @@
 //! would-be leader.
 
 use crate::{Batch, BatchConfig, Command, Decided};
+use prever_obs::{Span, SpanSite};
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -82,22 +83,40 @@ impl PaxosMsg {
         PaxosMsg::ClientRequest(Batch::single(command))
     }
 
+    /// Index of this message kind's entry in [`SPANS`].
+    fn kind_idx(&self) -> usize {
+        match self {
+            PaxosMsg::ClientRequest(_) => 0,
+            PaxosMsg::Prepare { .. } => 1,
+            PaxosMsg::Promise { .. } => 2,
+            PaxosMsg::Accept { .. } => 3,
+            PaxosMsg::Accepted { .. } => 4,
+            PaxosMsg::Decide { .. } => 5,
+            PaxosMsg::Heartbeat { .. } => 6,
+            PaxosMsg::LearnRequest { .. } => 7,
+        }
+    }
+
     /// The span name timing this message kind's handler (wall-clock
     /// handling time recorded into the histogram of the same name).
     /// Public so harnesses (e.g. the chaos trace) can label messages.
     pub fn span_name(&self) -> &'static str {
-        match self {
-            PaxosMsg::ClientRequest(_) => "paxos.client_request",
-            PaxosMsg::Prepare { .. } => "paxos.prepare",
-            PaxosMsg::Promise { .. } => "paxos.promise",
-            PaxosMsg::Accept { .. } => "paxos.accept",
-            PaxosMsg::Accepted { .. } => "paxos.accepted",
-            PaxosMsg::Decide { .. } => "paxos.decide",
-            PaxosMsg::Heartbeat { .. } => "paxos.heartbeat",
-            PaxosMsg::LearnRequest { .. } => "paxos.learn_request",
-        }
+        SPANS[self.kind_idx()].name()
     }
 }
+
+/// Span sites per message kind, indexed by [`PaxosMsg::kind_idx`]; each
+/// resolves its histogram the first time its kind is handled.
+static SPANS: [SpanSite; 8] = [
+    SpanSite::new("paxos.client_request"),
+    SpanSite::new("paxos.prepare"),
+    SpanSite::new("paxos.promise"),
+    SpanSite::new("paxos.accept"),
+    SpanSite::new("paxos.accepted"),
+    SpanSite::new("paxos.decide"),
+    SpanSite::new("paxos.heartbeat"),
+    SpanSite::new("paxos.learn_request"),
+];
 
 const TIMER_HEARTBEAT: u64 = 1;
 const TIMER_LEADER_TIMEOUT: u64 = 2;
@@ -244,7 +263,7 @@ impl PaxosNode {
 
     fn become_leader(&mut self, ballot: u64, ctx: &mut Ctx<PaxosMsg>) {
         prever_obs::log!(Info, "node {} leads with ballot {ballot}", self.id);
-        prever_obs::counter("paxos.leader_elections").inc();
+        prever_obs::counter!("paxos.leader_elections").inc();
         self.campaigning = None;
         self.leading = Some(ballot);
         // Re-propose every accepted-but-undecided value we learned.
@@ -306,8 +325,8 @@ impl PaxosNode {
             if commands.is_empty() {
                 continue;
             }
-            prever_obs::histogram("consensus.batch.size").record(commands.len() as u64);
-            prever_obs::histogram("consensus.batch.fill_delay").record(now.saturating_sub(oldest));
+            prever_obs::histogram!("consensus.batch.size").record(commands.len() as u64);
+            prever_obs::histogram!("consensus.batch.fill_delay").record(now.saturating_sub(oldest));
             let slot = self.next_slot;
             self.next_slot += 1;
             if prever_obs::trace::active() {
@@ -349,7 +368,7 @@ impl PaxosNode {
         if self.decided.contains_key(&slot) {
             return;
         }
-        prever_obs::counter("paxos.decided").inc();
+        prever_obs::counter!("paxos.decided").inc();
         self.backlog.retain(|c| !batch.contains_id(c.id));
         self.accum.retain(|(c, _)| !batch.contains_id(c.id));
         for command in batch.commands() {
@@ -399,7 +418,7 @@ impl Actor for PaxosNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: PaxosMsg, ctx: &mut Ctx<PaxosMsg>) {
-        let _span = prever_obs::span!(msg.span_name());
+        let _span = Span::enter(&SPANS[msg.kind_idx()]);
         match msg {
             PaxosMsg::ClientRequest(batch) => {
                 if self.leading.is_some() {

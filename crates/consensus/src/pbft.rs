@@ -40,6 +40,7 @@
 use crate::durable::DurableLog;
 use crate::{Batch, BatchConfig, Command, Decided};
 use prever_crypto::Digest;
+use prever_obs::{Counter, Handle, Span, SpanSite};
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
@@ -158,43 +159,44 @@ const KIND_NAMES: [&str; N_KINDS] = [
     "state_response",
 ];
 
-/// Span names per message kind (histograms of wall-clock handling time).
-const SPAN_NAMES: [&str; N_KINDS] = [
-    "pbft.request",
-    "pbft.pre_prepare",
-    "pbft.prepare",
-    "pbft.commit",
-    "pbft.view_change",
-    "pbft.new_view",
-    "pbft.checkpoint",
-    "pbft.state_request",
-    "pbft.state_response",
+/// Span sites per message kind (histograms of wall-clock handling time),
+/// each resolved the first time its kind is handled.
+static SPANS: [SpanSite; N_KINDS] = [
+    SpanSite::new("pbft.request"),
+    SpanSite::new("pbft.pre_prepare"),
+    SpanSite::new("pbft.prepare"),
+    SpanSite::new("pbft.commit"),
+    SpanSite::new("pbft.view_change"),
+    SpanSite::new("pbft.new_view"),
+    SpanSite::new("pbft.checkpoint"),
+    SpanSite::new("pbft.state_request"),
+    SpanSite::new("pbft.state_response"),
 ];
 
 /// Registry counters for messages sent, by kind.
-const SENT_COUNTERS: [&str; N_KINDS] = [
-    "pbft.msg.sent.request",
-    "pbft.msg.sent.pre_prepare",
-    "pbft.msg.sent.prepare",
-    "pbft.msg.sent.commit",
-    "pbft.msg.sent.view_change",
-    "pbft.msg.sent.new_view",
-    "pbft.msg.sent.checkpoint",
-    "pbft.msg.sent.state_request",
-    "pbft.msg.sent.state_response",
+static SENT_COUNTERS: [Handle<Counter>; N_KINDS] = [
+    Handle::<Counter>::new("pbft.msg.sent.request"),
+    Handle::<Counter>::new("pbft.msg.sent.pre_prepare"),
+    Handle::<Counter>::new("pbft.msg.sent.prepare"),
+    Handle::<Counter>::new("pbft.msg.sent.commit"),
+    Handle::<Counter>::new("pbft.msg.sent.view_change"),
+    Handle::<Counter>::new("pbft.msg.sent.new_view"),
+    Handle::<Counter>::new("pbft.msg.sent.checkpoint"),
+    Handle::<Counter>::new("pbft.msg.sent.state_request"),
+    Handle::<Counter>::new("pbft.msg.sent.state_response"),
 ];
 
 /// Registry counters for messages received, by kind.
-const RECV_COUNTERS: [&str; N_KINDS] = [
-    "pbft.msg.recv.request",
-    "pbft.msg.recv.pre_prepare",
-    "pbft.msg.recv.prepare",
-    "pbft.msg.recv.commit",
-    "pbft.msg.recv.view_change",
-    "pbft.msg.recv.new_view",
-    "pbft.msg.recv.checkpoint",
-    "pbft.msg.recv.state_request",
-    "pbft.msg.recv.state_response",
+static RECV_COUNTERS: [Handle<Counter>; N_KINDS] = [
+    Handle::<Counter>::new("pbft.msg.recv.request"),
+    Handle::<Counter>::new("pbft.msg.recv.pre_prepare"),
+    Handle::<Counter>::new("pbft.msg.recv.prepare"),
+    Handle::<Counter>::new("pbft.msg.recv.commit"),
+    Handle::<Counter>::new("pbft.msg.recv.view_change"),
+    Handle::<Counter>::new("pbft.msg.recv.new_view"),
+    Handle::<Counter>::new("pbft.msg.recv.checkpoint"),
+    Handle::<Counter>::new("pbft.msg.recv.state_request"),
+    Handle::<Counter>::new("pbft.msg.recv.state_response"),
 ];
 
 impl PbftMsg {
@@ -798,7 +800,7 @@ impl PbftCore {
         self.syncing = true;
         self.last_sync_at = now;
         self.sync_responses.clear();
-        prever_obs::counter("pbft.state_transfer.requests").inc();
+        prever_obs::counter!("pbft.state_transfer.requests").inc();
         self.broadcast(&mut out, PbftMsg::StateRequest { have: self.last_exec });
         out
     }
@@ -817,7 +819,7 @@ impl PbftCore {
             return;
         }
         self.stats.sent[kind] += n;
-        prever_obs::counter(SENT_COUNTERS[kind]).add(n);
+        SENT_COUNTERS[kind].get().add(n);
     }
 
     fn broadcast(&mut self, out: &mut Outbox, msg: PbftMsg) {
@@ -956,8 +958,8 @@ impl PbftCore {
             let take = self.accum.len().min(self.cfg.max_batch);
             let drained: Vec<(Command, u64)> = self.accum.drain(..take).collect();
             let oldest = drained.first().map(|(_, s)| *s).unwrap_or(now);
-            prever_obs::histogram("consensus.batch.size").record(drained.len() as u64);
-            prever_obs::histogram("consensus.batch.fill_delay").record(now.saturating_sub(oldest));
+            prever_obs::histogram!("consensus.batch.size").record(drained.len() as u64);
+            prever_obs::histogram!("consensus.batch.fill_delay").record(now.saturating_sub(oldest));
             let commands: Vec<Command> = drained.into_iter().map(|(c, _)| c).collect();
             self.propose_batch(commands, now, out);
         }
@@ -1086,7 +1088,7 @@ impl PbftCore {
         // protocol reading (a NewView is a batch of pre-prepares).
         if from != self.id && !self.stash_replay {
             self.stats.recv[kind] += 1;
-            prever_obs::counter(RECV_COUNTERS[kind]).add(1);
+            RECV_COUNTERS[kind].get().inc();
             // Track how far the cluster has advanced past us (lag
             // evidence that triggers state transfer from `on_tick`).
             match &msg {
@@ -1099,7 +1101,7 @@ impl PbftCore {
                 _ => {}
             }
         }
-        let _span = prever_obs::span!(SPAN_NAMES[kind]);
+        let _span = Span::enter(&SPANS[kind]);
         match msg {
             PbftMsg::Request(batch) => {
                 // By convention the simulator injects client requests
@@ -1414,7 +1416,7 @@ impl PbftCore {
     /// worst, never safety).
     fn stash_view_msg(&mut self, from: NodeId, msg: PbftMsg) {
         if self.view_stash.len() >= VIEW_STASH_CAP {
-            prever_obs::counter("pbft.view_stash.overflow").inc();
+            prever_obs::counter!("pbft.view_stash.overflow").inc();
             return;
         }
         self.view_stash.push((from, msg));
@@ -1504,6 +1506,17 @@ impl PbftCore {
             slot.executed = true;
             let batch = slot.batch.clone().expect("committed slot has a batch");
             self.last_exec = next;
+            // One pass over `pending` for the whole batch: each ordered
+            // command's wait is recorded as it is dropped.
+            let latency = prever_obs::histogram!("consensus.commit.latency");
+            self.pending.retain(|(c, since)| {
+                let ordered = batch.contains_id(c.id);
+                if ordered {
+                    // Virtual µs → ns for the span-style histogram.
+                    latency.record(now.saturating_sub(*since).saturating_mul(1_000));
+                }
+                !ordered
+            });
             // Apply the whole batch in order, then do one
             // checkpoint/heartbeat step for the slot.
             for command in batch.commands() {
@@ -1517,20 +1530,12 @@ impl PbftCore {
                         next,
                     );
                 }
-                if let Some((_, since)) = self.pending.iter().find(|(c, _)| c.id == command.id) {
-                    // Virtual µs → ns for the span-style histogram.
-                    prever_obs::observe_ns(
-                        "consensus.commit.latency",
-                        now.saturating_sub(*since).saturating_mul(1_000),
-                    );
-                }
-                self.pending.retain(|(c, _)| c.id != command.id);
                 // Chain the state digest (deterministic across replicas,
                 // still per-command so it is batching-agnostic).
                 self.running_state = chain_digest(self.running_state, command);
                 let slot_no = self.executed.len() as u64 + 1;
                 self.executed.push(Decided { slot: slot_no, command: command.clone(), at: now });
-                prever_obs::counter("pbft.executed").inc();
+                prever_obs::counter!("pbft.executed").inc();
             }
             self.executed_batches.push((next, batch, now));
             self.durable_bindings.remove(&next);
@@ -1621,7 +1626,7 @@ impl PbftCore {
             let slot = self.executed.len() as u64 + 1;
             self.executed.push(Decided { slot, command: command.clone(), at: now });
             self.synced += 1;
-            prever_obs::counter("pbft.state_transfer.synced").inc();
+            prever_obs::counter!("pbft.state_transfer.synced").inc();
         }
         self.executed_batches.push((next, batch, now));
         self.log.remove(&next);
@@ -1634,7 +1639,7 @@ impl PbftCore {
     fn finish_sync(&mut self) {
         self.syncing = false;
         self.sync_responses.clear();
-        prever_obs::counter("pbft.state_transfer.completed").inc();
+        prever_obs::counter!("pbft.state_transfer.completed").inc();
     }
 
     fn record_checkpoint_vote(&mut self, from: NodeId, seq: u64, state_digest: Digest) {
@@ -1658,7 +1663,7 @@ impl PbftCore {
             return;
         }
         prever_obs::log!(Warn, "replica {} abandons view {} for view {new_view}", self.id, self.view);
-        prever_obs::counter("pbft.view_changes.started").inc();
+        prever_obs::counter!("pbft.view_changes.started").inc();
         self.vc_streak = self.vc_streak.saturating_add(1);
         self.view = new_view;
         self.view_changing = true;
@@ -1971,7 +1976,7 @@ impl PbftNode {
         node.exec_cursor = node.core.executed_batches().len();
         node.durable = Some(log);
         node.recovering = true;
-        prever_obs::counter("pbft.recoveries").inc();
+        prever_obs::counter!("pbft.recoveries").inc();
         node
     }
 
@@ -2170,6 +2175,35 @@ mod tests {
         for i in 1..n {
             assert_eq!(ids_of(sim.node(i)), reference, "replica {i} diverged");
         }
+    }
+
+    /// Counted, not timed: what ordering costs in SHA-256 blocks. The
+    /// counter exists in debug builds of `prever-crypto` only.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn ordering_stays_under_a_compressions_per_command_bound() {
+        let (n, cmds) = (4, 512u64);
+        let cfg = BatchConfig::new(8, 2_000, 8);
+        let mut sim = Simulation::new(cluster_batched(n, cfg), NetConfig::default(), 24);
+        let before = prever_crypto::sha256::compressions();
+        for i in 0..cmds {
+            // Round-robin over the replicas, so three in four arrive as
+            // relays: the path whose batches nobody takes a digest of.
+            let to = (i % n as u64) as NodeId;
+            sim.inject(to, to, PbftMsg::request(Command::new(i, vec![i as u8; 8])), sim.now() + 1 + i);
+        }
+        let ok = sim.run_until_pred(10_000_000, |nodes| {
+            nodes.iter().all(|nd| nd.core.executed_commands() >= cmds as usize)
+        });
+        assert!(ok, "not all replicas executed all commands");
+        let per_command = (prever_crypto::sha256::compressions() - before) as f64 / cmds as f64;
+        eprintln!("compressions per command, four replicas: {per_command:.2}");
+        // Per command, over the whole cluster: its digest (1 block), an
+        // eighth of the one tree built per ordered batch (8 leaves of 1
+        // block and 7 nodes of 2: 2.75) and the two-block state chaining
+        // on each of four replicas (8) — 11.75. With every relayed
+        // `Request` building that tree too it was 15.5.
+        assert!(per_command <= 12.0, "{per_command:.2} SHA-256 compressions per command, bound 12");
     }
 
     #[test]

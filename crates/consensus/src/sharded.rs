@@ -48,7 +48,7 @@ use crate::{BatchConfig, Command};
 use prever_crypto::Digest;
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shard identifier (dense, 0-based).
 pub type ShardId = usize;
@@ -242,6 +242,9 @@ pub struct ShardedNode {
     /// Earliest armed batch timer (simulator timers cannot be
     /// cancelled, so re-arming is deduplicated).
     batch_timer_at: Option<u64>,
+    /// `sharded.batch.committed.shard<N>`, looked up at this replica's
+    /// first committed batch rather than formatted at every one.
+    shard_committed: OnceLock<Arc<prever_obs::Counter>>,
 }
 
 // Shard cores cross thread boundaries on the parallel runtime. This is
@@ -286,6 +289,7 @@ impl ShardedNode {
             completed_ids: HashSet::new(),
             aborted_ids: BTreeSet::new(),
             batch_timer_at: None,
+            shard_committed: OnceLock::new(),
         }
     }
 
@@ -415,8 +419,12 @@ impl ShardedNode {
                 )
             };
             self.batch_cursor += 1;
-            prever_obs::counter("sharded.batch.committed").inc();
-            prever_obs::counter(&format!("sharded.batch.committed.shard{}", self.shard)).inc();
+            prever_obs::counter!("sharded.batch.committed").inc();
+            self.shard_committed
+                .get_or_init(|| {
+                    prever_obs::counter(&format!("sharded.batch.committed.shard{}", self.shard))
+                })
+                .inc();
             for id in ids {
                 if id & DECIDE_BIT == 0 {
                     self.ordered_digest.insert(id, digest);
@@ -503,7 +511,7 @@ impl ShardedNode {
     fn record_prepared(&mut self, tx_id: u64, shard: ShardId, digest: Digest, from: NodeId) {
         let bound = *self.prepared_digest.entry((tx_id, shard)).or_insert(digest);
         if bound != digest {
-            prever_obs::counter("sharded.prepared.digest_mismatch").inc();
+            prever_obs::counter!("sharded.prepared.digest_mismatch").inc();
             return;
         }
         self.prepared_votes.entry((tx_id, shard)).or_default().add(from);
@@ -614,7 +622,7 @@ impl ShardedNode {
                 self.complete(tx_id, now, true);
             }
         } else if !self.completed_ids.contains(&tx_id) && self.aborted_ids.insert(tx_id) {
-            prever_obs::counter("sharded.cross_shard.aborts").inc();
+            prever_obs::counter!("sharded.cross_shard.aborts").inc();
             prever_obs::log!(Debug, "cross-shard tx {tx_id} aborted");
         }
     }
@@ -628,8 +636,8 @@ impl ShardedNode {
         self.completed.push(Completion { tx_id, slot, at: now });
         if cross {
             let seen = self.first_seen.get(&tx_id).copied().unwrap_or(now);
-            prever_obs::counter("sharded.completed.cross_shard").inc();
-            prever_obs::histogram("sharded.cross_shard.commit_latency")
+            prever_obs::counter!("sharded.completed.cross_shard").inc();
+            prever_obs::histogram!("sharded.cross_shard.commit_latency")
                 .record(now.saturating_sub(seen));
             if prever_obs::trace::active() {
                 let me = self.core.id() as u64;
@@ -643,7 +651,7 @@ impl ShardedNode {
             }
             prever_obs::log!(Debug, "cross-shard tx {tx_id} committed");
         } else {
-            prever_obs::counter("sharded.completed.intra_shard").inc();
+            prever_obs::counter!("sharded.completed.intra_shard").inc();
         }
     }
 
@@ -665,7 +673,7 @@ impl ShardedNode {
                 continue;
             }
             self.query_at.insert(tx_id, now);
-            prever_obs::counter("sharded.tx_queries").inc();
+            prever_obs::counter!("sharded.tx_queries").inc();
             for member in self.topology.members(self.shard) {
                 if member != ctx.id() {
                     ctx.send(member, ShardedMsg::TxQuery { tx_id });
@@ -727,14 +735,15 @@ impl Actor for ShardedNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: ShardedMsg, ctx: &mut Ctx<ShardedMsg>) {
-        let _span = prever_obs::span!(match &msg {
-            ShardedMsg::Request { .. } => "sharded.request",
-            ShardedMsg::Pbft(_) => "sharded.pbft",
-            ShardedMsg::Prepared { .. } => "sharded.prepared",
-            ShardedMsg::Outcome { .. } => "sharded.outcome",
-            ShardedMsg::TxQuery { .. } => "sharded.tx_query",
-            ShardedMsg::TxInfo { .. } => "sharded.tx_info",
-        });
+        // One span site, so one histogram look-up, per message kind.
+        let _span = match &msg {
+            ShardedMsg::Request { .. } => prever_obs::span!("sharded.request"),
+            ShardedMsg::Pbft(_) => prever_obs::span!("sharded.pbft"),
+            ShardedMsg::Prepared { .. } => prever_obs::span!("sharded.prepared"),
+            ShardedMsg::Outcome { .. } => prever_obs::span!("sharded.outcome"),
+            ShardedMsg::TxQuery { .. } => prever_obs::span!("sharded.tx_query"),
+            ShardedMsg::TxInfo { .. } => prever_obs::span!("sharded.tx_info"),
+        };
         match msg {
             ShardedMsg::Request { command, involved } => {
                 let is_client = from == ctx.id();
@@ -879,7 +888,7 @@ impl Actor for ShardedNode {
                 {
                     self.outcome.entry(tx_id).or_insert(true);
                     self.complete(tx_id, ctx.now(), involved.len() > 1);
-                    prever_obs::counter("sharded.completed.adopted").inc();
+                    prever_obs::counter!("sharded.completed.adopted").inc();
                 } else if self.aborted_claims.get(&tx_id).is_some_and(|v| v.len() > f) {
                     self.outcome.entry(tx_id).or_insert(false);
                     self.apply_outcome(tx_id, false, ctx.now());

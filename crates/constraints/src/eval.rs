@@ -210,11 +210,11 @@ fn for_each_match<'a>(
     let mut scanned;
     let rows: &mut dyn Iterator<Item = &'a Row> = match &mut indexed {
         Some(rows) => {
-            prever_obs::counter("constraints.eval.indexed").inc();
+            prever_obs::counter!("constraints.eval.indexed").inc();
             rows
         }
         None => {
-            prever_obs::counter("constraints.eval.scanned").inc();
+            prever_obs::counter!("constraints.eval.scanned").inc();
             scanned = env.snapshot.scan(table)?.map(|(_, row)| row);
             &mut scanned
         }
@@ -254,7 +254,7 @@ fn for_each_match<'a>(
         }
         Ok(())
     })();
-    prever_obs::histogram("constraints.eval.rows").record(visited);
+    prever_obs::histogram!("constraints.eval.rows").record(visited);
     outcome
 }
 

@@ -76,7 +76,7 @@ impl Pipeline {
             for c in &self.constraints {
                 if !evaluate(c, &snapshot, &ctx)? {
                     self.rejected += 1;
-                    prever_obs::counter("pipeline.rejected").inc();
+                    prever_obs::counter!("pipeline.rejected").inc();
                     prever_obs::log!(
                         Debug,
                         "update {} rejected by constraint `{}`",
@@ -94,7 +94,7 @@ impl Pipeline {
         let payload = Bytes::from(change.encode());
         let seq = self.journal.append(update.timestamp, payload).seq;
         self.accepted += 1;
-        prever_obs::counter("pipeline.accepted").inc();
+        prever_obs::counter!("pipeline.accepted").inc();
         Ok(UpdateOutcome::Accepted { version, ledger_seq: seq })
     }
 
@@ -106,7 +106,7 @@ impl Pipeline {
     /// predecessors; a hard error aborts the batch at that point.
     pub fn submit_batch(&mut self, updates: &[Update]) -> Result<Vec<UpdateOutcome>> {
         let _span = prever_obs::span!("pipeline.submit_batch");
-        prever_obs::histogram("pipeline.batch.size").record(updates.len() as u64);
+        prever_obs::histogram!("pipeline.batch.size").record(updates.len() as u64);
         let mut outcomes = Vec::with_capacity(updates.len());
         for update in updates {
             outcomes.push(self.submit(update)?);

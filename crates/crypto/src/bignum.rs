@@ -551,7 +551,7 @@ impl BigUint {
     /// Counted in `crypto.bignum.gcd`: key generation may call this, a
     /// request path should not.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        prever_obs::counter("crypto.bignum.gcd").inc();
+        prever_obs::counter!("crypto.bignum.gcd").inc();
         let mut a = self.clone();
         let mut b = other.clone();
         while !b.is_zero() {
@@ -647,7 +647,7 @@ impl BigUint {
         if modulus.is_zero() || modulus.is_one() {
             return Err(CryptoError::OutOfRange("modulus must be > 1"));
         }
-        prever_obs::counter("crypto.bignum.mod_inv").inc();
+        prever_obs::counter!("crypto.bignum.mod_inv").inc();
         if modulus.is_even() {
             return self.mod_inv_euclid(modulus);
         }

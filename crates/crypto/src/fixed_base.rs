@@ -133,7 +133,7 @@ impl FixedBaseTable {
         if exp.bits() > self.max_bits {
             return self.ctx.pow(&self.base, exp);
         }
-        prever_obs::counter("crypto.fixed_base.hits").inc();
+        prever_obs::counter!("crypto.fixed_base.hits").inc();
         Ok(comb_product(&self.ctx, &[(self, exp)]))
     }
 
@@ -153,7 +153,7 @@ impl FixedBaseTable {
                 .ctx
                 .multi_pow(&[&self.base, &other.base], &[e1, e2]);
         }
-        prever_obs::counter("crypto.fixed_base.hits").add(2);
+        prever_obs::counter!("crypto.fixed_base.hits").add(2);
         Ok(comb_product(&self.ctx, &[(self, e1), (other, e2)]))
     }
 }

@@ -36,7 +36,7 @@
 //! default parameter sizes are demo-scale, and no attempt is made to resist
 //! side channels. Do not use for production secrets.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bignum;

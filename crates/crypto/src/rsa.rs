@@ -202,7 +202,7 @@ impl PublicKey {
                 });
             }
         }
-        prever_obs::counter("crypto.batch_verify.size").add(items.len() as u64);
+        prever_obs::counter!("crypto.batch_verify.size").add(items.len() as u64);
         if self.screen(items)? {
             return Ok(());
         }

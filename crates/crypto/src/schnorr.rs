@@ -341,7 +341,7 @@ fn rlc_verify(
     if items.is_empty() {
         return Ok(());
     }
-    prever_obs::counter("crypto.batch_verify.size").add(items.len() as u64);
+    prever_obs::counter!("crypto.batch_verify.size").add(items.len() as u64);
     if items.len() == 1 {
         return if direct_check(group, &items[0])? {
             Ok(())

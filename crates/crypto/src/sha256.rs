@@ -23,9 +23,11 @@ impl Digest {
 
     /// Renders the digest as lowercase hex.
     pub fn to_hex(&self) -> String {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
+            s.push(NIBBLES[(b >> 4) as usize] as char);
+            s.push(NIBBLES[(b & 0xf) as usize] as char);
         }
         s
     }
@@ -119,8 +121,21 @@ impl Sha256 {
         Sha256 { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0 }
     }
 
-    /// Absorbs `data` into the hash state.
+    /// Absorbs `data` into the hash state. Whole blocks are compressed
+    /// where they lie; only a trailing partial block is copied.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(compress, data);
+    }
+
+    /// Finishes the hash and returns the digest, consuming the hasher.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`Self::update`] over a named compression function, so the tests
+    /// can drive the buffering through either kernel on any host.
+    #[inline]
+    fn update_with(&mut self, kernel: impl Fn(&mut [u32; 8], &[u8]), data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -128,61 +143,89 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            kernel(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    /// Finishes the hash and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros then 8-byte big-endian bit length.
-        self.update_padding(bit_len);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+    #[inline]
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
+        let mut last = [0u8; 128];
+        last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        let end = pad(&mut last, self.buf_len, self.total_len);
+        kernel(&mut self.state, &last[..end]);
+        state_digest(&self.state)
     }
+}
 
-    fn update_padding(&mut self, bit_len: u64) {
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // Bypass total_len accounting: padding is not message data.
-        let mut rest = &pad[..pad_len + 8];
-        while !rest.is_empty() {
-            let take = (64 - self.buf_len).min(rest.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        debug_assert_eq!(self.buf_len, 0);
+/// Writes the FIPS 180-4 padding after the `len` message bytes already in
+/// `last` (the tail of a message of `total_len` bytes; the rest of `last`
+/// is zero): `0x80`, zeros, the bit length big-endian. Returns how much of
+/// `last` is now whole blocks, 64 or 128.
+fn pad(last: &mut [u8; 128], len: usize, total_len: u64) -> usize {
+    last[len] = 0x80;
+    let end = if len < 56 { 64 } else { 128 };
+    last[end - 8..end].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    end
+}
+
+fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    Digest(out)
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+#[cfg(any(test, debug_assertions))]
+thread_local! {
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Blocks this thread has compressed so far: what tests count instead of
+/// timing a hash (as `montgomery::MONT_MULS` does for multiplications).
+/// Kept in debug builds as well as under `cfg(test)` so the crates that
+/// hash through this one can state their own bounds in `cargo test`;
+/// release builds of the library do not have it.
+#[cfg(any(test, debug_assertions))]
+#[doc(hidden)]
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(|c| c.get())
+}
+
+/// Runs the compression function over `blocks` (a whole number of 64-byte
+/// blocks), on the CPU's SHA extensions when it has them and on
+/// [`compress_portable`] otherwise. Both produce the same state; the
+/// choice is the CPU's alone (DESIGN.md §6, "SHA-256 kernel").
+#[inline]
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(any(test, debug_assertions))]
+    COMPRESSIONS.with(|c| c.set(c.get() + (blocks.len() / 64) as u64));
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::try_compress(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 compression function in plain integer code: what a
+/// non-x86-64 or pre-SHA-NI host runs, and the reference the tests hold
+/// the hardware kernel to.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
+        for (w, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *w = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -192,7 +235,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -213,37 +256,323 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The compression function on the x86 SHA extensions (`sha256rnds2` does
+/// two rounds, `sha256msg1` / `sha256msg2` the message schedule).
+///
+/// Every intrinsic used here is a safe fn inside a `#[target_feature]`
+/// context: values enter and leave the vector registers through
+/// `_mm_set_*` / `_mm_extract_*`, never through a pointer.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compresses `blocks` into `state` if the running CPU has every
+    /// feature [`compress`] is compiled for; otherwise touches nothing and
+    /// returns false. (`std` caches the CPUID answer: the test is a load
+    /// and a mask per call.)
+    #[inline]
+    pub(super) fn try_compress(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        let available = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        if available {
+            // SAFETY: `compress` is a safe fn whose only requirement of
+            // its caller is its `#[target_feature]` set, and each feature
+            // in that set has just been reported present on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                compress(state, blocks)
+            };
+        }
+        available
+    }
+
+    /// Round constants `K[4g..4g + 4]`, lowest word first.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn k(g: usize) -> __m128i {
+        _mm_set_epi32(K[4 * g + 3] as i32, K[4 * g + 2] as i32, K[4 * g + 1] as i32, K[4 * g] as i32)
+    }
+
+    /// Message words `4g..4g + 4` of `block`, big-endian words in
+    /// little-endian lanes.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn load(block: &[u8], g: usize) -> __m128i {
+        let half = |at: usize| {
+            i64::from_le_bytes(block[at..at + 8].try_into().expect("an 8-byte slice"))
+        };
+        let raw = _mm_set_epi64x(half(16 * g + 8), half(16 * g));
+        // Byte-swap each 32-bit lane.
+        _mm_shuffle_epi8(raw, _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203))
+    }
+
+    /// Four rounds: `w` holds `W[4g..4g + 4]`.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $g:expr) => {{
+            let wk = _mm_add_epi32($w, k($g));
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        }};
+    }
+
+    /// The next four schedule words from the previous sixteen
+    /// (`$w0` oldest), written over `$w0`.
+    macro_rules! schedule {
+        ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {{
+            let t = _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8::<4>($w3, $w2));
+            $w0 = _mm_sha256msg2_epu32(t, $w3);
+        }};
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+        // The instruction wants the state as (a, b, e, f) and (c, d, g, h),
+        // highest lane first.
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = load(block, 0);
+            let mut w1 = load(block, 1);
+            let mut w2 = load(block, 2);
+            let mut w3 = load(block, 3);
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 4);
+            schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 5);
+            schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 6);
+            schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 7);
+            schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 8);
+            schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 9);
+            schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 10);
+            schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 11);
+            schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 12);
+            schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 13);
+            schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 14);
+            schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 15);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef) as u32,
+            _mm_extract_epi32::<2>(abef) as u32,
+            _mm_extract_epi32::<3>(cdgh) as u32,
+            _mm_extract_epi32::<2>(cdgh) as u32,
+            _mm_extract_epi32::<1>(abef) as u32,
+            _mm_extract_epi32::<0>(abef) as u32,
+            _mm_extract_epi32::<1>(cdgh) as u32,
+            _mm_extract_epi32::<0>(cdgh) as u32,
+        ];
     }
 }
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_concat(&[data])
 }
 
 /// One-shot SHA-256 over the concatenation of several slices, without
 /// intermediate allocation.
+///
+/// A message that pads into two blocks or fewer — every Merkle node and
+/// leaf, chained state digest and command digest in the workspace — is
+/// laid out with its padding once, on the stack, and compressed from
+/// there.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
-    let mut h = Sha256::new();
-    for p in parts {
-        h.update(p);
+    concat_with(compress, parts)
+}
+
+#[inline]
+fn concat_with(kernel: impl Fn(&mut [u32; 8], &[u8]), parts: &[&[u8]]) -> Digest {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    if total > 128 - 9 {
+        let mut h = Sha256::new();
+        for p in parts {
+            h.update_with(&kernel, p);
+        }
+        return h.finalize_with(&kernel);
     }
-    h.finalize()
+    let mut last = [0u8; 128];
+    let mut at = 0;
+    for p in parts {
+        last[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
+    let end = pad(&mut last, total, total as u64);
+    let mut state = H0;
+    kernel(&mut state, &last[..end]);
+    state_digest(&state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// The SHA-NI kernel called directly, or `None` (with the reason
+    /// printed) on a host that cannot run it.
+    fn hardware_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::try_compress(&mut [0; 8], &[]) {
+            return Some(|state, blocks| assert!(sha_ni::try_compress(state, blocks)));
+        }
+        eprintln!("skipped: this CPU does not report sha/sse2/ssse3/sse4.1; only the portable kernel ran");
+        None
+    }
+
+    /// The portable kernel, and the hardware one where the CPU has it.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("portable", compress_portable)];
+        all.extend(hardware_kernel().map(|k| ("sha_ni", k)));
+        all
+    }
+
+    /// FIPS 180-4 as written: pad the whole message, then compress it.
+    /// Shares nothing with [`Sha256`]'s buffering or [`pad`].
+    fn reference(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        kernel(&mut state, &padded);
+        state_digest(&state)
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn hardware_and_portable_kernels_agree_on_random_states_and_blocks() {
+        let Some(hardware) = hardware_kernel() else { return };
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..2_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| xorshift(&mut x) as u32);
+            let blocks: Vec<u8> =
+                (0..64 * (1 + case % 5)).map(|_| xorshift(&mut x) as u8).collect();
+            let (mut hw, mut sw) = (state, state);
+            hardware(&mut hw, &blocks);
+            compress_portable(&mut sw, &blocks);
+            assert_eq!(hw, sw, "case {case}: state {state:08x?}, {} blocks", blocks.len() / 64);
+        }
+    }
+
+    #[test]
+    fn nist_vectors_through_each_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+        ];
+        for (name, kernel) in kernels() {
+            for (message, want) in vectors {
+                assert_eq!(reference(kernel, message).to_hex(), want, "{name}, reference");
+                let mut h = Sha256::new();
+                h.update_with(kernel, message);
+                assert_eq!(h.finalize_with(kernel).to_hex(), want, "{name}, hasher");
+                assert_eq!(concat_with(kernel, &[message]).to_hex(), want, "{name}, concat");
+            }
+        }
+    }
+
+    #[test]
+    fn every_length_to_200_at_every_split_through_each_kernel() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for (name, kernel) in kernels() {
+            for len in 0..=200 {
+                let want = reference(compress_portable, &data[..len]);
+                for split in 0..=len {
+                    let (a, b) = data[..len].split_at(split);
+                    let mut h = Sha256::new();
+                    h.update_with(kernel, a);
+                    h.update_with(kernel, b);
+                    assert_eq!(h.finalize_with(kernel), want, "{name}: update {split} + {}", len - split);
+                    assert_eq!(concat_with(kernel, &[a, b]), want, "{name}: concat {split} + {}", len - split);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Totals sit on the edges of the short-message path: one block
+        /// of padding (55 | 56), a whole block (64 | 65), two (119 | 120).
+        #[test]
+        fn prop_concat_is_the_hash_of_the_concatenation(
+            edge in 0usize..6,
+            around in 0usize..3,
+            fill in any::<u64>(),
+            cuts in proptest::collection::vec(any::<usize>(), 0..=3),
+        ) {
+            let total = [55, 56, 64, 65, 119, 120][edge] + around - 1;
+            let mut x = fill | 1;
+            let data: Vec<u8> = (0..total).map(|_| xorshift(&mut x) as u8).collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (total + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(total);
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut from = 0;
+            for to in cuts {
+                parts.push(&data[from..to]);
+                from = to;
+            }
+            prop_assert_eq!(parts.concat(), data.clone());
+            prop_assert_eq!(sha256_concat(&parts), sha256(&data));
+            prop_assert_eq!(sha256_concat(&parts), reference(compress_portable, &data));
+        }
+    }
+
+    #[test]
+    fn compressions_are_counted_per_block() {
+        let blocks = |parts: &[&[u8]]| {
+            let before = compressions();
+            sha256_concat(parts);
+            compressions() - before
+        };
+        // The shapes the ledger and consensus hash all day.
+        assert_eq!(blocks(&[&[0; 8], &[0; 8]]), 1, "command digest");
+        assert_eq!(blocks(&[&[0; 32], &[1; 32]]), 2, "chained state digest");
+        assert_eq!(blocks(&[&[1], &[0; 32], &[1; 32]]), 2, "Merkle node");
+        assert_eq!(blocks(&[&[0; 1024]]), 17);
+        assert_eq!(blocks(&[&[0; 119]]), 2, "the longest message laid out on the stack");
+        assert_eq!(blocks(&[&[0; 120]]), 3, "the shortest one streamed");
+    }
 
     // NIST / well-known test vectors.
     #[test]
@@ -309,6 +638,15 @@ mod tests {
         let d1 = sha256_concat(&[b"hello, ", b"world"]);
         let d2 = sha256(b"hello, world");
         assert_eq!(d1, d2);
+    }
+
+    #[test]
+    fn hex_is_lowercase_two_digits_per_byte() {
+        let d = Digest(std::array::from_fn(|i| (i as u8).wrapping_mul(0x1f) ^ 0xa0));
+        assert_eq!(d.to_hex(), "a0bf9efddc3b1a7958b796f5d433127150af8eedcc2b0a6948a786e5c4230261");
+        assert_eq!(d.to_hex(), d.0.iter().map(|b| format!("{b:02x}")).collect::<String>());
+        assert_eq!(Digest::ZERO.to_hex(), "0".repeat(64));
+        assert_eq!(Digest([0xff; 32]).to_hex(), "f".repeat(64));
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl BudgetAccountant {
             return Err(DpError::InvalidEpsilon(epsilon));
         }
         if self.spent + epsilon > self.total + 1e-12 {
-            prever_obs::counter("dp.budget.denied").inc();
+            prever_obs::counter!("dp.budget.denied").inc();
             prever_obs::log!(
                 Warn,
                 "dp budget exhausted: spent {:.4}/{:.4}, requested {epsilon:.4}",
@@ -45,10 +45,10 @@ impl BudgetAccountant {
         }
         self.spent += epsilon;
         self.releases += 1;
-        prever_obs::counter("dp.budget.spends").inc();
+        prever_obs::counter!("dp.budget.spends").inc();
         // Remaining budget in micro-ε so the level survives integer
         // gauge semantics.
-        prever_obs::gauge("dp.budget.remaining_micro_eps")
+        prever_obs::gauge!("dp.budget.remaining_micro_eps")
             .set((self.remaining() * 1e6) as i64);
         Ok(())
     }

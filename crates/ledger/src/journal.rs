@@ -74,7 +74,7 @@ impl Journal {
     /// Appends a payload; returns the committed entry.
     pub fn append(&mut self, timestamp: u64, payload: Bytes) -> &JournalEntry {
         let _span = prever_obs::span!("ledger.append");
-        prever_obs::counter("ledger.appends").inc();
+        prever_obs::counter!("ledger.appends").inc();
         let seq = self.entries.len() as u64;
         let prev_hash = self
             .entries

@@ -152,7 +152,7 @@ impl<M: StorageMedium> PersistentJournal<M> {
         }
 
         let flushed_entries = journal.len() as u64;
-        prever_obs::counter("ledger.recoveries").inc();
+        prever_obs::counter!("ledger.recoveries").inc();
         Ok((PersistentJournal { journal, wal, snap, flushed_entries }, report))
     }
 
@@ -183,7 +183,7 @@ impl<M: StorageMedium> PersistentJournal<M> {
         // Only after the snapshot is durable is it safe to drop the WAL.
         self.wal.reset();
         self.flushed_entries = self.journal.len() as u64;
-        prever_obs::counter("ledger.compactions").inc();
+        prever_obs::counter!("ledger.compactions").inc();
     }
 
     /// The in-memory journal (digests, proofs, entries).

@@ -190,7 +190,7 @@ pub fn render_json_document(title: &str, extra_fields: &[(&str, String)], s: &Sn
     out.push_str("  \"histograms\": [\n");
     for (i, h) in s.histograms.iter().enumerate() {
         let parent = match span::parent_of(&h.name) {
-            Some(p) => format!("\"{}\"", json_escape(&p)),
+            Some(p) => format!("\"{}\"", json_escape(p)),
             None => "null".to_string(),
         };
         out.push_str(&format!(

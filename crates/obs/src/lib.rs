@@ -12,7 +12,9 @@
 //!
 //! * [`registry`] — lock-sharded global metrics: atomic [`Counter`]s,
 //!   [`Gauge`]s, and log-bucketed [`Histogram`]s with p50/p95/p99/max
-//!   queries;
+//!   queries; `counter!("…")` / `gauge!("…")` / `histogram!("…")`
+//!   resolve the name once per call site ([`Handle`]), so recording is
+//!   atomics only;
 //! * [`span`] — `span!("pbft.prepare")` RAII guards that time a region
 //!   into the histogram of the same name, with thread-local parent
 //!   tracking for nested spans;
@@ -42,7 +44,7 @@ pub use export::{render_json_document, render_jsonl, render_table};
 pub use logger::{log_enabled, max_level, set_max_level, Level};
 pub use registry::{
     counter, enabled, gauge, global, histogram, observe_ns, set_enabled, snapshot, Counter, Gauge,
-    Histogram, HistogramSnapshot, Registry, Snapshot,
+    Handle, Histogram, HistogramSnapshot, Registry, Snapshot,
 };
-pub use span::{adopt_parent, current_span, parent_of, Span, Stopwatch};
+pub use span::{adopt_parent, current_span, parent_of, Span, SpanSite, Stopwatch};
 pub use trace::TraceCtx;

@@ -16,6 +16,15 @@
 //! into one of [`SHARDS`] independently locked maps so unrelated hot
 //! paths never contend on a single registry lock; increments themselves
 //! are lock-free atomics on the returned handle.
+//!
+//! A look-up is a lock, a hash of the name and an `Arc` clone, so code
+//! that records per event does it once, not per event: a [`Handle`] is a
+//! `static` that names a metric of the global registry and keeps the
+//! resolved `Arc` after its first use. The [`counter!`](crate::counter!),
+//! [`gauge!`](crate::gauge!), [`histogram!`](crate::histogram!) and
+//! [`span!`](crate::span!) macros declare one per call site; a table of
+//! them (`static SENT: [Handle<Counter>; N]`) serves a name picked at run
+//! time from a fixed set.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -157,8 +166,9 @@ pub(crate) fn bucket_mid(i: usize) -> u64 {
 /// nanoseconds, but any `u64` works).
 #[derive(Debug)]
 pub struct Histogram {
+    /// Observations per bucket; their total is the count, so recording
+    /// keeps no separate one.
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -169,7 +179,6 @@ impl Default for Histogram {
         let buckets: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
         Histogram {
             buckets: buckets.into_boxed_slice(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -185,15 +194,21 @@ impl Histogram {
             return;
         }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Almost no observation moves an extreme: look before the
+        // read-modify-write.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Number of observations.
+    /// Number of observations (a sum over the buckets: reading is rare,
+    /// recording is not).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all observations.
@@ -237,24 +252,24 @@ impl Histogram {
         let h = q.clamp(0.0, 1.0) * (count - 1) as f64;
         let lo_rank = h.floor() as u64 + 1; // 1-based order statistic
         let frac = h - h.floor();
-        let lo = self.value_at_rank(lo_rank);
+        let lo = self.value_at_rank(lo_rank, count);
         let v = if frac < 1e-9 || lo_rank >= count {
             lo as f64
         } else {
-            let hi = self.value_at_rank(lo_rank + 1);
+            let hi = self.value_at_rank(lo_rank + 1, count);
             lo as f64 + (hi as f64 - lo as f64) * frac
         };
         (v.round() as u64).clamp(self.min(), self.max())
     }
 
-    /// The bucket-midpoint estimate of the `rank`-th smallest
-    /// observation (1-based). The extreme ranks are exact: the 1st
+    /// The bucket-midpoint estimate of the `rank`-th smallest of `count`
+    /// observations (1-based). The extreme ranks are exact: the 1st
     /// order statistic is the tracked min, the nth the tracked max.
-    fn value_at_rank(&self, rank: u64) -> u64 {
+    fn value_at_rank(&self, rank: u64, count: u64) -> u64 {
         if rank <= 1 {
             return self.min();
         }
-        if rank >= self.count() {
+        if rank >= count {
             return self.max();
         }
         let mut cum = 0u64;
@@ -454,13 +469,6 @@ impl Registry {
         s
     }
 
-    /// Drops every registered metric (start-of-run hygiene for bench
-    /// binaries; handles obtained earlier keep working but detach).
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.write().expect("obs shard poisoned").clear();
-        }
-    }
 }
 
 /// A point-in-time copy of the whole registry.
@@ -530,6 +538,86 @@ pub fn observe_ns(name: &str, ns: u64) {
     if enabled() {
         histogram(name).record(ns);
     }
+}
+
+/// A metric of the global registry, named at compile time and looked up
+/// once: the first [`Handle::get`] interns the name and keeps the `Arc`,
+/// every later one is a load. Meant to live in a `static` (the
+/// [`counter!`](crate::counter!) family declares one per call site).
+#[derive(Debug)]
+pub struct Handle<T: 'static> {
+    name: &'static str,
+    lookup: fn(&str) -> Arc<T>,
+    metric: OnceLock<Arc<T>>,
+}
+
+impl Handle<Counter> {
+    /// The global counter `name`.
+    pub const fn new(name: &'static str) -> Self {
+        Handle { name, lookup: counter, metric: OnceLock::new() }
+    }
+}
+
+impl Handle<Gauge> {
+    /// The global gauge `name`.
+    pub const fn new(name: &'static str) -> Self {
+        Handle { name, lookup: gauge, metric: OnceLock::new() }
+    }
+}
+
+impl Handle<Histogram> {
+    /// The global histogram `name`.
+    pub const fn new(name: &'static str) -> Self {
+        Handle { name, lookup: histogram, metric: OnceLock::new() }
+    }
+}
+
+impl<T> Handle<T> {
+    /// The metric's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The metric itself, resolved on first use.
+    #[inline]
+    pub fn get(&self) -> &T {
+        self.metric.get_or_init(|| (self.lookup)(self.name))
+    }
+}
+
+/// The global counter `$name` (a string literal or constant), through a
+/// [`Handle`] declared at the call site: looked up once, not per event.
+///
+/// ```
+/// prever_obs::counter!("doc.requests").inc();
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {{
+        static HANDLE: $crate::Handle<$crate::Counter> = $crate::Handle::<$crate::Counter>::new($name);
+        HANDLE.get()
+    }};
+}
+
+/// The global gauge `$name`, through a call-site [`Handle`]; see
+/// [`counter!`](crate::counter!).
+#[macro_export]
+macro_rules! gauge {
+    ($name:expr) => {{
+        static HANDLE: $crate::Handle<$crate::Gauge> = $crate::Handle::<$crate::Gauge>::new($name);
+        HANDLE.get()
+    }};
+}
+
+/// The global histogram `$name`, through a call-site [`Handle`]; see
+/// [`counter!`](crate::counter!).
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr) => {{
+        static HANDLE: $crate::Handle<$crate::Histogram> =
+            $crate::Handle::<$crate::Histogram>::new($name);
+        HANDLE.get()
+    }};
 }
 
 #[cfg(test)]
@@ -694,7 +782,6 @@ mod tests {
         assert!(h.p50 >= 96 && h.p50 <= 104, "p50 {} off", h.p50);
         assert!(s.histogram("nope").is_none());
         assert!(!s.is_empty());
-        reg.reset();
-        assert!(reg.snapshot().is_empty());
+        assert!(Registry::new().snapshot().is_empty());
     }
 }

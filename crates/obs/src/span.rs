@@ -1,9 +1,10 @@
 //! Lightweight span tracing.
 //!
-//! A span is an RAII guard over a region of code: entering pushes the
-//! span name onto a thread-local stack (so nested spans know their
+//! A span is an RAII guard over a region of code: entering makes its
+//! name the thread's innermost open span (so nested spans know their
 //! parent), dropping records the elapsed wall-clock nanoseconds into
-//! the global histogram of the same name. Usage:
+//! the global histogram of the same name and restores the span it was
+//! entered under. Usage:
 //!
 //! ```
 //! {
@@ -17,36 +18,40 @@
 //! [`parent_of`], which is how the exporter can reconstruct e.g. that
 //! `ledger.append` time was spent under `pipeline.incorporate`.
 
-use crate::registry;
-use std::borrow::Cow;
-use std::cell::RefCell;
+use crate::registry::{self, Handle, Histogram};
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 thread_local! {
-    static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// The innermost span open on this thread and how many are open.
+    /// Each guard remembers the pair it replaced, so the stack of open
+    /// spans is threaded through the guards themselves: entering and
+    /// leaving are two `Cell` accesses, no `Vec`, no borrow flag.
+    static CURRENT: Cell<(Option<&'static str>, usize)> = const { Cell::new((None, 0)) };
     /// Parent adopted from a spawning thread (see [`adopt_parent`]):
     /// used as the parent of this thread's *root* spans only.
-    static ADOPTED: RefCell<Option<String>> = const { RefCell::new(None) };
+    static ADOPTED: Cell<Option<&'static str>> = const { Cell::new(None) };
 }
 
 /// Observed parent edges: child span name → most recent parent name.
-static PARENTS: OnceLock<Mutex<HashMap<String, String>>> = OnceLock::new();
+static PARENTS: OnceLock<Mutex<HashMap<&'static str, &'static str>>> = OnceLock::new();
 
-fn parents() -> &'static Mutex<HashMap<String, String>> {
+fn parents() -> &'static Mutex<HashMap<&'static str, &'static str>> {
     PARENTS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// The most recently observed parent of span `name`, if it was ever
 /// entered nested inside another span.
-pub fn parent_of(name: &str) -> Option<String> {
-    parents().lock().expect("span parents poisoned").get(name).cloned()
+pub fn parent_of(name: &str) -> Option<&'static str> {
+    parents().lock().expect("span parents poisoned").get(name).copied()
 }
 
 /// The name of the innermost active span on this thread.
-pub fn current_span() -> Option<String> {
-    STACK.with(|s| s.borrow().last().cloned())
+pub fn current_span() -> Option<&'static str> {
+    CURRENT.with(Cell::get).0
 }
 
 /// Carries parent attribution across a thread spawn: spans entered on
@@ -65,11 +70,59 @@ pub fn current_span() -> Option<String> {
 ///
 /// Opt-in by design: threads that never call this keep the historical
 /// behavior (root spans have no parent). Pass `None` to clear.
-pub fn adopt_parent(parent: Option<String>) {
-    ADOPTED.with(|a| *a.borrow_mut() = parent);
+pub fn adopt_parent(parent: Option<&'static str>) {
+    ADOPTED.with(|a| a.set(parent));
 }
 
-/// Creates a span guard; prefer the [`span!`](crate::span!) macro.
+/// One place spans are entered from: the span's name, its histogram
+/// (resolved on first use, see [`Handle`]) and the parent edge it last
+/// wrote to the shared map. Lives in a `static`: [`span!`](crate::span!)
+/// declares one per call site, and code that picks the name at run time
+/// from a fixed set keeps a table of them.
+#[derive(Debug)]
+pub struct SpanSite {
+    histogram: Handle<Histogram>,
+    /// Address and length of the parent name this site last published
+    /// (0, 0 before the first). Two live `&'static str` with the same
+    /// address and length are the same bytes, so a match means the map
+    /// already holds this edge. Both are written under the map's lock.
+    parent_addr: AtomicUsize,
+    parent_len: AtomicUsize,
+}
+
+impl SpanSite {
+    /// A site for spans named `name`.
+    pub const fn new(name: &'static str) -> Self {
+        SpanSite {
+            histogram: Handle::<Histogram>::new(name),
+            parent_addr: AtomicUsize::new(0),
+            parent_len: AtomicUsize::new(0),
+        }
+    }
+
+    /// The name of the spans entered here (and of their histogram).
+    pub fn name(&self) -> &'static str {
+        self.histogram.name()
+    }
+
+    /// Records `child → parent` in the shared map unless this site's
+    /// last write already said so: a span that keeps its parent, which
+    /// is nearly every span, takes no lock.
+    fn publish_parent(&self, parent: &'static str) {
+        let (addr, len) = (parent.as_ptr() as usize, parent.len());
+        if self.parent_addr.load(Ordering::Relaxed) == addr
+            && self.parent_len.load(Ordering::Relaxed) == len
+        {
+            return;
+        }
+        let mut map = parents().lock().expect("span parents poisoned");
+        map.insert(self.name(), parent);
+        self.parent_addr.store(addr, Ordering::Relaxed);
+        self.parent_len.store(len, Ordering::Relaxed);
+    }
+}
+
+/// A span guard; create one with the [`span!`](crate::span!) macro.
 #[must_use = "a span records on drop; binding it to `_` drops immediately"]
 #[derive(Debug)]
 pub struct Span {
@@ -78,49 +131,41 @@ pub struct Span {
 
 #[derive(Debug)]
 struct ActiveSpan {
-    name: Cow<'static, str>,
-    parent: Option<String>,
+    site: &'static SpanSite,
+    /// The attributed parent: the enclosing span, or for a root span
+    /// the adopted one.
+    parent: Option<&'static str>,
+    /// What [`CURRENT`] held when this span was entered.
+    outer: (Option<&'static str>, usize),
     start: Instant,
-    depth: usize,
 }
 
 impl Span {
-    /// Enters a span named `name`. When recording is disabled the guard
-    /// is inert and costs one atomic load.
-    pub fn enter(name: impl Into<Cow<'static, str>>) -> Span {
+    /// Enters a span at `site`. When recording is disabled the guard is
+    /// inert and costs one atomic load; otherwise entering swaps a
+    /// thread-local `&'static str` and reads the clock — no allocation,
+    /// no look-up, and no lock unless the span's parent differs from
+    /// last time.
+    pub fn enter(site: &'static SpanSite) -> Span {
         if !registry::enabled() {
             return Span { inner: None };
         }
-        let name = name.into();
-        let (parent, depth) = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let parent = stack
-                .last()
-                .cloned()
-                .or_else(|| ADOPTED.with(|a| a.borrow().clone()));
-            let depth = stack.len();
-            stack.push(name.to_string());
-            (parent, depth)
-        });
-        if let Some(p) = &parent {
-            let mut map = parents().lock().expect("span parents poisoned");
-            if map.get(name.as_ref()).map(String::as_str) != Some(p.as_str()) {
-                map.insert(name.to_string(), p.clone());
-            }
+        let outer = CURRENT.with(|c| c.replace((Some(site.name()), c.get().1 + 1)));
+        let parent = outer.0.or_else(|| ADOPTED.with(Cell::get));
+        if let Some(p) = parent {
+            site.publish_parent(p);
         }
-        Span {
-            inner: Some(ActiveSpan { name, parent, start: Instant::now(), depth }),
-        }
+        Span { inner: Some(ActiveSpan { site, parent, outer, start: Instant::now() }) }
     }
 
     /// The parent span active when this one was entered.
     pub fn parent(&self) -> Option<&str> {
-        self.inner.as_ref().and_then(|a| a.parent.as_deref())
+        self.inner.as_ref().and_then(|a| a.parent)
     }
 
     /// This span's name (`None` when recording is disabled).
     pub fn name(&self) -> Option<&str> {
-        self.inner.as_ref().map(|a| a.name.as_ref())
+        self.inner.as_ref().map(|a| a.site.name())
     }
 
     /// Elapsed nanoseconds so far (0 when disabled).
@@ -136,24 +181,33 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(active) = self.inner.take() else { return };
         let ns = active.start.elapsed().as_nanos() as u64;
-        registry::histogram(active.name.as_ref()).record(ns);
-        // Guards drop LIFO under normal control flow; truncating to the
-        // entry depth also heals the stack if a guard outlived siblings.
-        STACK.with(|s| s.borrow_mut().truncate(active.depth));
+        active.site.histogram.get().record(ns);
+        // Guards drop LIFO under normal control flow. One that outlived
+        // a span entered before it finds the thread already shallower
+        // than itself and leaves that state alone, so a stale name is
+        // never put back.
+        CURRENT.with(|c| {
+            if c.get().1 > active.outer.1 {
+                c.set(active.outer);
+            }
+        });
     }
 }
 
-/// Enters a named span; the returned guard records elapsed nanoseconds
-/// into the histogram of the same name when dropped.
+/// Enters a span named `$name` (a string literal or constant); the
+/// returned guard records elapsed nanoseconds into the histogram of the
+/// same name when dropped. The call site owns a [`SpanSite`], so the
+/// histogram is looked up once.
 ///
 /// ```
 /// let _guard = prever_obs::span!("pir.answer");
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span::Span::enter($name)
-    };
+    ($name:expr) => {{
+        static SITE: $crate::span::SpanSite = $crate::span::SpanSite::new($name);
+        $crate::span::Span::enter(&SITE)
+    }};
 }
 
 /// A started wall-clock timer: *the* timing primitive for code that
@@ -194,24 +248,24 @@ mod tests {
 
     #[test]
     fn nested_span_parent_attribution() {
-        let outer = Span::enter("test.span.outer");
+        let outer = crate::span!("test.span.outer");
         assert_eq!(outer.parent(), None);
-        assert_eq!(current_span().as_deref(), Some("test.span.outer"));
+        assert_eq!(current_span(), Some("test.span.outer"));
         {
-            let inner = Span::enter("test.span.inner");
+            let inner = crate::span!("test.span.inner");
             assert_eq!(inner.parent(), Some("test.span.outer"));
-            assert_eq!(current_span().as_deref(), Some("test.span.inner"));
+            assert_eq!(current_span(), Some("test.span.inner"));
             {
-                let leaf = Span::enter("test.span.leaf");
+                let leaf = crate::span!("test.span.leaf");
                 assert_eq!(leaf.parent(), Some("test.span.inner"));
             }
-            assert_eq!(current_span().as_deref(), Some("test.span.inner"));
+            assert_eq!(current_span(), Some("test.span.inner"));
         }
         drop(outer);
         assert_eq!(current_span(), None);
         // Recorded edges survive the spans.
-        assert_eq!(parent_of("test.span.inner").as_deref(), Some("test.span.outer"));
-        assert_eq!(parent_of("test.span.leaf").as_deref(), Some("test.span.inner"));
+        assert_eq!(parent_of("test.span.inner"), Some("test.span.outer"));
+        assert_eq!(parent_of("test.span.leaf"), Some("test.span.inner"));
         assert_eq!(parent_of("test.span.outer"), None);
         // Each drop recorded one observation.
         let s = registry::snapshot();
@@ -221,11 +275,27 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_dropped_out_of_order_does_not_put_a_closed_span_back() {
+        std::thread::spawn(|| {
+            let a = crate::span!("test.span.unordered_a");
+            let b = crate::span!("test.span.unordered_b");
+            drop(a);
+            assert_eq!(current_span(), None, "closing the outer span closes the thread's stack");
+            drop(b);
+            assert_eq!(current_span(), None, "the late guard must not restore `a`");
+            let root = crate::span!("test.span.unordered_next");
+            assert_eq!(root.parent(), None);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn spans_are_per_thread() {
-        let _outer = Span::enter("test.span.main_thread");
+        let _outer = crate::span!("test.span.main_thread");
         std::thread::spawn(|| {
             // The other thread's stack is empty: no parent leaks across.
-            let inner = Span::enter("test.span.other_thread");
+            let inner = crate::span!("test.span.other_thread");
             assert_eq!(inner.parent(), None);
         })
         .join()
@@ -237,33 +307,33 @@ mod tests {
         // Regression: ParallelSim shard workers spawn with an empty span
         // stack, so their spans used to lose the parent edge to the
         // spawning thread. adopt_parent carries it across explicitly.
-        let _outer = Span::enter("test.span.adopt_outer");
+        let _outer = crate::span!("test.span.adopt_outer");
         let parent = current_span();
         std::thread::spawn(move || {
             adopt_parent(parent);
-            let root = Span::enter("test.span.adopt_root");
+            let root = crate::span!("test.span.adopt_root");
             assert_eq!(root.parent(), Some("test.span.adopt_outer"));
             {
                 // Nesting on the worker still tracks the worker's own
                 // stack, not the adopted parent.
-                let inner = Span::enter("test.span.adopt_inner");
+                let inner = crate::span!("test.span.adopt_inner");
                 assert_eq!(inner.parent(), Some("test.span.adopt_root"));
             }
             drop(root);
             // After the root span closes, the stack is empty again and
             // new roots re-adopt the cross-thread parent.
-            let again = Span::enter("test.span.adopt_again");
+            let again = crate::span!("test.span.adopt_again");
             assert_eq!(again.parent(), Some("test.span.adopt_outer"));
             // Clearing restores the historical orphan behavior.
             adopt_parent(None);
             drop(again);
-            let orphan = Span::enter("test.span.adopt_orphan");
+            let orphan = crate::span!("test.span.adopt_orphan");
             assert_eq!(orphan.parent(), None);
         })
         .join()
         .unwrap();
         assert_eq!(
-            parent_of("test.span.adopt_root").as_deref(),
+            parent_of("test.span.adopt_root"),
             Some("test.span.adopt_outer")
         );
     }

@@ -110,8 +110,8 @@ impl CpirServer {
             .map(|(c, &r)| (c, r))
             .collect();
         self.exp_ops += nonzero.len() as u64;
-        prever_obs::counter("pir.exp_ops").add(nonzero.len() as u64);
-        prever_obs::counter("pir.queries").inc();
+        prever_obs::counter!("pir.exp_ops").add(nonzero.len() as u64);
+        prever_obs::counter!("pir.queries").inc();
         if nonzero.is_empty() {
             // All-zero database: return Enc(0) deterministically derived
             // from the first query element times 0 — i.e. compute 0·c₀.
@@ -188,9 +188,9 @@ impl CpirServer {
             .map(|(i, &r)| (i, r))
             .unzip();
         self.exp_ops += (k * idx.len()) as u64;
-        prever_obs::counter("pir.exp_ops").add((k * idx.len()) as u64);
-        prever_obs::counter("pir.queries").add(k as u64);
-        prever_obs::counter("pir.multi_query.batch").add(k as u64);
+        prever_obs::counter!("pir.exp_ops").add((k * idx.len()) as u64);
+        prever_obs::counter!("pir.queries").add(k as u64);
+        prever_obs::counter!("pir.multi_query.batch").add(k as u64);
         if idx.is_empty() {
             return queries
                 .iter()

@@ -436,7 +436,7 @@ impl ClientConn {
         self.consec_timeouts = 0;
         self.endpoint = (self.endpoint + 1) % self.cfg.servers.len();
         self.stats.failovers += 1;
-        prever_obs::counter("server.failover.count").inc();
+        prever_obs::counter!("server.failover.count").inc();
         let target = self.current_server();
         self.stats.resumes_sent += 1;
         actions.push(ClientAction::Send(
@@ -567,13 +567,13 @@ impl ClientConn {
             T_TIMEOUT if self.reqs[idx].waiting && now >= self.reqs[idx].timeout_at => {
                 self.reqs[idx].waiting = false;
                 self.stats.retries += 1;
-                prever_obs::counter("server.retry").inc();
+                prever_obs::counter!("server.retry").inc();
                 self.note_timeout(&mut actions);
                 self.retry_or_give_up(idx, 0, &mut actions);
             }
             T_RETRY if !self.reqs[idx].waiting => {
                 self.stats.retries += 1;
-                prever_obs::counter("server.retry").inc();
+                prever_obs::counter!("server.retry").inc();
                 self.send_attempt(idx, now, &mut actions);
             }
             _ => {}
@@ -589,7 +589,7 @@ impl ClientConn {
         match self.slot_digests.get(&applied_slot) {
             Some(seen) if *seen != digest => {
                 self.stats.read_violations += 1;
-                prever_obs::counter("server.read.violation").inc();
+                prever_obs::counter!("server.read.violation").inc();
             }
             Some(_) => {}
             None => {
@@ -604,7 +604,7 @@ impl ClientConn {
         let Ok((Frame::Response(resp), _)) = Frame::decode(buf) else {
             // A client never trusts the wire either: garbage is
             // counted and dropped, not crashed on.
-            prever_obs::counter("server.wire.bad_frames").inc();
+            prever_obs::counter!("server.wire.bad_frames").inc();
             return actions;
         };
         // Any well-formed reply means a gateway is talking to us.
@@ -678,10 +678,10 @@ impl ClientConn {
                     };
                     if covered {
                         self.stats.fresh_reads += 1;
-                        prever_obs::counter("server.read.verified").inc();
+                        prever_obs::counter!("server.read.verified").inc();
                     } else {
                         self.stats.read_violations += 1;
-                        prever_obs::counter("server.read.violation").inc();
+                        prever_obs::counter!("server.read.violation").inc();
                     }
                 } else {
                     // Stale replica: legal (it is catching up) — the

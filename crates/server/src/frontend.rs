@@ -260,7 +260,7 @@ impl FrontEnd {
     pub fn apply_quota(&mut self, q: QuotaUpdate) {
         self.quotas.insert(q.tenant, (q.rate, q.burst));
         self.buckets.insert(q.tenant, TokenBucket::new(q.rate, q.burst));
-        prever_obs::counter("server.quota.applied").inc();
+        prever_obs::counter!("server.quota.applied").inc();
     }
 
     /// Records the replica's current ledger position and hash-chain
@@ -287,9 +287,9 @@ impl FrontEnd {
         let evicted = (before - self.committed.len()) as u64;
         if evicted > 0 {
             self.stats.evicted += evicted;
-            prever_obs::counter("server.committed.evicted").add(evicted);
+            prever_obs::counter!("server.committed.evicted").add(evicted);
         }
-        prever_obs::gauge("server.committed.size").set(self.committed.len() as i64);
+        prever_obs::gauge!("server.committed.size").set(self.committed.len() as i64);
     }
 
     /// The advertised client backoff, derived from the backlog the
@@ -311,12 +311,12 @@ impl FrontEnd {
 
     fn note_queue_depth(&mut self) {
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
-        prever_obs::gauge("server.queue_depth").set(self.queue.len() as i64);
-        prever_obs::gauge("server.degrade.level").set(self.level().rung());
+        prever_obs::gauge!("server.queue_depth").set(self.queue.len() as i64);
+        prever_obs::gauge!("server.degrade.level").set(self.level().rung());
     }
 
     fn shed(&mut self, id: u64, now: u64) {
-        prever_obs::counter("server.shed").inc();
+        prever_obs::counter!("server.shed").inc();
         if trace::active() {
             trace::event(self.node, now, TraceCtx::for_command(id), "shed", id);
         }
@@ -334,7 +334,7 @@ impl FrontEnd {
                 // as undecodable bytes: reject loudly, drop neither
                 // silently.
                 self.stats.bad_frames += 1;
-                prever_obs::counter("server.wire.bad_frames").inc();
+                prever_obs::counter!("server.wire.bad_frames").inc();
                 actions.push(Action::Reply(
                     from,
                     Response::Rejected { reason: RejectReason::BadFrame },
@@ -359,7 +359,7 @@ impl FrontEnd {
                     trace::event(self.node, now, TraceCtx::for_command(session), "hello", session);
                 }
                 self.sessions.insert(session, Session { tenant, high_acked: 0 });
-                prever_obs::counter("server.session.hello").inc();
+                prever_obs::counter!("server.session.hello").inc();
                 actions.push(Action::Reply(
                     from,
                     Response::SessionAck {
@@ -379,7 +379,7 @@ impl FrontEnd {
                 let resumed = !self.sessions.contains_key(&session);
                 self.sessions.insert(session, Session { tenant, high_acked });
                 self.stats.resumes += 1;
-                prever_obs::counter("server.failover.resume").inc();
+                prever_obs::counter!("server.failover.resume").inc();
                 actions.push(Action::Reply(
                     from,
                     Response::SessionAck { session, resumed, applied_slot: self.applied_slot },
@@ -388,7 +388,7 @@ impl FrontEnd {
             Request::ReadFresh { tenant: _, id, min_slot } => {
                 if self.level().sheds_reads() {
                     self.stats.shed_reads += 1;
-                    prever_obs::counter("server.shed").inc();
+                    prever_obs::counter!("server.shed").inc();
                     actions.push(Action::Reply(
                         from,
                         Response::Rejected { reason: RejectReason::ReadsDegraded },
@@ -400,10 +400,10 @@ impl FrontEnd {
                     // counts what it served.
                     if self.applied_slot >= min_slot {
                         self.stats.fresh_reads += 1;
-                        prever_obs::counter("server.read.fresh").inc();
+                        prever_obs::counter!("server.read.fresh").inc();
                     } else {
                         self.stats.stale_reads += 1;
-                        prever_obs::counter("server.read.stale").inc();
+                        prever_obs::counter!("server.read.stale").inc();
                     }
                     actions.push(Action::Reply(
                         from,
@@ -420,7 +420,7 @@ impl FrontEnd {
             Request::Query { tenant: _, id } => {
                 if self.level().sheds_reads() {
                     self.stats.shed_reads += 1;
-                    prever_obs::counter("server.shed").inc();
+                    prever_obs::counter!("server.shed").inc();
                     actions.push(Action::Reply(
                         from,
                         Response::Rejected { reason: RejectReason::ReadsDegraded },
@@ -460,7 +460,7 @@ impl FrontEnd {
         // it would let a tenant forge configuration commands.
         if is_quota_id(id) || id == prever_consensus::pbft::NOOP_ID {
             self.stats.bad_frames += 1;
-            prever_obs::counter("server.wire.bad_frames").inc();
+            prever_obs::counter!("server.wire.bad_frames").inc();
             actions.push(Action::Reply(from, Response::Rejected { reason: RejectReason::BadFrame }));
             return;
         }
@@ -477,7 +477,7 @@ impl FrontEnd {
         // eventual reply serves both sends (retries reuse the id).
         if self.queued_ids.contains(&id) || self.inflight.contains_key(&id) {
             self.stats.duplicates += 1;
-            prever_obs::counter("server.duplicates").inc();
+            prever_obs::counter!("server.duplicates").inc();
             return;
         }
         // Deadline already expired on arrival: shed before it costs a
@@ -534,8 +534,8 @@ impl FrontEnd {
             let Some(q) = self.queue.pop_front() else { break };
             self.queued_ids.remove(&q.id);
             self.stats.admitted += 1;
-            prever_obs::counter("server.admitted").inc();
-            prever_obs::histogram("server.admission.latency")
+            prever_obs::counter!("server.admitted").inc();
+            prever_obs::histogram!("server.admission.latency")
                 .record(now.saturating_sub(q.enqueued_at));
             if trace::active() {
                 trace::event(self.node, now, TraceCtx::for_command(q.id), "admit", q.id);
@@ -578,7 +578,7 @@ impl FrontEnd {
     fn note_ack(&mut self, id: u64) {
         if self.acked_ids.insert(id) {
             self.stats.acked += 1;
-            prever_obs::counter("server.acked").inc();
+            prever_obs::counter!("server.acked").inc();
         }
     }
 
@@ -588,11 +588,11 @@ impl FrontEnd {
         self.committed.insert(id, slot);
         let pending = self.inflight.remove(&id)?;
         self.note_ack(id);
-        prever_obs::histogram(match pending.class {
-            Class::High => "server.commit.latency.high",
-            Class::Normal => "server.commit.latency.normal",
-            Class::Low => "server.commit.latency.low",
-        })
+        match pending.class {
+            Class::High => prever_obs::histogram!("server.commit.latency.high"),
+            Class::Normal => prever_obs::histogram!("server.commit.latency.normal"),
+            Class::Low => prever_obs::histogram!("server.commit.latency.low"),
+        }
         .record(now.saturating_sub(pending.enqueued_at));
         Some((pending.from, Response::Committed { id, slot }))
     }

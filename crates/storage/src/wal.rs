@@ -160,9 +160,9 @@ impl<M: StorageMedium> Wal<M> {
         if report.truncated_bytes > 0 {
             medium.truncate(offset);
         }
-        prever_obs::counter("wal.recover.frames_replayed").add(report.frames_replayed);
-        prever_obs::counter("wal.recover.truncated_bytes").add(report.truncated_bytes);
-        prever_obs::counter("wal.recoveries").inc();
+        prever_obs::counter!("wal.recover.frames_replayed").add(report.frames_replayed);
+        prever_obs::counter!("wal.recover.truncated_bytes").add(report.truncated_bytes);
+        prever_obs::counter!("wal.recoveries").inc();
         let next_seq = frames.last().map(|(s, _)| s + 1).unwrap_or(first_seq);
         let n = frames.len() as u64;
         Ok((
@@ -194,7 +194,7 @@ impl<M: StorageMedium> Wal<M> {
         self.medium.append(payload);
         self.appended_frames += 1;
         self.unflushed_frames += 1;
-        prever_obs::counter("wal.appends").inc();
+        prever_obs::counter!("wal.appends").inc();
         seq
     }
 
@@ -204,8 +204,8 @@ impl<M: StorageMedium> Wal<M> {
     pub fn flush(&mut self) {
         let sw = prever_obs::Stopwatch::start();
         self.medium.flush();
-        prever_obs::observe_ns("wal.flush", sw.elapsed_ns());
-        prever_obs::counter("wal.flushes").inc();
+        prever_obs::histogram!("wal.flush").record(sw.elapsed_ns());
+        prever_obs::counter!("wal.flushes").inc();
         self.flushed_frames += self.unflushed_frames;
         self.unflushed_frames = 0;
     }

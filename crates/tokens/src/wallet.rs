@@ -33,7 +33,7 @@ impl Token {
 
     /// Hex id of the token (its nonce), used as the ledger spend key.
     pub fn id_hex(&self) -> String {
-        self.nonce.iter().map(|b| format!("{b:02x}")).collect()
+        prever_crypto::Digest(self.nonce).to_hex()
     }
 }
 

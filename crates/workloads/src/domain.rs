@@ -44,7 +44,7 @@ pub fn emission_stream<R: Rng + ?Sized>(
             }
         })
         .collect();
-    prever_obs::counter("workloads.emissions.generated").add(stream.len() as u64);
+    prever_obs::counter!("workloads.emissions.generated").add(stream.len() as u64);
     prever_obs::log!(Debug, "generated {} emission reports across {orgs} orgs", stream.len());
     stream
 }
@@ -83,7 +83,7 @@ pub fn registration_stream<R: Rng + ?Sized>(
             }
         })
         .collect();
-    prever_obs::counter("workloads.registrations.generated").add(stream.len() as u64);
+    prever_obs::counter!("workloads.registrations.generated").add(stream.len() as u64);
     prever_obs::log!(Debug, "generated {} registration attempts", stream.len());
     stream
 }
@@ -131,7 +131,7 @@ pub fn shipment_stream<R: Rng + ?Sized>(
             }
         })
         .collect();
-    prever_obs::counter("workloads.shipments.generated").add(stream.len() as u64);
+    prever_obs::counter!("workloads.shipments.generated").add(stream.len() as u64);
     prever_obs::log!(Debug, "generated {} shipments across {enterprises} enterprises", stream.len());
     stream
 }
