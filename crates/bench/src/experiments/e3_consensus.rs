@@ -240,10 +240,29 @@ fn row(protocol: &str, n: usize, cmds: u64, batch: usize, window: usize, r: &Run
     ]
 }
 
+/// Commands per point of the `BENCH_consensus.json` sweep.
+const BENCH_COMMANDS: u64 = 512;
+
 /// Emits the full batching sweep as a `BENCH_consensus.json` document
 /// (hand-rolled JSON — the workspace is dependency-free).
 pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
-    let commands = 512u64;
+    let metadata = crate::meta::metadata_json(
+        "virtual-us",
+        &[
+            ("protocols", "[\"pbft\", \"paxos\"]".into()),
+            ("commands_per_point", BENCH_COMMANDS.to_string()),
+            ("batch_axis", "[1, 8, 32, 128]".into()),
+            ("window_axis", "[1, 4, 16]".into()),
+            ("net_processing_us", "20".into()),
+        ],
+    );
+    std::fs::write(path, bench_json(Some(&metadata)))
+}
+
+/// The `BENCH_consensus.json` document, with the run's `metadata`
+/// object when given.
+fn bench_json(metadata: Option<&str>) -> String {
+    let commands = BENCH_COMMANDS;
     let pbft = sweep_pbft(4, commands);
     let paxos = sweep_paxos(5, commands);
     // The pre-batching behavior: one command per slot, unbounded
@@ -261,19 +280,9 @@ pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
     );
     out.push_str("  \"commands_per_point\": 512,\n");
     out.push_str("  \"network\": \"simulated 1 ms RTT, 20 us CPU per message\",\n");
-    out.push_str(&format!(
-        "  \"metadata\": {},\n",
-        crate::meta::metadata_json(
-            "virtual-us",
-            &[
-                ("protocols", "[\"pbft\", \"paxos\"]".into()),
-                ("commands_per_point", commands.to_string()),
-                ("batch_axis", "[1, 8, 32, 128]".into()),
-                ("window_axis", "[1, 4, 16]".into()),
-                ("net_processing_us", "20".into()),
-            ],
-        )
-    ));
+    if let Some(metadata) = metadata {
+        out.push_str(&format!("  \"metadata\": {metadata},\n"));
+    }
     out.push_str(
         "  \"before\": \"one command per 3-phase round, unbounded in-flight slots\",\n",
     );
@@ -315,7 +324,7 @@ pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
     }
     out.push_str("  ]\n");
     out.push_str("}\n");
-    std::fs::write(path, out)
+    out
 }
 
 #[cfg(test)]
@@ -340,6 +349,27 @@ mod tests {
         );
         // Batching must also cut message count, not just wall-clock.
         assert!(batched.messages < unbatched.messages);
+    }
+
+    /// The E3 sweep is virtual time, so it is a pure function of the
+    /// protocol code: regenerating `sweep_pbft(4, 512)`,
+    /// `sweep_paxos(5, 512)` and the `pbft_n4_before` row must reproduce
+    /// every number in the committed artifact. This is also the tier-1
+    /// run of Paxos's batch cut at batch > 1. The run `metadata` line
+    /// (commit, clock basis) is not compared: a regenerated artifact
+    /// carries one, the committed file predates it.
+    #[test]
+    fn e3_sweep_reproduces_the_committed_bench_json() {
+        let committed: Vec<&str> = include_str!("../../../../BENCH_consensus.json")
+            .lines()
+            .filter(|l| !l.starts_with("  \"metadata\": "))
+            .collect();
+        let regenerated = bench_json(None);
+        let regenerated: Vec<&str> = regenerated.lines().collect();
+        for (i, (got, want)) in regenerated.iter().zip(&committed).enumerate() {
+            assert_eq!(got, want, "BENCH_consensus.json line {} differs", i + 1);
+        }
+        assert_eq!(regenerated.len(), committed.len());
     }
 
     /// Acceptance gate: the critical-path report must decompose the E3

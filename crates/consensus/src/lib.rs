@@ -49,6 +49,8 @@ use bytes::Bytes;
 use prever_crypto::merkle::MerkleTree;
 use prever_crypto::Digest;
 use prever_obs::TraceCtx;
+use prever_sim::NodeId;
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 /// An opaque replicated command (e.g. an encoded PReVer update).
@@ -204,6 +206,27 @@ impl Batch {
         self.inner.commands.iter().any(|c| c.id == id)
     }
 
+    /// Records trace stage `stage` of slot `seq` at node `me` for every
+    /// command of the batch, as a child of stage `parent` (or of the
+    /// command's root context). Nothing is recorded unless tracing is on.
+    pub(crate) fn stamp(
+        &self,
+        me: NodeId,
+        at: u64,
+        parent: Option<&str>,
+        stage: &'static str,
+        seq: u64,
+    ) {
+        if !prever_obs::trace::active() {
+            return;
+        }
+        let me = me as u64;
+        for c in &self.inner.commands {
+            let ctx = parent.map_or(c.trace, |p| c.trace.child(p, me));
+            prever_obs::trace::event(me, at, ctx, stage, seq);
+        }
+    }
+
     /// Length-framed wire/disk encoding: `count(u32) ‖ (id(u64) ‖
     /// len(u32) ‖ payload)*`. Inverse of [`Batch::decode`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -268,6 +291,36 @@ impl BatchConfig {
     /// `window` to at least 1.
     pub fn new(max_batch: usize, max_delay: u64, window: usize) -> Self {
         BatchConfig { max_batch: max_batch.max(1), max_delay, window: window.max(1) }
+    }
+
+    /// The batch-cut rule every ordering protocol shares. `queue` holds
+    /// commands with their arrival times, oldest first; it is cut when it
+    /// holds `max_batch` commands, when its oldest has waited `max_delay`
+    /// µs, or when `urgent`, and a cut drains the first
+    /// `min(len, max_batch)`. `None` when nothing is ready. Callers keep
+    /// their own window gate, filtering and metrics.
+    pub(crate) fn cut(
+        &self,
+        queue: &mut VecDeque<(Command, u64)>,
+        now: u64,
+        urgent: bool,
+    ) -> Option<Vec<(Command, u64)>> {
+        let &(_, oldest) = queue.front()?;
+        let ready =
+            urgent || queue.len() >= self.max_batch || now.saturating_sub(oldest) >= self.max_delay;
+        ready.then(|| queue.drain(..queue.len().min(self.max_batch)).collect())
+    }
+
+    /// When [`Self::cut`] next becomes ready for `queue` by age alone (at
+    /// once while `urgent`), so a host can arm a timer for it. `None` for
+    /// an empty queue, and always `None` when `max_delay` is 0: every cut
+    /// is then immediate and no timer is needed.
+    pub(crate) fn deadline(&self, queue: &VecDeque<(Command, u64)>, urgent: bool) -> Option<u64> {
+        if self.max_delay == 0 {
+            return None;
+        }
+        let &(_, oldest) = queue.front()?;
+        Some(oldest + if urgent { 0 } else { self.max_delay })
     }
 }
 
@@ -406,5 +459,70 @@ mod tests {
         assert_eq!(cfg.max_delay, 0);
         assert_eq!(cfg.window, usize::MAX);
         assert_eq!(BatchConfig::new(0, 5, 0), BatchConfig { max_batch: 1, max_delay: 5, window: 1 });
+    }
+
+    /// A queue of `len` commands, the oldest arriving at `oldest` and one
+    /// more every µs after it.
+    fn queue(len: u64, oldest: u64) -> VecDeque<(Command, u64)> {
+        (0..len).map(|i| (Command::new(i, "q"), oldest + i)).collect()
+    }
+
+    fn ids(cut: Option<Vec<(Command, u64)>>) -> Option<Vec<u64>> {
+        cut.map(|drained| drained.iter().map(|(c, _)| c.id).collect())
+    }
+
+    #[test]
+    fn batch_cut_takes_a_full_queue_up_to_max_batch() {
+        let cfg = BatchConfig::new(4, 1_000, 1);
+        // Full at 4: cut at once, long before the fill delay.
+        let mut q = queue(6, 100);
+        assert_eq!(ids(cfg.cut(&mut q, 100, false)), Some(vec![0, 1, 2, 3]));
+        // Two left: neither full nor aged, so they wait.
+        assert_eq!(ids(cfg.cut(&mut q, 100, false)), None);
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn batch_cut_ships_an_aged_partial_queue() {
+        let cfg = BatchConfig::new(8, 1_000, 1);
+        let mut q = queue(3, 100);
+        assert_eq!(ids(cfg.cut(&mut q, 1_099, false)), None, "one µs short of max_delay");
+        assert_eq!(cfg.deadline(&q, false), Some(1_100));
+        assert_eq!(ids(cfg.cut(&mut q, 1_100, false)), Some(vec![0, 1, 2]));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn batch_cut_urgent_ships_at_once_and_is_due_now() {
+        let cfg = BatchConfig::new(8, 1_000, 1);
+        let mut q = queue(2, 100);
+        assert_eq!(cfg.deadline(&q, true), Some(100));
+        assert_eq!(ids(cfg.cut(&mut q, 100, true)), Some(vec![0, 1]));
+        // Urgent still takes at most max_batch.
+        let mut q = queue(10, 100);
+        assert_eq!(cfg.cut(&mut q, 100, true).map(|d| d.len()), Some(8));
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn batch_cut_without_a_fill_delay_is_always_ready_and_needs_no_timer() {
+        let cfg = BatchConfig::default();
+        let mut q = queue(3, 100);
+        assert_eq!(cfg.deadline(&q, false), None);
+        assert_eq!(cfg.deadline(&q, true), None);
+        // max_batch 1: one command per cut, with no time passing.
+        assert_eq!(ids(cfg.cut(&mut q, 100, false)), Some(vec![0]));
+        assert_eq!(ids(cfg.cut(&mut q, 100, false)), Some(vec![1]));
+        let batched = BatchConfig::new(8, 0, 1);
+        assert_eq!(ids(batched.cut(&mut q, 100, false)), Some(vec![2]));
+    }
+
+    #[test]
+    fn batch_cut_of_an_empty_queue_is_nothing() {
+        let cfg = BatchConfig::new(8, 1_000, 1);
+        let mut q = VecDeque::new();
+        assert!(cfg.cut(&mut q, 5_000, true).is_none());
+        assert_eq!(cfg.deadline(&q, false), None);
+        assert_eq!(cfg.deadline(&q, true), None);
     }
 }

@@ -255,6 +255,19 @@ impl PaxosNode {
         ctx.broadcast(PaxosMsg::Prepare { ballot });
     }
 
+    /// Follows a live `ballot` seen in a prepare, accept or heartbeat:
+    /// remember it, count it as leadership activity, and step down if we
+    /// led under a lower one. A live campaign counts too: without that,
+    /// every promiser's own election timer would fire during the
+    /// campaign and start a duel.
+    fn follow(&mut self, ballot: u64) {
+        self.seen_ballot = self.seen_ballot.max(ballot);
+        self.heard_from_leader = true;
+        if self.leading.is_some_and(|b| b < ballot) {
+            self.leading = None;
+        }
+    }
+
     fn handle_prepare_locally(&mut self, ballot: u64) {
         if ballot > self.promised {
             self.promised = ballot;
@@ -302,23 +315,17 @@ impl PaxosNode {
         self.accum.push_back((command, now));
     }
 
-    /// Cuts and proposes batches from the accumulator. A batch is cut when
-    /// it is full or its oldest command has waited `max_delay`, subject to
-    /// the in-flight `window`.
+    /// Cuts and proposes batches from the accumulator under
+    /// [`BatchConfig::cut`], subject to the in-flight `window`.
     fn flush(&mut self, ctx: &mut Ctx<PaxosMsg>, force: bool) {
         if self.leading.is_none() {
             return;
         }
         let now = ctx.now();
-        while !self.accum.is_empty() && self.proposing.len() < self.cfg.window {
-            let full = self.accum.len() >= self.cfg.max_batch;
-            let oldest = self.accum.front().map(|(_, since)| *since).unwrap_or(now);
-            let aged = self.cfg.max_delay == 0 || now.saturating_sub(oldest) >= self.cfg.max_delay;
-            if !(full || aged || force) {
-                break;
-            }
-            let take = self.accum.len().min(self.cfg.max_batch);
-            let mut commands: Vec<Command> = self.accum.drain(..take).map(|(c, _)| c).collect();
+        while self.proposing.len() < self.cfg.window {
+            let Some(drained) = self.cfg.cut(&mut self.accum, now, force) else { break };
+            let oldest = drained[0].1;
+            let mut commands: Vec<Command> = drained.into_iter().map(|(c, _)| c).collect();
             // Re-filter: a command may have been decided (via another
             // leader's Decide) since it was queued.
             commands.retain(|c| !self.already_known(c));
@@ -329,22 +336,17 @@ impl PaxosNode {
             prever_obs::histogram!("consensus.batch.fill_delay").record(now.saturating_sub(oldest));
             let slot = self.next_slot;
             self.next_slot += 1;
-            if prever_obs::trace::active() {
-                for c in &commands {
-                    prever_obs::trace::event(self.id as u64, now, c.trace, "batch-cut", slot);
-                }
-            }
-            self.propose_at(slot, Batch::new(commands), ctx);
+            let batch = Batch::new(commands);
+            batch.stamp(self.id, now, None, "batch-cut", slot);
+            self.propose_at(slot, batch, ctx);
         }
     }
 
     /// Earliest virtual time a queued command's fill delay expires, if a
     /// batch timer is needed at all.
     fn next_batch_deadline(&self) -> Option<u64> {
-        if self.leading.is_none() || self.cfg.max_delay == 0 {
-            return None;
-        }
-        self.accum.front().map(|(_, since)| since + self.cfg.max_delay)
+        self.leading?;
+        self.cfg.deadline(&self.accum, false)
     }
 
     fn arm_batch_timer(&self, ctx: &mut Ctx<PaxosMsg>) {
@@ -371,24 +373,9 @@ impl PaxosNode {
         prever_obs::counter!("paxos.decided").inc();
         self.backlog.retain(|c| !batch.contains_id(c.id));
         self.accum.retain(|(c, _)| !batch.contains_id(c.id));
+        batch.stamp(self.id, ctx.now(), Some("batch-cut"), "commit-quorum", slot);
+        batch.stamp(self.id, ctx.now(), Some("commit-quorum"), "exec", slot);
         for command in batch.commands() {
-            if prever_obs::trace::active() {
-                let me = self.id as u64;
-                prever_obs::trace::event(
-                    me,
-                    ctx.now(),
-                    command.trace.child("batch-cut", me),
-                    "commit-quorum",
-                    slot,
-                );
-                prever_obs::trace::event(
-                    me,
-                    ctx.now(),
-                    command.trace.child("commit-quorum", me),
-                    "exec",
-                    slot,
-                );
-            }
             self.decided_log.push(Decided { slot, command: command.clone(), at: ctx.now() });
         }
         self.decided.insert(slot, batch);
@@ -447,15 +434,7 @@ impl Actor for PaxosNode {
             PaxosMsg::Prepare { ballot } => {
                 if ballot > self.promised {
                     self.promised = ballot;
-                    self.seen_ballot = self.seen_ballot.max(ballot);
-                    // A live campaign counts as leadership activity:
-                    // without this, every promiser's own election timer
-                    // would fire during the campaign and start a duel.
-                    self.heard_from_leader = true;
-                    // Stepping down if we led under a lower ballot.
-                    if self.leading.is_some_and(|b| b < ballot) {
-                        self.leading = None;
-                    }
+                    self.follow(ballot);
                     let accepted = self
                         .accepted
                         .iter()
@@ -484,11 +463,7 @@ impl Actor for PaxosNode {
             PaxosMsg::Accept { ballot, slot, batch } => {
                 if ballot >= self.promised {
                     self.promised = ballot;
-                    self.seen_ballot = self.seen_ballot.max(ballot);
-                    self.heard_from_leader = true;
-                    if self.leading.is_some_and(|b| b < ballot) {
-                        self.leading = None;
-                    }
+                    self.follow(ballot);
                     self.accepted.insert(slot, AcceptedEntry { ballot, batch });
                     ctx.send(from, PaxosMsg::Accepted { ballot, slot });
                 }
@@ -514,11 +489,7 @@ impl Actor for PaxosNode {
             }
             PaxosMsg::Heartbeat { ballot, decided_up_to } => {
                 if ballot >= self.seen_ballot {
-                    self.seen_ballot = ballot;
-                    self.heard_from_leader = true;
-                    if self.leading.is_some_and(|b| b < ballot) {
-                        self.leading = None;
-                    }
+                    self.follow(ballot);
                     if self.leading.is_none() {
                         let leader = (ballot % self.n as u64) as NodeId;
                         // Re-forward undecided backlog to the live

@@ -251,8 +251,10 @@ pub struct ShardedNode {
 // why `ShardedNode` keeps an actor loop of its own around `PbftCore`
 // instead of embedding the one host, `PbftNode`: that owns a
 // `DurableLog`, which is `Rc`-backed and would make the node `!Send`.
-// What the two loops share (timer ids, tick period, batch-timer arming)
-// comes from `pbft`.
+// What the two loops share comes from `pbft/node.rs`: the tick and
+// batch timer ids, the tick period, the view timeout handed to
+// `on_tick`, and `arm_batch_timer`. What they do not share is
+// `PbftNode::ship`'s persist-before-send step: a shard core has no disk.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ShardedNode>();

@@ -23,37 +23,14 @@ use std::sync::OnceLock;
 /// (≈20 Montgomery muls) against ~20 µs of scoped-thread setup, so a
 /// per-thread chunk needs ≥~100 terms before the spawn overhead drops
 /// under 5%; production moduli only push the crossover lower, so 128
-/// is conservative in the direction that never loses. Override with
-/// `PREVER_PIR_PARALLEL_THRESHOLD` (see [`parallel_threshold`]).
+/// is conservative in the direction that never loses.
 const PARALLEL_THRESHOLD: usize = 128;
 
-/// The effective sequential/parallel crossover:
-/// `PREVER_PIR_PARALLEL_THRESHOLD` if set and parseable, else
-/// [`PARALLEL_THRESHOLD`]. Read once per process.
-fn parallel_threshold() -> usize {
-    static T: OnceLock<usize> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("PREVER_PIR_PARALLEL_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(PARALLEL_THRESHOLD)
-    })
-}
-
-/// Worker threads for the parallel dot-product paths: `PREVER_PIR_THREADS`
-/// if set to a positive integer, else `available_parallelism`. Read once
-/// per process.
+/// Worker threads for the parallel dot-product paths:
+/// `available_parallelism`, read once per process.
 fn worker_threads() -> usize {
     static T: OnceLock<usize> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("PREVER_PIR_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
-    })
+    *T.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// The single PIR server.
@@ -119,7 +96,7 @@ impl CpirServer {
         }
 
         let threads = worker_threads();
-        if threads <= 1 || nonzero.len() < parallel_threshold() {
+        if threads <= 1 || nonzero.len() < PARALLEL_THRESHOLD {
             return Self::fold_terms(pk, &nonzero);
         }
 
@@ -203,7 +180,7 @@ impl CpirServer {
         let row_refs: Vec<&[&Ciphertext]> = rows.iter().map(|r| r.as_slice()).collect();
 
         let threads = worker_threads();
-        if threads <= 1 || k == 1 || k * idx.len() < parallel_threshold() {
+        if threads <= 1 || k == 1 || k * idx.len() < PARALLEL_THRESHOLD {
             return Ok(pk.weighted_sum_rows(&row_refs, &weights)?);
         }
         let chunk = k.div_ceil(threads);

@@ -28,12 +28,7 @@ fn recovered_host_flushes_on_its_second_delivery<A: Actor>(
     // nowhere). f = 0, so one responder is a state-transfer quorum: the
     // first response is applied as it arrives.
     let mut sim = Simulation::new(vec![host(log.clone())], NetConfig::default(), 1);
-    let response = |entries| PbftMsg::StateResponse {
-        view: 0,
-        stable_seq: 0,
-        state_digest: Digest([0; 32]),
-        entries,
-    };
+    let response = |entries| PbftMsg::StateResponse { view: 0, entries };
     let batch = Batch::new(vec![Command::new(7, "synced")]);
     sim.inject(1, 0, wrap(response(vec![(1, batch)])), 10);
     sim.run_until(10);
