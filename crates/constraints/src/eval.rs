@@ -6,15 +6,17 @@
 //! (unknown is not permission). Aggregates over zero rows follow SQL:
 //! `COUNT` is 0, `SUM`/`MIN`/`MAX`/`AVG` are NULL.
 //!
-//! There is one evaluator. Every aggregate, grouped aggregate and
-//! `EXISTS` runs the same loop ([`for_each_match`]) over a *row source*:
-//! the whole table, or the candidates of an index [`crate::pushdown`]
-//! found for an equality conjunct. The window test, the filter and NULL
-//! handling run unchanged over whichever rows arrive, so on a database
-//! without indexes this is the full-scan oracle.
+//! There is one evaluator, and it runs over [`Plan`]s: the expression
+//! with its names resolved ([`crate::plan`]). Every aggregate, grouped
+//! aggregate and `EXISTS` runs the same loop ([`for_each_match`]) over a
+//! *row source*: the whole table, or the candidates of an index
+//! [`crate::pushdown`] found for an equality conjunct. The window test,
+//! the filter and NULL handling run unchanged over whichever rows arrive,
+//! so on a database without indexes this is the full-scan oracle.
 
-use crate::ast::{AggFunc, BinOp, Expr, GroupReduce, TimeWindow};
-use crate::{pushdown, Constraint, ConstraintError, Result};
+use crate::ast::{AggFunc, BinOp, GroupReduce};
+use crate::plan::{Node, Plan, Scan, ScanKind, Source};
+use crate::{pushdown, Constraint, ConstraintError, Expr, Result};
 use prever_storage::{Row, Schema, Snapshot, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -49,13 +51,16 @@ impl<'a> UpdateContext<'a> {
 
 /// Evaluates a constraint: `Ok(true)` accepts the update.
 ///
-/// NULL at the top level rejects (returns `Ok(false)`).
+/// NULL at the top level rejects (returns `Ok(false)`). The constraint's
+/// plan is made on its first evaluation and reused until the database's
+/// layout ([`Snapshot::generation`]) or the update's schema changes.
 pub fn evaluate(
     constraint: &Constraint,
     snapshot: &Snapshot<'_>,
     update: &UpdateContext<'_>,
 ) -> Result<bool> {
-    match evaluate_expr(&constraint.expr, snapshot, update)? {
+    let plan = constraint.plan.get(&constraint.expr, snapshot, update.schema);
+    match evaluate_plan(&plan, snapshot, update)? {
         Value::Bool(b) => Ok(b),
         Value::Null => Ok(false),
         other => Err(ConstraintError::TypeMismatch {
@@ -66,14 +71,19 @@ pub fn evaluate(
 }
 
 /// Evaluates an expression with no row bound (aggregates read the
-/// snapshot; bare `table.column` references are an error here).
+/// snapshot; bare `table.column` references are an error here). The
+/// expression is planned for this evaluation alone.
 pub fn evaluate_expr(
     expr: &Expr,
     snapshot: &Snapshot<'_>,
     update: &UpdateContext<'_>,
 ) -> Result<Value> {
+    evaluate_plan(&Plan::new(expr, snapshot, update.schema), snapshot, update)
+}
+
+fn evaluate_plan(plan: &Plan, snapshot: &Snapshot<'_>, update: &UpdateContext<'_>) -> Result<Value> {
     let env = Env { snapshot, update };
-    eval(expr, &env, &mut Vec::new()).map(Cow::into_owned)
+    eval(&plan.root, &env, &mut Vec::new()).map(Cow::into_owned)
 }
 
 /// What every node of one evaluation reads: the snapshot and the update.
@@ -82,54 +92,24 @@ pub(crate) struct Env<'e, 'a> {
     pub(crate) update: &'e UpdateContext<'a>,
 }
 
-/// Row binding for `table.column` references inside aggregate filters.
-/// Nested scans push onto one stack (pushed and popped per row, never
-/// copied); references resolve innermost-first, which is what makes
-/// correlated `EXISTS` (semi-joins) work.
-#[derive(Clone, Copy)]
-pub(crate) struct RowBinding<'a> {
-    pub(crate) table: &'a str,
-    pub(crate) schema: &'a Schema,
-    pub(crate) row: &'a Row,
-}
-
-impl<'a> RowBinding<'a> {
-    /// The innermost scan of `table` on the stack: correlated references
-    /// reach enclosing scans by table name, the nearest one winning.
-    pub(crate) fn innermost(bound: &[RowBinding<'a>], table: &str) -> Option<RowBinding<'a>> {
-        bound.iter().rev().find(|b| b.table == table).copied()
-    }
-}
-
-/// One table read: what an aggregate, grouped aggregate or `EXISTS`
-/// asks of its row source.
-pub(crate) struct Scan<'a> {
-    pub(crate) table: &'a str,
-    pub(crate) filter: Option<&'a Expr>,
-    pub(crate) window: Option<&'a TimeWindow>,
-}
-
-/// Values are borrowed from the AST, the update or the bound row wherever
+/// Values are borrowed from the plan, the update or a bound row wherever
 /// they already exist, so comparing a column with a `$field` clones
-/// neither string.
-fn eval<'a>(
-    expr: &'a Expr,
-    env: &Env<'_, 'a>,
-    bound: &mut Vec<RowBinding<'a>>,
-) -> Result<Cow<'a, Value>> {
-    let owned = match expr {
-        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
-        Expr::Field(name) => return Ok(Cow::Borrowed(env.update.field(name)?)),
-        Expr::Column { table, column } => {
-            let b = RowBinding::innermost(bound, table).ok_or_else(|| {
-                ConstraintError::TypeMismatch {
-                    op: "column reference",
-                    detail: format!("{table}.{column} does not match any enclosing scan"),
-                }
-            })?;
-            return Ok(Cow::Borrowed(&b.row.values[b.schema.column_index(column)?]));
+/// neither string. `bound` is the row stack: the row each enclosing scan
+/// is testing, outermost first, where a planned `table.column` finds its
+/// row by depth — pushed and popped per row, never copied — which is what
+/// makes correlated `EXISTS` (semi-joins) work.
+fn eval<'a>(node: &'a Node, env: &Env<'_, 'a>, bound: &mut Vec<&'a Row>) -> Result<Cow<'a, Value>> {
+    let owned = match node {
+        Node::Literal(v) => return Ok(Cow::Borrowed(v)),
+        Node::Field(field) => {
+            let i = field.as_ref().map_err(Clone::clone)?;
+            return Ok(Cow::Borrowed(&env.update.row.values[*i]));
         }
-        Expr::Binary { op, lhs, rhs } => {
+        Node::Column(column) => {
+            let slot = column.as_ref().map_err(Clone::clone)?;
+            return Ok(Cow::Borrowed(&bound[slot.depth].values[slot.column]));
+        }
+        Node::Binary { op, lhs, rhs } => {
             // Both sides are always evaluated: three-valued AND/OR need
             // the other operand even when one is NULL.
             let l = eval(lhs, env, bound)?;
@@ -139,7 +119,7 @@ fn eval<'a>(
                 _ => eval_binary(*op, &l, &r)?,
             }
         }
-        Expr::Not(e) => match &*eval(e, env, bound)? {
+        Node::Not(e) => match &*eval(e, env, bound)? {
             Value::Bool(b) => Value::Bool(!b),
             Value::Null => Value::Null,
             other => {
@@ -149,7 +129,7 @@ fn eval<'a>(
                 })
             }
         },
-        Expr::Neg(e) => match &*eval(e, env, bound)? {
+        Node::Neg(e) => match &*eval(e, env, bound)? {
             Value::Null => Value::Null,
             v => {
                 let n = v.as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
@@ -159,25 +139,25 @@ fn eval<'a>(
                 int_value(-n)?
             }
         },
-        Expr::IsNull { expr, negated } => {
+        Node::IsNull { expr, negated } => {
             Value::Bool(eval(expr, env, bound)?.is_null() != *negated)
         }
-        Expr::Aggregate { func, table, column, filter, window } => {
-            let scan = Scan { table, filter: filter.as_deref(), window: window.as_ref() };
-            return eval_aggregate(*func, column.as_deref(), &scan, env, bound);
-        }
-        Expr::Exists { table, filter } => {
-            let scan = Scan { table, filter: filter.as_deref(), window: None };
-            let mut found = false;
-            for_each_match(&scan, env, bound, |_| {
-                found = true;
-                Ok(ControlFlow::Break(()))
-            })?;
-            Value::Bool(found)
-        }
-        Expr::GroupedAggregate { func, table, column, group_by, filter, window, reduce } => {
-            let scan = Scan { table, filter: filter.as_deref(), window: window.as_ref() };
-            eval_grouped(*func, column.as_deref(), group_by, *reduce, &scan, env, bound)?
+        Node::Scan(scan) => {
+            let source = scan.source.as_ref().map_err(Clone::clone)?;
+            match scan.kind {
+                ScanKind::Aggregate(func) => return eval_aggregate(func, scan, source, env, bound),
+                ScanKind::Grouped(func, reduce) => {
+                    eval_grouped(func, reduce, scan, source, env, bound)?
+                }
+                ScanKind::Exists => {
+                    let mut found = false;
+                    for_each_match(scan, source, env, bound, |_| {
+                        found = true;
+                        Ok(ControlFlow::Break(()))
+                    })?;
+                    Value::Bool(found)
+                }
+            }
         }
     };
     Ok(Cow::Owned(owned))
@@ -191,22 +171,18 @@ fn eval<'a>(
 /// that provably yields every matching row, from the whole table
 /// otherwise; the tests below run on whichever rows arrive.
 fn for_each_match<'a>(
-    scan: &Scan<'a>,
+    scan: &'a Scan,
+    source: &'a Source,
     env: &Env<'_, 'a>,
-    bound: &mut Vec<RowBinding<'a>>,
+    bound: &mut Vec<&'a Row>,
     mut each: impl FnMut(&'a Row) -> Result<ControlFlow<()>>,
 ) -> Result<()> {
-    let table = scan.table;
-    let schema = env.snapshot.schema(table)?;
-    // (window, its column, the instant just before it opens).
+    // (window, the instant just before it opens).
     let anchor = env.update.timestamp as i128;
-    let window = match scan.window {
-        Some(w) => Some((w, schema.column_index(&w.column)?, anchor - w.duration as i128)),
-        None => None,
-    };
+    let window = source.window.as_ref().map(|w| (w, anchor - w.duration as i128));
 
-    let window_range = window.map(|(_, widx, after)| (widx, after + 1..=anchor));
-    let mut indexed = pushdown::index_rows(scan, schema, window_range, env, bound);
+    let window_range = window.map(|(w, after)| (w.column, after + 1..=anchor));
+    let mut indexed = pushdown::index_rows(&scan.table, source, window_range, env, bound);
     let mut scanned;
     let rows: &mut dyn Iterator<Item = &'a Row> = match &mut indexed {
         Some(rows) => {
@@ -215,7 +191,7 @@ fn for_each_match<'a>(
         }
         None => {
             prever_obs::counter!("constraints.eval.scanned").inc();
-            scanned = env.snapshot.scan(table)?.map(|(_, row)| row);
+            scanned = env.snapshot.scan(&scan.table)?.map(|(_, row)| row);
             &mut scanned
         }
     };
@@ -224,17 +200,17 @@ fn for_each_match<'a>(
     let outcome = (|| {
         for row in rows {
             visited += 1;
-            if let Some((w, widx, after)) = window {
-                let ts = row.values[widx].as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
+            if let Some((w, after)) = window {
+                let ts = row.values[w.column].as_i128().ok_or_else(|| ConstraintError::TypeMismatch {
                     op: "window",
-                    detail: format!("window column {} is not numeric", w.column),
+                    detail: format!("window column {} is not numeric", w.name),
                 })?;
                 if ts <= after || ts > anchor {
                     continue;
                 }
             }
-            if let Some(f) = scan.filter {
-                bound.push(RowBinding { table, schema, row });
+            if let Some(f) = &source.filter {
+                bound.push(row);
                 let verdict = eval(f, env, bound);
                 bound.pop();
                 match &*verdict? {
@@ -260,22 +236,19 @@ fn for_each_match<'a>(
 
 fn eval_grouped<'a>(
     func: AggFunc,
-    column: Option<&str>,
-    group_by: &str,
     reduce: GroupReduce,
-    scan: &Scan<'a>,
+    scan: &'a Scan,
+    source: &'a Source,
     env: &Env<'_, 'a>,
-    bound: &mut Vec<RowBinding<'a>>,
+    bound: &mut Vec<&'a Row>,
 ) -> Result<Value> {
-    let schema = env.snapshot.schema(scan.table)?;
-    let col_idx = column.map(|c| schema.column_index(c)).transpose()?;
-    let group_idx = schema.column_index(group_by)?;
+    let group_idx = source.group_by.expect("a grouped aggregate plans its grouping column");
     let mut groups: BTreeMap<&Value, i128> = BTreeMap::new();
-    for_each_match(scan, env, bound, |row| {
+    for_each_match(scan, source, env, bound, |row| {
         let contribution = match func {
             AggFunc::Count => 1,
             AggFunc::Sum => {
-                let v = &row.values[col_idx.expect("parser enforces a column for SUM")];
+                let v = &row.values[source.column.expect("parser enforces a column for SUM")];
                 if v.is_null() {
                     return Ok(ControlFlow::Continue(()));
                 }
@@ -307,21 +280,18 @@ fn eval_grouped<'a>(
 
 fn eval_aggregate<'a>(
     func: AggFunc,
-    column: Option<&str>,
-    scan: &Scan<'a>,
+    scan: &'a Scan,
+    source: &'a Source,
     env: &Env<'_, 'a>,
-    bound: &mut Vec<RowBinding<'a>>,
+    bound: &mut Vec<&'a Row>,
 ) -> Result<Cow<'a, Value>> {
-    let schema = env.snapshot.schema(scan.table)?;
-    let col_idx = column.map(|c| schema.column_index(c)).transpose()?;
-
     let mut count: i128 = 0;
     let mut sum: i128 = 0;
     let mut min: Option<&'a Value> = None;
     let mut max: Option<&'a Value> = None;
 
-    for_each_match(scan, env, bound, |row| {
-        let Some(idx) = col_idx else {
+    for_each_match(scan, source, env, bound, |row| {
+        let Some(idx) = source.column else {
             count += 1;
             return Ok(ControlFlow::Continue(()));
         };
@@ -464,7 +434,7 @@ fn int_value(v: i128) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::{Constraint, ConstraintScope};
-    use prever_storage::{Column, ColumnType, Database, Row, Schema};
+    use prever_storage::{Column, ColumnType, Database, Row, Schema, StorageError};
 
     /// A crowdworking task-completion database (paper §2.3 / §5).
     fn tasks_db() -> Database {
@@ -840,5 +810,108 @@ mod tests {
         // Against v1 (30h existing): accept. Against live (60h): reject.
         assert!(evaluate(&flsa(), &old_snapshot, &update).unwrap());
         assert!(!evaluate(&flsa(), &db.snapshot(), &update).unwrap());
+    }
+
+    /// Plans made while `f` runs.
+    fn plans(f: impl FnOnce()) -> u64 {
+        let before = crate::plans_built();
+        f();
+        crate::plans_built() - before
+    }
+
+    #[test]
+    fn a_constraint_is_planned_once_per_layout_and_update_schema() {
+        let mut db = tasks_db();
+        db.insert("tasks", task(1, "w1", 20, 100)).unwrap();
+        let c = flsa();
+        let n = plans(|| {
+            for ts in [200, 300, 400] {
+                assert!(check(&db, &c, &task(9, "w1", 1, ts), ts));
+            }
+        });
+        assert_eq!(n, 1, "one layout, one plan");
+        db.insert("tasks", task(2, "w1", 15, 150)).unwrap();
+        assert_eq!(plans(|| assert!(!check(&db, &c, &task(9, "w1", 6, 200), 200))), 0, "rows are not layout");
+        db.create_index("tasks", "worker", Some("ts")).unwrap();
+        assert_eq!(plans(|| assert!(!check(&db, &c, &task(9, "w1", 6, 200), 200))), 1, "a new index re-plans");
+        assert_eq!(plans(|| assert!(check(&db, &c, &task(9, "w1", 5, 200), 200))), 0);
+        // A historical snapshot has the live layout: the plan holds, and the
+        // index is not read (`constraint_over_snapshot_not_live_state`).
+        let schema = db.table("tasks").unwrap().schema();
+        let row = task(9, "w1", 6, 200);
+        let update = UpdateContext { table: "tasks", row: &row, schema, timestamp: 200 };
+        let old = db.snapshot_at(1).unwrap();
+        assert_eq!(plans(|| assert!(evaluate(&c, &old, &update).unwrap())), 0);
+        // Another update schema resolves `$fields` elsewhere.
+        let other = Schema::new(
+            vec![Column::new("worker", ColumnType::Str), Column::new("hours", ColumnType::Uint)],
+            &["worker"],
+        )
+        .unwrap();
+        let row = Row::new(vec!["w1".into(), 6u64.into()]);
+        let update = UpdateContext { table: "shifts", row: &row, schema: &other, timestamp: 200 };
+        assert_eq!(plans(|| assert!(!evaluate(&c, &db.snapshot(), &update).unwrap())), 1);
+        // A clone starts without a plan.
+        let d = c.clone();
+        assert_eq!(d, c, "the plan is no part of the value");
+        assert_eq!(plans(|| assert!(check(&db, &d, &task(9, "w1", 5, 200), 200))), 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "changed after it was planned")]
+    fn an_expression_changed_after_planning_is_caught() {
+        let db = tasks_db();
+        let mut c = flsa();
+        check(&db, &c, &task(1, "w1", 1, 100), 100);
+        c.expr = flsa_unguarded().expr;
+        check(&db, &c, &task(1, "w1", 1, 100), 100);
+    }
+
+    /// Names resolve once per plan, yet fail as they did when each was
+    /// looked up on use: the same error, the first in evaluation order,
+    /// and only once a row or scan reaches the name.
+    #[test]
+    fn planned_names_fail_where_and_when_they_are_used() {
+        let column_reference = |name: &str| ConstraintError::TypeMismatch {
+            op: "column reference",
+            detail: format!("{name} does not match any enclosing scan"),
+        };
+        let no_column = |c: &str| ConstraintError::Storage(StorageError::NoSuchColumn(c.into()));
+        let no_table = |t: &str| ConstraintError::Storage(StorageError::NoSuchTable(t.into()));
+        let cases = [
+            // (expression, on an empty table, with a row)
+            ("COUNT(tasks WHERE tasks.nope = 1)", Ok(Value::Int(0)), Err(no_column("nope"))),
+            ("COUNT(tasks WHERE $nope = 1)", Ok(Value::Int(0)), Err(ConstraintError::UnknownField("nope".into()))),
+            (
+                "COUNT(tasks WHERE certs.worker = tasks.worker)",
+                Ok(Value::Int(0)),
+                Err(column_reference("certs.worker")),
+            ),
+            ("COUNT(nope)", Err(no_table("nope")), Err(no_table("nope"))),
+            ("SUM(tasks.nope WITHIN 5 OF tasks.nah)", Err(no_column("nope")), Err(no_column("nope"))),
+            (
+                "MAXSUM(tasks.hours BY tasks.nah WITHIN 5 OF tasks.zz)",
+                Err(no_column("nah")),
+                Err(no_column("nah")),
+            ),
+            ("COUNT(tasks WITHIN 5 OF tasks.nah)", Err(no_column("nah")), Err(no_column("nah"))),
+            ("tasks.hours = 1", Err(column_reference("tasks.hours")), Err(column_reference("tasks.hours"))),
+        ];
+        let mut db = tasks_db();
+        let row = task(9, "w1", 1, 1);
+        for filled in [false, true] {
+            if filled {
+                db.insert("tasks", task(1, "w1", 3, 1)).unwrap();
+            }
+            let snapshot = db.snapshot();
+            let schema = db.table("tasks").unwrap().schema();
+            let update = UpdateContext { table: "tasks", row: &row, schema, timestamp: 1 };
+            for (src, empty, full) in &cases {
+                let e = crate::parse::parse(src).unwrap();
+                let want = if filled { full } else { empty };
+                assert_eq!(&evaluate_expr(&e, &snapshot, &update), want, "{src}, filled: {filled}");
+            }
+        }
     }
 }

@@ -26,7 +26,10 @@
 //!   ```
 //!
 //! * [`eval`] — the evaluator against a storage [`Snapshot`]; on a
-//!   database without indexes it is the full-scan oracle of the tests;
+//!   database without indexes it is the full-scan oracle of the tests. It
+//!   runs over a *plan*: the expression with its tables, columns and
+//!   `$fields` resolved and its index probes chosen, which a
+//!   [`Constraint`] makes once per database layout instead of per update;
 //! * [`pushdown`] — the paper's "efficient incremental techniques" without
 //!   a second evaluator: an equality conjunct (`t.worker = $worker`) and a
 //!   sliding window are pushed down onto a storage-maintained
@@ -44,11 +47,14 @@
 pub mod ast;
 pub mod eval;
 pub mod parse;
+mod plan;
 pub mod pushdown;
 pub mod query;
 
 pub use ast::{AggFunc, Expr, GroupReduce, TimeWindow};
 pub use eval::{evaluate, evaluate_expr, UpdateContext};
+#[cfg(any(test, debug_assertions))]
+pub use plan::plans_built;
 pub use pushdown::ensure_indexes;
 pub use query::{evaluate_query, query};
 
@@ -74,14 +80,23 @@ pub struct Constraint {
     pub scope: ConstraintScope,
     /// The boolean expression; the update is accepted iff it evaluates
     /// to TRUE (NULL rejects, matching SQL CHECK-constraint semantics
-    /// inverted for safety: unknown means *not allowed*).
+    /// inverted for safety: unknown means *not allowed*). Read it freely,
+    /// but do not change it once the constraint has been evaluated: the
+    /// constraint keeps a plan made from it (parse a new constraint
+    /// instead; a clone starts with no plan).
     pub expr: Expr,
+    plan: plan::PlanCache,
 }
 
 impl Constraint {
     /// Builds a constraint from source text.
     pub fn parse(name: &str, scope: ConstraintScope, src: &str) -> Result<Self> {
-        Ok(Constraint { name: name.to_string(), scope, expr: parse::parse(src)? })
+        Ok(Constraint {
+            name: name.to_string(),
+            scope,
+            expr: parse::parse(src)?,
+            plan: plan::PlanCache::default(),
+        })
     }
 }
 

@@ -11,7 +11,7 @@
 //!          | add IS [NOT] NULL
 //! add     := mul (( + | - ) mul)*
 //! mul     := unary (( * | / | % ) unary)*
-//! unary   := - unary | primary
+//! unary   := - unary | primary          (- integer folds to one literal)
 //! primary := integer | 'string' | TRUE | FALSE | NULL
 //!          | $ident                      (update field)
 //!          | ident . ident               (scanned column)
@@ -167,12 +167,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// `-` before an integer literal folds into the literal, so `-1` is a
+    /// value an index can be probed with, not a negation to evaluate. It
+    /// evaluates the same either way; a negation of anything else stays a
+    /// negation, and `-9223372036854775808` stays an overflow, its digits
+    /// being parsed before the sign.
     fn parse_unary(&mut self) -> Result<Expr> {
-        if self.eat("-") {
-            Ok(Expr::Neg(Box::new(self.parse_unary()?)))
-        } else {
-            self.parse_primary()
+        if !self.eat("-") {
+            return self.parse_primary();
         }
+        Ok(match self.parse_unary()? {
+            Expr::Literal(Value::Int(n)) => Expr::int(-n),
+            e => Expr::Neg(Box::new(e)),
+        })
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
@@ -450,10 +457,31 @@ mod tests {
         assert_eq!(parse("TRUE").unwrap(), Expr::Literal(Value::Bool(true)));
         assert_eq!(parse("'abc'").unwrap(), Expr::Literal(Value::Str("abc".into())));
         assert_eq!(parse("42").unwrap(), Expr::Literal(Value::Int(42)));
+    }
+
+    #[test]
+    fn a_negated_integer_literal_is_one_literal() {
+        assert_eq!(parse("-42").unwrap(), Expr::int(-42));
+        assert_eq!(parse("- 42").unwrap(), Expr::int(-42));
+        assert_eq!(parse("--42").unwrap(), Expr::int(42));
+        assert_eq!(parse("-9223372036854775807").unwrap(), Expr::int(-i64::MAX));
+        assert_eq!(parse("1 - -1").unwrap(), Expr::bin(BinOp::Sub, Expr::int(1), Expr::int(-1)));
+        assert_eq!(parse("-2 * 3").unwrap(), Expr::bin(BinOp::Mul, Expr::int(-2), Expr::int(3)));
+        // The magnitude is parsed first, so i64::MIN has no literal.
+        assert!(parse("-9223372036854775808").is_err());
+        // Anything but an integer literal stays a negation.
+        let neg = |e| Expr::Neg(Box::new(e));
+        assert_eq!(parse("-$hours").unwrap(), neg(Expr::field("hours")));
+        assert_eq!(parse("-TRUE").unwrap(), neg(Expr::Literal(Value::Bool(true))));
+        assert_eq!(parse("-NULL").unwrap(), neg(Expr::Literal(Value::Null)));
+        assert_eq!(parse("-'x'").unwrap(), neg(Expr::Literal(Value::Str("x".into()))));
         assert_eq!(
-            parse("-42").unwrap(),
-            Expr::Neg(Box::new(Expr::Literal(Value::Int(42))))
+            parse("-(1 + 2)").unwrap(),
+            neg(Expr::bin(BinOp::Add, Expr::int(1), Expr::int(2)))
         );
+        // Display writes the folded literal back as `-42`, which reparses.
+        let e = parse("t.c = -42").unwrap();
+        assert_eq!(parse(&e.to_string()).unwrap(), e);
     }
 
     #[test]

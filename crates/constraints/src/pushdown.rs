@@ -25,9 +25,9 @@
 //!   `=` compares numerically, so a numeric probe is looked up as the
 //!   column's own variant — `t.hours = 5`, an `Int` literal, probes a
 //!   `Uint` column as `Uint(5)`; every numeric literal of a query is an
-//!   `Int` — and one no stored value can equal (a negative `$field`
-//!   against `Uint`, `'x'` against a number) scans, as does `-1`, which
-//!   is not a literal but a negation;
+//!   `Int`, `-1` included, since the parser folds the sign into the
+//!   literal — and one no stored value can equal (`-1` or a negative
+//!   `$field` against `Uint`, `'x'` against a number) scans;
 //! * a filter that could raise an error on a row the index would skip:
 //!   only comparisons between operands of comparable declared types,
 //!   `IS [NOT] NULL`, and `AND`/`OR`/`NOT` over those are known not to
@@ -36,36 +36,49 @@
 //!   test itself can fail on a skipped row.
 //!
 //! There is no switch: the choice follows from the expression's shape and
-//! the table's indexes. [`ensure_indexes`] creates the indexes an
-//! expression can use; `Pipeline` calls it for every constraint it
-//! registers and every query it answers, so the first read of a shape
-//! builds its index from the rows already stored and every later read and
-//! write uses and maintains it.
+//! the table's indexes. The parts that depend on nothing else — which
+//! conjuncts have an indexed column, whether the window can be narrowed —
+//! are decided once per plan ([`probes`], run by [`crate::plan`]); the
+//! rest — the probe's value and variant, whether the filter's operands
+//! are of types that cannot fail, whether the snapshot is live — per
+//! evaluation. [`ensure_indexes`] creates the indexes an expression can
+//! use; `Pipeline` calls it for every constraint it registers and every
+//! query it answers, so the first read of a shape builds its index in one
+//! pass over the rows already stored, and every later read and write uses
+//! and maintains it. A new index re-plans each registered constraint
+//! once, on its next check.
 //!
 //! The index set is bounded by the schema, not by how many constraints or
 //! queries arrive: at most one index per (column, orderable column or
-//! none) of a table, and only for pairs some expression asked for. Each
-//! costs a write one `BTreeMap` lookup plus one `BTreeSet` insert of
-//! `(ordering value, primary key)` — the key is cloned, the group value
-//! only when the group is new — and as much again on an update or delete
-//! for the old row; in memory, one key clone per live row.
+//! none) of a table, and only for pairs some expression asked for. An
+//! entry is `(ordering value, primary key) → row`, the row shared with the
+//! table, so a read through the index touches its entries only and never
+//! goes back to the primary map. Each index costs a write one `BTreeMap`
+//! lookup plus one ordered-map insert — the key is cloned, the row's `Arc`
+//! too, the group value only when the group is new — and as much again on
+//! an update or delete for the old row; in memory, one key and one `Arc`
+//! per live row.
 
 use crate::ast::{BinOp, Expr};
-use crate::eval::{Env, RowBinding, Scan};
-use prever_storage::{ColumnType, Database, Row, Schema, Value};
+use crate::eval::Env;
+use crate::plan::{Node, Probe, Source, Window};
+use prever_storage::{ColumnType, Database, Row, Schema, Snapshot, Value};
 use std::borrow::Cow;
 use std::ops::RangeInclusive;
 
-/// The first `Some` that `f` returns for a conjunct of `filter`'s
-/// top-level `AND`, left to right.
-fn find_conjunct<'a, T>(filter: &'a Expr, f: &mut impl FnMut(&'a Expr) -> Option<T>) -> Option<T> {
+/// The conjuncts of `filter`'s top-level `AND`, left to right.
+fn conjuncts(filter: &Expr) -> Vec<&Expr> {
     match filter {
         Expr::Binary {
             op: BinOp::And,
             lhs,
             rhs,
-        } => find_conjunct(lhs, f).or_else(|| find_conjunct(rhs, f)),
-        conjunct => f(conjunct),
+        } => {
+            let mut all = conjuncts(lhs);
+            all.extend(conjuncts(rhs));
+            all
+        }
+        conjunct => vec![conjunct],
     }
 }
 
@@ -98,15 +111,46 @@ fn equality_probe<'a>(conjunct: &'a Expr, table: &str) -> Option<(&'a str, &'a E
     }
 }
 
-/// The value of a row-independent operand, if it evaluates.
-fn fixed_value<'a>(e: &'a Expr, env: &Env<'_, 'a>, bound: &[RowBinding<'a>]) -> Option<&'a Value> {
-    match e {
-        Expr::Literal(v) => Some(v),
-        Expr::Field(name) => env.update.field(name).ok(),
-        Expr::Column { table, column } => {
-            let b = RowBinding::innermost(bound, table)?;
-            Some(&b.row.values[b.schema.column_index(column).ok()?])
+/// The part of the pushdown decision a [`Plan`](crate::plan::Plan) makes
+/// once: the equality conjuncts of the scan of `table` (of `schema`) with
+/// `filter` and `window` whose column has an index, left to right, their
+/// row-independent side planned by `plan`. Empty when the window test
+/// itself could fail on a skipped row — a nullable or non-numeric window
+/// column.
+pub(crate) fn probes<'e>(
+    snapshot: &Snapshot<'_>,
+    table: &str,
+    schema: &Schema,
+    filter: &'e Expr,
+    window: Option<&Window>,
+    mut plan: impl FnMut(&'e Expr) -> Node,
+) -> Vec<Probe> {
+    if let Some(w) = window {
+        let column = &schema.columns()[w.column];
+        if column.nullable || !column.ty.is_numeric() {
+            return Vec::new();
         }
+    }
+    conjuncts(filter)
+        .into_iter()
+        .filter_map(|conjunct| equality_probe(conjunct, table))
+        .filter_map(|(column, value)| {
+            let column = schema.column_index(column).ok()?;
+            snapshot.has_index(table, column).ok()?.then(|| Probe {
+                column,
+                ty: schema.columns()[column].ty,
+                value: plan(value),
+            })
+        })
+        .collect()
+}
+
+/// The value of a row-independent operand, if it resolved.
+fn fixed_value<'a>(node: &'a Node, env: &Env<'_, 'a>, bound: &[&'a Row]) -> Option<&'a Value> {
+    match node {
+        Node::Literal(v) => Some(v),
+        Node::Field(Ok(i)) => Some(&env.update.row.values[*i]),
+        Node::Column(Ok(slot)) => Some(&bound[slot.depth].values[slot.column]),
         _ => None,
     }
 }
@@ -173,70 +217,58 @@ impl Ty {
     }
 }
 
-/// The type `e` has on **every** row of `table` — a declared column
-/// type also covers that column's NULLs — or `None` if evaluating it
-/// could raise an error on some row, or it lies outside the fragment
-/// this check understands. Not an evaluator: it computes no value.
-fn static_type<'a>(
-    e: &'a Expr,
-    table: &str,
-    schema: &Schema,
-    env: &Env<'_, 'a>,
-    bound: &[RowBinding<'a>],
-) -> Option<Ty> {
-    let ty = |e| static_type(e, table, schema, env, bound);
-    match e {
-        Expr::Column { table: t, column } if t == table => Some(Ty::of_column(
-            schema.columns()[schema.column_index(column).ok()?].ty,
-        )),
-        Expr::Literal(_) | Expr::Field(_) | Expr::Column { .. } => {
-            fixed_value(e, env, bound).map(Ty::of_value)
+/// The type `node` has on **every** row of the scan at `depth` — a
+/// declared column type also covers that column's NULLs — or `None` if
+/// evaluating it could raise an error on some row, or it lies outside the
+/// fragment this check understands. Not an evaluator: it computes no
+/// value. It runs per evaluation, because a `$field` is the update's value
+/// and need not be of the type its column declares.
+fn static_type<'a>(node: &'a Node, depth: usize, env: &Env<'_, 'a>, bound: &[&'a Row]) -> Option<Ty> {
+    let ty = |n| static_type(n, depth, env, bound);
+    match node {
+        Node::Column(Ok(slot)) if slot.depth == depth => Some(Ty::of_column(slot.ty)),
+        Node::Literal(_) | Node::Field(_) | Node::Column(_) => {
+            fixed_value(node, env, bound).map(Ty::of_value)
         }
-        Expr::Binary {
+        Node::Binary {
             op: BinOp::And | BinOp::Or,
             lhs,
             rhs,
         } => (ty(lhs)?.is_truth_value() && ty(rhs)?.is_truth_value()).then_some(Ty::Bool),
-        Expr::Binary {
+        Node::Binary {
             op: BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
             lhs,
             rhs,
         } => ty(lhs)?.comparable(ty(rhs)?).then_some(Ty::Bool),
-        Expr::Not(inner) => ty(inner)?.is_truth_value().then_some(Ty::Bool),
-        Expr::IsNull { expr, .. } => ty(expr).map(|_| Ty::Bool),
+        Node::Not(inner) => ty(inner)?.is_truth_value().then_some(Ty::Bool),
+        Node::IsNull { expr, .. } => ty(expr).map(|_| Ty::Bool),
         _ => None,
     }
 }
 
-/// The candidate rows of `scan` from a secondary index, or `None` when
-/// the table must be scanned (module docs list why). `window` is the
-/// scan's window as (column, inclusive range of its numeric view).
+/// The candidate rows of the scan of `table` planned as `source` from a
+/// secondary index, or `None` when the table must be scanned (module docs
+/// list why). `window` is the scan's window as (column, inclusive range of
+/// its numeric view); `bound` holds the rows of the enclosing scans.
 pub(crate) fn index_rows<'a>(
-    scan: &Scan<'a>,
-    schema: &'a Schema,
+    table: &str,
+    source: &'a Source,
     window: Option<(usize, RangeInclusive<i128>)>,
     env: &Env<'_, 'a>,
-    bound: &[RowBinding<'a>],
+    bound: &[&'a Row],
 ) -> Option<impl Iterator<Item = &'a Row> + 'a> {
-    let filter = scan.filter?;
-    // Neither the window test nor the filter may be able to fail on a
-    // row that is skipped.
-    if let Some((w, _)) = &window {
-        let column = &schema.columns()[*w];
-        if column.nullable || !column.ty.is_numeric() {
-            return None;
-        }
-    }
-    if !static_type(filter, scan.table, schema, env, bound)?.is_truth_value() {
+    if source.probes.is_empty() {
         return None;
     }
-    find_conjunct(filter, &mut |conjunct| {
-        let (column, probe) = equality_probe(conjunct, scan.table)?;
-        let column = schema.column_index(column).ok()?;
-        let probe = probe_as(fixed_value(probe, env, bound)?, schema.columns()[column].ty)?;
+    // The filter may not be able to fail on a row that is skipped.
+    if !static_type(source.filter.as_ref()?, source.depth, env, bound)?.is_truth_value() {
+        return None;
+    }
+    source.probes.iter().find_map(|p| {
+        let probe = probe_as(fixed_value(&p.value, env, bound)?, p.ty)?;
         let rows = env
             .snapshot
-            .index_scan(scan.table, column, &probe, window.clone())
+            .index_scan(table, p.column, &probe, window.clone())
             .ok()??;
         Some(rows.map(|(_, row)| row))
     })
@@ -247,7 +279,8 @@ pub(crate) fn index_rows<'a>(
 /// whose filter has an equality conjunct [`index_rows`] could push down,
 /// an index on that column, ordered by the scan's window column where
 /// there is one. Idempotent, so callers run it whenever a constraint or a
-/// table arrives; indexes live in the table and need no other state.
+/// table arrives; indexes live in the table and need no other state, and
+/// an index that exists already leaves [`Database::generation`] as is.
 pub fn ensure_indexes(expr: &Expr, db: &mut Database) {
     expr.visit(&mut |e| {
         let (table, filter, window) = match e {
@@ -269,16 +302,16 @@ pub fn ensure_indexes(expr: &Expr, db: &mut Database) {
             } => (table, f, None),
             _ => return,
         };
-        let Ok(t) = db.table_mut(table) else { return };
-        let Some((column, _)) = find_conjunct(filter, &mut |c| equality_probe(c, table)) else {
+        let Some((column, _)) = conjuncts(filter).into_iter().find_map(|c| equality_probe(c, table))
+        else {
             return;
         };
         // A window column that cannot order an index (nullable, not
-        // numeric) still leaves the equality; an unknown column is the
-        // evaluator's error to report.
-        let ordered = window.is_some_and(|w| t.create_index(column, Some(&w.column)).is_ok());
+        // numeric) still leaves the equality; an unknown table or column
+        // is the evaluator's error to report.
+        let ordered = window.is_some_and(|w| db.create_index(table, column, Some(&w.column)).is_ok());
         if !ordered {
-            let _ = t.create_index(column, None);
+            let _ = db.create_index(table, column, None);
         }
     });
 }
@@ -288,7 +321,8 @@ mod tests {
     use super::*;
     use crate::eval::UpdateContext;
     use crate::parse::parse;
-    use prever_storage::{Column, Snapshot};
+    use crate::plan::Plan;
+    use prever_storage::Column;
 
     fn schema() -> Schema {
         Schema::new(
@@ -337,17 +371,7 @@ mod tests {
     /// `src`, checked for update (9, "w1", grp 1) at ts 250; `None` when
     /// the table is scanned.
     fn candidates(snapshot: &Snapshot<'_>, src: &str) -> Option<usize> {
-        let expr = parse(src).unwrap();
-        let Expr::Aggregate {
-            table,
-            filter,
-            window,
-            ..
-        } = &expr
-        else {
-            panic!("{src}: not an aggregate")
-        };
-        let schema = snapshot.schema(table).unwrap();
+        let schema = snapshot.schema("tasks").unwrap();
         let row = task(9, "w1", 1, 250);
         let update = UpdateContext {
             table: "tasks",
@@ -359,14 +383,16 @@ mod tests {
             snapshot,
             update: &update,
         };
-        let scan = Scan { table, filter: filter.as_deref(), window: window.as_ref() };
-        let window = window.as_ref().map(|w| {
-            (
-                schema.column_index(&w.column).unwrap(),
-                250 - w.duration as i128 + 1..=250,
-            )
-        });
-        index_rows(&scan, schema, window, &env, &[]).map(Iterator::count)
+        let plan = Plan::new(&parse(src).unwrap(), snapshot, schema);
+        let Node::Scan(scan) = &plan.root else {
+            panic!("{src}: not an aggregate")
+        };
+        let source = scan.source.as_ref().unwrap();
+        let window = source
+            .window
+            .as_ref()
+            .map(|w| (w.column, 250 - w.duration as i128 + 1..=250));
+        index_rows(&scan.table, source, window, &env, &[]).map(Iterator::count)
     }
 
     #[test]
@@ -420,8 +446,7 @@ mod tests {
             // No index on the column.
             "COUNT(tasks WHERE tasks.hours = 1)",
             // The probe fails, is NULL, or nothing the column can hold
-            // equals it (`-1` is not even a literal: it parses as a
-            // negation).
+            // equals it (`-1` is a literal, but `grp` holds `Uint`).
             "COUNT(tasks WHERE tasks.worker = $nope)",
             "COUNT(tasks WHERE tasks.worker = other.worker)",
             "COUNT(tasks WHERE tasks.worker = NULL)",

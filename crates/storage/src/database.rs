@@ -6,6 +6,7 @@ use crate::value::Value;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a change did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,6 +113,16 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
     version: u64,
     change_log: Vec<ChangeRecord>,
+    /// See [`Database::generation`].
+    generation: u64,
+}
+
+/// Source of [`Database::generation`] stamps, shared by every database in
+/// the process so that two databases share a stamp only by being clones.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: the stamp publishes no other data; only its uniqueness counts.
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Database {
@@ -125,12 +136,39 @@ impl Database {
         self.version
     }
 
+    /// A stamp of the database's *layout* — its tables, their schemas and
+    /// their secondary indexes — not of its rows: it changes when a table
+    /// or an index is created (or a table is borrowed mutably, which could
+    /// do either), and never otherwise. Two databases with equal stamps
+    /// have equal layouts, so whatever was worked out from one layout (a
+    /// constraint's plan) stays valid while the stamp holds.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Creates a table.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
         if self.tables.contains_key(name) {
             return Err(StorageError::TableExists(name.to_string()));
         }
         self.tables.insert(name.to_string(), Table::new(schema));
+        self.generation = next_generation();
+        Ok(())
+    }
+
+    /// [`Table::create_index`] on `table`, moving [`Database::generation`]
+    /// only if an index was actually added — asking again for an index
+    /// that exists leaves the layout, and every plan made for it, as is.
+    pub fn create_index(&mut self, table: &str, column: &str, order_by: Option<&str>) -> Result<()> {
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+        let before = t.index_count();
+        t.create_index(column, order_by)?;
+        if t.index_count() != before {
+            self.generation = next_generation();
+        }
         Ok(())
     }
 
@@ -141,11 +179,16 @@ impl Database {
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
 
-    /// Returns a mutable table by name (index creation etc.).
+    /// Returns a mutable table by name. The caller may create indexes
+    /// through it, so this counts as a layout change
+    /// ([`Database::generation`]); [`Database::create_index`] does not.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.tables
+        let table = self
+            .tables
             .get_mut(name)
-            .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
+            .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))?;
+        self.generation = next_generation();
+        Ok(table)
     }
 
     /// Table names in order.
@@ -304,6 +347,19 @@ impl<'a> Snapshot<'a> {
     pub fn schema(&self, table: &str) -> Result<&'a Schema> {
         Ok(self.db.table(table)?.schema())
     }
+
+    /// The database's layout stamp ([`Database::generation`]); the same
+    /// at every version, since layout is not versioned.
+    pub fn generation(&self) -> u64 {
+        self.db.generation()
+    }
+
+    /// True iff `table` keeps a secondary index on `column`: a fact of the
+    /// layout, not of this version — [`Snapshot::index_scan`] still
+    /// answers `None` on a historical snapshot.
+    pub fn has_index(&self, table: &str, column: usize) -> Result<bool> {
+        Ok(self.db.table(table)?.has_index(column))
+    }
 }
 
 #[cfg(test)]
@@ -414,6 +470,36 @@ mod tests {
         assert!(latest.index_scan("tasks", 1, &w1, None).unwrap().is_some());
         assert!(d.snapshot().index_scan("tasks", 2, &Value::Uint(8), None).unwrap().is_none());
         assert!(d.snapshot().index_scan("nope", 0, &w1, None).is_err());
+    }
+
+    #[test]
+    fn generation_moves_with_the_layout_only() {
+        let mut d = db();
+        let g = d.generation();
+        assert_ne!(g, Database::new().generation(), "a table is a layout change");
+        d.insert("tasks", task(1, "w1", 8)).unwrap();
+        d.upsert("tasks", task(1, "w1", 9)).unwrap();
+        d.delete("tasks", &Key(vec![Value::Uint(1)])).unwrap();
+        assert_eq!(d.generation(), g, "rows are not layout");
+        let clone = d.clone();
+        assert_eq!(clone.generation(), g, "a clone has the same layout");
+
+        d.create_index("tasks", "worker", None).unwrap();
+        let indexed = d.generation();
+        assert_ne!(indexed, g);
+        d.create_index("tasks", "worker", None).unwrap();
+        assert!(d.create_index("tasks", "nope", None).is_err());
+        assert!(d.create_index("nope", "worker", None).is_err());
+        assert_eq!(d.generation(), indexed, "no index added, no change");
+        assert!(d.snapshot().has_index("tasks", 1).unwrap());
+        assert!(!d.snapshot().has_index("tasks", 2).unwrap());
+        assert!(d.snapshot().has_index("nope", 1).is_err());
+        assert_eq!(d.snapshot_at(0).unwrap().generation(), indexed, "layout is not versioned");
+
+        d.table_mut("tasks").unwrap();
+        assert_ne!(d.generation(), indexed, "a mutable borrow may change the layout");
+        assert_eq!(clone.generation(), g, "and the clone's is its own");
+        assert!(!clone.snapshot().has_index("tasks", 1).unwrap());
     }
 
     #[test]

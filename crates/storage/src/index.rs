@@ -1,23 +1,32 @@
-//! Secondary indexes: column value → primary keys, optionally ordered
-//! by a second (numeric) column within each value.
+//! Secondary indexes: column value → the live rows holding it, optionally
+//! ordered by a second (numeric) column within each value.
 
 use crate::table::{Key, Row};
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::{Bound, RangeInclusive};
+use std::sync::Arc;
+
+/// One value's entries: `(ordering value, primary key)` → the live row.
+type Group = BTreeMap<(i128, Key), Arc<Row>>;
+
+/// One entry of a [`Group`].
+type Entry = ((i128, Key), Arc<Row>);
 
 /// A secondary index over one column.
 ///
-/// With an ordering column the keys of one value — one *group* — sort by
+/// With an ordering column the rows of one value — one *group* — sort by
 /// that column's numeric view, so "this worker's tasks of the last week"
-/// is a range inside the group instead of the whole group.
-#[derive(Clone, Debug, Default)]
+/// is a range inside the group instead of the whole group. Each entry
+/// holds the live row itself (shared with the table's version chain), so
+/// a read through the index never goes back to the primary map.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SecondaryIndex {
     column: usize,
     order_by: Option<usize>,
-    /// Per value: `(ordering value, key)`; the ordering value is 0
+    /// Per value: `(ordering value, key)` → row; the ordering value is 0
     /// throughout when there is no ordering column.
-    map: BTreeMap<Value, BTreeSet<(i128, Key)>>,
+    map: BTreeMap<Value, Group>,
 }
 
 impl SecondaryIndex {
@@ -33,6 +42,29 @@ impl SecondaryIndex {
             order_by,
             map: BTreeMap::new(),
         }
+    }
+
+    /// The index [`SecondaryIndex::new`] would reach by inserting `rows`
+    /// (each live row under its key, in any order), built in one pass:
+    /// each group's entries are collected, then bulk-loaded sorted. Rows
+    /// are grouped by hash, not in an ordered map: finding a row's group
+    /// among hundreds by comparison was half of the build.
+    pub fn build<'a>(
+        column: usize,
+        order_by: Option<usize>,
+        rows: impl IntoIterator<Item = (&'a Key, &'a Arc<Row>)>,
+    ) -> Self {
+        let mut ix = SecondaryIndex::new(column, order_by);
+        let mut groups: HashMap<&Value, Vec<Entry>> = HashMap::new();
+        for (key, row) in rows {
+            let entry = ((ix.order_of(row), key.clone()), Arc::clone(row));
+            groups.entry(&row.values[column]).or_default().push(entry);
+        }
+        ix.map = groups
+            .into_iter()
+            .map(|(value, entries)| (value.clone(), Group::from_iter(entries)))
+            .collect();
+        ix
     }
 
     /// The indexed column position.
@@ -54,17 +86,18 @@ impl SecondaryIndex {
     }
 
     /// Adds the entry for `row`, stored under `key`.
-    pub fn insert(&mut self, row: &Row, key: Key) {
+    pub fn insert(&mut self, row: &Arc<Row>, key: Key) {
         let entry = (self.order_of(row), key);
         let value = &row.values[self.column];
         // Not `entry(value.clone())`: that clones the group value (a heap
         // `String` for a worker name) even when the group exists.
         match self.map.get_mut(value) {
             Some(group) => {
-                group.insert(entry);
+                group.insert(entry, Arc::clone(row));
             }
             None => {
-                self.map.insert(value.clone(), BTreeSet::from([entry]));
+                self.map
+                    .insert(value.clone(), Group::from([(entry, Arc::clone(row))]));
             }
         }
     }
@@ -73,22 +106,23 @@ impl SecondaryIndex {
     pub fn remove(&mut self, row: &Row, key: Key) {
         let value = &row.values[self.column];
         let order = self.order_of(row);
-        if let Some(set) = self.map.get_mut(value) {
-            set.remove(&(order, key));
-            if set.is_empty() {
+        if let Some(group) = self.map.get_mut(value) {
+            group.remove(&(order, key));
+            if group.is_empty() {
                 self.map.remove(value);
             }
         }
     }
 
-    /// Keys whose column equals `value` and whose ordering value lies in
-    /// `lo..=hi`, in (ordering value, key) order; `i128::MIN..=i128::MAX`
-    /// is the whole group. Borrows from the index: nothing is cloned.
-    pub fn keys<'a>(
+    /// The rows whose column equals `value` and whose ordering value lies
+    /// in `order`, with their keys, in (ordering value, key) order;
+    /// `i128::MIN..=i128::MAX` is the whole group. Borrows from the index:
+    /// nothing is cloned and no other map is read.
+    pub fn rows<'a>(
         &'a self,
         value: &Value,
         order: RangeInclusive<i128>,
-    ) -> impl Iterator<Item = &'a Key> + 'a {
+    ) -> impl Iterator<Item = (&'a Key, &'a Row)> + 'a {
         // `Key(vec![])` sorts before every real key and owns no heap.
         let lo = (*order.start(), Key(Vec::new()));
         let hi = match order.end().checked_add(1) {
@@ -97,12 +131,12 @@ impl SecondaryIndex {
         };
         self.map
             .get(value)
-            // `BTreeSet::range` panics on an inverted range; it is empty.
+            // `BTreeMap::range` panics on an inverted range; it is empty.
             .filter(|_| order.start() <= order.end())
-            .map(|set| set.range((Bound::Included(lo), hi)))
+            .map(|group| group.range((Bound::Included(lo), hi)))
             .into_iter()
             .flatten()
-            .map(|(_, key)| key)
+            .map(|((_, key), row)| (key, &**row))
     }
 
     /// Number of distinct indexed values.
@@ -122,12 +156,12 @@ mod tests {
     }
 
     /// (group, ts) rows; the index is over column 0 ordered by column 1.
-    fn row(group: u64, ts: u64) -> Row {
-        Row::new(vec![Value::Uint(group), Value::Timestamp(ts)])
+    fn row(group: u64, ts: u64) -> Arc<Row> {
+        Arc::new(Row::new(vec![Value::Uint(group), Value::Timestamp(ts)]))
     }
 
     fn keys(ix: &SecondaryIndex, group: u64, order: RangeInclusive<i128>) -> Vec<Key> {
-        ix.keys(&Value::Uint(group), order).cloned().collect()
+        ix.rows(&Value::Uint(group), order).map(|(k, _)| k.clone()).collect()
     }
 
     #[test]
@@ -145,6 +179,16 @@ mod tests {
         // Removing a missing entry is a no-op.
         ix.remove(&row(99, 0), key("zz"));
         assert!(keys(&ix, 99, ALL).is_empty());
+    }
+
+    #[test]
+    fn entries_carry_the_row() {
+        let mut ix = SecondaryIndex::new(0, Some(1));
+        let r = row(1, 7);
+        ix.insert(&r, key("a"));
+        let got: Vec<_> = ix.rows(&Value::Uint(1), ALL).collect();
+        assert_eq!(got, vec![(&key("a"), &*r)]);
+        assert!(std::ptr::eq(got[0].1, &*r), "shared, not copied");
     }
 
     #[test]

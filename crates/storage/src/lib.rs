@@ -16,7 +16,11 @@
 //!   derives its append-only journal (RC4);
 //! * **secondary indexes** ([`Table::create_index`]), kept exact on every
 //!   insert, update and delete, for the equality and sliding-window
-//!   lookups constraint evaluation pushes down ([`Snapshot::index_scan`]).
+//!   lookups constraint evaluation pushes down ([`Snapshot::index_scan`]);
+//!   an entry carries its live row, shared with the table, so a read
+//!   through an index never goes back to the primary map. Creating a table
+//!   or an index moves the database's layout stamp
+//!   ([`Database::generation`]), which constraint plans are keyed on.
 //!
 //! Everything is deliberately in-memory: PReVer's experiments measure
 //! protocol and cryptography overheads, and an in-memory engine keeps the
@@ -36,7 +40,7 @@ pub use database::{ChangeKind, ChangeRecord, Database, Snapshot};
 pub use medium::{DiskStats, SharedDisk, SimDisk, StorageMedium, DEFAULT_SECTOR};
 pub use table::{Column, ColumnType, Key, Row, Schema, Table};
 pub use value::Value;
-pub use wal::{crc32, Frame, RecoveryReport, Wal, FRAME_HEADER};
+pub use wal::{crc32, crc32_update, Frame, RecoveryReport, Wal, FRAME_HEADER};
 
 /// Errors produced by the storage engine.
 #[derive(Debug, Clone, PartialEq, Eq)]

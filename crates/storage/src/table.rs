@@ -3,8 +3,10 @@
 use crate::index::SecondaryIndex;
 use crate::value::Value;
 use crate::{Result, StorageError};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// Column type tags, used for schema validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,10 +233,65 @@ impl std::fmt::Display for Key {
 }
 
 /// One version of a row: `None` payload means deleted at that version.
+/// The live version's row is shared with every index entry for it.
 #[derive(Clone, Debug)]
 struct RowVersion {
     version: u64,
-    row: Option<Row>,
+    row: Option<Arc<Row>>,
+}
+
+/// A key's version chain, ascending. The newest version is held inline,
+/// so a key never updated or deleted — most keys — allocates nothing but
+/// its row, and a scan reaches the row in one step.
+#[derive(Clone, Debug)]
+struct Versions {
+    /// Every version but the newest, ascending.
+    older: Vec<RowVersion>,
+    newest: RowVersion,
+}
+
+impl Versions {
+    fn latest(&self) -> Option<&Arc<Row>> {
+        self.newest.row.as_ref()
+    }
+
+    /// The row as of `version`: the newest version `≤ version`.
+    fn at(&self, version: u64) -> Option<&Row> {
+        std::iter::once(&self.newest)
+            .chain(self.older.iter().rev())
+            .find(|rv| rv.version <= version)
+            .and_then(|rv| rv.row.as_deref())
+    }
+
+    fn push(&mut self, next: RowVersion) {
+        self.older.push(std::mem::replace(&mut self.newest, next));
+    }
+
+    fn len(&self) -> usize {
+        self.older.len() + 1
+    }
+}
+
+#[cfg(any(test, debug_assertions))]
+thread_local! {
+    static KEY_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Primary-key look-ups (descents of a table's key-ordered map by key)
+/// this thread has made so far: what tests count to show that a read
+/// through a secondary index never goes back to the primary map. Debug
+/// builds and `cfg(test)` only; release builds of the library do not have
+/// it.
+#[cfg(any(test, debug_assertions))]
+#[doc(hidden)]
+pub fn key_lookups() -> u64 {
+    KEY_LOOKUPS.with(|c| c.get())
+}
+
+#[inline]
+fn count_key_lookup() {
+    #[cfg(any(test, debug_assertions))]
+    KEY_LOOKUPS.with(|c| c.set(c.get() + 1));
 }
 
 /// A multi-versioned table.
@@ -244,7 +301,7 @@ struct RowVersion {
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,
-    rows: BTreeMap<Key, Vec<RowVersion>>,
+    rows: BTreeMap<Key, Versions>,
     indexes: Vec<SecondaryIndex>,
     live_count: usize,
 }
@@ -270,12 +327,13 @@ impl Table {
         self.live_count == 0
     }
 
-    /// Creates a secondary index on `column`, each value's keys ordered
+    /// Creates a secondary index on `column`, each value's rows ordered
     /// by `order_by` if given (a numeric, non-nullable column — the
-    /// timestamp of a sliding window). Existing rows are indexed; every
-    /// later insert, update and delete keeps the index exact for the live
-    /// table. Idempotent; an ordered index also serves plain equality
-    /// lookups, so asking for the unordered one after it is a no-op.
+    /// timestamp of a sliding window). Existing rows are indexed in one
+    /// bulk pass; every later insert, update and delete keeps the index
+    /// exact for the live table. Idempotent; an ordered index also serves
+    /// plain equality lookups, so asking for the unordered one after it is
+    /// a no-op.
     pub fn create_index(&mut self, column: &str, order_by: Option<&str>) -> Result<()> {
         let col = self.schema.column_index(column)?;
         let order = order_by.map(|o| self.schema.column_index(o)).transpose()?;
@@ -295,28 +353,44 @@ impl Table {
         {
             return Ok(());
         }
-        let mut ix = SecondaryIndex::new(col, order);
-        for (key, versions) in &self.rows {
-            if let Some(row) = latest(versions) {
-                ix.insert(row, key.clone());
-            }
-        }
-        self.indexes.push(ix);
+        let live = self.rows.iter().filter_map(|(k, v)| v.latest().map(|r| (k, r)));
+        self.indexes.push(SecondaryIndex::build(col, order, live));
         Ok(())
+    }
+
+    /// Number of secondary indexes.
+    pub(crate) fn index_count(&self) -> usize {
+        self.indexes.len()
+    }
+
+    /// True iff some secondary index covers `column` — what
+    /// [`Table::index_scan`] needs to answer `Some`.
+    pub fn has_index(&self, column: usize) -> bool {
+        self.indexes.iter().any(|ix| ix.column() == column)
     }
 
     /// Inserts a row at `version`. Fails on duplicate live key.
     pub fn insert(&mut self, row: Row, version: u64) -> Result<Key> {
         self.schema.validate(&row)?;
         let key = self.schema.key_of(&row);
-        let versions = self.rows.entry(key.clone()).or_default();
-        if latest(versions).is_some() {
-            return Err(StorageError::DuplicateKey(key.to_string()));
+        count_key_lookup();
+        let entry = self.rows.entry(key.clone());
+        if let Entry::Occupied(chain) = &entry {
+            if chain.get().latest().is_some() {
+                return Err(StorageError::DuplicateKey(key.to_string()));
+            }
         }
+        let row = Arc::new(row);
         for ix in &mut self.indexes {
             ix.insert(&row, key.clone());
         }
-        versions.push(RowVersion { version, row: Some(row) });
+        let newest = RowVersion { version, row: Some(row) };
+        match entry {
+            Entry::Occupied(mut chain) => chain.get_mut().push(newest),
+            Entry::Vacant(slot) => {
+                slot.insert(Versions { older: Vec::new(), newest });
+            }
+        }
         self.live_count += 1;
         Ok(key)
     }
@@ -330,28 +404,33 @@ impl Table {
                 "update must not change the primary key".into(),
             ));
         }
+        count_key_lookup();
         let versions = self
             .rows
             .get_mut(key)
             .ok_or_else(|| StorageError::NoSuchKey(key.to_string()))?;
-        let old = latest(versions)
+        let old = versions
+            .latest()
             .cloned()
             .ok_or_else(|| StorageError::NoSuchKey(key.to_string()))?;
+        let row = Arc::new(row);
         for ix in &mut self.indexes {
             ix.remove(&old, key.clone());
             ix.insert(&row, key.clone());
         }
         versions.push(RowVersion { version, row: Some(row) });
-        Ok(old)
+        Ok(Arc::unwrap_or_clone(old))
     }
 
     /// Deletes the live row with `key` at `version`; returns the old row.
     pub fn delete(&mut self, key: &Key, version: u64) -> Result<Row> {
+        count_key_lookup();
         let versions = self
             .rows
             .get_mut(key)
             .ok_or_else(|| StorageError::NoSuchKey(key.to_string()))?;
-        let old = latest(versions)
+        let old = versions
+            .latest()
             .cloned()
             .ok_or_else(|| StorageError::NoSuchKey(key.to_string()))?;
         for ix in &mut self.indexes {
@@ -359,44 +438,42 @@ impl Table {
         }
         versions.push(RowVersion { version, row: None });
         self.live_count -= 1;
-        Ok(old)
+        Ok(Arc::unwrap_or_clone(old))
     }
 
     /// The live row for `key` (latest version).
     pub fn get(&self, key: &Key) -> Option<&Row> {
-        self.rows.get(key).and_then(|v| latest(v))
-    }
-
-    /// The live (key, row) pair for `key`, borrowing the stored key.
-    pub fn get_key_value(&self, key: &Key) -> Option<(&Key, &Row)> {
-        self.rows
-            .get_key_value(key)
-            .and_then(|(k, v)| latest(v).map(|r| (k, r)))
+        count_key_lookup();
+        self.rows.get(key).and_then(Versions::latest).map(|r| &**r)
     }
 
     /// The row for `key` as of `version`.
     pub fn get_at(&self, key: &Key, version: u64) -> Option<&Row> {
-        self.rows.get(key).and_then(|v| at_version(v, version))
+        count_key_lookup();
+        self.rows.get(key).and_then(|v| v.at(version))
     }
 
     /// Iterates live rows in key order.
     pub fn scan(&self) -> impl Iterator<Item = (&Key, &Row)> {
-        self.rows.iter().filter_map(|(k, v)| latest(v).map(|r| (k, r)))
+        self.rows
+            .iter()
+            .filter_map(|(k, v)| v.latest().map(|r| (k, &**r)))
     }
 
     /// Iterates rows as of `version` in key order.
     pub fn scan_at(&self, version: u64) -> impl Iterator<Item = (&Key, &Row)> {
         self.rows
             .iter()
-            .filter_map(move |(k, v)| at_version(v, version).map(|r| (k, r)))
+            .filter_map(move |(k, v)| v.at(version).map(|r| (k, r)))
     }
 
-    /// Live rows whose column `column` equals `value`, read through a
-    /// secondary index; `None` when no index covers `column`, so the
-    /// caller scans. `window` names a column and an inclusive range of its
-    /// numeric view: with an index ordered by that column only the rows in
-    /// range are visited, otherwise the whole group is (a superset — the
-    /// caller applies its own window test either way).
+    /// Live rows whose column `column` equals `value`, read from a
+    /// secondary index's entries alone (no primary-key look-up); `None`
+    /// when no index covers `column`, so the caller scans. `window` names
+    /// a column and an inclusive range of its numeric view: with an index
+    /// ordered by that column only the rows in range are visited,
+    /// otherwise the whole group is (a superset — the caller applies its
+    /// own window test either way).
     ///
     /// `value` must have the variant the column declares: the index keys
     /// on `Value`'s total order, where `Int(5)` and `Uint(5)` differ.
@@ -413,7 +490,7 @@ impl Table {
             Some(hit) => hit,
             None => (on_column().next()?, i128::MIN..=i128::MAX),
         };
-        Some(ix.keys(value, range).filter_map(|key| self.get_key_value(key)))
+        Some(ix.rows(value, range))
     }
 
     /// Number of stored row versions across all keys (for GC diagnostics).
@@ -426,28 +503,17 @@ impl Table {
     pub fn gc(&mut self, horizon: u64) {
         for versions in self.rows.values_mut() {
             // Keep the newest version <= horizon plus everything after it.
-            let keep_from = versions
-                .iter()
-                .rposition(|rv| rv.version <= horizon)
-                .unwrap_or(0);
-            if keep_from > 0 {
-                versions.drain(..keep_from);
+            if versions.newest.version <= horizon {
+                versions.older.clear();
+            } else if let Some(keep_from) =
+                versions.older.iter().rposition(|rv| rv.version <= horizon)
+            {
+                versions.older.drain(..keep_from);
             }
         }
-        self.rows.retain(|_, v| !(v.len() == 1 && v[0].row.is_none()));
+        self.rows
+            .retain(|_, v| !(v.older.is_empty() && v.newest.row.is_none()));
     }
-}
-
-fn latest(versions: &[RowVersion]) -> Option<&Row> {
-    versions.last().and_then(|rv| rv.row.as_ref())
-}
-
-fn at_version(versions: &[RowVersion], version: u64) -> Option<&Row> {
-    versions
-        .iter()
-        .rev()
-        .find(|rv| rv.version <= version)
-        .and_then(|rv| rv.row.as_ref())
 }
 
 #[cfg(test)]
@@ -679,6 +745,62 @@ mod tests {
         u.create_index("worker", None).unwrap();
         u.create_index("worker", Some("ts")).unwrap();
         assert_eq!(u.indexes.len(), 2);
+    }
+
+    /// The indexes the bulk-build test compares, `note` being nullable.
+    const INDEXES: [(&str, Option<&str>); 3] = [("worker", Some("ts")), ("note", None), ("ts", None)];
+
+    proptest::proptest! {
+        /// An index built in one pass over a table's rows is, entry for
+        /// entry, the index inserts, updates and deletes maintained over
+        /// the same stream — version chains and tombstones included.
+        #[test]
+        fn a_bulk_built_index_equals_the_maintained_one(
+            ops in proptest::collection::vec(
+                (0u64..12, 0u8..4, 0u64..6, 0u64..4, 0u8..5),
+                1..60,
+            ),
+        ) {
+            let mut maintained = tasks();
+            for (column, order) in INDEXES {
+                maintained.create_index(column, order).unwrap();
+            }
+            let mut bulk = tasks();
+            for (version, (id, worker, ts, note, kind)) in (1..).zip(ops) {
+                let key = Key(vec![id.into()]);
+                for t in [&mut maintained, &mut bulk] {
+                    let row = Row::new(vec![
+                        id.into(),
+                        format!("w{worker}").into(),
+                        Value::Timestamp(50 * ts),
+                        if note == 3 { Value::Null } else { Value::Uint(note) },
+                    ]);
+                    let _ = match (kind, t.get(&key).is_some()) {
+                        (0, _) => t.delete(&key, version).map(|_| ()),
+                        (_, true) => t.update(&key, row, version).map(|_| ()),
+                        (_, false) => t.insert(row, version).map(|_| ()),
+                    };
+                }
+            }
+            for (column, order) in INDEXES {
+                bulk.create_index(column, order).unwrap();
+            }
+            proptest::prop_assert_eq!(&bulk.indexes, &maintained.indexes);
+        }
+    }
+
+    #[test]
+    fn index_reads_do_no_key_lookups() {
+        let mut t = tasks();
+        t.create_index("worker", Some("ts")).unwrap();
+        for id in 0..20 {
+            t.insert(task(id, ["a", "b"][id as usize % 2], 10 * id), id).unwrap();
+        }
+        let before = key_lookups();
+        assert_eq!(ids(&t, "a", 0..=100), vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(key_lookups(), before);
+        t.get(&Key(vec![3u64.into()])).unwrap();
+        assert_eq!(key_lookups(), before + 1, "the counter sees a look-up");
     }
 
     #[test]

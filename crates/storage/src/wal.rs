@@ -45,9 +45,12 @@ use crate::{Result, StorageError};
 /// Frame header size: len (4) + seq (8) + pcrc (4) + hcrc (4).
 pub const FRAME_HEADER: u64 = 20;
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table reads advance the CRC over eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -56,17 +59,49 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xedb8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+    crc32_update(0, bytes)
+}
+
+/// Extends `crc`, the CRC-32 of some bytes `a`, to the CRC-32 of
+/// `a ‖ bytes`: `crc32_update(crc32(a), b) == crc32(&[a, b].concat())`, so
+/// a checksum over pieces needs no joined copy. `crc32_update(0, b)` is
+/// `crc32(b)`.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -258,6 +293,32 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xe8b7_be43);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+        assert_eq!(crc32(&[0u8; 32]), 0x190a_55ad);
+        assert_eq!(crc32(&[0xffu8; 32]), 0xff6c_ab0b);
+    }
+
+    /// The byte-at-a-time loop over `CRC_TABLES[0]`: what `crc32` computed
+    /// before slicing-by-8, and the reference it is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_agrees_with_the_bytewise_loop(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            split in 0usize..300,
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+            let (a, b) = bytes.split_at(split.min(bytes.len()));
+            proptest::prop_assert_eq!(crc32_update(crc32(a), b), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 #![warn(missing_docs)]
 
 use bytes::Bytes;
-use prever_storage::crc32;
+use prever_storage::{crc32, crc32_update};
 
 /// Frame magic: "PW" little-endian.
 pub const MAGIC: u16 = 0x5057;
@@ -566,9 +566,8 @@ impl Frame {
         out.push(PROTOCOL_VERSION);
         out.push(self.kind());
         put_u32(&mut out, body.len() as u32);
-        let mut crc_input = out.clone();
-        crc_input.extend_from_slice(&body);
-        put_u32(&mut out, crc32(&crc_input));
+        let crc = crc32_update(crc32(&out), &body);
+        put_u32(&mut out, crc);
         out.extend_from_slice(&body);
         out
     }
@@ -605,10 +604,7 @@ impl Frame {
             return Err(WireError::Incomplete);
         }
         let crc = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-        let mut crc_input = Vec::with_capacity(8 + len);
-        crc_input.extend_from_slice(&buf[..8]);
-        crc_input.extend_from_slice(&buf[HEADER_LEN..total]);
-        if crc != crc32(&crc_input) {
+        if crc != crc32_update(crc32(&buf[..8]), &buf[HEADER_LEN..total]) {
             return Err(WireError::BadCrc);
         }
         let frame = Self::decode_body(kind, &buf[HEADER_LEN..total])?;

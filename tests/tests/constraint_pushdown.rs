@@ -621,3 +621,48 @@ fn a_row_that_changes_group_moves_in_the_index() {
     let (got, _) = differential(&flsa(40), &tasks, false);
     assert_eq!(got, [Ok(true), Ok(false), Ok(true), Ok(true), Ok(false)]);
 }
+
+/// `-<integer>` is one literal: the parser folds the sign in, so
+/// `t.delta = -1` probes a signed column's index like `t.delta = 1` does.
+/// A negation of anything else — a parenthesised sum, a column, a string —
+/// is still evaluated, on the rows it reaches, and `-9223372036854775808`
+/// is still an overflow. `Pipeline::query` on an indexed table against
+/// the scan.
+#[test]
+fn negative_literals_agree_with_scan() {
+    let schema = Schema::new(
+        vec![
+            Column::new("id", ColumnType::Uint),
+            Column::new("delta", ColumnType::Int),
+            Column::new("hours", ColumnType::Uint),
+        ],
+        &["id"],
+    )
+    .unwrap();
+    let mut p = Pipeline::new();
+    p.create_table("moves", schema.clone()).unwrap();
+    let mut plain = Database::new();
+    plain.create_table("moves", schema).unwrap();
+    for id in 0..40u64 {
+        let row = Row::new(vec![id.into(), Value::Int((id % 7) as i64 - 3), (id % 5).into()]);
+        assert!(p.submit(&Update::new(id, "moves", row.clone(), id, "p")).unwrap().is_accepted());
+        plain.upsert("moves", row).unwrap();
+    }
+    for src in [
+        "COUNT(moves WHERE moves.delta = -1)",
+        "SUM(moves.hours WHERE -3 = moves.delta)",
+        "COUNT(moves WHERE moves.delta = - 2 AND moves.hours > 1)",
+        "COUNT(moves WHERE moves.delta = --2)",
+        "COUNT(moves WHERE moves.delta = -9223372036854775807)",
+        "COUNT(moves WHERE moves.delta = -(0 + 1))",
+        "COUNT(moves WHERE moves.delta = -moves.hours)",
+        "COUNT(moves WHERE moves.delta = -'x')",
+        "COUNT(moves WHERE moves.delta = -9223372036854775808)",
+        "COUNT(moves WHERE moves.hours = -1)",
+    ] {
+        let got = p.query(src, u64::MAX).map(|(v, _)| v).map_err(|e| e.to_string());
+        let want = prever_constraints::query(src, &plain.snapshot(), u64::MAX)
+            .map_err(|e| PreverError::from(e).to_string());
+        assert_eq!(got, want, "{src}");
+    }
+}

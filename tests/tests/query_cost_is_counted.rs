@@ -26,6 +26,11 @@ fn hours_of(i: u64) -> u64 {
     1 + i % 7
 }
 
+/// A signed column: −2 ..= 2.
+fn delta_of(i: u64) -> i64 {
+    (i % 5) as i64 - 2
+}
+
 fn submit(p: &mut Pipeline, i: u64) {
     let ts = i * GAP;
     let row = Row::new(vec![
@@ -33,6 +38,7 @@ fn submit(p: &mut Pipeline, i: u64) {
         Value::Str(format!("w{}", worker_of(i))),
         Value::Uint(hours_of(i)),
         Value::Timestamp(ts),
+        Value::Int(delta_of(i)),
     ]);
     let outcome = p.submit(&Update::new(i, "tasks", row, ts, "p")).unwrap();
     assert!(outcome.is_accepted(), "task {i}");
@@ -69,6 +75,7 @@ fn a_query_reads_its_group_after_the_first_of_its_shape() {
                 Column::new("worker", ColumnType::Str),
                 Column::new("hours", ColumnType::Uint),
                 Column::new("ts", ColumnType::Timestamp),
+                Column::new("delta", ColumnType::Int),
             ],
             &["id"],
         )
@@ -130,6 +137,16 @@ fn a_query_reads_its_group_after_the_first_of_its_shape() {
         let (value, added) = counted(&mut p, "COUNT(tasks WHERE tasks.hours = 3)", u64::MAX);
         assert_eq!(value, Value::Int(threes as i64));
         assert_eq!(added, [0, 1, 1, threes]);
+    }
+
+    // `-2` is a literal, not a negation: it probes the signed column's
+    // index like any other literal. A new column again, so the first query
+    // builds the index.
+    let minus_twos = (0..ROWS + 500).filter(|i| delta_of(*i) == -2).count() as u64;
+    for _ in 0..2 {
+        let (value, added) = counted(&mut p, "COUNT(tasks WHERE tasks.delta = -2)", u64::MAX);
+        assert_eq!(value, Value::Int(minus_twos as i64));
+        assert_eq!(added, [0, 1, 1, minus_twos]);
     }
 
     // A windowed shape gets (worker, ts) beside (worker): the rows of the
