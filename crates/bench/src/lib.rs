@@ -7,17 +7,14 @@
 //! compared against non-private baselines, and distributed deployments
 //! compared against Paxos and PBFT on throughput and latency. Each
 //! experiment lives in [`experiments`] as a plain function returning
-//! printable rows, shared by:
-//!
-//! * the `report` binary (`cargo run --release -p prever-bench --bin
-//!   report`) which prints every table, and
-//! * the Criterion benches (`cargo bench`) which measure the underlying
-//!   hot operations with statistical rigor.
+//! printable rows, which the `report` binary (`cargo run --release -p
+//! prever-bench --bin report`) prints as tables. The `bench_amortized`
+//! binary times the crypto kernels under them; the per-layer costs of
+//! the whole stack are the `benchmark/` package's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod amortized;
 pub mod chaos;
 pub mod experiments;
 pub mod meta;

@@ -225,12 +225,7 @@ mod tests {
     fn comb_does_an_eighth_of_the_sliding_windows_multiplications() {
         // The comb's claim, counted rather than timed: one kernel
         // serves both paths, so time follows the multiplication count.
-        use crate::montgomery::MONT_MULS;
-        let muls = |f: &dyn Fn() -> BigUint| {
-            let before = MONT_MULS.with(|c| c.get());
-            f();
-            MONT_MULS.with(|c| c.get()) - before
-        };
+        let muls = |f: &dyn Fn() -> BigUint| crate::montgomery::count_muls(f).1;
         let mut rng = StdRng::seed_from_u64(25);
         let m = BigUint::gen_prime(256, &mut rng);
         let ctx = MontgomeryCtx::new(&m).unwrap();

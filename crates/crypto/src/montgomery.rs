@@ -41,7 +41,17 @@ use std::cmp::Ordering;
 thread_local! {
     /// Montgomery multiplications this thread has done: what the tests
     /// of the exponentiation strategies count instead of timing.
-    pub(crate) static MONT_MULS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static MONT_MULS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f` and returns its result with the Montgomery multiplications
+/// it did on this thread. One kernel serves every exponentiation path,
+/// so time follows this count, and unlike a time it repeats exactly.
+#[cfg(test)]
+pub(crate) fn count_muls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = MONT_MULS.with(|c| c.get());
+    let out = f();
+    (out, MONT_MULS.with(|c| c.get()) - before)
 }
 
 /// Odd powers `base^1, base^3, …, base^15` kept per sliding window.

@@ -499,6 +499,42 @@ mod tests {
     }
 
     #[test]
+    fn weighted_sum_rows_does_half_the_per_row_multiplications() {
+        // The multi-query PIR server's matrix pass at k = 8 over 256
+        // full-width records, counted rather than timed: one shared
+        // digit schedule does 31 040 Montgomery multiplications where
+        // eight `weighted_sum` calls do 67 576.
+        use crate::montgomery::count_muls;
+        let sk = key();
+        let mut rng = StdRng::seed_from_u64(18);
+        let cts: Vec<Ciphertext> = (0..256u64)
+            .map(|i| sk.public.encrypt_u64(i, &mut rng).unwrap())
+            .collect();
+        let weights: Vec<u64> = (0..256).map(|_| rng.gen::<u64>().max(1)).collect();
+        let rows: Vec<Vec<&Ciphertext>> = (0..8)
+            .map(|j| cts.iter().cycle().skip(j).take(cts.len()).collect())
+            .collect();
+        let row_refs: Vec<&[&Ciphertext]> = rows.iter().map(|r| r.as_slice()).collect();
+
+        let (rows_out, batched) =
+            count_muls(|| sk.public.weighted_sum_rows(&row_refs, &weights).unwrap());
+        let (each_out, sequential) = count_muls(|| {
+            rows.iter()
+                .map(|r| {
+                    let terms: Vec<(&Ciphertext, u64)> =
+                        r.iter().copied().zip(weights.iter().copied()).collect();
+                    sk.public.weighted_sum(&terms).unwrap()
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(rows_out, each_out);
+        assert!(
+            2 * batched <= sequential,
+            "weighted_sum_rows: {batched} multiplications vs {sequential} sequential"
+        );
+    }
+
+    #[test]
     fn accumulator_pattern() {
         // Homomorphic running total, as the single-database deployment
         // maintains encrypted aggregates per regulated subject.

@@ -1,7 +1,5 @@
 //! Snapshot exporters: an aligned text table for humans and JSON lines
-//! compatible with the BENCHJSON trajectory tooling (the vendored
-//! Criterion stand-in emits the same `BENCHJSON {...}` shape, so one
-//! parser reads both).
+//! in the `BENCHJSON {...}` shape the trajectory tooling parses.
 
 use crate::registry::{HistogramSnapshot, Snapshot};
 use crate::span;
@@ -138,7 +136,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// One `BENCHJSON` line for a histogram — the shape the trajectory
-/// tooling already parses from the vendored Criterion.
+/// tooling parses.
 pub fn benchjson_line(h: &HistogramSnapshot) -> String {
     format!(
         "BENCHJSON {{\"id\":\"{}\",\"mean_ns\":{:.1},\"median_ns\":{:.1},\"stddev_ns\":{:.1},\"samples\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"sum_ns\":{}}}",

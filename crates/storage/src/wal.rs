@@ -29,9 +29,9 @@
 //!
 //! [`Wal::append`] stages a frame in the medium's write-back cache and
 //! returns immediately; [`Wal::flush`] is the durability barrier. A
-//! caller batching k appends per flush pays one barrier per k records —
-//! the flush-policy micro-benchmark (`cargo bench -p prever-bench
-//! --bench wal`) quantifies the trade. Nothing is "acked" until flushed:
+//! caller batching k appends per flush pays one barrier per k records;
+//! the benchmark's `consensus.wal_flushes_per_batch` counts the barriers
+//! the ordering path takes. Nothing is "acked" until flushed:
 //! [`Wal::flushed_frames`] is the watermark the durability invariant
 //! ("every acked write survives recovery") is checked against.
 //!

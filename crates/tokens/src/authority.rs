@@ -72,16 +72,6 @@ impl TokenAuthority {
         self.issued.insert(key, used + 1);
         Ok(sig)
     }
-
-    /// Audits a spend count against a lower-bound regulation: returns
-    /// true iff the participant spent at least `minimum` tokens in the
-    /// window. (Separ's footnote 4: lower-bound regulations. The spend
-    /// count is computed by the caller from the public ledger; this
-    /// method exists on the authority because regulations are its
-    /// remit.)
-    pub fn audit_lower_bound(&self, spent_in_window: u64, minimum: u64) -> bool {
-        spent_in_window >= minimum
-    }
 }
 
 #[cfg(test)]
@@ -115,14 +105,5 @@ mod tests {
         let mut authority = TokenAuthority::new(96, 5, &mut rng);
         let too_big = authority.public_key().n.clone();
         assert!(authority.issue_blinded("w", 1, &too_big).is_err());
-    }
-
-    #[test]
-    fn lower_bound_audit() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let authority = TokenAuthority::new(96, 40, &mut rng);
-        assert!(authority.audit_lower_bound(10, 10));
-        assert!(authority.audit_lower_bound(11, 10));
-        assert!(!authority.audit_lower_bound(9, 10));
     }
 }
