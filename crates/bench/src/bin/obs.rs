@@ -123,7 +123,8 @@ fn run_consensus(quick: bool) {
 fn run_sharded() {
     use prever_consensus::sharded::{self, Topology};
     let topo = Topology { n_shards: 2, replicas_per_shard: 4 };
-    let mut sim = Simulation::new(sharded::cluster(topo), NetConfig::default(), 9);
+    let nodes = sharded::cluster(topo, BatchConfig::default());
+    let mut sim = Simulation::new(nodes, NetConfig::default(), 9);
     sharded::submit(&mut sim, topo, Command::new(SHARD_BASE, "intra"), vec![0], 1);
     sharded::submit(&mut sim, topo, Command::new(SHARD_BASE + 1, "intra"), vec![1], 2);
     sharded::submit(&mut sim, topo, Command::new(SHARD_BASE + 2, "cross"), vec![0, 1], 3);

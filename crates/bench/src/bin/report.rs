@@ -7,9 +7,6 @@
 //! `BENCH_consensus.json` document instead.
 //! `cargo run --release -p prever-bench --bin report -- --shard-json PATH`
 //! — emit the E7 sharded scaling surface as `BENCH_shard.json`.
-//! `cargo run --release -p prever-bench --bin report -- --e7-smoke`
-//! — CI gate: 8 shards must beat 1 shard by ≥ 3× aggregate virtual
-//! throughput on the parallel runtime; exits nonzero otherwise.
 //! `cargo run --release -p prever-bench --bin report -- --e13`
 //! — just the E13 serving-layer overload sweep (full parameters).
 //! `cargo run --release -p prever-bench --bin report -- --server-json PATH`
@@ -87,19 +84,6 @@ fn main() {
                  crash-free baseline (need >= 80%)",
                 retention * 100.0
             );
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--e7-smoke") {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let (t1, t8, ratio) = e::e7_sharded::scaling_smoke();
-        println!(
-            "e7 smoke: 1 shard = {t1:.0} tx/vsec, 8 shards = {t8:.0} tx/vsec \
-             ({ratio:.1}x, {cores} cores)"
-        );
-        if ratio < 3.0 {
-            eprintln!("e7 smoke FAILED: 8-shard aggregate throughput only {ratio:.1}x 1-shard (need >= 3x)");
             std::process::exit(1);
         }
         return;

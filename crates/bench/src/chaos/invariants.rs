@@ -344,7 +344,8 @@ mod tests {
         let topo = Topology { n_shards: 2, replicas_per_shard: 4 };
         let involved_of =
             |i: u64| -> Vec<usize> { [vec![0], vec![1], vec![0, 1]][i as usize % 3].clone() };
-        let mut sim = Simulation::new(sharded::cluster(topo), NetConfig::default(), 11);
+        let nodes = sharded::cluster(topo, BatchConfig::default());
+        let mut sim = Simulation::new(nodes, NetConfig::default(), 11);
         for i in 0..3 {
             let command = Command::new(i, format!("tx-{i}"));
             sharded::submit(&mut sim, topo, command, involved_of(i), 1 + i);

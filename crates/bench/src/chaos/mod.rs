@@ -1140,7 +1140,8 @@ pub fn sharded_chaos(seed: u64, txs: u64) -> ChaosOutcome {
         .restart_with_loss_at(restart_at, VICTIM)
         .clear_links_at(clear_at);
 
-    let mut sim = Simulation::new(sharded::cluster(topo), NetConfig::default(), seed);
+    let nodes = sharded::cluster(topo, BatchConfig::default());
+    let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
     sim.set_fault_plan(plan);
     sim.set_node_factory(move |id| ShardedNode::new(id, topo, Byzantine::Honest));
     sim.enable_trace(
@@ -1239,7 +1240,7 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
         seed,
         ..ParallelConfig::default()
     };
-    let mut sim = sharded::parallel_cluster(topo, None, cfg);
+    let mut sim = sharded::parallel_cluster(topo, BatchConfig::default(), cfg);
     sim.set_fault_plan(
         FaultPlan::new()
             .partition_at(part_at, groups)

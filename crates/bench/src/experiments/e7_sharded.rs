@@ -17,10 +17,8 @@
 //! Virtual-time throughput is identical between the two (the parallel
 //! runtime is semantics-preserving); what the threads buy is
 //! *wall-clock*, reported separately. [`write_bench_json`] emits the
-//! full scaling surface as `BENCH_shard.json`, and [`scaling_smoke`]
-//! is the CI gate: 8 shards must beat 1 shard by ≥ 3× aggregate
-//! virtual throughput (ideal is 8×; the acceptance bar is ≥ 0.7×
-//! ideal = 5.6×, checked in the full surface).
+//! full scaling surface as `BENCH_shard.json`; tier-1 regenerates the
+//! surface and checks every virtual-time number against that file.
 
 use crate::Table;
 use prever_consensus::sharded::{self, ShardProbe, Topology};
@@ -104,7 +102,7 @@ pub fn run_parallel(shards: usize, ratio: f64, txs: u64) -> ShardPoint {
     let load = workload(shards, ratio, txs);
     let expect = expectations(topology, &load);
     let wall = std::time::Instant::now();
-    let mut sim = sharded::parallel_cluster(topology, Some(batch()), cfg);
+    let mut sim = sharded::parallel_cluster(topology, batch(), cfg);
     for (i, involved) in &load {
         sharded::submit_parallel(
             &mut sim,
@@ -144,7 +142,7 @@ pub fn run_single(shards: usize, ratio: f64, txs: u64) -> ShardPoint {
     let load = workload(shards, ratio, txs);
     let expect = expectations(topology, &load);
     let wall = std::time::Instant::now();
-    let mut sim = Simulation::new(sharded::cluster_batched(topology, batch()), net, 7);
+    let mut sim = Simulation::new(sharded::cluster(topology, batch()), net, 7);
     for (i, involved) in &load {
         sharded::submit(&mut sim, topology, Command::new(*i, "tx"), involved.clone(), 1 + i);
     }
@@ -183,7 +181,7 @@ pub fn cross_shard_stage_breakdown(txs: u64) -> CriticalPath {
     trace::set_trace_enabled(true);
     let topology = Topology { n_shards: 2, replicas_per_shard: 4 };
     let net = NetConfig { processing: PROCESSING, ..NetConfig::default() };
-    let mut sim = Simulation::new(sharded::cluster_batched(topology, batch()), net, 7);
+    let mut sim = Simulation::new(sharded::cluster(topology, batch()), net, 7);
     for i in 0..txs {
         let id = E7_TRACE_BASE + i;
         sharded::submit(&mut sim, topology, Command::new(id, "xtx"), vec![0, 1], 1 + i);
@@ -276,17 +274,6 @@ pub fn run(quick: bool) -> Table {
     table
 }
 
-/// CI gate: on the parallel runtime, 8 shards at 0% cross must beat
-/// 1 shard by at least `3×` aggregate virtual throughput. Returns
-/// `(t1, t8, ratio)`; the caller exits nonzero when the bar is missed.
-pub fn scaling_smoke() -> (f64, f64, f64) {
-    let per_shard = 24u64;
-    let one = run_parallel(1, 0.0, per_shard);
-    let eight = run_parallel(8, 0.0, per_shard * 8);
-    let ratio = eight.vthroughput / one.vthroughput;
-    (one.vthroughput, eight.vthroughput, ratio)
-}
-
 fn point_json(p: &ShardPoint) -> String {
     format!(
         "{{\"shards\": {}, \"cross_pct\": {}, \"txs\": {}, \"threads\": {}, \
@@ -295,11 +282,10 @@ fn point_json(p: &ShardPoint) -> String {
     )
 }
 
-/// Writes the full scaling surface as `BENCH_shard.json`: the parallel
-/// surface (1–64 shards × {0, 5, 20}% cross), the single-threaded
-/// before-baseline (1–8 shards), and the derived scaling/penalty
-/// figures the acceptance criteria quote.
-pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
+/// The published surface as `(single, parallel)`: the single-threaded
+/// before-baseline (1–8 shards) and the parallel runtime (1–64 shards),
+/// each × {0, 5, 20}% cross.
+fn surface() -> (Vec<ShardPoint>, Vec<ShardPoint>) {
     let mut parallel = Vec::new();
     let mut single = Vec::new();
     for &shards in &SURFACE_SHARDS {
@@ -314,6 +300,14 @@ pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
             }
         }
     }
+    (single, parallel)
+}
+
+/// Writes the full scaling surface ([`surface`]) as `BENCH_shard.json`,
+/// with the derived scaling/penalty figures the acceptance criteria
+/// quote.
+pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
+    let (single, parallel) = surface();
     let find = |pts: &[ShardPoint], shards: usize, pct: u32| -> f64 {
         pts.iter()
             .find(|p| p.shards == shards && p.cross_pct == pct)
@@ -408,4 +402,32 @@ pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
     out.push_str("  ]\n");
     out.push_str("}\n");
     std::fs::write(path, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The E7 surface is virtual time, so it is a pure function of the
+    /// sharded protocol code: regenerating both arrays of the committed
+    /// `BENCH_shard.json` must reproduce every row's shards, cross
+    /// ratio, txs, threads and throughput. Wall-clock fields (`wall_s`,
+    /// the `wall_clock_*` speedups) are not compared.
+    #[test]
+    fn e7_surface_reproduces_the_committed_bench_shard_json() {
+        let committed = include_str!("../../../../BENCH_shard.json");
+        let without_wall = |row: &str| row.trim().split(", \"wall_s\"").next().unwrap().to_owned();
+        let (single, parallel) = surface();
+        for (array, points) in [("single_threaded_baseline", single), ("parallel", parallel)] {
+            let start = committed.find(&format!("\"{array}\": [")).expect(array);
+            let want: Vec<String> = committed[start..]
+                .lines()
+                .skip(1)
+                .take_while(|l| l.starts_with("    {"))
+                .map(without_wall)
+                .collect();
+            let got: Vec<String> = points.iter().map(|p| without_wall(&point_json(p))).collect();
+            assert_eq!(got, want, "BENCH_shard.json `{array}` differs");
+        }
+    }
 }

@@ -48,22 +48,13 @@
 //! again on [`DurableLog::replay`]
 //! ([`prever_ledger::Journal::verify_chain`]), so a corrupted "disk" is
 //! detected rather than silently trusted.
-//!
-//! The log is held behind `Rc<RefCell<…>>` so the simulation harness can
-//! keep a handle to the same "disk" across a [`FaultEvent::RestartWithLoss`]
-//! (the node factory recovers a fresh log from the surviving
-//! [`DurableMedia`]). This makes the nodes `!Send`, which is fine: the
-//! simulator is single-threaded by design.
-//!
-//! [`FaultEvent::RestartWithLoss`]: prever_sim::FaultEvent::RestartWithLoss
 
 use crate::Batch;
 use bytes::Bytes;
 use prever_crypto::Digest;
 use prever_ledger::{Journal, LedgerError, PersistReport, PersistentJournal};
 use prever_storage::SharedDisk;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const TAG_EXEC: u8 = 0x01;
 const TAG_BIND: u8 = 0x02;
@@ -134,7 +125,7 @@ struct Inner {
 /// replica "disk").
 #[derive(Clone, Debug)]
 pub struct DurableLog {
-    inner: Rc<RefCell<Inner>>,
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl Default for DurableLog {
@@ -164,13 +155,7 @@ impl DurableLog {
     /// A fresh log over existing (empty) media whose handles the caller
     /// keeps for fault injection.
     pub fn on(media: &DurableMedia) -> Self {
-        DurableLog {
-            inner: Rc::new(RefCell::new(Inner {
-                pj: PersistentJournal::create(media.wal.clone(), media.snap.clone()),
-                policy: FlushPolicy::Always,
-                dispatches: 0,
-            })),
-        }
+        Self::over(PersistentJournal::create(media.wal.clone(), media.snap.clone()))
     }
 
     /// Reopens a log from whatever survived on `media` after a crash:
@@ -180,38 +165,38 @@ impl DurableLog {
     /// Fails loudly on corrupted durable bytes.
     pub fn recover(media: &DurableMedia) -> Result<(Self, PersistReport), LedgerError> {
         let (pj, report) = PersistentJournal::recover(media.wal.clone(), media.snap.clone())?;
-        Ok((
-            DurableLog {
-                inner: Rc::new(RefCell::new(Inner {
-                    pj,
-                    policy: FlushPolicy::Always,
-                    dispatches: 0,
-                })),
-            },
-            report,
-        ))
+        Ok((Self::over(pj), report))
+    }
+
+    fn over(pj: PersistentJournal<SharedDisk>) -> Self {
+        let inner = Inner { pj, policy: FlushPolicy::Always, dispatches: 0 };
+        DurableLog { inner: Arc::new(Mutex::new(inner)) }
+    }
+
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("a thread panicked while holding the log")
     }
 
     /// Sets the exec-record flush policy (chainable).
     pub fn with_policy(self, policy: FlushPolicy) -> Self {
-        self.inner.borrow_mut().policy = policy;
+        self.inner().policy = policy;
         self
     }
 
     /// Number of records appended so far.
     pub fn len(&self) -> usize {
-        self.inner.borrow().pj.len() as usize
+        self.inner().pj.len() as usize
     }
 
     /// True iff nothing has been appended.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().pj.is_empty()
+        self.inner().pj.is_empty()
     }
 
     /// Records known durable — the acked watermark the durability
     /// invariant is checked against.
     pub fn flushed_records(&self) -> u64 {
-        self.inner.borrow().pj.flushed_entries()
+        self.inner().pj.flushed_entries()
     }
 
     /// Appends an executed batch at batch sequence `seq`, decided at
@@ -222,7 +207,7 @@ impl DurableLog {
         buf.push(TAG_EXEC);
         buf.extend_from_slice(&seq.to_be_bytes());
         batch.encode_into(&mut buf);
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.pj.append(at, Bytes::from(buf));
         if inner.policy == FlushPolicy::Always {
             inner.pj.flush();
@@ -237,7 +222,7 @@ impl DurableLog {
         buf.extend_from_slice(&seq.to_be_bytes());
         buf.extend_from_slice(&view.to_be_bytes());
         buf.extend_from_slice(digest.as_bytes());
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.pj.append(0, Bytes::from(buf));
         inner.pj.flush();
     }
@@ -250,7 +235,7 @@ impl DurableLog {
         buf.extend_from_slice(&seq.to_be_bytes());
         buf.extend_from_slice(&view.to_be_bytes());
         batch.encode_into(&mut buf);
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.pj.append(0, Bytes::from(buf));
         inner.pj.flush();
     }
@@ -259,7 +244,7 @@ impl DurableLog {
     /// simulator dispatch; pending exec records are flushed according to
     /// the [`FlushPolicy`].
     pub fn commit_dispatch(&self) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.dispatches += 1;
         let due = match inner.policy {
             FlushPolicy::Always => true,
@@ -272,23 +257,23 @@ impl DurableLog {
 
     /// Forces everything staged to disk.
     pub fn flush(&self) {
-        self.inner.borrow_mut().pj.flush();
+        self.inner().pj.flush();
     }
 
     /// Snapshot + WAL truncation (also a durability point).
     pub fn compact(&self) {
-        self.inner.borrow_mut().pj.compact();
+        self.inner().pj.compact();
     }
 
     /// The ledger digest over everything appended so far.
     pub fn digest(&self) -> prever_ledger::LedgerDigest {
-        self.inner.borrow().pj.journal().digest()
+        self.inner().pj.journal().digest()
     }
 
     /// The digest as of the first `size` records (prefix-consistency
     /// checks in the chaos harness).
     pub fn digest_at(&self, size: u64) -> Result<prever_ledger::LedgerDigest, LedgerError> {
-        self.inner.borrow().pj.journal().digest_at(size)
+        self.inner().pj.journal().digest_at(size)
     }
 
     /// Verifies the hash chain and decodes the surviving records.
@@ -297,7 +282,7 @@ impl DurableLog {
     /// verification or a record is malformed — a replica must refuse to
     /// rejoin from a disk it cannot trust.
     pub fn replay(&self) -> Result<ReplayedState, LedgerError> {
-        let inner = self.inner.borrow();
+        let inner = self.inner();
         let journal = inner.pj.journal();
         let digest = journal.digest();
         Journal::verify_chain(journal.entries(), &digest)?;
@@ -397,10 +382,7 @@ mod tests {
     #[test]
     fn replay_rejects_malformed_records() {
         let log = DurableLog::new();
-        log.inner
-            .borrow_mut()
-            .pj
-            .append(0, Bytes::from_static(&[0x7f, 0x00]));
+        log.inner().pj.append(0, Bytes::from_static(&[0x7f, 0x00]));
         assert!(matches!(
             log.replay(),
             Err(LedgerError::TamperDetected("malformed durable record"))

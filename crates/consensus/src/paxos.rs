@@ -174,6 +174,13 @@ pub struct PaxosNode {
     heard_from_leader: bool,
 }
 
+// Every actor hosted on the simulator must be `Send`: the shard-per-
+// thread runtime ships replica groups to worker threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<PaxosNode>();
+};
+
 impl PaxosNode {
     /// Creates node `id` of `n`.
     pub fn new(id: NodeId, n: usize) -> Self {

@@ -32,8 +32,8 @@
 //! new-view messages are trusted structurally rather than re-verified.
 //!
 //! The protocol state machine is [`PbftCore`], which is sans-IO (inputs
-//! in, `(destination, message)` pairs out) so the sharded deployment can
-//! embed per-shard instances; [`PbftNode`] adapts it to the simulator.
+//! in, `(destination, message)` pairs out); [`PbftNode`] is its one
+//! simulator host, embedded by every actor that runs PBFT.
 //! The module splits along the protocol's seams (DESIGN.md §11 has the
 //! map): this file holds the messages, the core's state, request intake,
 //! batching, the three-phase path and execution; `view_change.rs` the
@@ -45,7 +45,7 @@ mod node;
 mod recovery;
 mod view_change;
 
-pub(crate) use node::{arm_batch_timer, TICK_EVERY, TIMER_BATCH, TIMER_TICK};
+pub(crate) use node::TIMER_TICK;
 pub use node::{cluster, cluster_batched, cluster_with, PbftNode, FIRST_FREE_TIMER, VIEW_TIMEOUT};
 
 use crate::{Batch, BatchConfig, Command, Decided};
@@ -1235,13 +1235,11 @@ impl PbftCore {
     }
 }
 
-// The sharded runtime ships whole replica groups to worker threads, so
-// the consensus kernel must stay free of thread-bound state (Rc,
-// RefCell, raw pointers). Compile-time check; breaking it breaks the
-// shard-per-thread runtime.
+// Every actor hosted on the simulator must be `Send`: the shard-per-
+// thread runtime ships replica groups to worker threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<PbftCore>();
+    assert_send::<PbftNode>();
 };
 
 #[cfg(test)]

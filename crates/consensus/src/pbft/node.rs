@@ -6,27 +6,29 @@ use crate::durable::DurableLog;
 use crate::{BatchConfig, Command, Decided};
 use prever_sim::{Actor, Ctx, NodeId};
 
-/// Periodic tick timer id of every host around a [`PbftCore`].
+/// Periodic tick timer id. An embedder that has periodic work of its own
+/// runs it after [`PbftNode::timer`] handles this id.
 pub(crate) const TIMER_TICK: u64 = 1;
 /// One-shot timer id for `max_delay` batch-fill deadlines.
-pub(crate) const TIMER_BATCH: u64 = 2;
+const TIMER_BATCH: u64 = 2;
 /// The first timer id [`PbftNode::timer`] does not claim: an actor that
 /// embeds a `PbftNode` numbers its own timers from here, so a timer
 /// added to the host can never shadow one of the embedder's.
 pub const FIRST_FREE_TIMER: u64 = 3;
-pub(crate) const TICK_EVERY: u64 = 25_000; // 25 ms
+pub(super) const TICK_EVERY: u64 = 25_000; // 25 ms
 /// Request-staleness threshold before a replica votes for a view change.
 pub const VIEW_TIMEOUT: u64 = 150_000; // 150 ms
 
-/// The replica host for a full-membership cluster: the one owner of a
-/// [`PbftCore`] together with its [`DurableLog`], exec cursor, batch
-/// timer and `wal-flush` trace stamping.
+/// The replica host: the one owner of a [`PbftCore`] together with its
+/// [`DurableLog`], exec cursor, batch timer and `wal-flush` trace
+/// stamping.
 ///
 /// The step methods ([`Self::start`], [`Self::deliver`], [`Self::submit`],
 /// [`Self::timer`]) are generic over the message type the surrounding
 /// actor speaks (`M: From<PbftMsg>`), so an actor with a wider protocol —
-/// the serving layer's gateway — embeds a `PbftNode` instead of copying
-/// it. `impl Actor for PbftNode` is the `M = PbftMsg` instance.
+/// the serving layer's gateway, a sharded replica — embeds a `PbftNode`
+/// instead of copying it. `impl Actor for PbftNode` is the
+/// `M = PbftMsg` instance.
 ///
 /// With a [`DurableLog`] attached ([`Self::with_durable`]) the node
 /// persists every executed command and every prepare-vote binding after
@@ -53,8 +55,14 @@ pub struct PbftNode {
 impl PbftNode {
     /// Creates replica `id` of an `n`-replica cluster (no persistence).
     pub fn new(id: NodeId, n: usize, byz: Byzantine) -> Self {
+        Self::with_members(id, (0..n).collect(), byz)
+    }
+
+    /// Creates replica `id` of the cluster `members` (no persistence):
+    /// one shard's replica group in the sharded deployment.
+    pub(crate) fn with_members(id: NodeId, members: Vec<NodeId>, byz: Byzantine) -> Self {
         PbftNode {
-            core: PbftCore::new(id, (0..n).collect(), byz),
+            core: PbftCore::new(id, members, byz),
             durable: None,
             exec_cursor: 0,
             recovering: false,
@@ -134,7 +142,15 @@ impl PbftNode {
         for (to, m) in out {
             ctx.send(to, m.into());
         }
-        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
+        // Arm (or tighten) the batch-fill timer to the core's next
+        // `max_delay` deadline.
+        if let Some(deadline) = self.core.next_batch_deadline() {
+            let due = deadline.max(ctx.now() + 1);
+            if self.batch_timer_at.is_none_or(|t| t > due) {
+                self.batch_timer_at = Some(due);
+                ctx.set_timer(due - ctx.now(), TIMER_BATCH);
+            }
+        }
     }
 
     /// Host step for [`Actor::on_start`]: arms the tick and, on a replica
@@ -183,20 +199,6 @@ impl PbftNode {
             _ => return,
         };
         self.ship(out, ctx);
-    }
-}
-
-/// Arms (or tightens) a host's one-shot batch-fill timer to `core`'s
-/// next `max_delay` deadline. `armed_at` is the earliest deadline already
-/// armed: simulator timers cannot be cancelled, so it dedups re-arms
-/// (spurious fires are harmless).
-pub(crate) fn arm_batch_timer<M>(core: &PbftCore, armed_at: &mut Option<u64>, ctx: &mut Ctx<M>) {
-    if let Some(deadline) = core.next_batch_deadline() {
-        let due = deadline.max(ctx.now() + 1);
-        if armed_at.is_none_or(|t| t > due) {
-            *armed_at = Some(due);
-            ctx.set_timer(due - ctx.now(), TIMER_BATCH);
-        }
     }
 }
 

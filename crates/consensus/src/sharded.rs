@@ -5,8 +5,9 @@
 //! state", and Qanaat "provides scalability by partitioning data into
 //! data shards" (RC4). This module reproduces that deployment shape:
 //!
-//! * the replica set is partitioned into shards, each running an
-//!   independent [`PbftCore`] instance over its own members;
+//! * the replica set is partitioned into shards; each replica embeds a
+//!   [`PbftNode`] over its own shard's members, the same host a bare
+//!   PBFT cluster and the serving layer run;
 //! * *intra-shard* transactions involve one shard and commit in one PBFT
 //!   round — so throughput scales with the number of shards (and, on the
 //!   [`prever_sim::ParallelSim`] runtime, with cores: each shard's
@@ -40,18 +41,16 @@
 //! extra wide-area rounds and can abort under faults, intra-shard
 //! transactions scale linearly — which is what experiment E7 measures.
 
-use crate::pbft::{
-    arm_batch_timer, Byzantine, PbftCore, PbftMsg, NOOP_ID, TICK_EVERY, TIMER_BATCH, TIMER_TICK,
-    VIEW_TIMEOUT,
-};
+use crate::pbft::{Byzantine, PbftMsg, PbftNode, NOOP_ID, TIMER_TICK};
 use crate::{BatchConfig, Command};
 use prever_crypto::Digest;
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Shard identifier (dense, 0-based).
-pub type ShardId = usize;
+pub use prever_sim::parallel::ShardId;
 
 /// High bit tagging cross-shard *decision* commands in a coordinator
 /// shard's log. Application transaction ids must stay below this.
@@ -123,6 +122,12 @@ pub enum ShardedMsg {
     },
 }
 
+impl From<PbftMsg> for ShardedMsg {
+    fn from(msg: PbftMsg) -> Self {
+        ShardedMsg::Pbft(msg)
+    }
+}
+
 /// How long a transaction may sit stuck before shard-mates are queried
 /// (also the per-transaction re-query/re-announce interval).
 const QUERY_AFTER: u64 = 300_000; // 300 ms
@@ -174,7 +179,7 @@ fn coordinator_of(involved: &[ShardId]) -> ShardId {
 /// A globally resolved *commit* in completion order. Carries ids only:
 /// completions used to clone the full command (payload included) out of
 /// the log, which the allocation audit flagged — the command stays
-/// available in `PbftCore::executed()` for anyone who needs bytes.
+/// available in the shard's executed history for anyone who needs bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Completion {
     /// Transaction id.
@@ -190,23 +195,20 @@ pub struct Completion {
 pub struct ShardedNode {
     topology: Topology,
     shard: ShardId,
-    core: PbftCore,
+    /// The shard's PBFT replica: timers, batching, execution.
+    node: PbftNode,
     /// tx_id → involved shards.
     involved: HashMap<u64, Arc<[ShardId]>>,
-    /// Cursor into `core.executed()` for processing new local executions.
+    /// Cursor into the executed batches already processed.
     exec_cursor: usize,
-    /// Cursor into `core.executed_batches()` for batch-level accounting
-    /// (committed-batch counter, per-tx batch digests).
-    batch_cursor: usize,
     /// tx_id → Merkle digest of the local batch that ordered it.
     ordered_digest: HashMap<u64, Digest>,
     /// tx ids this replica's shard has executed locally (ordered, so
     /// the recovery probe iterates deterministically).
     local_done: BTreeSet<u64>,
-    /// Coordinator bookkeeping: (tx_id, shard) → distinct certificate
-    /// voters, plus the digest the shard's certificate is bound to.
-    prepared_votes: HashMap<(u64, ShardId), VoteSet>,
-    prepared_digest: HashMap<(u64, ShardId), Digest>,
+    /// Coordinator bookkeeping: (tx_id, shard) → the digest the shard's
+    /// certificate is bound to, and its distinct voters.
+    prepared: HashMap<(u64, ShardId), (Digest, VoteSet)>,
     /// Cross-shard transactions this coordinator replica is watching
     /// for timeout: tx_id → first-seen time.
     watchdog: BTreeMap<u64, u64>,
@@ -221,11 +223,10 @@ pub struct ShardedNode {
     /// Outcomes decided before the involvement set was known (state
     /// transfer can replay a decision first); announced on the tick.
     announce_pending: BTreeSet<u64>,
-    /// Shard-mates claiming a transaction completed/aborted (recovery:
-    /// `f + 1` claims adopt the resolution without re-running the
-    /// cross-shard exchange).
-    completed_claims: HashMap<u64, VoteSet>,
-    aborted_claims: HashMap<u64, VoteSet>,
+    /// Recovery: (tx_id, completed) → shard-mates claiming they
+    /// completed (true) or aborted (false) it. `f + 1` claims adopt the
+    /// resolution without re-running the cross-shard exchange.
+    claims: HashMap<(u64, bool), VoteSet>,
     /// tx_id → when this replica first saw it (commit-latency metric
     /// and coordinator timeout base).
     first_seen: HashMap<u64, u64>,
@@ -236,25 +237,15 @@ pub struct ShardedNode {
     deferred: Vec<(u64, u64)>,
     /// Globally committed transactions in completion order.
     completed: Vec<Completion>,
-    completed_ids: HashSet<u64>,
-    /// Globally aborted transactions.
-    aborted_ids: BTreeSet<u64>,
-    /// Earliest armed batch timer (simulator timers cannot be
-    /// cancelled, so re-arming is deduplicated).
-    batch_timer_at: Option<u64>,
+    /// Every resolved transaction: true = committed, false = aborted.
+    resolved: HashMap<u64, bool>,
     /// `sharded.batch.committed.shard<N>`, looked up at this replica's
     /// first committed batch rather than formatted at every one.
     shard_committed: OnceLock<Arc<prever_obs::Counter>>,
 }
 
-// Shard cores cross thread boundaries on the parallel runtime. This is
-// why `ShardedNode` keeps an actor loop of its own around `PbftCore`
-// instead of embedding the one host, `PbftNode`: that owns a
-// `DurableLog`, which is `Rc`-backed and would make the node `!Send`.
-// What the two loops share comes from `pbft/node.rs`: the tick and
-// batch timer ids, the tick period, the view timeout handed to
-// `on_tick`, and `arm_batch_timer`. What they do not share is
-// `PbftNode::ship`'s persist-before-send step: a shard core has no disk.
+// Every actor hosted on the simulator must be `Send`: the shard-per-
+// thread runtime ships replica groups to worker threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ShardedNode>();
@@ -265,41 +256,34 @@ impl ShardedNode {
     /// Creates the replica with simulator id `id`.
     pub fn new(id: NodeId, topology: Topology, byz: Byzantine) -> Self {
         let shard = topology.shard_of(id);
-        let core = PbftCore::new(id, topology.members(shard), byz);
         ShardedNode {
             topology,
             shard,
-            core,
+            node: PbftNode::with_members(id, topology.members(shard), byz),
             involved: HashMap::new(),
             exec_cursor: 0,
-            batch_cursor: 0,
             ordered_digest: HashMap::new(),
             local_done: BTreeSet::new(),
-            prepared_votes: HashMap::new(),
-            prepared_digest: HashMap::new(),
+            prepared: HashMap::new(),
             watchdog: BTreeMap::new(),
             decision_submitted: HashSet::new(),
             outcome: HashMap::new(),
             outcome_votes: HashMap::new(),
             announce_pending: BTreeSet::new(),
-            completed_claims: HashMap::new(),
-            aborted_claims: HashMap::new(),
+            claims: HashMap::new(),
             first_seen: HashMap::new(),
             query_at: HashMap::new(),
             deferred: Vec::new(),
             completed: Vec::new(),
-            completed_ids: HashSet::new(),
-            aborted_ids: BTreeSet::new(),
-            batch_timer_at: None,
+            resolved: HashMap::new(),
             shard_committed: OnceLock::new(),
         }
     }
 
-    /// Creates the replica with a batching policy on its shard's core.
-    pub fn with_batching(id: NodeId, topology: Topology, byz: Byzantine, cfg: BatchConfig) -> Self {
-        let mut node = ShardedNode::new(id, topology, byz);
-        node.core.set_batch_config(cfg);
-        node
+    /// Sets the batching policy on the shard's core (builder style).
+    pub fn with_batching(mut self, cfg: BatchConfig) -> Self {
+        self.node = self.node.with_batching(cfg);
+        self
     }
 
     /// This replica's shard.
@@ -317,44 +301,37 @@ impl ShardedNode {
         self.completed.len()
     }
 
-    /// Globally aborted transaction ids.
-    pub fn aborted(&self) -> &BTreeSet<u64> {
-        &self.aborted_ids
-    }
-
     /// Count of aborted transactions.
     pub fn aborted_count(&self) -> usize {
-        self.aborted_ids.len()
+        self.resolved.len() - self.completed.len()
     }
 
     /// Committed + aborted.
     pub fn resolved_count(&self) -> usize {
-        self.completed.len() + self.aborted_ids.len()
+        self.resolved.len()
     }
 
     /// True iff this replica resolved the transaction (either way).
     pub fn is_resolved(&self, tx_id: u64) -> bool {
-        self.completed_ids.contains(&tx_id) || self.aborted_ids.contains(&tx_id)
+        self.resolved.contains_key(&tx_id)
     }
 
     /// The resolution if known: `Some(true)` committed, `Some(false)`
     /// aborted.
     pub fn outcome_of(&self, tx_id: u64) -> Option<bool> {
-        if self.completed_ids.contains(&tx_id) {
-            Some(true)
-        } else if self.aborted_ids.contains(&tx_id) {
-            Some(false)
-        } else {
-            None
-        }
+        self.resolved.get(&tx_id).copied()
     }
 
     /// One-line state summary for harness debugging: resolution sets,
     /// local executions, and any transactions stuck mid-protocol.
     pub fn debug_summary(&self) -> String {
-        let mut completed: Vec<u64> = self.completed_ids.iter().copied().collect();
-        completed.sort_unstable();
-        let aborted: Vec<u64> = self.aborted_ids.iter().copied().collect();
+        let resolved_as = |commit: bool| {
+            let mut ids: Vec<u64> =
+                self.resolved.iter().filter(|(_, &c)| c == commit).map(|(&id, _)| id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let (completed, aborted) = (resolved_as(true), resolved_as(false));
         let deferred: Vec<u64> = self.deferred.iter().map(|(id, _)| *id).collect();
         let stuck: Vec<String> = self
             .local_done
@@ -367,11 +344,7 @@ impl ShardedNode {
                     .map(|inv| {
                         inv.iter()
                             .map(|&s| {
-                                let got = self
-                                    .prepared_votes
-                                    .get(&(*id, s))
-                                    .map(|v| v.len())
-                                    .unwrap_or(0);
+                                let got = self.prepared.get(&(*id, s)).map_or(0, |(_, v)| v.len());
                                 format!("shard{s}:{got}")
                             })
                             .collect()
@@ -383,15 +356,9 @@ impl ShardedNode {
         format!(
             "view={} last_exec={} completed={completed:?} aborted={aborted:?} \
              deferred={deferred:?} stuck={stuck:?}",
-            self.core.view(),
-            self.core.executed().len(),
+            self.node.core.view(),
+            self.node.core.executed().len(),
         )
-    }
-
-    fn forward_pbft(&self, out: Vec<(NodeId, PbftMsg)>, ctx: &mut Ctx<ShardedMsg>) {
-        for (to, msg) in out {
-            ctx.send(to, ShardedMsg::Pbft(msg));
-        }
     }
 
     /// Re-processes executions that were deferred for missing
@@ -406,47 +373,34 @@ impl ShardedNode {
         }
     }
 
-    /// Processes newly executed local log entries. Batch-level pass
-    /// first (commit counter + per-tx batch digests), then the per-
-    /// command pass: intra-shard txs complete immediately, cross-shard
-    /// txs announce `Prepared` certificates, decision commands resolve
-    /// outcomes on the coordinator shard.
+    /// Processes newly executed local batches in order, each in one
+    /// pass: the committed-batch counters, then its commands — intra-
+    /// shard txs complete immediately, cross-shard txs announce
+    /// `Prepared` certificates bound to this batch's digest, decision
+    /// commands resolve outcomes on the coordinator shard.
     fn drain_executions(&mut self, ctx: &mut Ctx<ShardedMsg>) {
-        while self.batch_cursor < self.core.executed_batches().len() {
-            let (digest, ids): (Digest, Vec<u64>) = {
-                let (_, batch, _) = &self.core.executed_batches()[self.batch_cursor];
-                (
-                    batch.digest(),
-                    batch.commands().iter().map(|c| c.id).filter(|&id| id != NOOP_ID).collect(),
-                )
-            };
-            self.batch_cursor += 1;
+        while let Some((_, batch, at)) = self.node.core.executed_batches().get(self.exec_cursor) {
+            let (batch, at) = (batch.clone(), *at);
+            self.exec_cursor += 1;
             prever_obs::counter!("sharded.batch.committed").inc();
             self.shard_committed
                 .get_or_init(|| {
                     prever_obs::counter(&format!("sharded.batch.committed.shard{}", self.shard))
                 })
                 .inc();
-            for id in ids {
-                if id & DECIDE_BIT == 0 {
-                    self.ordered_digest.insert(id, digest);
+            for command in batch.commands() {
+                let id = command.id;
+                if id == NOOP_ID {
+                    continue;
+                }
+                if id & DECIDE_BIT != 0 {
+                    let commit = command.payload.first() == Some(&b'c');
+                    self.handle_decision(id & !DECIDE_BIT, commit, at, ctx);
+                } else {
+                    self.ordered_digest.insert(id, batch.digest());
+                    self.process_execution(id, at, ctx);
                 }
             }
-        }
-        while self.exec_cursor < self.core.executed().len() {
-            let (id, at, commit_decision) = {
-                let d = &self.core.executed()[self.exec_cursor];
-                (d.command.id, d.at, d.command.payload.first() == Some(&b'c'))
-            };
-            self.exec_cursor += 1;
-            if id == NOOP_ID {
-                continue;
-            }
-            if id & DECIDE_BIT != 0 {
-                self.handle_decision(id & !DECIDE_BIT, commit_decision, at, ctx);
-                continue;
-            }
-            self.process_execution(id, at, ctx);
         }
     }
 
@@ -464,10 +418,11 @@ impl ShardedNode {
         // The local log position is the lock (SharPer): this shard has
         // now ordered the cross-shard tx in its own log.
         if prever_obs::trace::active() {
+            let me = self.node.core.id() as u64;
             prever_obs::trace::event(
-                self.core.id() as u64,
+                me,
                 at,
-                prever_obs::TraceCtx::for_command(tx_id).child("exec", self.core.id() as u64),
+                prever_obs::TraceCtx::for_command(tx_id).child("exec", me),
                 "cross-lock",
                 tx_id,
             );
@@ -479,25 +434,17 @@ impl ShardedNode {
             // log append is harmless (appends never conflict), the tx
             // just never completes.
             Some(false) => {}
-            None => {
-                let digest = self.ordered_digest.get(&tx_id).copied().unwrap_or(Digest::ZERO);
-                self.announce_prepared(tx_id, &involved, digest, ctx);
-            }
+            None => self.announce_prepared(tx_id, &involved, ctx),
         }
     }
 
-    /// Sends this replica's `Prepared` certificate vote to every
+    /// Sends this replica's `Prepared` certificate vote, bound to the
+    /// digest of the local batch that ordered the tx, to every
     /// coordinator-shard replica (recording it directly when this
     /// replica is itself a coordinator-shard member).
-    fn announce_prepared(
-        &mut self,
-        tx_id: u64,
-        involved: &Arc<[ShardId]>,
-        digest: Digest,
-        ctx: &mut Ctx<ShardedMsg>,
-    ) {
-        let coord = coordinator_of(involved);
-        for member in self.topology.members(coord) {
+    fn announce_prepared(&mut self, tx_id: u64, involved: &[ShardId], ctx: &mut Ctx<ShardedMsg>) {
+        let digest = self.ordered_digest.get(&tx_id).copied().unwrap_or(Digest::ZERO);
+        for member in self.topology.members(coordinator_of(involved)) {
             if member == ctx.id() {
                 self.record_prepared(tx_id, self.shard, digest, member);
                 self.try_decide(tx_id, ctx);
@@ -511,17 +458,18 @@ impl ShardedNode {
     /// shard must agree on the batch digest; a vote conflicting with
     /// the first recorded digest is discarded (Byzantine or stale).
     fn record_prepared(&mut self, tx_id: u64, shard: ShardId, digest: Digest, from: NodeId) {
-        let bound = *self.prepared_digest.entry((tx_id, shard)).or_insert(digest);
-        if bound != digest {
+        let (bound, votes) =
+            self.prepared.entry((tx_id, shard)).or_insert_with(|| (digest, VoteSet::default()));
+        if *bound != digest {
             prever_obs::counter!("sharded.prepared.digest_mismatch").inc();
             return;
         }
-        self.prepared_votes.entry((tx_id, shard)).or_default().add(from);
+        votes.add(from);
     }
 
     /// Starts the coordinator watchdog for a cross-shard tx if this
     /// replica belongs to the coordinator shard.
-    fn watch_if_coordinator(&mut self, tx_id: u64, involved: &Arc<[ShardId]>, now: u64) {
+    fn watch_if_coordinator(&mut self, tx_id: u64, involved: &[ShardId], now: u64) {
         if involved.len() > 1
             && coordinator_of(involved) == self.shard
             && !self.outcome.contains_key(&tx_id)
@@ -536,16 +484,16 @@ impl ShardedNode {
         if self.outcome.contains_key(&tx_id) || self.decision_submitted.contains(&tx_id) {
             return;
         }
-        let Some(involved) = self.involved.get(&tx_id).cloned() else {
+        let Some(involved) = self.involved.get(&tx_id) else {
             return;
         };
-        if involved.len() < 2 || coordinator_of(&involved) != self.shard {
+        if involved.len() < 2 || coordinator_of(involved) != self.shard {
             return;
         }
         let need = self.topology.f() + 1;
         let certified = involved
             .iter()
-            .all(|&s| self.prepared_votes.get(&(tx_id, s)).is_some_and(|v| v.len() >= need));
+            .all(|&s| self.prepared.get(&(tx_id, s)).is_some_and(|(_, v)| v.len() >= need));
         if certified {
             self.submit_decision(tx_id, true, ctx);
         }
@@ -562,9 +510,7 @@ impl ShardedNode {
         // blocked on the outcome — so cut the batch (and the
         // backup→primary relay) immediately instead of letting the
         // decision wait out the fill delay in a partial batch.
-        let out = self.core.on_urgent_request(Command::new(DECIDE_BIT | tx_id, payload), ctx.now());
-        self.forward_pbft(out, ctx);
-        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
+        self.node.submit(Command::new(DECIDE_BIT | tx_id, payload), true, ctx);
     }
 
     /// A decision command executed in this (coordinator-shard)
@@ -578,10 +524,11 @@ impl ShardedNode {
         self.watchdog.remove(&tx_id);
         self.first_seen.entry(tx_id).or_insert(at);
         if prever_obs::trace::active() {
+            let me = self.node.core.id() as u64;
             prever_obs::trace::event(
-                self.core.id() as u64,
+                me,
                 at,
-                prever_obs::TraceCtx::for_command(tx_id).child("cross-lock", self.core.id() as u64),
+                prever_obs::TraceCtx::for_command(tx_id).child("cross-lock", me),
                 "cross-decide",
                 tx_id,
             );
@@ -623,17 +570,18 @@ impl ShardedNode {
             if self.local_done.contains(&tx_id) {
                 self.complete(tx_id, now, true);
             }
-        } else if !self.completed_ids.contains(&tx_id) && self.aborted_ids.insert(tx_id) {
+        } else if let Entry::Vacant(slot) = self.resolved.entry(tx_id) {
+            slot.insert(false);
             prever_obs::counter!("sharded.cross_shard.aborts").inc();
             prever_obs::log!(Debug, "cross-shard tx {tx_id} aborted");
         }
     }
 
     fn complete(&mut self, tx_id: u64, now: u64, cross: bool) {
-        if self.completed_ids.contains(&tx_id) || self.aborted_ids.contains(&tx_id) {
+        let Entry::Vacant(slot) = self.resolved.entry(tx_id) else {
             return;
-        }
-        self.completed_ids.insert(tx_id);
+        };
+        slot.insert(true);
         let slot = self.completed.len() as u64 + 1;
         self.completed.push(Completion { tx_id, slot, at: now });
         if cross {
@@ -642,7 +590,7 @@ impl ShardedNode {
             prever_obs::histogram!("sharded.cross_shard.commit_latency")
                 .record(now.saturating_sub(seen));
             if prever_obs::trace::active() {
-                let me = self.core.id() as u64;
+                let me = self.node.core.id() as u64;
                 prever_obs::trace::event(
                     me,
                     now,
@@ -686,9 +634,7 @@ impl ShardedNode {
                     && self.local_done.contains(&tx_id)
                     && !self.outcome.contains_key(&tx_id)
                 {
-                    let digest =
-                        self.ordered_digest.get(&tx_id).copied().unwrap_or(Digest::ZERO);
-                    self.announce_prepared(tx_id, &involved, digest, ctx);
+                    self.announce_prepared(tx_id, &involved, ctx);
                 }
             }
         }
@@ -733,7 +679,7 @@ impl Actor for ShardedNode {
     type Msg = ShardedMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<ShardedMsg>) {
-        ctx.set_timer(TICK_EVERY, TIMER_TICK);
+        self.node.start(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: ShardedMsg, ctx: &mut Ctx<ShardedMsg>) {
@@ -788,24 +734,17 @@ impl Actor for ShardedNode {
                         // after a partition): re-announce the
                         // certificate so a reconnected coordinator can
                         // decide — or reply with the recorded outcome.
-                        if involved.len() > 1 && !self.completed_ids.contains(&tx_id) {
-                            let digest = self
-                                .ordered_digest
-                                .get(&tx_id)
-                                .copied()
-                                .unwrap_or(Digest::ZERO);
-                            self.announce_prepared(tx_id, &involved, digest, ctx);
+                        if involved.len() > 1 && self.outcome_of(tx_id) != Some(true) {
+                            self.announce_prepared(tx_id, &involved, ctx);
                         }
                     } else {
-                        let out = self.core.on_request((*command).clone(), ctx.now());
-                        self.forward_pbft(out, ctx);
+                        self.node.submit((*command).clone(), false, ctx);
                         self.drain_executions(ctx);
                     }
                 }
             }
             ShardedMsg::Pbft(m) => {
-                let out = self.core.on_message(from, m, ctx.now());
-                self.forward_pbft(out, ctx);
+                self.node.deliver(from, m, ctx);
                 self.drain_executions(ctx);
             }
             ShardedMsg::Prepared { tx_id, shard, digest } => {
@@ -858,11 +797,11 @@ impl Actor for ShardedNode {
                 let Some(involved) = self.involved.get(&tx_id).cloned() else {
                     return;
                 };
-                let completed = self.completed_ids.contains(&tx_id);
-                let aborted = self.aborted_ids.contains(&tx_id);
-                if !completed && !aborted && !self.core.has_executed(tx_id) {
+                let resolved = self.outcome_of(tx_id);
+                if resolved.is_none() && !self.node.core.has_executed(tx_id) {
                     return;
                 }
+                let (completed, aborted) = (resolved == Some(true), resolved == Some(false));
                 ctx.send(from, ShardedMsg::TxInfo { tx_id, involved, completed, aborted });
             }
             ShardedMsg::TxInfo { tx_id, involved, completed, aborted } => {
@@ -871,70 +810,49 @@ impl Actor for ShardedNode {
                 }
                 self.involved.entry(tx_id).or_insert_with(|| involved.clone());
                 self.retry_deferred(ctx);
-                if completed {
-                    self.completed_claims.entry(tx_id).or_default().add(from);
-                }
-                if aborted {
-                    self.aborted_claims.entry(tx_id).or_default().add(from);
+                for (claim, made) in [(true, completed), (false, aborted)] {
+                    if made {
+                        self.claims.entry((tx_id, claim)).or_default().add(from);
+                    }
                 }
                 if self.is_resolved(tx_id) {
                     return;
                 }
                 let f = self.topology.f();
+                let adopted = |claim| self.claims.get(&(tx_id, claim)).is_some_and(|v| v.len() > f);
                 // Adoption: f + 1 shard-mates resolved it, so at least
                 // one honest replica verified the decision — adopt the
                 // resolution rather than waiting for votes the other
                 // shards will never re-send.
-                if self.local_done.contains(&tx_id)
-                    && self.completed_claims.get(&tx_id).is_some_and(|v| v.len() > f)
-                {
+                if self.local_done.contains(&tx_id) && adopted(true) {
                     self.outcome.entry(tx_id).or_insert(true);
                     self.complete(tx_id, ctx.now(), involved.len() > 1);
                     prever_obs::counter!("sharded.completed.adopted").inc();
-                } else if self.aborted_claims.get(&tx_id).is_some_and(|v| v.len() > f) {
+                } else if adopted(false) {
                     self.outcome.entry(tx_id).or_insert(false);
                     self.apply_outcome(tx_id, false, ctx.now());
                 }
             }
         }
-        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<ShardedMsg>) {
-        match timer {
-            TIMER_TICK => {
-                let out = self.core.on_tick(ctx.now(), VIEW_TIMEOUT);
-                self.forward_pbft(out, ctx);
-                self.drain_executions(ctx);
-                self.probe_stuck(ctx);
-                self.check_timeouts(ctx);
-                ctx.set_timer(TICK_EVERY, TIMER_TICK);
-            }
-            TIMER_BATCH => {
-                self.batch_timer_at = None;
-                let out = self.core.on_batch_timer(ctx.now());
-                self.forward_pbft(out, ctx);
-                self.drain_executions(ctx);
-            }
-            _ => {}
+        self.node.timer(timer, ctx);
+        self.drain_executions(ctx);
+        if timer == TIMER_TICK {
+            self.probe_stuck(ctx);
+            self.check_timeouts(ctx);
         }
-        arm_batch_timer(&self.core, &mut self.batch_timer_at, ctx);
     }
-}
-
-/// Builds an honest sharded cluster.
-pub fn cluster(topology: Topology) -> Vec<ShardedNode> {
-    (0..topology.n_nodes())
-        .map(|id| ShardedNode::new(id, topology, Byzantine::Honest))
-        .collect()
 }
 
 /// Builds an honest sharded cluster whose per-shard cores batch under
 /// `cfg` (batches may mix intra- and cross-shard transactions; the
 /// cross-shard protocol still applies per transaction after execution).
-pub fn cluster_batched(topology: Topology, cfg: BatchConfig) -> Vec<ShardedNode> {
+/// `BatchConfig::default()` is one command per batch.
+pub fn cluster(topology: Topology, cfg: BatchConfig) -> Vec<ShardedNode> {
     (0..topology.n_nodes())
-        .map(|id| ShardedNode::with_batching(id, topology, Byzantine::Honest, cfg))
+        .map(|id| ShardedNode::new(id, topology, Byzantine::Honest).with_batching(cfg))
         .collect()
 }
 
@@ -996,17 +914,13 @@ pub fn submit_parallel(
 }
 
 /// Builds a parallel (shard-per-thread) simulation of an honest
-/// batched cluster with the standard [`probe`].
+/// [`cluster`] batching under `cfg`, with the standard [`probe`].
 pub fn parallel_cluster(
     topology: Topology,
-    batch: Option<BatchConfig>,
-    cfg: prever_sim::ParallelConfig,
+    cfg: BatchConfig,
+    runtime: prever_sim::ParallelConfig,
 ) -> prever_sim::ParallelSim<ShardedNode, ShardProbe> {
-    let nodes = match batch {
-        Some(b) => cluster_batched(topology, b),
-        None => cluster(topology),
-    };
-    prever_sim::ParallelSim::new(nodes, topology.shard_map(), cfg, probe)
+    prever_sim::ParallelSim::new(cluster(topology, cfg), topology.shard_map(), runtime, probe)
 }
 
 #[cfg(test)]
@@ -1033,7 +947,7 @@ mod tests {
     #[test]
     fn intra_shard_transactions_complete_per_shard() {
         let t = topo(2);
-        let mut sim = Simulation::new(cluster(t), NetConfig::default(), 1);
+        let mut sim = Simulation::new(cluster(t, BatchConfig::default()), NetConfig::default(), 1);
         for i in 0..6u64 {
             let shard = (i % 2) as usize;
             submit(&mut sim, t, Command::new(i, "intra"), vec![shard], i + 1);
@@ -1051,7 +965,7 @@ mod tests {
     #[test]
     fn cross_shard_transaction_commits_everywhere() {
         let t = topo(3);
-        let mut sim = Simulation::new(cluster(t), NetConfig::default(), 2);
+        let mut sim = Simulation::new(cluster(t, BatchConfig::default()), NetConfig::default(), 2);
         submit(&mut sim, t, Command::new(7, "cross"), vec![0, 2], 1);
         let ok = sim.run_until_pred(3_000_000, |nodes| {
             t.members(0)
@@ -1073,7 +987,7 @@ mod tests {
     #[test]
     fn mixed_workload_all_commit() {
         let t = topo(2);
-        let mut sim = Simulation::new(cluster(t), NetConfig::default(), 3);
+        let mut sim = Simulation::new(cluster(t, BatchConfig::default()), NetConfig::default(), 3);
         // 4 intra (2 per shard) + 2 cross.
         submit(&mut sim, t, Command::new(0, "a"), vec![0], 1);
         submit(&mut sim, t, Command::new(1, "b"), vec![1], 2);
@@ -1096,7 +1010,7 @@ mod tests {
         // not wedged and can process new work. After the heal, shard 1
         // learns the abort by re-announcing its certificate.
         let t = topo(2);
-        let mut sim = Simulation::new(cluster(t), NetConfig::default(), 4);
+        let mut sim = Simulation::new(cluster(t, BatchConfig::default()), NetConfig::default(), 4);
         let groups: Vec<usize> = (0..t.n_nodes()).map(|id| t.shard_of(id)).collect();
         sim.set_partition(groups);
         submit(&mut sim, t, Command::new(9, "doomed"), vec![0, 1], 1);
@@ -1139,7 +1053,7 @@ mod tests {
         // certificates assemble late but in time, so the tx commits —
         // the timeout only fires for genuinely stalled shards.
         let t = topo(2);
-        let mut sim = Simulation::new(cluster(t), NetConfig::default(), 5);
+        let mut sim = Simulation::new(cluster(t, BatchConfig::default()), NetConfig::default(), 5);
         let groups: Vec<usize> = (0..t.n_nodes()).map(|id| t.shard_of(id)).collect();
         sim.set_partition(groups);
         submit(&mut sim, t, Command::new(11, "late"), vec![0, 1], 1);
@@ -1165,7 +1079,7 @@ mod tests {
         // outcomes are gone — TxQuery/TxInfo probing against shard-mates
         // must recover the resolutions.
         let t = topo(2);
-        let mut sim = Simulation::new(cluster(t), NetConfig::default(), 21);
+        let mut sim = Simulation::new(cluster(t, BatchConfig::default()), NetConfig::default(), 21);
         submit(&mut sim, t, Command::new(0, "a"), vec![0], 1);
         submit(&mut sim, t, Command::new(1, "b"), vec![0], 2);
         submit(&mut sim, t, Command::new(2, "c"), vec![0], 3);
@@ -1198,7 +1112,7 @@ mod tests {
         // transaction (intra and cross) must still resolve exactly once.
         let t = topo(2);
         let cfg = BatchConfig::new(4, 15_000, 4);
-        let mut sim = Simulation::new(cluster_batched(t, cfg), NetConfig::default(), 13);
+        let mut sim = Simulation::new(cluster(t, cfg), NetConfig::default(), 13);
         // ids 3 and 7 are cross-shard; the rest alternate shards:
         // shard 0 sees {0,2,4,6} intra + {3,7} cross = 6 completions,
         // shard 1 sees {1,5} intra + {3,7} cross = 4 completions.
@@ -1228,7 +1142,8 @@ mod tests {
         // The same protocol on the shard-per-thread runtime: 3 shards
         // on 3 OS threads, intra + cross work, everything commits.
         let t = topo(3);
-        let mut sim = parallel_cluster(t, None, ParallelConfig { seed: 31, ..Default::default() });
+        let cfg = ParallelConfig { seed: 31, ..Default::default() };
+        let mut sim = parallel_cluster(t, BatchConfig::default(), cfg);
         for i in 0..9u64 {
             let involved = match i % 3 {
                 0 => vec![0],
@@ -1263,7 +1178,7 @@ mod tests {
         let run = || {
             let t = topo(3);
             let mut sim =
-                parallel_cluster(t, Some(BatchConfig::new(4, 15_000, 4)), ParallelConfig {
+                parallel_cluster(t, BatchConfig::new(4, 15_000, 4), ParallelConfig {
                     seed: 77,
                     ..Default::default()
                 });
@@ -1274,7 +1189,7 @@ mod tests {
             sim.run_until(4_000_000);
             let stats = sim.stats();
             let nodes = sim.into_nodes();
-            let views: Vec<u64> = nodes.iter().map(|n| n.core.view()).collect();
+            let views: Vec<u64> = nodes.iter().map(|n| n.node.core.view()).collect();
             let completions: Vec<Vec<Completion>> =
                 nodes.iter().map(|n| n.completed().to_vec()).collect();
             (stats, views, completions)
@@ -1290,7 +1205,8 @@ mod tests {
         // off after ordering locally; the coordinator aborts, survivors
         // keep working, and the healed shard converges to the abort.
         let t = topo(2);
-        let mut sim = parallel_cluster(t, None, ParallelConfig { seed: 41, ..Default::default() });
+        let cfg = ParallelConfig { seed: 41, ..Default::default() };
+        let mut sim = parallel_cluster(t, BatchConfig::default(), cfg);
         sim.set_fault_plan(
             FaultPlan::new()
                 .partition_at(2_000, t.shard_map())
@@ -1319,7 +1235,8 @@ mod tests {
         // shard in similar virtual time.
         let run = |shards: usize, txs: u64| -> u64 {
             let t = topo(shards);
-            let mut sim = Simulation::new(cluster(t), NetConfig::default(), 7);
+            let nodes = cluster(t, BatchConfig::default());
+            let mut sim = Simulation::new(nodes, NetConfig::default(), 7);
             for i in 0..txs {
                 let shard = (i % shards as u64) as usize;
                 submit(&mut sim, t, Command::new(i, "w"), vec![shard], 1 + i);

@@ -94,7 +94,8 @@ fn pbft_commit_trace_has_one_cut_one_quorum_one_flush_per_command() {
 fn cross_shard_commit_trace_spans_both_shards_in_order() {
     trace::set_trace_enabled(true);
     let t = Topology { n_shards: 2, replicas_per_shard: 4 };
-    let mut sim = Simulation::new(sharded::cluster(t), NetConfig::default(), 12);
+    let nodes = sharded::cluster(t, BatchConfig::default());
+    let mut sim = Simulation::new(nodes, NetConfig::default(), 12);
     const TX: u64 = 0x6200_0001;
     sharded::submit(&mut sim, t, Command::new(TX, "cross"), vec![0, 1], 1);
     let ok = sim.run_until_pred(10_000_000, |nodes| {
@@ -154,8 +155,7 @@ fn parallel_sim_traces_are_bit_identical() {
     let cmds = 12u64;
     let run = || {
         let cfg = ParallelConfig { seed: 77, ..ParallelConfig::default() };
-        let mut sim =
-            sharded::parallel_cluster(t, Some(BatchConfig::new(4, 10_000, 4)), cfg);
+        let mut sim = sharded::parallel_cluster(t, BatchConfig::new(4, 10_000, 4), cfg);
         for i in 0..cmds {
             let id = BASE + i;
             let involved = if i % 3 == 0 { vec![0, 1] } else { vec![(i % 2) as usize] };

@@ -300,6 +300,13 @@ pub enum ServerPeer {
     Client(Box<ClientPeer>),
 }
 
+// Every actor hosted on the simulator must be `Send`: the shard-per-
+// thread runtime ships replica groups to worker threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ServerPeer>();
+};
+
 impl ServerPeer {
     /// This peer as a gateway, if it is one.
     pub fn as_gateway(&self) -> Option<&Gateway> {

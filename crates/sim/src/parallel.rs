@@ -48,10 +48,12 @@
 //! channels only, judged by send time at the coordinator: a partitioned
 //! shard keeps ordering locally while its channels drop. What the runtime
 //! does not model is refused by [`ParallelSim::set_fault_plan`] with a
-//! panic naming it rather than ignored: disk faults (the media handler
-//! cannot cross threads), per-link faults (a cross-shard hop is the
-//! coordinator's, which models latency, jitter and partitions only), and
-//! a partition that splits a shard. Cross-shard messages are not pinned
+//! panic naming it rather than ignored: disk faults (their handler is a
+//! harness closure installed on one `Simulation` with
+//! `set_disk_handler`, and each shard's simulation is built on its
+//! worker thread, which no such closure reaches), per-link faults (a
+//! cross-shard hop is the coordinator's, which models latency, jitter
+//! and partitions only), and a partition that splits a shard. Cross-shard messages are not pinned
 //! to a receiver incarnation: like client retries, they are delivered to
 //! whatever process is alive on arrival (they model durable channel
 //! buffers between clusters).

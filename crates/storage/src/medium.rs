@@ -29,8 +29,7 @@
 //! seed.
 
 use crate::{Result, StorageError};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default sector size (bytes) for [`SimDisk`]: the classic 512-byte
 /// sector, the atomic write unit the torn-write model respects.
@@ -271,89 +270,93 @@ impl StorageMedium for SimDisk {
 /// The chaos harness keeps one handle across a restart-with-loss: the
 /// dying node's handle is dropped with the node, the surviving handle is
 /// crashed (dropping unflushed bytes) and handed to the replacement
-/// process for recovery. `Rc` makes the handle `!Send`, matching the
-/// single-threaded simulator (same design as the consensus durable log).
+/// process for recovery. The handle is `Send`, so an actor owning one
+/// can be hosted on any thread.
 #[derive(Clone, Debug)]
 pub struct SharedDisk {
-    inner: Rc<RefCell<SimDisk>>,
+    inner: Arc<Mutex<SimDisk>>,
 }
 
 impl SharedDisk {
     /// A fresh shared disk seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        SharedDisk { inner: Rc::new(RefCell::new(SimDisk::new(seed))) }
+        Self::from_disk(SimDisk::new(seed))
     }
 
     /// Wraps an existing disk.
     pub fn from_disk(disk: SimDisk) -> Self {
-        SharedDisk { inner: Rc::new(RefCell::new(disk)) }
+        SharedDisk { inner: Arc::new(Mutex::new(disk)) }
+    }
+
+    fn disk(&self) -> MutexGuard<'_, SimDisk> {
+        self.inner.lock().expect("a thread panicked while holding the disk")
     }
 
     /// Crashes the underlying disk with torn-write semantics; returns
     /// surviving cache bytes. See [`SimDisk::crash`].
     pub fn crash(&self) -> u64 {
-        self.inner.borrow_mut().crash()
+        self.disk().crash()
     }
 
     /// Crashes dropping the whole cache. See
     /// [`SimDisk::crash_dropping_cache`].
     pub fn crash_dropping_cache(&self) -> u64 {
-        self.inner.borrow_mut().crash_dropping_cache()
+        self.disk().crash_dropping_cache()
     }
 
     /// Damages a seeded flushed sector; `false` if nothing durable.
     pub fn corrupt_random_flushed_sector(&self) -> bool {
-        self.inner.borrow_mut().corrupt_random_flushed_sector()
+        self.disk().corrupt_random_flushed_sector()
     }
 
     /// Damages a specific sector; `false` if out of range.
     pub fn corrupt_sector(&self, sector_idx: u64) -> bool {
-        self.inner.borrow_mut().corrupt_sector(sector_idx)
+        self.disk().corrupt_sector(sector_idx)
     }
 
     /// Wipes the disk to empty. See [`SimDisk::wipe`].
     pub fn wipe(&self) {
-        self.inner.borrow_mut().wipe()
+        self.disk().wipe()
     }
 
     /// Operation counters.
     pub fn stats(&self) -> DiskStats {
-        self.inner.borrow().stats()
+        self.disk().stats()
     }
 
     /// Bytes currently in the volatile cache.
     pub fn cached_len(&self) -> u64 {
-        self.inner.borrow().cached_len()
+        self.disk().cached_len()
     }
 }
 
 impl StorageMedium for SharedDisk {
     fn len(&self) -> u64 {
-        self.inner.borrow().len()
+        self.disk().len()
     }
 
     fn durable_len(&self) -> u64 {
-        self.inner.borrow().durable_len()
+        self.disk().durable_len()
     }
 
     fn read(&self, offset: u64, out: &mut [u8]) -> Result<()> {
-        self.inner.borrow().read(offset, out)
+        self.disk().read(offset, out)
     }
 
     fn append(&mut self, bytes: &[u8]) {
-        self.inner.borrow_mut().append(bytes)
+        self.disk().append(bytes)
     }
 
     fn flush(&mut self) {
-        self.inner.borrow_mut().flush()
+        self.disk().flush()
     }
 
     fn truncate(&mut self, len: u64) {
-        self.inner.borrow_mut().truncate(len)
+        self.disk().truncate(len)
     }
 
     fn sector_size(&self) -> u64 {
-        self.inner.borrow().sector_size()
+        self.disk().sector_size()
     }
 }
 
