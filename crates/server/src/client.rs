@@ -309,12 +309,15 @@ impl ClientConn {
     /// read probes do not block completion (a probe against a dead
     /// replica is abandoned, never waited on forever).
     pub fn done(&self) -> bool {
-        self.next_idx >= self.reqs.len() && self.reqs.iter().all(|r| r.outcome.is_some())
+        self.next_idx >= self.reqs.len() && self.unresolved() == 0
     }
 
-    /// Requests not yet terminal (for liveness diagnostics).
+    /// Requests not yet terminal (for liveness diagnostics). Setting an
+    /// outcome bumps exactly one of the three terminal counters, so
+    /// this is O(1): the harnesses ask after every simulator event.
     pub fn unresolved(&self) -> u64 {
-        self.reqs.iter().filter(|r| r.outcome.is_none()).count() as u64
+        let s = &self.stats;
+        self.reqs.len() as u64 - (s.committed + s.gave_up + s.deadline_exceeded)
     }
 
     /// The gateway currently targeted.
@@ -1024,6 +1027,65 @@ mod tests {
         let _ = c.on_frame(&r1, 200);
         let _ = c.on_frame(&r2, 300);
         assert_eq!(c.stats().read_violations, 1, "same position, different digests = fork");
+    }
+
+    #[test]
+    fn done_agrees_with_a_scan_of_every_request_at_every_step() {
+        let scan = |c: &ClientConn| {
+            let unresolved = c.reqs.iter().filter(|r| r.outcome.is_none()).count() as u64;
+            (c.next_idx >= c.reqs.len() && unresolved == 0, unresolved)
+        };
+        let mut c = ClientConn::new(ClientCfg {
+            requests: 5,
+            retry_budget: 2,
+            timeout_us: 1_000,
+            id_base: 50,
+            mode: LoadMode::Closed { window: 2, think_us: 0 },
+            ..ClientCfg::default()
+        });
+        let overloaded = |id| Frame::Response(Response::Overloaded { retry_after_us: 10, id }).encode();
+        let shed = |id| Frame::Response(Response::DeadlineExceeded { id }).encode();
+        let check = |c: &ClientConn, step: &str| {
+            assert_eq!((c.done(), c.unresolved()), scan(c), "after {step}");
+        };
+        check(&c, "new");
+        let _ = c.on_start(0);
+        check(&c, "start");
+        // Request 50 times out, is retried, and commits (twice: the
+        // duplicate ack changes nothing).
+        let _ = c.on_timer(T_TIMEOUT, 1_000);
+        check(&c, "timeout 50");
+        let _ = c.on_timer(T_RETRY, 5_000);
+        check(&c, "retry 50");
+        let _ = c.on_frame(&committed_frame(50, 1), 5_100);
+        check(&c, "commit 50");
+        let _ = c.on_frame(&committed_frame(50, 1), 5_150);
+        check(&c, "commit 50 again");
+        let _ = c.on_timer(T_NEXT, 5_200);
+        check(&c, "launch 52");
+        // Request 51 is overloaded until its budget runs out.
+        let _ = c.on_frame(&overloaded(51), 5_300);
+        check(&c, "overload 51");
+        let _ = c.on_timer(T_RETRY | 1, 6_000);
+        check(&c, "retry 51");
+        let _ = c.on_frame(&overloaded(51), 6_100);
+        check(&c, "give up 51");
+        let _ = c.on_timer(T_NEXT, 6_200);
+        check(&c, "launch 53");
+        // Request 52 is shed on its deadline; 53 commits; 54, the last,
+        // is shed too.
+        let _ = c.on_frame(&shed(52), 6_300);
+        check(&c, "shed 52");
+        let _ = c.on_timer(T_NEXT, 6_400);
+        check(&c, "launch 54");
+        let _ = c.on_frame(&committed_frame(53, 2), 6_500);
+        check(&c, "commit 53");
+        assert!(!c.done());
+        let _ = c.on_frame(&shed(54), 6_600);
+        check(&c, "shed 54");
+        assert!(c.done());
+        let s = c.stats();
+        assert_eq!((s.committed, s.gave_up, s.deadline_exceeded, s.retries), (2, 1, 2, 3));
     }
 
     #[test]
