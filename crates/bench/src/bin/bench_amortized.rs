@@ -5,7 +5,8 @@
 //! the wallet side of a blind-signature round) and Merkle roots at
 //! 1k/64k leaves (cold build, then warm root and inclusion proof), and
 //! the key-size sweeps DESIGN.md §5 chooses its parameters from
-//! (`modexp/bits`, Paillier at 96- and 256-bit primes), one JSON line
+//! (`modexp/bits`, Paillier at 96- and 256-bit primes), and the 6-bit
+//! range proof (`range_prove/6`, `range_verify/6`), one JSON line
 //! each. The "before"
 //! numbers were produced by this same harness backported onto the
 //! pre-amortization commit (same seeds, same workloads, the then-current
@@ -227,4 +228,19 @@ fn main() {
         });
         println!("{{\"id\": \"paillier_decrypt/{prime_bits}\", \"ns\": {ns:.1}}}");
     }
+
+    // RC1's range proof at the FLSA width, `[0, 2^6)`: prove (six
+    // commitments and bit proofs) and verify (one combined check).
+    let hours = BigUint::from_u64(39);
+    let (c, r) = schnorr::commit(&group, &hours, &mut rng).unwrap();
+    let mut prove = || schnorr::RangeProof::prove(&group, &c, &hours, &r, 6, b"flsa", &mut rng);
+    let ns = best_ns(5, 20, || {
+        black_box(prove().unwrap());
+    });
+    println!("{{\"id\": \"range_prove/6\", \"ns\": {ns:.1}}}");
+    let proof = prove().unwrap();
+    let ns = best_ns(5, 20, || {
+        black_box(&proof).verify(&group, &c, 6, b"flsa").unwrap();
+    });
+    println!("{{\"id\": \"range_verify/6\", \"ns\": {ns:.1}}}");
 }

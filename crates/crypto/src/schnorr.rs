@@ -260,22 +260,26 @@ pub fn verify(
     }
 }
 
-/// One verification equation `g^s = t · y^e` prepared for the random-
-/// linear-combination batch: both signatures and sigma proofs reduce
-/// to this shape.
+/// One verification equation `B^s = t · y^e` prepared for the random-
+/// linear-combination batch: signatures and sigma proofs reduce to this
+/// shape. `B` is the batch's fixed base: `g` for signatures and proofs
+/// of knowledge, `h` for the branches of a bit proof. With `over_g` the
+/// statement base is `y·g⁻¹` instead of `y` (a bit proof's second
+/// branch), so the equation reads `B^s · g^e = t · y^e`.
 struct RlcItem<'a> {
     y: &'a BigUint,
     t: &'a BigUint,
     e: BigUint,
     s: &'a BigUint,
+    over_g: bool,
 }
 
 /// Draws the `n` 128-bit batch weights from a transcript that has
 /// absorbed every item — an adversary committing to proofs cannot
 /// steer weights they have not seen, and any post-hoc tweak to any
-/// item reshuffles all of them.
-fn rlc_weights(domain: &'static str, items: &[RlcItem<'_>]) -> Vec<BigUint> {
-    let mut t = Transcript::new(domain);
+/// item reshuffles all of them. `t` arrives with the domain and
+/// whatever statement the caller binds beside the items.
+fn rlc_weights(mut t: Transcript, items: &[RlcItem<'_>]) -> Vec<BigUint> {
     for it in items {
         t.append_biguint("y", it.y);
         t.append_biguint("t", it.t);
@@ -299,24 +303,52 @@ fn rlc_weights(domain: &'static str, items: &[RlcItem<'_>]) -> Vec<BigUint> {
         .collect()
 }
 
-/// Checks the combined equation `g^(Σ wᵢsᵢ) = Π tᵢ^{wᵢ} · Π yᵢ^{wᵢeᵢ}`
-/// for a sub-range of items. Soundness: all elements are in the prime-
-/// order-q subgroup (checked by the caller), so a single invalid item
-/// survives the random weights with probability ≤ 2⁻¹²⁸ + 1/q.
-fn rlc_check(group: &SchnorrGroup, domain: &'static str, items: &[RlcItem<'_>]) -> Result<bool> {
-    let weights = rlc_weights(domain, items);
+/// Checks the combined equation
+/// `B^(Σ wᵢsᵢ) · g^(Σ' wᵢeᵢ) = Π tᵢ^{wᵢ} · Π yᵢ^{wᵢeᵢ}` (`Σ'` over the
+/// `over_g` items) for a sub-range of items. `B` is `base`'s generator,
+/// and the left side is one comb chain over `g`'s table and `base`;
+/// consecutive items over the same `y` share one base on the right.
+/// Soundness: all elements are in the prime-order-q subgroup (checked
+/// by the caller), so a single invalid item survives the random weights
+/// with probability ≤ 2⁻¹²⁸ + 1/q.
+fn rlc_check(
+    group: &SchnorrGroup,
+    base: &FixedBaseTable,
+    transcript: Transcript,
+    items: &[RlcItem<'_>],
+) -> Result<bool> {
+    let weights = rlc_weights(transcript, items);
     let q = &group.q;
+    // Sums of products stay unreduced until their last term is in: one
+    // division per exponent, not one per product.
     let mut s_sum = BigUint::zero();
+    let mut g_sum = BigUint::zero();
     let mut bases: Vec<&BigUint> = Vec::with_capacity(2 * items.len());
     let mut exps: Vec<BigUint> = Vec::with_capacity(2 * items.len());
+    // Where each distinct run of `y`s sits in `bases`.
+    let mut ys: Vec<usize> = Vec::with_capacity(items.len());
     for (it, w) in items.iter().zip(&weights) {
-        s_sum = s_sum.add(&w.mul_mod(it.s, q)?).rem(q)?;
+        s_sum = s_sum.add(&w.mul(it.s));
+        let we = w.mul(&it.e);
+        if it.over_g {
+            g_sum = g_sum.add(&we);
+        }
         bases.push(it.t);
         exps.push(w.clone());
-        bases.push(it.y);
-        exps.push(w.mul_mod(&it.e, q)?);
+        match ys.last() {
+            Some(&i) if bases[i] == it.y => exps[i] = exps[i].add(&we),
+            _ => {
+                ys.push(bases.len());
+                bases.push(it.y);
+                exps.push(we);
+            }
+        }
     }
-    let lhs = group.fb_g.pow(&s_sum)?;
+    for &i in &ys {
+        exps[i] = exps[i].rem(q)?;
+    }
+    let (s_sum, g_sum) = (s_sum.rem(q)?, g_sum.rem(q)?);
+    let lhs = group.fb_g.mul_pow(&g_sum, base, &s_sum)?;
     let exp_refs: Vec<&BigUint> = exps.iter().collect();
     let rhs = group.multi_pow(&bases, &exp_refs)?;
     Ok(lhs == rhs)
@@ -330,8 +362,9 @@ fn direct_check(group: &SchnorrGroup, it: &RlcItem<'_>) -> Result<bool> {
     Ok(lhs == rhs)
 }
 
-/// Batch-verifies prepared equations; on failure, bisects to the first
-/// offending index. Range/membership checks must already have passed.
+/// Batch-verifies prepared `g^s = t · y^e` equations; on failure,
+/// bisects to the first offending index. Range/membership checks must
+/// already have passed.
 fn rlc_verify(
     group: &SchnorrGroup,
     domain: &'static str,
@@ -349,7 +382,10 @@ fn rlc_verify(
             Err(CryptoError::BatchItemInvalid { index: 0, what })
         };
     }
-    if rlc_check(group, domain, items)? {
+    let check = |items: &[RlcItem<'_>]| {
+        rlc_check(group, &group.fb_g, Transcript::new(domain), items)
+    };
+    if check(items)? {
         return Ok(());
     }
     // Bisect: re-run the RLC on halves (fresh weights per sub-batch)
@@ -360,7 +396,7 @@ fn rlc_verify(
     let mut hi = items.len();
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        let left_bad = !rlc_check(group, domain, &items[lo..mid])?;
+        let left_bad = !check(&items[lo..mid])?;
         if left_bad {
             hi = mid;
         } else {
@@ -403,6 +439,7 @@ pub fn batch_verify(
             t: &sig.r,
             e: sig_challenge(group, y, &sig.r, msg),
             s: &sig.s,
+            over_g: false,
         })
         .collect();
     rlc_verify(group, "prever-schnorr-batch", "Schnorr signature", &prepared)
@@ -515,6 +552,7 @@ impl ProofOfKnowledge {
                 t: &proof.commitment,
                 e: pok_challenge(group, y, &proof.commitment, context),
                 s: &proof.response,
+                over_g: false,
             })
             .collect();
         rlc_verify(group, "prever-pok-batch", "proof of knowledge", &prepared)
@@ -549,7 +587,7 @@ impl OpeningProof {
     ) -> Self {
         let km = group.random_exponent(rng);
         let kr = group.random_exponent(rng);
-        let t_val = group.mul(&group.pow_g(&km), &group.pow_h(&kr));
+        let t_val = group.pow_gh(&km, &kr);
         let ch = opening_challenge(group, &c.0, &t_val, context);
         let s_m = km.add(&ch.mul_mod(m, &group.q).expect("q")).rem(&group.q).expect("q");
         let s_r = kr.add(&ch.mul_mod(r, &group.q).expect("q")).rem(&group.q).expect("q");
@@ -561,7 +599,7 @@ impl OpeningProof {
         group.check_element(&c.0)?;
         let ch = opening_challenge(group, &c.0, &self.t_val, context);
         // g^{s_m} h^{s_r} == t · C^{ch}.
-        let lhs = group.mul(&group.pow_g(&self.s_m), &group.pow_h(&self.s_r));
+        let lhs = group.pow_gh(&self.s_m, &self.s_r);
         let rhs = group.mul(&self.t_val, &group.pow(&c.0, &ch));
         if lhs == rhs {
             Ok(())
@@ -606,8 +644,8 @@ impl EqualityProof {
         let km = group.random_exponent(rng);
         let kr1 = group.random_exponent(rng);
         let kr2 = group.random_exponent(rng);
-        let t1 = group.mul(&group.pow_g(&km), &group.pow_h(&kr1));
-        let t2 = group.mul(&group.pow_g(&km), &group.pow_h(&kr2));
+        let t1 = group.pow_gh(&km, &kr1);
+        let t2 = group.pow_gh(&km, &kr2);
         let ch = equality_challenge(group, &c1.0, &c2.0, &t1, &t2, context);
         let q = &group.q;
         let s_m = km.add(&ch.mul_mod(m, q).expect("q")).rem(q).expect("q");
@@ -625,9 +663,9 @@ impl EqualityProof {
         context: &[u8],
     ) -> Result<()> {
         let ch = equality_challenge(group, &c1.0, &c2.0, &self.t1, &self.t2, context);
-        let lhs1 = group.mul(&group.pow_g(&self.s_m), &group.pow_h(&self.s_r1));
+        let lhs1 = group.pow_gh(&self.s_m, &self.s_r1);
         let rhs1 = group.mul(&self.t1, &group.pow(&c1.0, &ch));
-        let lhs2 = group.mul(&group.pow_g(&self.s_m), &group.pow_h(&self.s_r2));
+        let lhs2 = group.pow_gh(&self.s_m, &self.s_r2);
         let rhs2 = group.mul(&self.t2, &group.pow(&c2.0, &ch));
         if lhs1 == rhs1 && lhs2 == rhs2 {
             Ok(())
@@ -672,8 +710,9 @@ impl BitProof {
     /// Proves that `c` commits to `bit` with randomness `r`.
     ///
     /// `c` must lie in the order-`q` subgroup (checked here, a Jacobi
-    /// symbol): the simulated branch computes `Y⁻ᶜ` as `Y^(q−c)`, which
-    /// is the inverse only where `Y^q = 1`.
+    /// symbol), where every opening lives. The simulated branch is
+    /// built from the witness, so only `g` and `h` are exponentiated; a
+    /// `(bit, r)` that does not open `c` yields a proof that fails.
     pub fn prove<R: Rng + ?Sized>(
         group: &SchnorrGroup,
         c: &Commitment,
@@ -684,17 +723,18 @@ impl BitProof {
     ) -> Result<Self> {
         group.check_element(&c.0)?;
         let q = &group.q;
-        // Statement bases: Y0 = C, Y1 = C / g; real witness satisfies
-        // Y_real = h^r.
-        let y_sim = if bit { c.0.clone() } else { group.mul(&c.0, &group.g_inv) };
         // Simulated branch.
         let c_sim = group.random_exponent(rng);
         let s_sim = group.random_exponent(rng);
         // Real branch nonce.
         let k = group.random_exponent(rng);
         let t_real = group.pow_h(&k);
-        // t_sim = h^{s_sim} · Y_sim^{-c_sim}, with c_sim ∈ [1, q).
-        let t_sim = group.mul(&group.pow_h(&s_sim), &group.pow(&y_sim, &q.sub(&c_sim)));
+        // Statement bases: Y0 = C, Y1 = C / g. The simulated (false) one
+        // is Y_sim = g^{±1}·h^r: Y0 = g·h^r for bit 1, Y1 = g⁻¹·h^r for
+        // bit 0. So t_sim = h^{s_sim}·Y_sim^{−c_sim}
+        // = g^{∓c_sim}·h^{s_sim − c_sim·r}, with c_sim ∈ [1, q).
+        let g_exp = if bit { q.sub(&c_sim) } else { c_sim.clone() };
+        let t_sim = group.pow_gh(&g_exp, &s_sim.sub_mod(&c_sim.mul_mod(r, q)?, q)?);
         let (t0, t1) = if bit { (t_sim, t_real) } else { (t_real, t_sim) };
         let ch = bit_challenge(group, &c.0, &t0, &t1, context);
         // c_real = ch − c_sim mod q.
@@ -798,6 +838,12 @@ impl RangeProof {
     }
 
     /// Verifies the proof against commitment `c` and range `[0, 2^k)`.
+    ///
+    /// All `2k` bit-proof equations are checked as one random linear
+    /// combination. Where that cannot decide — an element outside the
+    /// subgroup, a challenge that does not split, a failed recomposition
+    /// or a failed combination — each bit proof is checked on its own,
+    /// so the error names the first check that fails.
     pub fn verify(
         &self,
         group: &SchnorrGroup,
@@ -808,21 +854,62 @@ impl RangeProof {
         if self.bit_commitments.len() != k || self.bit_proofs.len() != k {
             return Err(CryptoError::Malformed("range proof arity"));
         }
+        if let Ok(true) = self.combined_check(group, c, context) {
+            return Ok(());
+        }
         // Each bit commitment hides 0 or 1.
         for (ci, pi) in self.bit_commitments.iter().zip(&self.bit_proofs) {
             pi.verify(group, ci, context)?;
         }
-        // Π C_i^{2^i} == C.
-        let mut acc = BigUint::one();
-        for (i, ci) in self.bit_commitments.iter().enumerate() {
-            let w = BigUint::one().shl(i);
-            acc = group.mul(&acc, &group.pow(&ci.0, &w));
-        }
-        if acc == c.0 {
+        if self.recompose(group) == c.0 {
             Ok(())
         } else {
             Err(CryptoError::VerificationFailed("range proof: recomposition"))
         }
+    }
+
+    /// `Π C_i^{2^i}` by Horner from the top bit: one squaring and one
+    /// multiplication a bit.
+    fn recompose(&self, group: &SchnorrGroup) -> BigUint {
+        self.bit_commitments
+            .iter()
+            .rev()
+            .fold(BigUint::one(), |acc, ci| group.mul(&group.mul(&acc, &acc), &ci.0))
+    }
+
+    /// Whether every bit proof and the recomposition hold, decided by one
+    /// multi-exponentiation against one `pow_gh`. Bit `i`'s equations
+    /// `h^{s0} = t0·C_i^{c0}` and `h^{s1} = t1·(C_i·g⁻¹)^{c1}` share the
+    /// base `C_i`, so the combination raises the `k` commitments and the
+    /// `2k` `t`s. False, never a rejection, when a precondition fails.
+    fn combined_check(&self, group: &SchnorrGroup, c: &Commitment, context: &[u8]) -> Result<bool> {
+        let q = &group.q;
+        let mut items = Vec::with_capacity(2 * self.bit_proofs.len());
+        for (ci, pi) in self.bit_commitments.iter().zip(&self.bit_proofs) {
+            // The weights bind only inside the prime-order subgroup:
+            // outside it an equation off by a factor −1 drops out under an
+            // even weight, and two of them whenever their weights share a
+            // parity.
+            for x in [&ci.0, &pi.t0, &pi.t1] {
+                if group.check_element(x).is_err() {
+                    return Ok(false);
+                }
+            }
+            let ch = bit_challenge(group, &ci.0, &pi.t0, &pi.t1, context);
+            if pi.c0.add(&pi.c1).rem(q)? != ch {
+                return Ok(false);
+            }
+            let (y, s0, s1) = (&ci.0, &pi.s0, &pi.s1);
+            items.push(RlcItem { y, t: &pi.t0, e: pi.c0.clone(), s: s0, over_g: false });
+            items.push(RlcItem { y, t: &pi.t1, e: pi.c1.clone(), s: s1, over_g: true });
+        }
+        if self.recompose(group) != c.0 {
+            return Ok(false);
+        }
+        let mut t = Transcript::new("prever-range-rlc");
+        t.append_biguint("c", &c.0);
+        t.append_bytes("ctx", context);
+        rlc_check(group, &group.fb_h, t, &items)
     }
 
     /// Proof size in group/scalar elements (for the E6-style reporting).
@@ -1272,6 +1359,126 @@ mod tests {
         assert!(proof.verify(&g, &c, 7, b"ctx").is_err());
     }
 
+    /// `BitProof::prove` as it was before the simulated branch was built
+    /// from the witness: `t_sim = h^{s_sim} · Y_sim^(q−c_sim)`. With
+    /// `forge_sign` it sends `p − t_sim` instead, drawn before the
+    /// challenge: the split holds, and the simulated equation is off by
+    /// exactly −1, an element outside the subgroup.
+    fn bit_prove_by_exponentiation(
+        group: &SchnorrGroup,
+        c: &Commitment,
+        bit: bool,
+        r: &BigUint,
+        context: &[u8],
+        forge_sign: bool,
+        rng: &mut StdRng,
+    ) -> BitProof {
+        let q = &group.q;
+        let y_sim = if bit { c.0.clone() } else { group.mul(&c.0, &group.g_inv) };
+        let c_sim = group.random_exponent(rng);
+        let s_sim = group.random_exponent(rng);
+        let k = group.random_exponent(rng);
+        let t_real = group.pow_h(&k);
+        let t_sim = group.mul(&group.pow_h(&s_sim), &group.pow(&y_sim, &q.sub(&c_sim)));
+        let t_sim = if forge_sign { group.p.sub(&t_sim) } else { t_sim };
+        let (t0, t1) = if bit { (t_sim, t_real) } else { (t_real, t_sim) };
+        let ch = bit_challenge(group, &c.0, &t0, &t1, context);
+        let c_real = ch.sub_mod(&c_sim, q).unwrap();
+        let s_real = k.add(&c_real.mul_mod(r, q).unwrap()).rem(q).unwrap();
+        let (c0, c1, s0, s1) = if bit {
+            (c_sim, c_real, s_sim, s_real)
+        } else {
+            (c_real, c_sim, s_real, s_sim)
+        };
+        BitProof { t0, t1, c0, c1, s0, s1 }
+    }
+
+    /// `RangeProof::prove` over [`bit_prove_by_exponentiation`], forging
+    /// the sign of the bits listed in `forged`.
+    #[allow(clippy::too_many_arguments)]
+    fn range_prove_reference(
+        group: &SchnorrGroup,
+        c: &Commitment,
+        m: &BigUint,
+        r: &BigUint,
+        k: usize,
+        context: &[u8],
+        forged: &[usize],
+        rng: &mut StdRng,
+    ) -> RangeProof {
+        open(group, c, m, r).unwrap();
+        let q = &group.q;
+        let mut rs = vec![BigUint::zero(); k];
+        let mut weighted_sum = BigUint::zero();
+        for (i, ri) in rs.iter_mut().enumerate().skip(1) {
+            *ri = group.random_exponent(rng);
+            let w = BigUint::one().shl(i).rem(q).unwrap();
+            weighted_sum = weighted_sum.add(&w.mul_mod(ri, q).unwrap()).rem(q).unwrap();
+        }
+        rs[0] = r.rem(q).unwrap().sub_mod(&weighted_sum, q).unwrap();
+        let (bit_commitments, bit_proofs) = rs
+            .iter()
+            .enumerate()
+            .map(|(i, ri)| {
+                let ci = commit_with(group, &BigUint::from_u64(m.bit(i).into()), ri).unwrap();
+                let forge = forged.contains(&i);
+                let proof = bit_prove_by_exponentiation(group, &ci, m.bit(i), ri, context, forge, rng);
+                (ci, proof)
+            })
+            .unzip();
+        RangeProof { bit_commitments, bit_proofs }
+    }
+
+    /// `RangeProof::verify` as a loop: each `BitProof::verify`, then
+    /// `Π C_i^{2^i}` by one `pow` a bit.
+    fn range_verify_reference(
+        proof: &RangeProof,
+        group: &SchnorrGroup,
+        c: &Commitment,
+        k: usize,
+        context: &[u8],
+    ) -> Result<()> {
+        if proof.bit_commitments.len() != k || proof.bit_proofs.len() != k {
+            return Err(CryptoError::Malformed("range proof arity"));
+        }
+        for (ci, pi) in proof.bit_commitments.iter().zip(&proof.bit_proofs) {
+            pi.verify(group, ci, context)?;
+        }
+        let mut acc = BigUint::one();
+        for (i, ci) in proof.bit_commitments.iter().enumerate() {
+            acc = group.mul(&acc, &group.pow(&ci.0, &BigUint::one().shl(i)));
+        }
+        if acc == c.0 {
+            Ok(())
+        } else {
+            Err(CryptoError::VerificationFailed("range proof: recomposition"))
+        }
+    }
+
+    #[test]
+    fn range_proof_halves_prove_and_verifies_at_under_a_third_of_the_multiplications() {
+        // Counted rather than timed, for a 6-bit proof against the
+        // exponentiating prover and the per-bit verifier: prove 1 393
+        // vs 3 117, verify 1 151 vs 4 610 Montgomery multiplications.
+        // The 18 Jacobi symbols the combined check adds do none.
+        use crate::montgomery::count_muls;
+        let g = group();
+        let mut rng = StdRng::seed_from_u64(90);
+        let m = BigUint::from_u64(37);
+        let (c, r) = commit(&g, &m, &mut rng).unwrap();
+        let (proof, prove) =
+            count_muls(|| RangeProof::prove(&g, &c, &m, &r, 6, b"ctx", &mut rng.clone()).unwrap());
+        let (reference, prove_ref) =
+            count_muls(|| range_prove_reference(&g, &c, &m, &r, 6, b"ctx", &[], &mut rng));
+        assert_eq!(proof, reference);
+        let (_, verify) = count_muls(|| proof.verify(&g, &c, 6, b"ctx").unwrap());
+        let (_, verify_ref) =
+            count_muls(|| range_verify_reference(&proof, &g, &c, 6, b"ctx").unwrap());
+        println!("prove {prove} vs {prove_ref}, verify {verify} vs {verify_ref}");
+        assert!(100 * prove <= 55 * prove_ref, "prove: {prove} vs {prove_ref}");
+        assert!(100 * verify <= 30 * verify_ref, "verify: {verify} vs {verify_ref}");
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -1423,6 +1630,128 @@ mod tests {
                     .iter()
                     .all(|(y, c, p)| p.verify(g, y, c).is_ok());
                 prop_assert_eq!(each_ok, ProofOfKnowledge::batch_verify(g, &items).is_ok());
+            }
+        }
+
+        /// The ways a range proof, or what it is checked against, can be
+        /// bent. `i` and `j` are bit positions.
+        #[derive(Debug, Clone, Copy)]
+        enum RangeTamper {
+            Honest,
+            ShiftS0,
+            ShiftS1,
+            /// `c0 + 1`: the challenge no longer splits.
+            ShiftC0,
+            /// `c0 + 1`, `c1 − 1`: the split holds, both equations fail.
+            MoveChallenge,
+            SwapT,
+            /// `C_i`, `t0` or `t1` replaced by `p − x`, outside the subgroup.
+            NegateCommitment,
+            NegateT0,
+            NegateT1,
+            /// `t0` of bit `i` and `t1` of bit `j`, together.
+            NegateTwoTs,
+            /// The simulated `t` of bits `i` and `j` negated before their
+            /// challenges are drawn: every split holds, and one or two
+            /// equations are off by exactly −1.
+            ForgedSigns,
+            SwapCommitments,
+            WrongContext,
+            WrongOuter,
+            WrongArity,
+            DroppedProof,
+        }
+
+        const RANGE_TAMPERS: [RangeTamper; 16] = [
+            RangeTamper::Honest,
+            RangeTamper::ShiftS0,
+            RangeTamper::ShiftS1,
+            RangeTamper::ShiftC0,
+            RangeTamper::MoveChallenge,
+            RangeTamper::SwapT,
+            RangeTamper::NegateCommitment,
+            RangeTamper::NegateT0,
+            RangeTamper::NegateT1,
+            RangeTamper::NegateTwoTs,
+            RangeTamper::ForgedSigns,
+            RangeTamper::SwapCommitments,
+            RangeTamper::WrongContext,
+            RangeTamper::WrongOuter,
+            RangeTamper::WrongArity,
+            RangeTamper::DroppedProof,
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            // The witness-built prover emits the exponentiating prover's
+            // proof, and the combined verifier returns the per-bit
+            // verifier's `Result` — the same `Ok`, the same error — under
+            // every tampering.
+            #[test]
+            fn prop_range_proof_matches_the_reference(
+                seed in any::<u64>(),
+                k in 1usize..=8,
+                m in any::<u64>(),
+                context in proptest::collection::vec(any::<u8>(), 0..8),
+                i in any::<usize>(),
+                j in any::<usize>(),
+            ) {
+                let g = shared_group();
+                let m = BigUint::from_u64(m % (1 << k));
+                let (i, j) = (i % k, j % k);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (c, r) = commit(g, &m, &mut rng).unwrap();
+                let proof =
+                    RangeProof::prove(g, &c, &m, &r, k, &context, &mut rng.clone()).unwrap();
+                let reference =
+                    range_prove_reference(g, &c, &m, &r, k, &context, &[], &mut rng.clone());
+                prop_assert_eq!(&proof, &reference);
+                let forged = range_prove_reference(g, &c, &m, &r, k, &context, &[i, j], &mut rng);
+                let (other, _) = commit(g, &m, &mut rng).unwrap();
+                let neg = |x: &BigUint| g.p.sub(x);
+                let plus = |x: &BigUint| x.add_mod(&BigUint::one(), &g.q).unwrap();
+                let minus = |x: &BigUint| x.sub_mod(&BigUint::one(), &g.q).unwrap();
+                for tamper in RANGE_TAMPERS {
+                    let (mut p, mut c, mut k, mut ctx) =
+                        (proof.clone(), c.clone(), k, context.clone());
+                    let bit = &mut p.bit_proofs[i];
+                    match tamper {
+                        RangeTamper::Honest => {}
+                        RangeTamper::ShiftS0 => bit.s0 = plus(&bit.s0),
+                        RangeTamper::ShiftS1 => bit.s1 = plus(&bit.s1),
+                        RangeTamper::ShiftC0 => bit.c0 = plus(&bit.c0),
+                        RangeTamper::MoveChallenge => {
+                            bit.c0 = plus(&bit.c0);
+                            bit.c1 = minus(&bit.c1);
+                        }
+                        RangeTamper::SwapT => std::mem::swap(&mut bit.t0, &mut bit.t1),
+                        RangeTamper::NegateT0 => bit.t0 = neg(&bit.t0),
+                        RangeTamper::NegateT1 => bit.t1 = neg(&bit.t1),
+                        RangeTamper::NegateTwoTs => {
+                            bit.t0 = neg(&bit.t0);
+                            let other_bit = &mut p.bit_proofs[j];
+                            other_bit.t1 = neg(&other_bit.t1);
+                        }
+                        RangeTamper::ForgedSigns => p = forged.clone(),
+                        RangeTamper::NegateCommitment => {
+                            p.bit_commitments[i].0 = neg(&p.bit_commitments[i].0)
+                        }
+                        RangeTamper::SwapCommitments => p.bit_commitments.swap(i, j),
+                        RangeTamper::WrongContext => ctx.push(0x5a),
+                        RangeTamper::WrongOuter => c = other.clone(),
+                        RangeTamper::WrongArity => k += 1,
+                        RangeTamper::DroppedProof => {
+                            p.bit_proofs.pop();
+                        }
+                    }
+                    let got = p.verify(g, &c, k, &ctx);
+                    let want = range_verify_reference(&p, g, &c, k, &ctx);
+                    prop_assert_eq!(&got, &want, "{:?} at bits {} and {}", tamper, i, j);
+                    if let RangeTamper::Honest = tamper {
+                        prop_assert!(got.is_ok());
+                    }
+                }
             }
         }
     }
