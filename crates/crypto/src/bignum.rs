@@ -596,42 +596,7 @@ impl BigUint {
             m4[..n.limbs.len()].copy_from_slice(&n.limbs);
             return Ok(jacobi_fixed4(a4, m4));
         }
-        let mut a = self.rem(n)?.limbs().to_vec();
-        let mut m = n.limbs().to_vec();
-        let mut t = 1i32;
-        loop {
-            limbs_trim(&mut a);
-            if a.is_empty() {
-                break;
-            }
-            // Pull out factors of two: (2/m) = -1 iff m = ±3 mod 8.
-            let z = limbs_trailing_zeros(&a);
-            if z > 0 {
-                limbs_shr(&mut a, z);
-                if z & 1 == 1 {
-                    let r = m[0] & 7;
-                    if r == 3 || r == 5 {
-                        t = -t;
-                    }
-                }
-            }
-            // Both odd. Quadratic reciprocity on swap: flip sign iff
-            // both are 3 mod 4.
-            if limbs_cmp(&a, &m) == Ordering::Less {
-                if (a[0] & 3 == 3) && (m[0] & 3 == 3) {
-                    t = -t;
-                }
-                std::mem::swap(&mut a, &mut m);
-            }
-            let borrow = sub_in_place(&mut a, &m);
-            debug_assert!(!borrow, "a >= m after the swap");
-        }
-        limbs_trim(&mut m);
-        if m == [1] {
-            Ok(t)
-        } else {
-            Ok(0)
-        }
+        Ok(jacobi_limbs(self.rem(n)?.limbs().to_vec(), n.limbs().to_vec()))
     }
 
     /// Modular inverse: `self^-1 mod modulus`, or
@@ -1058,18 +1023,19 @@ pub(crate) fn limbs_cmp(a: &[u64], b: &[u64]) -> Ordering {
     Ordering::Equal
 }
 
-/// Binary Jacobi specialised to 4-limb (≤256-bit) operands on stack
-/// arrays: same algorithm as the vector path in [`BigUint::jacobi`],
-/// but every limb loop has a fixed trip count the compiler unrolls.
-fn jacobi_fixed4(mut a: [u64; 4], mut m: [u64; 4]) -> i32 {
+/// Binary Jacobi `(a/m)` on limb vectors, for `a < m` and `m` odd: the
+/// path of [`BigUint::jacobi`] for moduli wider than 256 bits.
+fn jacobi_limbs(mut a: Vec<u64>, mut m: Vec<u64>) -> i32 {
     let mut t = 1i32;
     loop {
-        if a == [0u64; 4] {
+        limbs_trim(&mut a);
+        if a.is_empty() {
             break;
         }
-        let z = tz4(&a);
+        // Pull out factors of two: (2/m) = -1 iff m = ±3 mod 8.
+        let z = limbs_trailing_zeros(&a);
         if z > 0 {
-            shr4(&mut a, z);
+            limbs_shr(&mut a, z);
             if z & 1 == 1 {
                 let r = m[0] & 7;
                 if r == 3 || r == 5 {
@@ -1077,18 +1043,87 @@ fn jacobi_fixed4(mut a: [u64; 4], mut m: [u64; 4]) -> i32 {
                 }
             }
         }
-        if cmp4(&a, &m) == Ordering::Less {
+        // Both odd. Quadratic reciprocity on swap: flip sign iff
+        // both are 3 mod 4.
+        if limbs_cmp(&a, &m) == Ordering::Less {
             if (a[0] & 3 == 3) && (m[0] & 3 == 3) {
                 t = -t;
             }
             std::mem::swap(&mut a, &mut m);
         }
-        sub4(&mut a, &m);
+        let borrow = sub_in_place(&mut a, &m);
+        debug_assert!(!borrow, "a >= m after the swap");
     }
-    if m == [1, 0, 0, 0] {
+    limbs_trim(&mut m);
+    if m == [1] {
         t
     } else {
         0
+    }
+}
+
+/// Binary Jacobi specialised to 4-limb (≤256-bit) operands on stack
+/// arrays: the algorithm of [`jacobi_limbs`], step for step, but every
+/// limb loop has a fixed trip count the compiler unrolls, and each
+/// step's two data-dependent choices — flip the sign? swap? — are taken
+/// with masks: which operand is smaller is a coin flip, one a branch
+/// predictor loses about every other step.
+fn jacobi_fixed4(mut a: [u64; 4], mut m: [u64; 4]) -> i32 {
+    // Bit 0 of `flips` is the parity of the sign flips so far (the
+    // other bits are noise): the symbol is −1 iff it ends set.
+    let mut flips = 0u64;
+    while a != [0u64; 4] {
+        if a[2] | a[3] | m[2] | m[3] == 0 {
+            // Both are below 2¹²⁸: finish on native words.
+            let lo = |v: [u64; 4]| ((v[1] as u128) << 64) | v[0] as u128;
+            return jacobi_u128(lo(a), lo(m), flips);
+        }
+        // Pull out factors of two: (2/m) = −1 iff m = ±3 mod 8, that is
+        // iff bits 1 and 2 of m differ.
+        let z = tz4(&a);
+        shr4(&mut a, z);
+        flips ^= z as u64 & ((m[0] >> 1) ^ (m[0] >> 2));
+        // Both odd. Keep the smaller as the modulus and the difference
+        // as `a`; quadratic reciprocity flips the sign on a swap iff both
+        // are 3 mod 4.
+        let (diff, borrow) = sub4(&a, &m);
+        let swap = borrow.wrapping_neg();
+        flips ^= swap & ((a[0] & m[0]) >> 1);
+        for (mi, ai) in m.iter_mut().zip(a) {
+            *mi ^= (*mi ^ ai) & swap;
+        }
+        // On a swap `diff` is a − m + 2²⁵⁶, so m − a is its negation.
+        a = neg4_if(diff, swap);
+    }
+    if m != [1, 0, 0, 0] {
+        0
+    } else if flips & 1 == 0 {
+        1
+    } else {
+        -1
+    }
+}
+
+/// The loop of [`jacobi_fixed4`] on 128-bit words, from the state
+/// `(a, m, flips)` it hands over.
+fn jacobi_u128(mut a: u128, mut m: u128, mut flips: u64) -> i32 {
+    while a != 0 {
+        let z = a.trailing_zeros();
+        a >>= z;
+        let m0 = m as u64;
+        flips ^= z as u64 & ((m0 >> 1) ^ (m0 >> 2));
+        let (diff, borrow) = a.overflowing_sub(m);
+        let swap = (borrow as u128).wrapping_neg();
+        flips ^= (swap as u64) & (((a as u64) & m0) >> 1);
+        m ^= (m ^ a) & swap;
+        a = (diff ^ swap).wrapping_sub(swap);
+    }
+    if m != 1 {
+        0
+    } else if flips & 1 == 0 {
+        1
+    } else {
+        -1
     }
 }
 
@@ -1119,27 +1154,29 @@ fn shr4(v: &mut [u64; 4], k: usize) {
     }
 }
 
-/// Compares two 4-limb values.
-fn cmp4(a: &[u64; 4], b: &[u64; 4]) -> Ordering {
-    for i in (0..4).rev() {
-        match a[i].cmp(&b[i]) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    Ordering::Equal
-}
-
-/// `a -= b` over 4 limbs; caller guarantees `a >= b`.
-fn sub4(a: &mut [u64; 4], b: &[u64; 4]) {
+/// `a − b` modulo 2²⁵⁶, and the borrow out: 1 iff `a < b`.
+fn sub4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+    let mut out = [0u64; 4];
     let mut borrow = 0u64;
     for i in 0..4 {
         let (d1, b1) = a[i].overflowing_sub(b[i]);
         let (d2, b2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
+        out[i] = d2;
+        borrow = (b1 | b2) as u64;
     }
-    debug_assert_eq!(borrow, 0);
+    (out, borrow)
+}
+
+/// `v`, negated modulo 2²⁵⁶ where `mask` is all ones; `mask` is 0 or !0.
+fn neg4_if(v: [u64; 4], mask: u64) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    let mut carry = mask & 1;
+    for i in 0..4 {
+        let (s, c) = (v[i] ^ mask).overflowing_add(carry);
+        out[i] = s;
+        carry = c as u64;
+    }
+    out
 }
 
 /// Signed subtraction of (magnitude, negative?) pairs: `a - b`.
@@ -1213,7 +1250,7 @@ mod tests {
         // Against an odd prime p, (a/p) is the Legendre symbol, which
         // Euler's criterion computes as a^((p-1)/2) mod p.
         let mut rng = StdRng::seed_from_u64(31);
-        for bits in [64usize, 128, 192] {
+        for bits in [64usize, 128, 192, 256] {
             let p = BigUint::gen_prime(bits, &mut rng);
             let exp = p.sub(&BigUint::one()).shr(1);
             for _ in 0..12 {
@@ -1407,6 +1444,33 @@ mod tests {
             b.normalize();
             prop_assume!(!a.is_zero() && !b.is_zero());
             prop_assert_eq!(a.mul_karatsuba(&b), a.mul_schoolbook(&b));
+        }
+
+        /// The stack-array Jacobi agrees with the limb-vector loop on
+        /// coprime and on non-coprime operands.
+        #[test]
+        fn prop_jacobi_fixed4_matches_limb_loop(
+            m in proptest::collection::vec(any::<u64>(), 1..=3),
+            a in proptest::collection::vec(any::<u64>(), 0..=4),
+            f in any::<u64>(),
+        ) {
+            let f = BigUint::from_u64(f | 1);
+            let mut m = BigUint { limbs: m };
+            m.limbs[0] |= 1;
+            m.normalize();
+            let mut a = BigUint { limbs: a };
+            a.normalize();
+            // `a` against `m`, and `a·f` against `m·f`, which share `f`.
+            for (a, m) in [(a.clone(), m.clone()), (a.mul(&f), m.mul(&f))] {
+                if m.is_one() {
+                    continue;
+                }
+                let a = a.rem(&m).unwrap();
+                let (mut a4, mut m4) = ([0u64; 4], [0u64; 4]);
+                a4[..a.limbs.len()].copy_from_slice(&a.limbs);
+                m4[..m.limbs.len()].copy_from_slice(&m.limbs);
+                prop_assert_eq!(jacobi_fixed4(a4, m4), jacobi_limbs(a.limbs, m.limbs));
+            }
         }
 
         #[test]

@@ -448,9 +448,13 @@ impl MontgomeryCtx {
         // Per-base odd-power table (base^1, base^3, …, base^15) and a
         // greedy sliding-window recoding of its exponent — the same
         // recoding `pow` uses, but all bases ride one squaring chain.
-        // `events[pos]` lists the (base, table-entry) multiplications
-        // that fire once the chain has squared down to bit `pos`.
-        let mut events: Vec<Vec<(u32, u8)>> = vec![Vec::new(); max_bits];
+        // A window `(base, table entry, next)` is a multiplication that
+        // fires once the chain has squared down to its lowest bit;
+        // `first[pos]` starts the chain, linked through `next`, of the
+        // windows whose lowest bit is `pos`.
+        const END: u32 = u32::MAX;
+        let mut first = vec![END; max_bits];
+        let mut windows: Vec<(u32, u8, u32)> = Vec::with_capacity(bases.len() * (max_bits / 5 + 1));
         let mut tables: Vec<Vec<u64>> = Vec::with_capacity(bases.len());
         for (bi, (b, e)) in bases.iter().zip(exps).enumerate() {
             if e.is_zero() {
@@ -465,7 +469,8 @@ impl MontgomeryCtx {
                     continue;
                 }
                 let (lo, idx) = window_at(e, i);
-                events[lo as usize].push((bi as u32, idx as u8));
+                windows.push((bi as u32, idx as u8, first[lo as usize]));
+                first[lo as usize] = (windows.len() - 1) as u32;
                 i = lo - 1;
             }
         }
@@ -473,9 +478,12 @@ impl MontgomeryCtx {
         let mut acc = self.r1.clone();
         for pos in (0..max_bits).rev() {
             self.square_assign(&mut acc, &mut tmp);
-            for &(bi, idx) in &events[pos] {
+            let mut w = first[pos];
+            while w != END {
+                let (bi, idx, next) = windows[w as usize];
                 let entry = &tables[bi as usize][idx as usize * k..][..k];
                 self.mul_assign(&mut acc, &mut tmp, entry);
+                w = next;
             }
         }
         Ok(self.finish(&acc, tmp))
