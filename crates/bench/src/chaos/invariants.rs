@@ -2,9 +2,10 @@
 //! applies, stated once.
 //!
 //! Host-independent by construction: each function reads replica state
-//! (`&PbftCore`, `&DurableLog`, `&ClientConn`, `&ShardedNode`, ledger
-//! digests) and returns its violations; none takes a `Simulation`, so a
-//! host other than the simulator is judged by the same code. The prefix
+//! (`&PbftCore`, `&PbftNode` and the durable log it owns, `&ClientConn`,
+//! `&ShardedNode`, ledger digests) and returns its violations; none
+//! takes a `Simulation`, so a host other than the simulator is judged by
+//! the same code. The prefix
 //! of a violation is a contract: E11 and E12 bucket outcomes by `safety`
 //! / `ledger` / `liveness` / `recovery` / `durability`.
 //!
@@ -12,8 +13,7 @@
 //! digests cannot tell a check from a no-op. The tests below can: each
 //! function is fed a doctored input and must fire.
 
-use prever_consensus::durable::DurableLog;
-use prever_consensus::pbft::{chain_digest, PbftCore};
+use prever_consensus::pbft::{chain_digest, PbftCore, PbftNode};
 use prever_consensus::sharded::{ShardedNode, Topology};
 use prever_crypto::Digest;
 use prever_ledger::LedgerDigest;
@@ -32,7 +32,7 @@ pub(crate) fn check_agreement(cores: &[ReplicaCore]) -> Vec<String> {
             let diverged = core_a
                 .executed()
                 .iter()
-                .zip(core_b.executed())
+                .zip(core_b.executed().iter())
                 .find(|(da, db)| da.slot != db.slot || da.command.digest() != db.command.digest());
             if let Some((da, db)) = diverged {
                 violations.push(format!(
@@ -45,11 +45,13 @@ pub(crate) fn check_agreement(cores: &[ReplicaCore]) -> Vec<String> {
     violations
 }
 
-/// The committed prefix matches the durable ledger: replay the journal
-/// (which verifies its hash chain), recompute the chained digest, and
-/// compare both the digest and the command count with memory.
-pub(crate) fn check_journal(id: usize, log: &DurableLog, core: &PbftCore) -> Vec<String> {
-    let replayed = match log.replay() {
+/// The committed prefix matches the durable ledger: replay the host's
+/// own journal (which verifies its hash chain), recompute the chained
+/// digest, and compare both the digest and the command count with its
+/// core's memory.
+pub(crate) fn check_journal(id: usize, host: &PbftNode) -> Vec<String> {
+    let core = &host.core;
+    let replayed = match host.durable().expect("a durable replica").replay() {
         Ok(replayed) => replayed,
         Err(e) => return vec![format!("ledger: replica {id} replay failed: {e:?}")],
     };
@@ -215,6 +217,7 @@ mod tests {
     //! violations" and its test here goes red.
 
     use super::*;
+    use prever_consensus::durable::DurableLog;
     use prever_consensus::pbft::Byzantine;
     use prever_consensus::sharded;
     use prever_consensus::{Batch, BatchConfig, Command};
@@ -236,11 +239,19 @@ mod tests {
 
     /// A journal holding `ids` in order.
     fn journal(ids: &[u64]) -> DurableLog {
-        let log = DurableLog::new();
+        let mut log = DurableLog::new();
         for (seq, batch, at) in history(ids) {
             log.append_exec(seq, &batch, at);
         }
         log
+    }
+
+    /// A durable host whose own journal holds `logged` and whose core
+    /// executed `executed`, both in order.
+    fn host(logged: &[u64], executed: &[u64]) -> PbftNode {
+        let mut host = PbftNode::with_durable(0, 4, Byzantine::Honest, journal(logged));
+        host.core = core(executed);
+        host
     }
 
     #[test]
@@ -259,8 +270,7 @@ mod tests {
 
     #[test]
     fn journal_one_record_short_fails_digest_and_length() {
-        let memory = core(&[1, 2, 3]);
-        let violations = check_journal(3, &journal(&[1, 2]), &memory);
+        let violations = check_journal(3, &host(&[1, 2], &[1, 2, 3]));
         assert_eq!(
             violations,
             [
@@ -268,7 +278,7 @@ mod tests {
                 "ledger: replica 3 journal has 2 commands, memory has 3",
             ]
         );
-        assert!(check_journal(3, &journal(&[1, 2, 3]), &memory).is_empty());
+        assert!(check_journal(3, &host(&[1, 2, 3], &[1, 2, 3])).is_empty());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, PbftNode};
 use prever_consensus::sharded::{self, ShardedMsg, ShardedNode, Topology};
 use prever_consensus::{BatchConfig, Command};
 use prever_crypto::{Digest, Sha256};
-use prever_ledger::{Journal, LedgerError, PersistentJournal};
+use prever_ledger::{Journal, LedgerDigest, LedgerError, PersistentJournal};
 use prever_server::{
     ClientCfg, ClientConn, ClientPeer, FrontConfig, Gateway, LoadMode, QuotaUpdate, Replica,
     ServerMsg, ServerPeer,
@@ -442,13 +442,13 @@ fn pbft_chaos_with(protocol: Protocol, seed: u64, commands: u64, cfg: BatchConfi
     let correct = [1usize, 2, 3];
     let mut rng = StdRng::seed_from_u64(seed ^ SEED_MIX);
 
-    let logs: Vec<DurableLog> = (0..N).map(|_| DurableLog::new()).collect();
+    let media: Vec<DurableMedia> = (0..N as u64).map(DurableMedia::new).collect();
     let nodes: Vec<PbftNode> = (0..N)
         .map(|id| {
             if id == 0 {
                 PbftNode::new(id, N, Byzantine::EquivocatingPrimary).with_batching(cfg)
             } else {
-                PbftNode::with_durable(id, N, Byzantine::Honest, logs[id].clone())
+                PbftNode::with_durable(id, N, Byzantine::Honest, DurableLog::on(&media[id]))
                     .with_batching(cfg)
             }
         })
@@ -464,9 +464,8 @@ fn pbft_chaos_with(protocol: Protocol, seed: u64, commands: u64, cfg: BatchConfi
 
     let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
     sim.set_fault_plan(plan);
-    let factory_logs = logs.clone();
     sim.set_node_factory(move |id| {
-        PbftNode::recover_with(id, N, Byzantine::Honest, factory_logs[id].clone())
+        PbftNode::recover_with(id, N, Byzantine::Honest, recover_unfaulted(&media[id]))
             .with_batching(cfg)
     });
     sim.enable_trace(|m: &PbftMsg| m.kind().to_string(), 256);
@@ -478,7 +477,7 @@ fn pbft_chaos_with(protocol: Protocol, seed: u64, commands: u64, cfg: BatchConfi
     let cores: Vec<ReplicaCore> = correct.iter().map(|&i| (i, &sim.node(i).core)).collect();
     let reference = &sim.node(1).core;
     let mut violations = check_agreement(&cores);
-    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
+    violations.extend(correct.iter().flat_map(|&i| check_journal(i, sim.node(i))));
     if live {
         violations.extend(check_caught_up((VICTIM, &sim.node(VICTIM).core), reference));
     } else {
@@ -505,27 +504,30 @@ const FRONT: FrontConfig = FrontConfig {
     retry_after_cap_us: 2_000_000,
 };
 
-/// A traced, durable serving cluster under `plan`: `logs.len()`
-/// consensus members of which the first `gateways` front clients (the
-/// rest are plain replicas), then one client per `clients` entry. One
-/// closure builds node `id` both at the start and when the plan
-/// restarts it with state loss — `recovered` then rebuilds a member
-/// from its journal where a fresh one starts empty.
+/// A traced, durable serving cluster under `plan`: `n` consensus
+/// members, each on its own media, of which the first `gateways` front
+/// clients (the rest are plain replicas), then one client per `clients`
+/// entry. One closure builds node `id` both at the start and when the
+/// plan restarts it with state loss — `recovered` then rebuilds a
+/// member from the journal its media kept where a fresh one starts
+/// empty.
 fn serving_sim(
+    n: usize,
     gateways: usize,
     batch: BatchConfig,
-    logs: &[DurableLog],
     clients: &[ClientCfg],
     plan: FaultPlan,
     seed: u64,
 ) -> Simulation<ServerPeer> {
-    let (logs, clients) = (logs.to_vec(), clients.to_vec());
-    let (n, total) = (logs.len(), logs.len() + clients.len());
+    let media: Vec<DurableMedia> = (0..n as u64).map(DurableMedia::new).collect();
+    let clients = clients.to_vec();
+    let total = n + clients.len();
     let serving_node = move |id: usize, recovered: bool| {
         if id >= n {
             return ServerPeer::Client(Box::new(ClientPeer::new(clients[id - n].clone())));
         }
-        let log = logs[id].clone();
+        let log =
+            if recovered { recover_unfaulted(&media[id]) } else { DurableLog::on(&media[id]) };
         if id < gateways {
             let build = if recovered { Gateway::recover_with } else { Gateway::with_durable };
             ServerPeer::Gateway(Box::new(build(id, n, FRONT, batch, log)))
@@ -552,6 +554,17 @@ fn serving_sim(
 /// The consensus cores of a serving cluster's `n` members.
 fn serving_cores(sim: &Simulation<ServerPeer>, n: usize) -> Vec<ReplicaCore<'_>> {
     (0..n).map(|i| (i, sim.node(i).core().expect("consensus member"))).collect()
+}
+
+/// The ledger check over a serving cluster's `n` members.
+fn serving_journals(sim: &Simulation<ServerPeer>, n: usize) -> Vec<String> {
+    (0..n).flat_map(|i| check_journal(i, sim.node(i).host().expect("consensus member"))).collect()
+}
+
+/// Reopens a log from media no fault touched: every record on them was
+/// flushed, so recovery must succeed.
+fn recover_unfaulted(media: &DurableMedia) -> DurableLog {
+    DurableLog::recover(media).expect("unfaulted media recover").0
 }
 
 /// The client connection at node `i` of a serving cluster.
@@ -636,7 +649,6 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             ..tenant(3, Class::Low, 1_000_000, 0x3c3c)
         },
     ];
-    let logs: Vec<DurableLog> = (0..N).map(|_| DurableLog::new()).collect();
 
     let crash_at = 120_000 + rng.gen_range(0..200_000u64);
     let restart_at = crash_at + 80_000 + rng.gen_range(0..150_000u64);
@@ -652,7 +664,7 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         .crash_at(crash_at, 0)
         .restart_with_loss_at(restart_at, 0)
         .clear_links_at(heal_at);
-    let mut sim = serving_sim(1, batch, &logs, &clients, plan, seed);
+    let mut sim = serving_sim(N, 1, batch, &clients, plan, seed);
 
     sim.run_until(heal_at);
     // Liveness after heal: both well-behaved tenants resolve their full
@@ -669,7 +681,7 @@ pub fn server_overload_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     let cores = serving_cores(&sim, N);
     let reference = cores[1].1;
     let mut violations = check_agreement(&cores);
-    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
+    violations.extend(serving_journals(&sim, N));
     // Durability of acks: every id any client saw `Committed` — before
     // or after the gateway crash — must be executed at replica 1, which
     // never crashed.
@@ -797,7 +809,6 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             ..base.clone()
         })
         .collect();
-    let logs: Vec<DurableLog> = (0..N).map(|_| DurableLog::new()).collect();
 
     let fault_at = 30_000 + rng.gen_range(0..50_000u64);
     let plan = rough_links(FaultPlan::new(), N, &mut rng);
@@ -837,7 +848,7 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
             (plan, fault_at + 3 * step)
         }
     };
-    let mut sim = serving_sim(N, batch, &logs, &clients, plan, seed);
+    let mut sim = serving_sim(N, N, batch, &clients, plan, seed);
 
     // A quota change lands at the reference gateway before the fault;
     // consensus must carry it to every gateway (including the victim,
@@ -870,7 +881,7 @@ pub fn gateway_failover_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     // committed prefix matches the durable journal on every gateway.
     let cores = serving_cores(&sim, N);
     let mut violations = check_agreement(&cores);
-    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
+    violations.extend(serving_journals(&sim, N));
     // Exactly once across resumed sessions: no gateway's history holds
     // a command id twice (a double-execute of a resumed retry would).
     for &(i, core) in &cores {
@@ -1034,8 +1045,8 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     // (Batch equality is digest equality).
     for a in 0..N {
         for b in a + 1..N {
-            for (slot, batch) in sim.node(a).decided() {
-                if let Some(other) = sim.node(b).decided().get(slot) {
+            for (slot, (batch, _)) in sim.node(a).decided() {
+                if let Some((other, _)) = sim.node(b).decided().get(slot) {
                     if other != batch {
                         violations.push(format!(
                             "safety: nodes {a} and {b} diverge at slot {slot} ({:?} vs {:?})",
@@ -1068,7 +1079,7 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         .node(3)
         .decided()
         .iter()
-        .flat_map(|(s, b)| b.commands().iter().map(move |c| (*s, c.id)))
+        .flat_map(|(s, (b, _))| b.commands().iter().map(move |c| (*s, c.id)))
         .collect();
     outcome.close(&sim, violations, Vec::new)
 }
@@ -1313,17 +1324,17 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
 /// the post-run checks in [`pbft_disk_chaos`].
 #[derive(Default)]
 struct DiskHarness {
-    /// `(pre-crash log handle, flushed watermark, total records)`
-    /// captured at the instant the disk fault lands.
-    pre_crash: Option<(DurableLog, u64, u64)>,
+    /// `(flushed watermark, total records)` of the victim's log at the
+    /// instant the disk fault lands.
+    pre_crash: Option<(u64, u64)>,
+    /// That log's prefix digests `digest_at(k)` for `k ∈
+    /// flushed..=total`, the only sizes a recovery may come back at.
+    prefixes: Vec<Option<LedgerDigest>>,
     corruption_applied: bool,
     recovered_frames: u64,
     truncated_bytes: u64,
     detected_corruptions: u64,
     violations: Vec<String>,
-    /// The victim's post-restart log (replaces `logs[victim]` in the
-    /// final ledger checks).
-    victim_log: Option<DurableLog>,
 }
 
 /// PBFT durability scenario: n = 4, all honest, every replica on
@@ -1350,12 +1361,11 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     let media: Vec<DurableMedia> = (0..N)
         .map(|id| DurableMedia::new(seed.wrapping_mul(31).wrapping_add(id as u64)))
         .collect();
-    let mut logs: Vec<DurableLog> = media
-        .iter()
-        .map(|m| DurableLog::on(m).with_policy(FlushPolicy::Every(3)))
-        .collect();
     let nodes: Vec<PbftNode> = (0..N)
-        .map(|id| PbftNode::with_durable(id, N, Byzantine::Honest, logs[id].clone()))
+        .map(|id| {
+            let log = DurableLog::on(&media[id]).with_policy(FlushPolicy::Every(3));
+            PbftNode::with_durable(id, N, Byzantine::Honest, log)
+        })
         .collect();
 
     let fault = disk_fault_for(seed);
@@ -1375,42 +1385,39 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
 
     let h = harness.clone();
     let media_h = media.clone();
-    let logs_h = logs.clone();
-    sim.set_disk_handler(move |node, fault| {
+    sim.set_disk_handler(move |id, node, fault| {
+        let log = node.durable_mut().expect("every replica is durable");
         // A quarter of the seeds compact right before the fault, so
         // snapshot-load recovery is exercised inside the sim too.
         if seed.is_multiple_of(4) {
-            logs_h[node].compact();
+            log.compact();
         }
+        let (flushed, total) = (log.flushed_records(), log.len() as u64);
         let mut st = h.borrow_mut();
-        st.pre_crash = Some((
-            logs_h[node].clone(),
-            logs_h[node].flushed_records(),
-            logs_h[node].len() as u64,
-        ));
+        st.pre_crash = Some((flushed, total));
+        st.prefixes = (flushed..=total).map(|k| log.digest_at(k).ok()).collect();
         // Every crash powers the disk down; the fault decides what the
         // platter keeps.
         match fault {
             DiskFault::TornWrite => {
-                media_h[node].crash();
+                media_h[id].crash();
             }
             DiskFault::DropCache => {
-                media_h[node].crash_dropping_cache();
+                media_h[id].crash_dropping_cache();
             }
             DiskFault::CorruptSector => {
-                st.corruption_applied = media_h[node].corrupt();
-                media_h[node].crash_dropping_cache();
+                st.corruption_applied = media_h[id].corrupt();
+                media_h[id].crash_dropping_cache();
             }
         }
     });
 
     let h = harness.clone();
-    let media_f = media.clone();
     sim.set_node_factory(move |id| {
         let mut st = h.borrow_mut();
-        let (pre, flushed, total) =
-            st.pre_crash.clone().expect("disk fault precedes the restart");
-        let log = match DurableLog::recover(&media_f[id]) {
+        let (flushed, total) = st.pre_crash.take().expect("disk fault precedes the restart");
+        let prefixes = std::mem::take(&mut st.prefixes);
+        let log = match DurableLog::recover(&media[id]) {
             Ok((log, report)) => {
                 if st.corruption_applied {
                     st.violations.push(
@@ -1420,10 +1427,11 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                 st.recovered_frames += report.snapshot_entries + report.frames_replayed;
                 st.truncated_bytes += report.truncated_bytes;
                 let k = log.len() as u64;
+                let pre_at_k = k.checked_sub(flushed).and_then(|i| prefixes.get(i as usize));
                 st.violations.extend(check_recovered_prefix(
                     k,
                     (flushed, total),
-                    pre.digest_at(k).ok(),
+                    pre_at_k.cloned().flatten(),
                     log.digest(),
                 ));
                 log
@@ -1433,8 +1441,8 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                     // Detected loudly, as required. Model a disk swap:
                     // wipe the media and rejoin empty via state transfer.
                     st.detected_corruptions += 1;
-                    media_f[id].wipe();
-                    DurableLog::on(&media_f[id]).with_policy(FlushPolicy::Every(3))
+                    media[id].wipe();
+                    DurableLog::on(&media[id]).with_policy(FlushPolicy::Every(3))
                 } else {
                     st.violations.push(format!(
                         "durability: recovery failed without corruption: {e:?}"
@@ -1443,7 +1451,6 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
                 }
             }
         };
-        st.victim_log = Some(log.clone());
         PbftNode::recover_with(id, N, Byzantine::Honest, log)
     });
     sim.enable_trace(|m: &PbftMsg| m.kind().to_string(), 256);
@@ -1454,18 +1461,14 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
     // again: take what it gathered.
     let st = harness.take();
     let mut violations = st.violations;
-    // The victim's journal is whatever its restart recovered (or
-    // replaced), not the handle it was born with.
-    if let Some(log) = st.victim_log {
-        logs[VICTIM] = log;
-    }
 
     // Safety across all replicas (everyone is honest here), and the
-    // committed prefix matches the (possibly replaced) durable journal.
+    // committed prefix matches each replica's own durable journal (the
+    // victim's is whatever its restart recovered or replaced).
     let cores: Vec<ReplicaCore> = (0..N).map(|i| (i, &sim.node(i).core)).collect();
     let reference = cores[1].1;
     violations.extend(check_agreement(&cores));
-    violations.extend(cores.iter().flat_map(|&(i, core)| check_journal(i, &logs[i], core)));
+    violations.extend((0..N).flat_map(|i| check_journal(i, sim.node(i))));
     if live {
         violations.extend(check_caught_up(cores[VICTIM], reference));
     } else {

@@ -66,14 +66,16 @@ pub fn run_paxos(n: usize, commands: u64, cfg: BatchConfig) -> RunResult {
         nodes[0].decided_ids().len() as u64 >= commands
     });
     assert!(done, "paxos n={n} did not finish");
-    let latencies: Vec<u64> = sim
-        .node(0)
-        .decided_log()
-        .iter()
-        .filter(|d| (d.command.id as usize) < submit_at.len())
-        .map(|d| d.at.saturating_sub(submit_at[d.command.id as usize]))
+    // Sums and the latest decision: neither depends on the order the
+    // batches are visited in.
+    let decided = sim.node(0).decided();
+    let latencies: Vec<u64> = decided
+        .values()
+        .flat_map(|(batch, at)| batch.commands().iter().map(move |c| (c.id, *at)))
+        .filter(|&(id, _)| (id as usize) < submit_at.len())
+        .map(|(id, at)| at.saturating_sub(submit_at[id as usize]))
         .collect();
-    let span = sim.node(0).decided_log().last().map(|d| d.at).unwrap_or(base) - base;
+    let span = decided.values().map(|(_, at)| *at).max().unwrap_or(base) - base;
     RunResult {
         vthroughput: commands as f64 / (span as f64 / 1e6),
         mean_latency_us: latencies.iter().sum::<u64>() as f64 / latencies.len() as f64,

@@ -1,11 +1,14 @@
 //! Durable consensus state over a crash-consistent persistent journal.
 //!
-//! A [`DurableLog`] models a replica's disk — since PR 4 not as an
-//! always-intact in-memory journal but as a
+//! A [`DurableLog`] models a replica's disk: a
 //! [`prever_ledger::PersistentJournal`] over a pair of simulated disks
-//! ([`DurableMedia`]): a CRC-framed WAL plus a snapshot medium, with a
-//! write-back cache whose unflushed bytes die (or tear) on crash. A
-//! replica appends three kinds of records while running:
+//! ([`DurableMedia`]), a CRC-framed WAL plus a snapshot medium, with a
+//! write-back cache whose unflushed bytes die (or tear) on crash. The
+//! log is a plain value owned by the replica host that appends to it;
+//! only the media are shared, with the harness that crashes and
+//! corrupts them, and a restarted replica reopens its log from the media
+//! ([`DurableLog::recover`]), never from a surviving object. A replica
+//! appends three kinds of records while running:
 //!
 //! * **Exec** — one per executed *batch*, in batch-sequence order
 //!   (since DESIGN.md §11 the batch is the unit of agreement, so it is
@@ -54,7 +57,6 @@ use bytes::Bytes;
 use prever_crypto::Digest;
 use prever_ledger::{Journal, LedgerError, PersistReport, PersistentJournal};
 use prever_storage::SharedDisk;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 const TAG_EXEC: u8 = 0x01;
 const TAG_BIND: u8 = 0x02;
@@ -72,9 +74,9 @@ pub enum FlushPolicy {
 }
 
 /// The pair of simulated disks backing one replica: WAL + snapshot
-/// medium. The chaos harness owns this across restarts and injects
-/// crashes/corruption into it; the replica's [`DurableLog`] holds
-/// cloned handles to the same state.
+/// medium. The one shared part of a replica's durable state: the
+/// harness keeps these across restarts, injects crashes and corruption
+/// into them, and reopens the replica's [`DurableLog`] from them.
 #[derive(Clone, Debug)]
 pub struct DurableMedia {
     /// The write-ahead-log disk.
@@ -114,18 +116,13 @@ impl DurableMedia {
     }
 }
 
+/// A hash-chained, crash-consistent durable log (one per replica
+/// "disk"), owned by the replica host that appends to it.
 #[derive(Debug)]
-struct Inner {
+pub struct DurableLog {
     pj: PersistentJournal<SharedDisk>,
     policy: FlushPolicy,
     dispatches: u64,
-}
-
-/// A shared, hash-chained, crash-consistent durable log (one per
-/// replica "disk").
-#[derive(Clone, Debug)]
-pub struct DurableLog {
-    inner: Arc<Mutex<Inner>>,
 }
 
 impl Default for DurableLog {
@@ -152,8 +149,8 @@ impl DurableLog {
         Self::default()
     }
 
-    /// A fresh log over existing (empty) media whose handles the caller
-    /// keeps for fault injection.
+    /// A fresh log over existing (empty) media, which the caller keeps
+    /// for fault injection and recovery.
     pub fn on(media: &DurableMedia) -> Self {
         Self::over(PersistentJournal::create(media.wal.clone(), media.snap.clone()))
     }
@@ -169,111 +166,102 @@ impl DurableLog {
     }
 
     fn over(pj: PersistentJournal<SharedDisk>) -> Self {
-        let inner = Inner { pj, policy: FlushPolicy::Always, dispatches: 0 };
-        DurableLog { inner: Arc::new(Mutex::new(inner)) }
-    }
-
-    fn inner(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("a thread panicked while holding the log")
+        DurableLog { pj, policy: FlushPolicy::Always, dispatches: 0 }
     }
 
     /// Sets the exec-record flush policy (chainable).
-    pub fn with_policy(self, policy: FlushPolicy) -> Self {
-        self.inner().policy = policy;
+    pub fn with_policy(mut self, policy: FlushPolicy) -> Self {
+        self.policy = policy;
         self
     }
 
     /// Number of records appended so far.
     pub fn len(&self) -> usize {
-        self.inner().pj.len() as usize
+        self.pj.len() as usize
     }
 
     /// True iff nothing has been appended.
     pub fn is_empty(&self) -> bool {
-        self.inner().pj.is_empty()
+        self.pj.is_empty()
     }
 
     /// Records known durable — the acked watermark the durability
     /// invariant is checked against.
     pub fn flushed_records(&self) -> u64 {
-        self.inner().pj.flushed_entries()
+        self.pj.flushed_entries()
     }
 
     /// Appends an executed batch at batch sequence `seq`, decided at
     /// virtual time `at`. One record per ordering round; durability
     /// governed by the [`FlushPolicy`].
-    pub fn append_exec(&self, seq: u64, batch: &Batch, at: u64) {
+    pub fn append_exec(&mut self, seq: u64, batch: &Batch, at: u64) {
         let mut buf = Vec::with_capacity(13);
         buf.push(TAG_EXEC);
         buf.extend_from_slice(&seq.to_be_bytes());
         batch.encode_into(&mut buf);
-        let mut inner = self.inner();
-        inner.pj.append(at, Bytes::from(buf));
-        if inner.policy == FlushPolicy::Always {
-            inner.pj.flush();
+        self.pj.append(at, Bytes::from(buf));
+        if self.policy == FlushPolicy::Always {
+            self.pj.flush();
         }
     }
 
     /// Appends a `(seq, view, digest)` vote binding — flushed
     /// immediately, before the vote may leave.
-    pub fn append_bind(&self, seq: u64, view: u64, digest: &Digest) {
+    pub fn append_bind(&mut self, seq: u64, view: u64, digest: &Digest) {
         let mut buf = Vec::with_capacity(49);
         buf.push(TAG_BIND);
         buf.extend_from_slice(&seq.to_be_bytes());
         buf.extend_from_slice(&view.to_be_bytes());
         buf.extend_from_slice(digest.as_bytes());
-        let mut inner = self.inner();
-        inner.pj.append(0, Bytes::from(buf));
-        inner.pj.flush();
+        self.pj.append(0, Bytes::from(buf));
+        self.pj.flush();
     }
 
     /// Appends a `(seq, view, batch)` prepared certificate — flushed
     /// immediately, before the commit vote may leave.
-    pub fn append_prep(&self, seq: u64, view: u64, batch: &Batch) {
+    pub fn append_prep(&mut self, seq: u64, view: u64, batch: &Batch) {
         let mut buf = Vec::with_capacity(21);
         buf.push(TAG_PREP);
         buf.extend_from_slice(&seq.to_be_bytes());
         buf.extend_from_slice(&view.to_be_bytes());
         batch.encode_into(&mut buf);
-        let mut inner = self.inner();
-        inner.pj.append(0, Bytes::from(buf));
-        inner.pj.flush();
+        self.pj.append(0, Bytes::from(buf));
+        self.pj.flush();
     }
 
     /// The group-commit point: the owning node calls this once per
     /// simulator dispatch; pending exec records are flushed according to
     /// the [`FlushPolicy`].
-    pub fn commit_dispatch(&self) {
-        let mut inner = self.inner();
-        inner.dispatches += 1;
-        let due = match inner.policy {
+    pub fn commit_dispatch(&mut self) {
+        self.dispatches += 1;
+        let due = match self.policy {
             FlushPolicy::Always => true,
-            FlushPolicy::Every(n) => inner.dispatches.is_multiple_of(n.max(1)),
+            FlushPolicy::Every(n) => self.dispatches.is_multiple_of(n.max(1)),
         };
-        if due && inner.pj.flushed_entries() < inner.pj.len() {
-            inner.pj.flush();
+        if due && self.pj.flushed_entries() < self.pj.len() {
+            self.pj.flush();
         }
     }
 
     /// Forces everything staged to disk.
-    pub fn flush(&self) {
-        self.inner().pj.flush();
+    pub fn flush(&mut self) {
+        self.pj.flush();
     }
 
     /// Snapshot + WAL truncation (also a durability point).
-    pub fn compact(&self) {
-        self.inner().pj.compact();
+    pub fn compact(&mut self) {
+        self.pj.compact();
     }
 
     /// The ledger digest over everything appended so far.
     pub fn digest(&self) -> prever_ledger::LedgerDigest {
-        self.inner().pj.journal().digest()
+        self.pj.journal().digest()
     }
 
     /// The digest as of the first `size` records (prefix-consistency
     /// checks in the chaos harness).
     pub fn digest_at(&self, size: u64) -> Result<prever_ledger::LedgerDigest, LedgerError> {
-        self.inner().pj.journal().digest_at(size)
+        self.pj.journal().digest_at(size)
     }
 
     /// Verifies the hash chain and decodes the surviving records.
@@ -282,8 +270,7 @@ impl DurableLog {
     /// verification or a record is malformed — a replica must refuse to
     /// rejoin from a disk it cannot trust.
     pub fn replay(&self) -> Result<ReplayedState, LedgerError> {
-        let inner = self.inner();
-        let journal = inner.pj.journal();
+        let journal = self.pj.journal();
         let digest = journal.digest();
         Journal::verify_chain(journal.entries(), &digest)?;
         let mut state = ReplayedState::default();
@@ -333,7 +320,7 @@ mod tests {
 
     #[test]
     fn replay_roundtrips_execs_and_bindings() {
-        let log = DurableLog::new();
+        let mut log = DurableLog::new();
         assert!(log.is_empty());
         // A multi-command batch exercises the length-framed encoding.
         let b1 = Batch::new(vec![
@@ -371,18 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_same_disk() {
-        let log = DurableLog::new();
-        let survivor = log.clone();
-        log.append_exec(1, &Batch::single(Command::new(1, b"x".to_vec())), 1);
-        assert_eq!(survivor.len(), 1);
-        assert_eq!(survivor.replay().unwrap().entries.len(), 1);
-    }
-
-    #[test]
     fn replay_rejects_malformed_records() {
-        let log = DurableLog::new();
-        log.inner().pj.append(0, Bytes::from_static(&[0x7f, 0x00]));
+        let mut log = DurableLog::new();
+        log.pj.append(0, Bytes::from_static(&[0x7f, 0x00]));
         assert!(matches!(
             log.replay(),
             Err(LedgerError::TamperDetected("malformed durable record"))
@@ -392,7 +370,7 @@ mod tests {
     #[test]
     fn crash_recovery_keeps_flushed_records() {
         let media = DurableMedia::new(42);
-        let log = DurableLog::on(&media).with_policy(FlushPolicy::Every(4));
+        let mut log = DurableLog::on(&media).with_policy(FlushPolicy::Every(4));
         let b = |i: u64| Batch::single(Command::new(i, format!("cmd-{i}").into_bytes()));
         log.append_bind(1, 0, &b(1).digest()); // flushed
         log.append_exec(1, &b(1), 10); // staged
@@ -410,7 +388,7 @@ mod tests {
     #[test]
     fn commit_dispatch_groups_exec_flushes() {
         let media = DurableMedia::new(7);
-        let log = DurableLog::on(&media).with_policy(FlushPolicy::Every(2));
+        let mut log = DurableLog::on(&media).with_policy(FlushPolicy::Every(2));
         let b = Batch::single(Command::new(1, b"x".to_vec()));
         log.append_exec(1, &b, 1);
         log.commit_dispatch(); // dispatch 1 of 2: still pending
@@ -423,7 +401,7 @@ mod tests {
     #[test]
     fn recovery_after_compaction_keeps_full_history() {
         let media = DurableMedia::new(9);
-        let log = DurableLog::on(&media);
+        let mut log = DurableLog::on(&media);
         let b = |i: u64| Batch::single(Command::new(i, format!("cmd-{i}").into_bytes()));
         for i in 1..=5 {
             log.append_exec(i, &b(i), i * 10);
@@ -444,7 +422,7 @@ mod tests {
     #[test]
     fn corrupted_media_fail_recovery_loudly() {
         let media = DurableMedia::new(11);
-        let log = DurableLog::on(&media);
+        let mut log = DurableLog::on(&media);
         for i in 1..=20 {
             log.append_exec(i, &Batch::single(Command::new(i, vec![0xab; 40])), i);
         }

@@ -16,7 +16,7 @@
 //! unbounded supply of unique ballots and `ballot % n` identifies the
 //! would-be leader.
 
-use crate::{Batch, BatchConfig, Command, Decided, IdSet};
+use crate::{Batch, BatchConfig, Command, IdSet};
 use prever_obs::{Span, SpanSite};
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
 use std::collections::{BTreeMap, VecDeque};
@@ -145,12 +145,11 @@ pub struct PaxosNode {
     promised: u64,
     /// Accepted values per slot (acceptor).
     accepted: BTreeMap<u64, AcceptedEntry>,
-    /// Decided log (learner).
-    decided: BTreeMap<u64, Batch>,
+    /// Decided log (learner): each slot's batch and the virtual time
+    /// this node learned it.
+    decided: BTreeMap<u64, (Batch, u64)>,
     /// Every command id in `decided`.
     decided_set: IdSet,
-    /// Decision times for the bench (one entry per command).
-    decided_log: Vec<Decided>,
     /// Leader state: Some(ballot) once phase 1 is complete.
     leading: Option<u64>,
     /// Ballot this node is currently trying to win (phase 1 in flight).
@@ -193,7 +192,6 @@ impl PaxosNode {
             accepted: BTreeMap::new(),
             decided: BTreeMap::new(),
             decided_set: IdSet::default(),
-            decided_log: Vec::new(),
             leading: None,
             campaigning: None,
             promises: VoteSet::new(),
@@ -221,8 +219,9 @@ impl PaxosNode {
         self.cfg = cfg;
     }
 
-    /// The decided log (slot-ordered, possibly with gaps while running).
-    pub fn decided(&self) -> &BTreeMap<u64, Batch> {
+    /// The decided log, slot → (batch, virtual time this node learned
+    /// it): slot-ordered, possibly with gaps while running.
+    pub fn decided(&self) -> &BTreeMap<u64, (Batch, u64)> {
         &self.decided
     }
 
@@ -230,13 +229,8 @@ impl PaxosNode {
     pub fn decided_ids(&self) -> Vec<u64> {
         self.decided
             .values()
-            .flat_map(|b| b.commands().iter().map(|c| c.id))
+            .flat_map(|(b, _)| b.commands().iter().map(|c| c.id))
             .collect()
-    }
-
-    /// Decision events in arrival order (bench latency extraction).
-    pub fn decided_log(&self) -> &[Decided] {
-        &self.decided_log
     }
 
     /// True iff this node currently believes it leads.
@@ -386,10 +380,9 @@ impl PaxosNode {
         batch.stamp(self.id, ctx.now(), Some("batch-cut"), "commit-quorum", slot);
         batch.stamp(self.id, ctx.now(), Some("commit-quorum"), "exec", slot);
         for command in batch.commands() {
-            self.decided_log.push(Decided { slot, command: command.clone(), at: ctx.now() });
             self.decided_set.insert(command.id);
         }
-        self.decided.insert(slot, batch);
+        self.decided.insert(slot, (batch, ctx.now()));
         self.votes.remove(&slot);
         self.proposing.remove(&slot);
         // A decision frees a pipeline window slot.
@@ -527,7 +520,7 @@ impl Actor for PaxosNode {
             }
             PaxosMsg::LearnRequest { missing } => {
                 for slot in missing {
-                    if let Some(batch) = self.decided.get(&slot).cloned() {
+                    if let Some((batch, _)) = self.decided.get(&slot).cloned() {
                         ctx.send(from, PaxosMsg::Decide { slot, batch });
                     }
                 }
@@ -612,16 +605,22 @@ mod tests {
         sim
     }
 
+    /// A node's decided batches by slot, without its decision times
+    /// (which differ between nodes).
+    fn batches(node: &PaxosNode) -> Vec<(u64, Batch)> {
+        node.decided().iter().map(|(slot, (batch, _))| (*slot, batch.clone())).collect()
+    }
+
     fn all_decided(sim: &Simulation<PaxosNode>, n_cmds: usize, live: &[usize]) {
         // Every live node decides the same log covering all commands.
-        let reference = sim.node(live[0]).decided().clone();
+        let reference = batches(sim.node(live[0]));
         let mut seen = sim.node(live[0]).decided_ids();
         assert!(seen.len() >= n_cmds, "only {} of {} decided", seen.len(), n_cmds);
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), n_cmds, "some commands missing or duplicated");
         for &id in live {
-            assert_eq!(sim.node(id).decided(), &reference, "node {id} diverged");
+            assert_eq!(batches(sim.node(id)), reference, "node {id} diverged");
         }
     }
 
@@ -689,9 +688,9 @@ mod tests {
         assert!(ok, "survivors failed to decide post-crash commands");
         // Safety: pre-crash decisions preserved identically.
         let live: Vec<usize> = (0..n).filter(|&i| i != leader).collect();
-        let reference = sim.node(live[0]).decided().clone();
+        let reference = batches(sim.node(live[0]));
         for &i in &live {
-            assert_eq!(sim.node(i).decided(), &reference);
+            assert_eq!(batches(sim.node(i)), reference);
         }
     }
 
@@ -720,9 +719,9 @@ mod tests {
             (1..n).any(|i| sim.node(i).is_leader()),
             "a survivor must hold leadership"
         );
-        let reference = sim.node(1).decided().clone();
+        let reference = batches(sim.node(1));
         for i in 2..n {
-            assert_eq!(sim.node(i).decided(), &reference, "node {i} diverged");
+            assert_eq!(batches(sim.node(i)), reference, "node {i} diverged");
         }
     }
 
@@ -756,9 +755,9 @@ mod tests {
             });
             sim.run_until(3_100_000);
             sim.node(0)
-                .decided_log()
+                .decided()
                 .iter()
-                .map(|d| (d.slot, d.command.id, d.at))
+                .flat_map(|(slot, (b, at))| b.commands().iter().map(move |c| (*slot, c.id, *at)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -791,12 +790,12 @@ mod tests {
         assert_eq!(ids.len(), 64, "commands lost or duplicated under batching");
         assert!(slots < 64, "batching should use fewer slots than commands ({slots})");
         assert!(
-            sim.node(0).decided().values().any(|b| b.len() > 1),
+            sim.node(0).decided().values().any(|(b, _)| b.len() > 1),
             "expected at least one multi-command batch"
         );
-        let reference = sim.node(0).decided().clone();
+        let reference = batches(sim.node(0));
         for i in 1..n {
-            assert_eq!(sim.node(i).decided(), &reference, "node {i} diverged");
+            assert_eq!(batches(sim.node(i)), reference, "node {i} diverged");
         }
     }
 }

@@ -18,10 +18,10 @@
 //!   the executed suffix from its peers, applies whatever `f + 1`
 //!   responders agree on, and rejoins at the quorum's view;
 //! * **durable recovery** through the ledger journal
-//!   ([`crate::durable::DurableLog`]): executed commands and prepare-vote
-//!   bindings are persisted, so a replica rebuilt after a
-//!   crash-with-state-loss neither forgets its history nor accidentally
-//!   equivocates on votes it cast before dying;
+//!   ([`crate::durable::DurableLog`], owned by the replica's host):
+//!   executed batches and prepare-vote bindings are persisted, so a
+//!   replica rebuilt after a crash-with-state-loss neither forgets its
+//!   history nor accidentally equivocates on votes it cast before dying;
 //! * **stable checkpoints**: 2f + 1 matching state-digest votes every
 //!   [`CHECKPOINT_INTERVAL`] executions truncate the in-memory log.
 //!
@@ -356,6 +356,37 @@ impl Slot {
     }
 }
 
+/// The executed history one command at a time ([`PbftCore::executed`]):
+/// a view over the executed batches, which hold the only copy. Slots
+/// are dense from 1 across batches.
+#[derive(Clone, Copy, Debug)]
+pub struct ExecutedView<'a> {
+    batches: &'a [(u64, Batch, u64)],
+    len: usize,
+}
+
+impl<'a> ExecutedView<'a> {
+    /// Number of executed commands, no-ops included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff nothing has executed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The executed commands in order, each with its slot and the time
+    /// its batch was decided.
+    pub fn iter(&self) -> impl Iterator<Item = Decided> + 'a {
+        self.batches
+            .iter()
+            .flat_map(|(_, batch, at)| batch.commands().iter().map(move |c| (c, *at)))
+            .zip(1..)
+            .map(|((command, at), slot)| Decided { slot, command: command.clone(), at })
+    }
+}
+
 /// The sans-IO PBFT state machine for one replica within a member set.
 #[derive(Clone, Debug)]
 pub struct PbftCore {
@@ -368,15 +399,16 @@ pub struct PbftCore {
     /// Highest executed sequence number (0 = nothing; seqs start at 1).
     last_exec: u64,
     log: BTreeMap<u64, Slot>,
-    /// Per-command execution history (`slot` is the dense global command
-    /// index, 1-based — what benches and the chaos harness compare).
-    executed: Vec<Decided>,
-    /// Per-batch execution history, keyed by batch sequence number
-    /// (dense from 1): the unit of durable exec records, state
-    /// transfer, and view-change committed entries.
+    /// The execution history, one entry per batch, keyed by batch
+    /// sequence number (dense from 1): the unit of durable exec records,
+    /// state transfer and view-change committed entries, and the only
+    /// copy of every executed command ([`Self::executed`] is a view).
     executed_batches: Vec<(u64, Batch, u64)>,
+    /// Commands in `executed_batches`, no-ops included: the last
+    /// executed slot (slots are the dense global command index, from 1).
+    slots: u64,
     executed_ids: IdSet,
-    /// No-op commands in `executed`.
+    /// No-op commands in `executed_batches`.
     noops: usize,
     /// Requests awaiting execution (liveness tracking at backups).
     pending: VecDeque<(Command, u64)>,
@@ -482,8 +514,8 @@ impl PbftCore {
             next_seq: 0,
             last_exec: 0,
             log: BTreeMap::new(),
-            executed: Vec::new(),
             executed_batches: Vec::new(),
+            slots: 0,
             executed_ids: IdSet::default(),
             noops: 0,
             pending: VecDeque::new(),
@@ -557,9 +589,10 @@ impl PbftCore {
         self.primary() == self.id
     }
 
-    /// Executed commands in order.
-    pub fn executed(&self) -> &[Decided] {
-        &self.executed
+    /// Executed commands in order: a view over
+    /// [`Self::executed_batches`].
+    pub fn executed(&self) -> ExecutedView<'_> {
+        ExecutedView { batches: &self.executed_batches, len: self.slots as usize }
     }
 
     /// Executed batches in order: `(batch seq, batch, decided at)`,
@@ -605,20 +638,27 @@ impl PbftCore {
     /// gateway committed-map) may evict entries below this floor — a
     /// client still retrying a command that old has fallen behind the
     /// whole cluster's checkpoint horizon.
+    ///
+    /// Counted down from the tail: only the batches above the stable
+    /// checkpoint are walked, not the whole history.
     pub fn stable_slot_floor(&self) -> u64 {
-        self.executed_batches
-            .iter()
-            .take_while(|(seq, _, _)| *seq <= self.stable_seq)
-            .map(|(_, batch, _)| batch.len() as u64)
-            .sum()
+        let batches = self.executed_batches.iter().rev();
+        let above = batches.take_while(|(seq, _, _)| *seq > self.stable_seq);
+        self.slots - above.map(|(_, batch, _)| batch.len() as u64).sum::<u64>()
     }
 
-    /// The executed slot of command `id`, if this replica has executed
-    /// it. Linear scan from the tail (recent ids are the common case);
-    /// only used on the rare resubmission of an id old enough to have
-    /// been evicted from the gateway committed-map.
+    /// The executed slot of command `id` (its last, if it executed
+    /// twice), if this replica has executed it. Linear scan from the
+    /// tail (recent ids are the common case); only used on the rare
+    /// resubmission of an id old enough to have been evicted from the
+    /// gateway committed-map.
     pub fn slot_of(&self, id: u64) -> Option<u64> {
-        self.executed.iter().rev().find(|d| d.command.id == id).map(|d| d.slot)
+        let mut start = self.slots;
+        self.executed_batches.iter().rev().find_map(|(_, batch, _)| {
+            start -= batch.len() as u64;
+            let i = batch.commands().iter().rposition(|c| c.id == id)?;
+            Some(start + i as u64 + 1)
+        })
     }
 
     /// Current in-memory log size (bounded by checkpoint truncation).
@@ -628,7 +668,7 @@ impl PbftCore {
 
     /// Number of non-noop commands executed.
     pub fn executed_commands(&self) -> usize {
-        self.executed.len() - self.noops
+        self.slots as usize - self.noops
     }
 
     /// Number of *distinct* non-noop command ids executed. A Byzantine
@@ -1217,9 +1257,8 @@ impl PbftCore {
             self.executed_ids.insert(command.id);
             self.noops += usize::from(command.id == NOOP_ID);
             self.running_state = chain_digest(self.running_state, command);
-            let slot = self.executed.len() as u64 + 1;
-            self.executed.push(Decided { slot, command: command.clone(), at });
         }
+        self.slots += batch.len() as u64;
         self.executed_batches.push((seq, batch, at));
         self.durable_bindings.remove(&seq);
         self.certs.remove(&seq);
@@ -1263,7 +1302,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::DurableLog;
+    use crate::durable::{DurableLog, DurableMedia};
     use prever_sim::{NetConfig, Simulation};
 
     fn submit(sim: &mut Simulation<PbftNode>, to: NodeId, id: u64) {
@@ -1639,13 +1678,13 @@ mod tests {
     #[test]
     fn restarted_replica_catches_up_via_state_transfer() {
         // Four durable replicas. Replica 2 crashes, loses its in-memory
-        // state, and is rebuilt from its surviving journal; it must
+        // state, and is rebuilt from the journal its media kept; it must
         // catch up on everything committed while it was down and end
         // with the quorum's state digest.
         let n = 4;
-        let logs: Vec<DurableLog> = (0..n).map(|_| DurableLog::new()).collect();
+        let media: Vec<DurableMedia> = (0..n as u64).map(DurableMedia::new).collect();
         let nodes: Vec<PbftNode> = (0..n)
-            .map(|id| PbftNode::with_durable(id, n, Byzantine::Honest, logs[id].clone()))
+            .map(|id| PbftNode::with_durable(id, n, Byzantine::Honest, DurableLog::on(&media[id])))
             .collect();
         let mut sim = Simulation::new(nodes, NetConfig::default(), 11);
         for i in 0..20 {
@@ -1662,7 +1701,8 @@ mod tests {
         assert!(sim.run_until_pred(4_000_000, |nodes| {
             [0, 1, 3].iter().all(|&i| nodes[i].core.executed_commands() >= 35)
         }));
-        let node2 = PbftNode::recover_with(2, n, Byzantine::Honest, logs[2].clone());
+        let (log, _) = DurableLog::recover(&media[2]).expect("clean media");
+        let node2 = PbftNode::recover_with(2, n, Byzantine::Honest, log);
         assert_eq!(node2.core.executed_commands(), 20, "journal replay restores the history");
         sim.restart_with_loss(2, node2);
         // A few more commands prove the restarted replica participates.
@@ -1682,7 +1722,8 @@ mod tests {
             assert_eq!(sim.node(i).core.state_digest(), d0, "replica {i} digest diverged");
         }
         // And the journal replay agrees with the in-memory history.
-        let replayed = logs[2].replay().expect("chain verifies");
+        let log = sim.node(2).durable().expect("durable");
+        let replayed = log.replay().expect("chain verifies");
         assert_eq!(replayed.entries.len(), sim.node(2).core.executed_batches().len());
     }
 
@@ -1894,5 +1935,86 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
+    }
+
+    /// The stable-slot floor as a scan of every batch from sequence 1.
+    fn floor_by_scan(core: &PbftCore) -> u64 {
+        core.executed_batches
+            .iter()
+            .take_while(|(seq, _, _)| *seq <= core.stable_seq)
+            .map(|(_, batch, _)| batch.len() as u64)
+            .sum()
+    }
+
+    /// Executes `batch` at `seq` and, beside it, extends the per-command
+    /// history the executed batches replaced: the differential
+    /// reference.
+    fn record(core: &mut PbftCore, reference: &mut Vec<Decided>, seq: u64, batch: Batch, at: u64) {
+        for command in batch.commands() {
+            let slot = reference.len() as u64 + 1;
+            reference.push(Decided { slot, command: command.clone(), at });
+        }
+        core.record_execution(seq, batch, at);
+    }
+
+    /// Every per-command accessor of the executed history answers as
+    /// the per-command reference vector does.
+    fn assert_matches_reference(core: &PbftCore, reference: &[Decided], absent: u64) {
+        let got: Vec<(u64, u64, u64)> =
+            core.executed().iter().map(|d| (d.slot, d.command.id, d.at)).collect();
+        let want: Vec<(u64, u64, u64)> =
+            reference.iter().map(|d| (d.slot, d.command.id, d.at)).collect();
+        assert_eq!(got, want);
+        assert_eq!(core.executed().len(), reference.len());
+        for id in reference.iter().map(|d| d.command.id).chain([absent]) {
+            let slot = reference.iter().rev().find(|d| d.command.id == id).map(|d| d.slot);
+            assert_eq!(core.slot_of(id), slot, "slot_of({id})");
+        }
+        let ids: Vec<u64> =
+            reference.iter().map(|d| d.command.id).filter(|&id| id != NOOP_ID).collect();
+        assert_eq!(core.executed_commands(), ids.len());
+        let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        assert_eq!(core.distinct_executed_commands(), distinct.len());
+        assert_eq!(core.stable_slot_floor(), floor_by_scan(core));
+    }
+
+    #[test]
+    fn the_executed_view_answers_as_the_per_command_history_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let absent = u64::MAX - 1;
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut core = PbftCore::new(0, vec![0, 1, 2, 3], Byzantine::Honest);
+            let mut reference = Vec::new();
+            assert_matches_reference(&core, &reference, absent);
+            let mut fresh = 0u64;
+            for seq in 1..=rng.gen_range(1..40u64) {
+                let commands = (0..rng.gen_range(1..=6))
+                    .map(|_| {
+                        let id = match rng.gen_range(0..10) {
+                            0 => NOOP_ID,
+                            1 if fresh > 0 => rng.gen_range(0..fresh), // committed twice
+                            _ => {
+                                fresh += 1;
+                                fresh - 1
+                            }
+                        };
+                        Command::new(id, format!("cmd-{id}"))
+                    })
+                    .collect();
+                let at = seq * 100 + rng.gen_range(0..50);
+                record(&mut core, &mut reference, seq, Batch::new(commands), at);
+                // Stable checkpoints may lag, match or (certified by
+                // others) lead what this replica executed.
+                core.stable_seq = rng.gen_range(0..=seq + 2);
+                assert_matches_reference(&core, &reference, absent);
+            }
+            let mut installed = PbftCore::new(1, vec![0, 1, 2, 3], Byzantine::Honest);
+            installed.install_history(core.executed_batches().to_vec(), Vec::new(), Vec::new());
+            installed.stable_seq = core.stable_seq;
+            assert_eq!(installed.state_digest(), core.state_digest());
+            assert_matches_reference(&installed, &reference, absent);
+        }
     }
 }

@@ -33,11 +33,12 @@ pub const VIEW_TIMEOUT: u64 = 150_000; // 150 ms
 /// With a [`DurableLog`] attached ([`Self::with_durable`]) the node
 /// persists every executed command and every prepare-vote binding after
 /// each protocol step, and [`Self::recover_with`] rebuilds a replacement
-/// replica from the surviving log after a crash-with-state-loss: replay
-/// restores the executed history and open vote bindings, and the node's
-/// first act on start is a state-transfer request to catch up on
-/// everything committed while it was down.
-#[derive(Clone, Debug)]
+/// replica from the log reopened on its media after a
+/// crash-with-state-loss: replay restores the executed history and open
+/// vote bindings, and the node's first act on start is a state-transfer
+/// request to catch up on everything committed while it was down. The
+/// node is the log's only owner; readers go through [`Self::durable`].
+#[derive(Debug)]
 pub struct PbftNode {
     /// The protocol core (public for test inspection).
     pub core: PbftCore,
@@ -85,7 +86,8 @@ impl PbftNode {
         node
     }
 
-    /// Rebuilds replica `id` from a surviving durable `log` after a
+    /// Rebuilds replica `id` from its durable `log`, reopened on the
+    /// surviving media with [`DurableLog::recover`], after a
     /// crash-with-state-loss.
     ///
     /// Panics if the log fails hash-chain verification — a replica must
@@ -101,7 +103,7 @@ impl PbftNode {
     }
 
     /// Executed commands (excluding no-ops).
-    pub fn executed(&self) -> Vec<&Decided> {
+    pub fn executed(&self) -> Vec<Decided> {
         self.core.executed().iter().filter(|d| d.command.id != NOOP_ID).collect()
     }
 
@@ -110,11 +112,17 @@ impl PbftNode {
         self.durable.as_ref()
     }
 
+    /// The attached durable log, mutably: what a harness compacts
+    /// through.
+    pub fn durable_mut(&mut self) -> Option<&mut DurableLog> {
+        self.durable.as_mut()
+    }
+
     /// Persists everything the last core step produced: new vote
     /// bindings and prepared certificates first (they must hit the disk
     /// before our votes hit the network), then newly executed commands.
     fn persist(&mut self) {
-        if let Some(log) = &self.durable {
+        if let Some(log) = &mut self.durable {
             for (seq, view, digest) in self.core.take_bindings() {
                 log.append_bind(seq, view, &digest);
             }

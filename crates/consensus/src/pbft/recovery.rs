@@ -27,7 +27,7 @@ impl PbftCore {
         prepared: Vec<PreparedCert>,
     ) {
         assert!(
-            self.last_exec == 0 && self.executed.is_empty(),
+            self.last_exec == 0 && self.executed_batches.is_empty(),
             "install_history requires a fresh core"
         );
         for (seq, batch, at) in entries {

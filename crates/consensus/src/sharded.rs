@@ -191,7 +191,7 @@ pub struct Completion {
 }
 
 /// A replica of the sharded deployment.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ShardedNode {
     topology: Topology,
     shard: ShardId,

@@ -19,7 +19,7 @@
 //! reach the replication layer un-decoded).
 
 use prever_consensus::durable::DurableLog;
-use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, PbftNode, FIRST_FREE_TIMER};
+use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, PbftNode, FIRST_FREE_TIMER, NOOP_ID};
 use prever_consensus::{BatchConfig, Command};
 use prever_sim::{Actor, Ctx, NodeId};
 use prever_wire::{Frame, Request, Response};
@@ -62,13 +62,14 @@ const FRONT_EVERY: u64 = 10_000;
 /// A consensus member that also runs the serving front end. In
 /// [`server_cluster`] only node 0 is one; in [`multi_gateway_cluster`]
 /// every replica is.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Gateway {
     /// The embedded consensus replica host.
     pub adapter: PbftNode,
     /// The admission-control front end.
     pub front: FrontEnd,
-    /// How many `core.executed()` entries have been acked to clients.
+    /// How many `core.executed_batches()` entries have been acked to
+    /// clients.
     ack_cursor: usize,
 }
 
@@ -112,28 +113,19 @@ impl Gateway {
     ) -> Self {
         let adapter = PbftNode::recover_with(id, n, Byzantine::Honest, log).with_batching(batch);
         let mut fe = FrontEnd::new(id as u64, front);
-        fe.install_committed(
-            adapter
-                .core
-                .executed()
-                .iter()
-                .filter(|d| d.command.id != prever_consensus::pbft::NOOP_ID)
-                .filter(|d| !is_quota_id(d.command.id))
-                .map(|d| (d.command.id, d.slot)),
-        );
-        // Recovered quota commands must be re-applied too, or this
+        // One pass over the recovered history: client commands seed the
+        // committed map, and quota commands are re-applied, or this
         // gateway would admit with stale buckets after a restart.
-        let quotas: Vec<QuotaUpdate> = adapter
-            .core
-            .executed()
-            .iter()
-            .filter(|d| is_quota_id(d.command.id))
-            .filter_map(|d| QuotaUpdate::decode(&d.command.payload))
-            .collect();
-        for q in quotas {
-            fe.apply_quota(q);
+        let mut committed = Vec::new();
+        for d in adapter.core.executed().iter().filter(|d| d.command.id != NOOP_ID) {
+            if !is_quota_id(d.command.id) {
+                committed.push((d.command.id, d.slot));
+            } else if let Some(q) = QuotaUpdate::decode(&d.command.payload) {
+                fe.apply_quota(q);
+            }
         }
-        let ack_cursor = adapter.core.executed().len();
+        fe.install_committed(committed);
+        let ack_cursor = adapter.core.executed_batches().len();
         let mut g = Gateway { adapter, front: fe, ack_cursor };
         g.note_applied();
         g
@@ -183,31 +175,28 @@ impl Gateway {
     /// quota updates, then refills the inflight window from the queue.
     fn drain_and_pump(&mut self, ctx: &mut Ctx<ServerMsg>) {
         let now = ctx.now();
-        let executed = self.adapter.core.executed();
-        let newly: Vec<(u64, u64, Option<QuotaUpdate>)> = executed
-            [self.ack_cursor.min(executed.len())..]
-            .iter()
-            .filter(|d| d.command.id != prever_consensus::pbft::NOOP_ID)
-            .map(|d| {
-                let quota = is_quota_id(d.command.id)
-                    .then(|| QuotaUpdate::decode(&d.command.payload))
-                    .flatten();
-                (d.command.id, d.slot, quota)
-            })
-            .collect();
-        self.ack_cursor = executed.len();
-        let any_new = !newly.is_empty();
-        for (id, slot, quota) in newly {
-            if let Some(q) = quota {
-                self.front.apply_quota(q);
+        let core = &self.adapter.core;
+        let batches = &core.executed_batches()[self.ack_cursor..];
+        self.ack_cursor += batches.len();
+        // The new commands' slots run up to the history's last one.
+        let new_slots: usize = batches.iter().map(|(_, batch, _)| batch.len()).sum();
+        let first = (core.executed().len() - new_slots) as u64 + 1;
+        let mut any_new = false;
+        let commands = batches.iter().flat_map(|(_, batch, _)| batch.commands());
+        for (command, slot) in commands.zip(first..) {
+            if command.id == NOOP_ID {
                 continue;
             }
-            if is_quota_id(id) {
-                // Reserved-space command with a payload that fails the
-                // magic check: never acked to clients, never applied.
+            any_new = true;
+            if is_quota_id(command.id) {
+                // A reserved-space command whose payload fails the magic
+                // check is never acked to clients and never applied.
+                if let Some(q) = QuotaUpdate::decode(&command.payload) {
+                    self.front.apply_quota(q);
+                }
                 continue;
             }
-            if let Some((to, resp)) = self.front.on_committed(id, slot, now) {
+            if let Some((to, resp)) = self.front.on_committed(command.id, slot, now) {
                 ctx.send(to, ServerMsg::Frame(Frame::Response(resp).encode()));
             }
         }
@@ -238,7 +227,7 @@ impl Gateway {
 }
 
 /// Plain consensus replicas (no front end; [`server_cluster`] only).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Replica {
     /// The consensus replica host.
     pub adapter: PbftNode,
@@ -290,7 +279,7 @@ impl ClientPeer {
 ///
 /// Boxed: the variants differ in size by an order of magnitude and the
 /// simulator stores one per node.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum ServerPeer {
     /// A consensus member with a front end.
     Gateway(Box<Gateway>),
@@ -332,13 +321,18 @@ impl ServerPeer {
         }
     }
 
-    /// The consensus core behind this peer, if it has one.
-    pub fn core(&self) -> Option<&PbftCore> {
+    /// The replica host behind this peer, if it has one.
+    pub fn host(&self) -> Option<&PbftNode> {
         match self {
-            ServerPeer::Gateway(g) => Some(&g.adapter.core),
-            ServerPeer::Replica(r) => Some(&r.adapter.core),
+            ServerPeer::Gateway(g) => Some(&g.adapter),
+            ServerPeer::Replica(r) => Some(&r.adapter),
             ServerPeer::Client(_) => None,
         }
+    }
+
+    /// The consensus core behind this peer, if it has one.
+    pub fn core(&self) -> Option<&PbftCore> {
+        self.host().map(|host| &host.core)
     }
 }
 
@@ -511,6 +505,40 @@ mod tests {
             r.adapter.core.state_digest(),
             "gateway and replica diverged"
         );
+    }
+
+    /// The committed-map floor as a scan of every executed batch from
+    /// sequence 1, which is how it was computed before it counted down
+    /// from the tail.
+    fn floor_by_scan(core: &PbftCore) -> u64 {
+        core.executed_batches()
+            .iter()
+            .take_while(|(seq, _, _)| *seq <= core.stable_seq())
+            .map(|(_, batch, _)| batch.len() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn the_stable_slot_floor_matches_a_full_scan_at_every_step() {
+        let clients = vec![ClientCfg {
+            requests: 80,
+            id_base: 1_000,
+            mode: crate::client::LoadMode::Closed { window: 4, think_us: 0 },
+            ..ClientCfg::default()
+        }];
+        let nodes =
+            server_cluster(4, FrontConfig::default(), BatchConfig::new(4, 1_000, 4), &clients);
+        let mut sim = Simulation::new(nodes, NetConfig::default(), 5);
+        let mut highest = 0;
+        let done = sim.run_until_pred(4_000_000, |nodes| {
+            for core in nodes.iter().filter_map(ServerPeer::core) {
+                assert_eq!(core.stable_slot_floor(), floor_by_scan(core));
+            }
+            highest = highest.max(nodes[0].core().expect("gateway").stable_slot_floor());
+            all_clients_done(nodes)
+        });
+        assert!(done, "clients must finish under a healthy cluster");
+        assert!(highest > 0, "no checkpoint became stable, so no floor was compared");
     }
 
     #[test]

@@ -22,21 +22,27 @@ fn replica(peer: &ServerPeer) -> &PbftNode {
 fn recovered_host_flushes_on_its_second_delivery<A: Actor>(
     host: impl FnOnce(DurableLog) -> A,
     wrap: impl Fn(PbftMsg) -> A::Msg,
+    node: impl Fn(&A) -> &PbftNode,
 ) {
     let log = DurableLog::on(&DurableMedia::new(1)).with_policy(FlushPolicy::Every(2));
     // Replica 0 of n = 3, alone in the simulation (its sync request goes
     // nowhere). f = 0, so one responder is a state-transfer quorum: the
     // first response is applied as it arrives.
-    let mut sim = Simulation::new(vec![host(log.clone())], NetConfig::default(), 1);
+    let mut sim = Simulation::new(vec![host(log)], NetConfig::default(), 1);
+    // (records written, records flushed) of the host's own log.
+    let written = |sim: &Simulation<A>| {
+        let log = node(sim.node(0)).durable().expect("durable");
+        (log.len(), log.flushed_records())
+    };
     let response = |entries| PbftMsg::StateResponse { view: 0, entries };
     let batch = Batch::new(vec![Command::new(7, "synced")]);
     sim.inject(1, 0, wrap(response(vec![(1, batch)])), 10);
     sim.run_until(10);
-    assert_eq!(log.len(), 1, "the synced batch is staged as one exec record");
-    assert_eq!(log.flushed_records(), 0, "start counted as a dispatch: flushed one message early");
+    assert_eq!(written(&sim).0, 1, "the synced batch is staged as one exec record");
+    assert_eq!(written(&sim).1, 0, "start counted as a dispatch: flushed one message early");
     sim.inject(2, 0, wrap(response(Vec::new())), 20);
     sim.run_until(20);
-    assert_eq!(log.flushed_records(), 1, "the second dispatch is the group-commit point");
+    assert_eq!(written(&sim).1, 1, "the second dispatch is the group-commit point");
 }
 
 #[test]
@@ -44,12 +50,14 @@ fn starting_a_recovered_host_is_not_a_dispatch() {
     recovered_host_flushes_on_its_second_delivery(
         |log| PbftNode::recover_with(0, 3, Byzantine::Honest, log),
         |m| m,
+        |n| n,
     );
     recovered_host_flushes_on_its_second_delivery(
         |log| {
             ServerPeer::Replica(Box::new(Replica::recover_with(0, 3, BatchConfig::default(), log)))
         },
         ServerMsg::Pbft,
+        replica,
     );
 }
 
@@ -94,7 +102,7 @@ fn run_cluster<A: Actor + 'static>(
         .map(|id| {
             let host = node(sim.node(id));
             let log = host.durable().expect("durable").digest();
-            (host.core.executed().to_vec(), (log.size, log.root, log.head_hash))
+            (host.core.executed().iter().collect(), (log.size, log.root, log.head_hash))
         })
         .collect();
     (sim.stats(), per_node)

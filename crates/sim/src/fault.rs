@@ -79,8 +79,8 @@ impl LinkFault {
 ///
 /// The simulator does not model disks itself; it dispatches these to a
 /// handler installed with [`crate::Simulation::set_disk_handler`], which
-/// owns the actual media (e.g. `prever_storage::SharedDisk` handles) and
-/// typically pairs the fault with a
+/// holds the actual media (e.g. `prever_storage::SharedDisk`s), is handed
+/// the node, and typically pairs the fault with a
 /// [`FaultEvent::RestartWithLoss`]-style rebuild.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskFault {

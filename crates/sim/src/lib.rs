@@ -89,9 +89,10 @@ type Corruptor<M> = Box<dyn FnMut(&mut M, u64)>;
 /// Builds a fresh actor for a node restarted with state loss.
 type NodeFactory<A> = Box<dyn FnMut(NodeId) -> A>;
 
-/// Applies a [`DiskFault`] to a node's storage media (the harness owns
-/// the media; the simulator only schedules the fault).
-type DiskHandler = Box<dyn FnMut(NodeId, DiskFault)>;
+/// Applies a [`DiskFault`] to a node's storage media, given the node
+/// (the harness holds the media; the simulator only schedules the
+/// fault).
+type DiskHandler<A> = Box<dyn FnMut(NodeId, &mut A, DiskFault)>;
 
 /// Sentinel incarnation for externally injected events: they are
 /// addressed to whatever process is alive at delivery time, not to a
@@ -313,7 +314,7 @@ pub struct Simulation<A: Actor> {
     pending_faults: VecDeque<(u64, FaultEvent)>,
     factory: Option<NodeFactory<A>>,
     corruptor: Option<Corruptor<A::Msg>>,
-    disk_handler: Option<DiskHandler>,
+    disk_handler: Option<DiskHandler<A>>,
     tracer: Option<Tracer<A::Msg>>,
     rng: StdRng,
     now: u64,
@@ -429,10 +430,12 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Registers the handler that applies [`FaultEvent::Disk`] events to
-    /// a node's storage media. The harness owns the media (e.g.
-    /// `SharedDisk` handles shared with the actors); the simulator only
-    /// schedules when each fault lands.
-    pub fn set_disk_handler(&mut self, handler: impl FnMut(NodeId, DiskFault) + 'static) {
+    /// a node's storage media. The harness holds the media (e.g.
+    /// `SharedDisk`s the node writes through); the simulator only
+    /// schedules when each fault lands, and hands the handler the node
+    /// itself, so whatever the node owns (its log, say) is reached
+    /// through it rather than through a second handle.
+    pub fn set_disk_handler(&mut self, handler: impl FnMut(NodeId, &mut A, DiskFault) + 'static) {
         self.disk_handler = Some(Box::new(handler));
     }
 
@@ -695,12 +698,12 @@ impl<A: Actor> Simulation<A> {
             }
             FaultEvent::Disk { node, fault } => {
                 self.trace_note("fault", node, node, "disk_fault");
-                let mut handler = self
+                let slot = self.slot(node);
+                let handler = self
                     .disk_handler
-                    .take()
+                    .as_mut()
                     .expect("FaultEvent::Disk requires Simulation::set_disk_handler");
-                handler(node, fault);
-                self.disk_handler = Some(handler);
+                handler(node, &mut self.nodes[slot], fault);
                 self.stats.disk_faults += 1;
             }
             FaultEvent::Partition(groups) => {

@@ -111,9 +111,10 @@ fn bft_latency_exceeds_paxos_latency() {
     assert!(px.run_until_pred(5_000_000, |nodes| nodes[0].decided().len() >= 10));
     let px_lat = mean(
         px.node(0)
-            .decided_log()
-            .iter()
-            .map(|d| d.at - submit_at[d.command.id as usize])
+            .decided()
+            .values()
+            .flat_map(|(batch, at)| batch.commands().iter().map(move |c| (c.id, *at)))
+            .map(|(id, at)| at - submit_at[id as usize])
             .collect(),
     );
 
