@@ -14,8 +14,7 @@
 //! and a DP budget drain.
 //! Afterwards the
 //! global registry snapshot is rendered as the aligned metrics table,
-//! as `BENCHJSON`/`OBSJSON` lines, and as a `BENCH_obs.json` document
-//! with a consensus-vs-crypto-vs-storage phase breakdown.
+//! as `BENCHJSON`/`OBSJSON` lines, and as a `BENCH_obs.json` document.
 //!
 //! `cargo run --release -p prever-bench --bin obs -- --quick`
 //! `cargo run --release -p prever-bench --bin obs -- --json out.json`
@@ -33,7 +32,6 @@ use prever_crypto::paillier::{self, Ciphertext};
 use prever_crypto::schnorr;
 use prever_dp::BudgetAccountant;
 use prever_ledger::{Journal, PersistentJournal};
-use prever_obs::registry::Snapshot;
 use prever_obs::trace::{self, TraceEvent, STAGES};
 use prever_obs::{export, TraceCtx};
 use prever_pir::cpir::{retrieve as cpir_retrieve, CpirClient, CpirServer};
@@ -350,16 +348,6 @@ fn run_dp() {
     let _ = budget.spend(0.1);
 }
 
-/// Total histogram time (ns) across all spans whose name starts with one
-/// of `prefixes`.
-fn phase_ns(s: &Snapshot, prefixes: &[&str]) -> u64 {
-    s.histograms
-        .iter()
-        .filter(|h| prefixes.iter().any(|p| h.name.starts_with(p)))
-        .map(|h| h.sum)
-        .sum()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -455,9 +443,6 @@ fn main() {
         println!("wrote {path} ({} trace events)", events.len());
     }
 
-    let consensus_ns = phase_ns(&snap, &["pbft.", "paxos.", "sharded.", "consensus."]);
-    let crypto_ns = phase_ns(&snap, &["paillier.", "pir."]);
-    let storage_ns = phase_ns(&snap, &["ledger.", "pipeline.", "wal."]);
     let extra = [
         ("mode", format!("\"{mode}\"")),
         (
@@ -475,12 +460,6 @@ fn main() {
             ),
         ),
         ("total_wall_ns", total_ns.to_string()),
-        (
-            "phase_breakdown_ns",
-            format!(
-                "{{\"consensus\":{consensus_ns},\"crypto\":{crypto_ns},\"storage\":{storage_ns}}}"
-            ),
-        ),
         ("critical_path_pbft", cp_pbft.render_json()),
         ("critical_path_cross_shard", cp_cross.render_json()),
     ];

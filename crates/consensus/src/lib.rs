@@ -422,54 +422,46 @@ mod tests {
         assert!(!batch.contains_id(9));
     }
 
-    /// SHA-256 blocks this thread compresses while running `f`.
-    #[cfg(debug_assertions)]
-    fn compressions_during(f: impl FnOnce()) -> u64 {
-        let before = prever_crypto::sha256::compressions();
-        f();
-        prever_crypto::sha256::compressions() - before
-    }
-
-    // Counted, not timed. The counter exists in debug builds of
-    // `prever-crypto` only, so these are debug-build tests.
-    #[cfg(debug_assertions)]
+    // Counted, not timed.
     #[test]
     fn a_batch_nobody_asks_the_digest_of_hashes_nothing() {
+        use prever_obs::work::{measure, Unit::Sha256Compress};
         let commands = || (0..8).map(|i| Command::new(i, vec![i as u8; 8])).collect::<Vec<_>>();
         // A relayed request: built, carried, unpacked.
-        let relayed = compressions_during(|| {
+        let relayed = measure(|| {
             let msg = pbft::PbftMsg::Request(Batch::new(commands()));
             let pbft::PbftMsg::Request(batch) = &msg else { unreachable!() };
             assert_eq!(batch.commands().len(), 8);
             assert!(batch.contains_id(3));
             drop(batch.clone());
-        });
+        })
+        .1[Sha256Compress];
         assert_eq!(relayed, 0, "building and unpacking a relay Request hashed");
         // A batch read back from its encoding (a journal record).
         let mut buf = Vec::new();
         Batch::new(commands()).encode_into(&mut buf);
-        let decoded = compressions_during(|| {
+        let decoded = measure(|| {
             let (batch, _) = Batch::decode(&buf).expect("decodes");
             assert_eq!(batch.len(), 8);
-        });
+        })
+        .1[Sha256Compress];
         assert_eq!(decoded, 0, "encoding and decoding a batch hashed");
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn batch_digest_builds_the_tree_once() {
+        use prever_obs::work::{measure, Unit::Sha256Compress};
         let batch = Batch::new((0..8).map(|i| Command::new(i, vec![i as u8; 8])).collect());
         // 8 command digests and 8 leaf hashes of one block each, 7
         // interior nodes of two (65 bytes pad into a second block).
-        let first = compressions_during(|| {
-            batch.digest();
-        });
+        let first = measure(|| batch.digest()).1[Sha256Compress];
         assert_eq!(first, 8 + 8 + 7 * 2);
         let copy = batch.clone();
-        let again = compressions_during(|| {
+        let again = measure(|| {
             assert_eq!(batch.digest(), copy.digest());
             assert_eq!(batch, copy);
-        });
+        })
+        .1[Sha256Compress];
         assert_eq!(again, 0, "a second digest(), a clone's digest() or == hashed again");
     }
 

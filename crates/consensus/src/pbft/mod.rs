@@ -1331,26 +1331,27 @@ mod tests {
         }
     }
 
-    /// Counted, not timed: what ordering costs in SHA-256 blocks. The
-    /// counter exists in debug builds of `prever-crypto` only.
-    #[cfg(debug_assertions)]
+    /// Counted, not timed: what ordering costs in SHA-256 blocks.
     #[test]
     fn ordering_stays_under_a_compressions_per_command_bound() {
+        use prever_obs::work::{measure, Unit::Sha256Compress};
         let (n, cmds) = (4, 512u64);
         let cfg = BatchConfig::new(8, 2_000, 8);
         let mut sim = Simulation::new(cluster_batched(n, cfg), NetConfig::default(), 24);
-        let before = prever_crypto::sha256::compressions();
-        for i in 0..cmds {
-            // Round-robin over the replicas, so three in four arrive as
-            // relays: the path whose batches nobody takes a digest of.
-            let to = (i % n as u64) as NodeId;
-            sim.inject(to, to, PbftMsg::request(Command::new(i, vec![i as u8; 8])), sim.now() + 1 + i);
-        }
-        let ok = sim.run_until_pred(10_000_000, |nodes| {
-            nodes.iter().all(|nd| nd.core.executed_commands() >= cmds as usize)
+        let (ok, work) = measure(|| {
+            for i in 0..cmds {
+                // Round-robin over the replicas, so three in four arrive as
+                // relays: the path whose batches nobody takes a digest of.
+                let to = (i % n as u64) as NodeId;
+                let at = sim.now() + 1 + i;
+                sim.inject(to, to, PbftMsg::request(Command::new(i, vec![i as u8; 8])), at);
+            }
+            sim.run_until_pred(10_000_000, |nodes| {
+                nodes.iter().all(|nd| nd.core.executed_commands() >= cmds as usize)
+            })
         });
         assert!(ok, "not all replicas executed all commands");
-        let per_command = (prever_crypto::sha256::compressions() - before) as f64 / cmds as f64;
+        let per_command = work[Sha256Compress] as f64 / cmds as f64;
         eprintln!("compressions per command, four replicas: {per_command:.2}");
         // Per command, over the whole cluster: its digest (1 block), an
         // eighth of the one tree built per ordered batch (8 leaves of 1

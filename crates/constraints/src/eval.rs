@@ -812,36 +812,31 @@ mod tests {
         assert!(!evaluate(&flsa(), &db.snapshot(), &update).unwrap());
     }
 
-    /// Plans made while `f` runs.
-    fn plans(f: impl FnOnce()) -> u64 {
-        let before = crate::plans_built();
-        f();
-        crate::plans_built() - before
-    }
-
     #[test]
     fn a_constraint_is_planned_once_per_layout_and_update_schema() {
+        use prever_obs::work::{measure, Unit::PlanBuilt};
+        let plans = |f: &dyn Fn()| measure(f).1[PlanBuilt];
         let mut db = tasks_db();
         db.insert("tasks", task(1, "w1", 20, 100)).unwrap();
         let c = flsa();
-        let n = plans(|| {
+        let n = plans(&|| {
             for ts in [200, 300, 400] {
                 assert!(check(&db, &c, &task(9, "w1", 1, ts), ts));
             }
         });
         assert_eq!(n, 1, "one layout, one plan");
         db.insert("tasks", task(2, "w1", 15, 150)).unwrap();
-        assert_eq!(plans(|| assert!(!check(&db, &c, &task(9, "w1", 6, 200), 200))), 0, "rows are not layout");
+        assert_eq!(plans(&|| assert!(!check(&db, &c, &task(9, "w1", 6, 200), 200))), 0, "rows are not layout");
         db.create_index("tasks", "worker", Some("ts")).unwrap();
-        assert_eq!(plans(|| assert!(!check(&db, &c, &task(9, "w1", 6, 200), 200))), 1, "a new index re-plans");
-        assert_eq!(plans(|| assert!(check(&db, &c, &task(9, "w1", 5, 200), 200))), 0);
+        assert_eq!(plans(&|| assert!(!check(&db, &c, &task(9, "w1", 6, 200), 200))), 1, "a new index re-plans");
+        assert_eq!(plans(&|| assert!(check(&db, &c, &task(9, "w1", 5, 200), 200))), 0);
         // A historical snapshot has the live layout: the plan holds, and the
         // index is not read (`constraint_over_snapshot_not_live_state`).
         let schema = db.table("tasks").unwrap().schema();
         let row = task(9, "w1", 6, 200);
         let update = UpdateContext { table: "tasks", row: &row, schema, timestamp: 200 };
         let old = db.snapshot_at(1).unwrap();
-        assert_eq!(plans(|| assert!(evaluate(&c, &old, &update).unwrap())), 0);
+        assert_eq!(plans(&|| assert!(evaluate(&c, &old, &update).unwrap())), 0);
         // Another update schema resolves `$fields` elsewhere.
         let other = Schema::new(
             vec![Column::new("worker", ColumnType::Str), Column::new("hours", ColumnType::Uint)],
@@ -850,11 +845,11 @@ mod tests {
         .unwrap();
         let row = Row::new(vec!["w1".into(), 6u64.into()]);
         let update = UpdateContext { table: "shifts", row: &row, schema: &other, timestamp: 200 };
-        assert_eq!(plans(|| assert!(!evaluate(&c, &db.snapshot(), &update).unwrap())), 1);
+        assert_eq!(plans(&|| assert!(!evaluate(&c, &db.snapshot(), &update).unwrap())), 1);
         // A clone starts without a plan.
         let d = c.clone();
         assert_eq!(d, c, "the plan is no part of the value");
-        assert_eq!(plans(|| assert!(check(&db, &d, &task(9, "w1", 5, 200), 200))), 1);
+        assert_eq!(plans(&|| assert!(check(&db, &d, &task(9, "w1", 5, 200), 200))), 1);
     }
 
     #[cfg(debug_assertions)]

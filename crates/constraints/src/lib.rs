@@ -53,8 +53,6 @@ pub mod query;
 
 pub use ast::{AggFunc, Expr, GroupReduce, TimeWindow};
 pub use eval::{evaluate, evaluate_expr, UpdateContext};
-#[cfg(any(test, debug_assertions))]
-pub use plan::plans_built;
 pub use pushdown::ensure_indexes;
 pub use query::{evaluate_query, query};
 

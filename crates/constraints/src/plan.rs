@@ -26,22 +26,9 @@
 
 use crate::ast::{AggFunc, BinOp, Expr, GroupReduce, TimeWindow};
 use crate::{pushdown, ConstraintError, Result};
+use prever_obs::work::{self, Unit};
 use prever_storage::{ColumnType, Schema, Snapshot, Value};
 use std::sync::{Arc, Mutex, PoisonError};
-
-#[cfg(any(test, debug_assertions))]
-thread_local! {
-    static PLANS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Plans this thread has built so far: what tests count to show that a
-/// registered constraint is planned once, not per update. Debug builds and
-/// `cfg(test)` only; release builds of the library do not have it.
-#[cfg(any(test, debug_assertions))]
-#[doc(hidden)]
-pub fn plans_built() -> u64 {
-    PLANS_BUILT.with(|c| c.get())
-}
 
 /// An expression resolved against one database layout and update schema.
 pub(crate) struct Plan {
@@ -132,10 +119,9 @@ pub(crate) struct Probe {
 
 impl Plan {
     /// Resolves `expr` against `snapshot`'s layout, `$fields` against
-    /// `update_schema`.
+    /// `update_schema`. Counts one [`Unit::PlanBuilt`].
     pub(crate) fn new(expr: &Expr, snapshot: &Snapshot<'_>, update_schema: &Schema) -> Plan {
-        #[cfg(any(test, debug_assertions))]
-        PLANS_BUILT.with(|c| c.set(c.get() + 1));
+        work::add(Unit::PlanBuilt, 1);
         let mut planner = Planner {
             snapshot: *snapshot,
             update: update_schema,

@@ -356,6 +356,29 @@ mod tests {
         }
     }
 
+    /// RC1's private path counted in Montgomery multiplications at this
+    /// seed: the baseline a change to it states its cost against. The
+    /// owner's decryption is counted on its own (a CRT decryption costs the
+    /// same for any ciphertext), so `submit − verdict` is the manager's
+    /// share (range verify, add, rerandomize): 1 212 of 1 462, against
+    /// 1 503 to produce the update.
+    #[test]
+    fn an_update_costs_a_fixed_count_of_multiplications() {
+        use prever_obs::work::{measure, Unit::MontMul};
+        let mut w = world(40);
+        let params = w.owner.public_params();
+        let (update, produce) =
+            measure(|| produce_update(&params, 1, "worker-1", 23, 30, 100, &mut w.rng).unwrap());
+        let (outcome, submit) =
+            measure(|| w.manager.submit(&update, &mut w.owner, &mut w.rng).unwrap());
+        assert!(outcome.is_accepted());
+        let total = w.manager.accumulator("worker-1", 23).unwrap().clone();
+        let verdict = measure(|| assert!(w.owner.verdict(&total, 40).unwrap())).1[MontMul];
+        let (produce, submit) = (produce[MontMul], submit[MontMul]);
+        println!("MontMul: produce_update {produce}, submit {submit} (owner.verdict {verdict})");
+        assert_eq!((produce, submit, verdict), (1_503, 1_462, 250));
+    }
+
     #[test]
     fn enforces_bound_per_subject_window() {
         let mut w = world(40);

@@ -225,7 +225,8 @@ mod tests {
     fn comb_does_an_eighth_of_the_sliding_windows_multiplications() {
         // The comb's claim, counted rather than timed: one kernel
         // serves both paths, so time follows the multiplication count.
-        let muls = |f: &dyn Fn() -> BigUint| crate::montgomery::count_muls(f).1;
+        use prever_obs::work::{measure, Unit::MontMul};
+        let muls = |f: &dyn Fn() -> BigUint| measure(f).1[MontMul];
         let mut rng = StdRng::seed_from_u64(25);
         let m = BigUint::gen_prime(256, &mut rng);
         let ctx = MontgomeryCtx::new(&m).unwrap();

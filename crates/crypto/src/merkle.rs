@@ -29,8 +29,6 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 
 /// Hashes two child digests into their parent.
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    #[cfg(test)]
-    tests::NODE_HASHES.with(|c| c.set(c.get() + 1));
     sha256_concat(&[&[0x01], left.as_bytes(), right.as_bytes()])
 }
 
@@ -357,6 +355,7 @@ fn largest_power_of_two_below(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prever_obs::work::{measure, Unit};
     use proptest::prelude::*;
 
     fn tree_of(n: usize) -> MerkleTree {
@@ -365,17 +364,6 @@ mod tests {
             t.append(format!("leaf-{i}").as_bytes());
         }
         t
-    }
-
-    thread_local! {
-        /// Calls to [`node_hash`] on this thread (so: by this test).
-        pub(super) static NODE_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    fn node_hashes_during(f: impl FnOnce()) -> u64 {
-        let before = NODE_HASHES.with(|c| c.get());
-        f();
-        NODE_HASHES.with(|c| c.get()) - before
     }
 
     /// The tree as it was before it cached anything: every root and proof
@@ -554,18 +542,21 @@ mod tests {
     }
 
     /// Counted, not timed: what a digest or proof costs does not depend
-    /// on how many leaves lie under complete subtrees.
+    /// on how many leaves lie under complete subtrees. A node hash is two
+    /// SHA-256 compressions (65 bytes), and nothing else in the measured
+    /// regions hashes.
     #[test]
     fn digest_and_proofs_hash_log_n_nodes_and_each_interior_node_once() {
         const N: usize = 50_000;
         let log2_n = 16; // 2^16 > N
         let trio = |t: &MerkleTree| {
             let n = t.len();
-            node_hashes_during(|| {
+            let ((), work) = measure(|| {
                 t.root();
                 t.prove_inclusion(n / 3, n).unwrap();
                 t.prove_consistency(n / 2, n).unwrap();
-            })
+            });
+            work[Unit::Sha256Compress] / 2
         };
 
         // N appends with a digest after every tenth.
@@ -576,9 +567,7 @@ mod tests {
             t.append(&t.len().to_be_bytes());
             let n = t.len();
             if n.is_multiple_of(10) {
-                let by_digest = node_hashes_during(|| {
-                    t.root();
-                });
+                let by_digest = measure(|| t.root()).1[Unit::Sha256Compress] / 2;
                 // The subtrees ten appends completed, then the ragged edge
                 // (checked per digest so that a lost cache fails at once).
                 assert!(by_digest <= 10 + 2 * log2_n, "{by_digest} node hashes for a digest at {n}");

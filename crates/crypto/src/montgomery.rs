@@ -34,25 +34,9 @@
 
 use crate::bignum::{limbs_cmp, sub_in_place, word_neg_inv, BigUint};
 use crate::{CryptoError, Result};
+use prever_obs::work::{self, Unit};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-
-#[cfg(test)]
-thread_local! {
-    /// Montgomery multiplications this thread has done: what the tests
-    /// of the exponentiation strategies count instead of timing.
-    static MONT_MULS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Runs `f` and returns its result with the Montgomery multiplications
-/// it did on this thread. One kernel serves every exponentiation path,
-/// so time follows this count, and unlike a time it repeats exactly.
-#[cfg(test)]
-pub(crate) fn count_muls<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = MONT_MULS.with(|c| c.get());
-    let out = f();
-    (out, MONT_MULS.with(|c| c.get()) - before)
-}
 
 /// Odd powers `base^1, base^3, …, base^15` kept per sliding window.
 const WINDOW_TABLE: usize = 8;
@@ -134,10 +118,9 @@ impl MontgomeryCtx {
     /// `a` and `b` are `k`-limb values `< n`; `out` is any `k`-limb
     /// buffer (its old contents are ignored) and comes back `< n`: the
     /// accumulator stays below `2n`, so it needs one bit above `out`
-    /// and at most one trailing subtraction.
+    /// and at most one trailing subtraction. Counts one [`Unit::MontMul`].
     pub(crate) fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
-        #[cfg(test)]
-        MONT_MULS.with(|c| c.set(c.get() + 1));
+        work::add(Unit::MontMul, 1);
         // Every slice cut to `k` here, so the loops below index without
         // bounds checks.
         let k = self.k;

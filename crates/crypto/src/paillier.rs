@@ -504,7 +504,7 @@ mod tests {
         // full-width records, counted rather than timed: one shared
         // digit schedule does 31 040 Montgomery multiplications where
         // eight `weighted_sum` calls do 67 576.
-        use crate::montgomery::count_muls;
+        use prever_obs::work::{measure, Unit::MontMul};
         let sk = key();
         let mut rng = StdRng::seed_from_u64(18);
         let cts: Vec<Ciphertext> = (0..256u64)
@@ -517,8 +517,8 @@ mod tests {
         let row_refs: Vec<&[&Ciphertext]> = rows.iter().map(|r| r.as_slice()).collect();
 
         let (rows_out, batched) =
-            count_muls(|| sk.public.weighted_sum_rows(&row_refs, &weights).unwrap());
-        let (each_out, sequential) = count_muls(|| {
+            measure(|| sk.public.weighted_sum_rows(&row_refs, &weights).unwrap());
+        let (each_out, sequential) = measure(|| {
             rows.iter()
                 .map(|r| {
                     let terms: Vec<(&Ciphertext, u64)> =
@@ -528,6 +528,7 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         assert_eq!(rows_out, each_out);
+        let (batched, sequential) = (batched[MontMul], sequential[MontMul]);
         assert!(
             2 * batched <= sequential,
             "weighted_sum_rows: {batched} multiplications vs {sequential} sequential"

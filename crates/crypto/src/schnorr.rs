@@ -996,7 +996,7 @@ mod tests {
         // 6 425 Montgomery multiplications against 24 322 for 64
         // `verify` calls; the Jacobi checks and challenge hashes both
         // paths pay do none.
-        use crate::montgomery::count_muls;
+        use prever_obs::work::{measure, Unit::MontMul};
         let g = group();
         let mut rng = StdRng::seed_from_u64(45);
         let sigs: Vec<(KeyPair, Vec<u8>, SchnorrSignature)> = (0..64)
@@ -1011,12 +1011,13 @@ mod tests {
             .iter()
             .map(|(k, m, s)| (&k.public, m.as_slice(), s))
             .collect();
-        let (_, batched) = count_muls(|| batch_verify(&g, &items).unwrap());
-        let (_, sequential) = count_muls(|| {
+        let batched = measure(|| batch_verify(&g, &items).unwrap()).1[MontMul];
+        let sequential = measure(|| {
             for (y, m, s) in &items {
                 verify(&g, y, m, s).unwrap();
             }
-        });
+        })
+        .1[MontMul];
         assert!(
             3 * batched <= sequential,
             "batch_verify: {batched} multiplications vs {sequential} sequential"
@@ -1461,19 +1462,20 @@ mod tests {
         // exponentiating prover and the per-bit verifier: prove 1 393
         // vs 3 117, verify 1 151 vs 4 610 Montgomery multiplications.
         // The 18 Jacobi symbols the combined check adds do none.
-        use crate::montgomery::count_muls;
+        use prever_obs::work::{measure, Unit::MontMul};
         let g = group();
         let mut rng = StdRng::seed_from_u64(90);
         let m = BigUint::from_u64(37);
         let (c, r) = commit(&g, &m, &mut rng).unwrap();
         let (proof, prove) =
-            count_muls(|| RangeProof::prove(&g, &c, &m, &r, 6, b"ctx", &mut rng.clone()).unwrap());
+            measure(|| RangeProof::prove(&g, &c, &m, &r, 6, b"ctx", &mut rng.clone()).unwrap());
         let (reference, prove_ref) =
-            count_muls(|| range_prove_reference(&g, &c, &m, &r, 6, b"ctx", &[], &mut rng));
+            measure(|| range_prove_reference(&g, &c, &m, &r, 6, b"ctx", &[], &mut rng));
         assert_eq!(proof, reference);
-        let (_, verify) = count_muls(|| proof.verify(&g, &c, 6, b"ctx").unwrap());
-        let (_, verify_ref) =
-            count_muls(|| range_verify_reference(&proof, &g, &c, 6, b"ctx").unwrap());
+        let (prove, prove_ref) = (prove[MontMul], prove_ref[MontMul]);
+        let verify = measure(|| proof.verify(&g, &c, 6, b"ctx").unwrap()).1[MontMul];
+        let verify_ref =
+            measure(|| range_verify_reference(&proof, &g, &c, 6, b"ctx").unwrap()).1[MontMul];
         println!("prove {prove} vs {prove_ref}, verify {verify} vs {verify_ref}");
         assert!(100 * prove <= 55 * prove_ref, "prove: {prove} vs {prove_ref}");
         assert!(100 * verify <= 30 * verify_ref, "verify: {verify} vs {verify_ref}");

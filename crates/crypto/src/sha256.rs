@@ -4,6 +4,8 @@
 //! HMAC, Fiat–Shamir transcripts, full-domain-hash signatures, and ledger
 //! digests all bottom out here.
 
+use prever_obs::work::{self, Unit};
+
 /// A 32-byte SHA-256 digest.
 ///
 /// Wraps `[u8; 32]` so digests get `Display` (lowercase hex) and a
@@ -186,31 +188,15 @@ fn state_digest(state: &[u32; 8]) -> Digest {
     Digest(out)
 }
 
-#[cfg(any(test, debug_assertions))]
-thread_local! {
-    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Blocks this thread has compressed so far: what tests count instead of
-/// timing a hash (as `montgomery::MONT_MULS` does for multiplications).
-/// Kept in debug builds as well as under `cfg(test)` so the crates that
-/// hash through this one can state their own bounds in `cargo test`;
-/// release builds of the library do not have it.
-#[cfg(any(test, debug_assertions))]
-#[doc(hidden)]
-pub fn compressions() -> u64 {
-    COMPRESSIONS.with(|c| c.get())
-}
-
 /// Runs the compression function over `blocks` (a whole number of 64-byte
 /// blocks), on the CPU's SHA extensions when it has them and on
 /// [`compress_portable`] otherwise. Both produce the same state; the
-/// choice is the CPU's alone (DESIGN.md §6, "SHA-256 kernel").
+/// choice is the CPU's alone (DESIGN.md §6, "SHA-256 kernel"). Each block
+/// counts one [`Unit::Sha256Compress`].
 #[inline]
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
-    #[cfg(any(test, debug_assertions))]
-    COMPRESSIONS.with(|c| c.set(c.get() + (blocks.len() / 64) as u64));
+    work::add(Unit::Sha256Compress, (blocks.len() / 64) as u64);
     #[cfg(target_arch = "x86_64")]
     if sha_ni::try_compress(state, blocks) {
         return;
@@ -560,11 +546,8 @@ mod tests {
 
     #[test]
     fn compressions_are_counted_per_block() {
-        let blocks = |parts: &[&[u8]]| {
-            let before = compressions();
-            sha256_concat(parts);
-            compressions() - before
-        };
+        let blocks =
+            |parts: &[&[u8]]| work::measure(|| sha256_concat(parts)).1[Unit::Sha256Compress];
         // The shapes the ledger and consensus hash all day.
         assert_eq!(blocks(&[&[0; 8], &[0; 8]]), 1, "command digest");
         assert_eq!(blocks(&[&[0; 32], &[1; 32]]), 2, "chained state digest");

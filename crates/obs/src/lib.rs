@@ -8,7 +8,7 @@
 //! is comparative throughput/latency analysis; this crate is the
 //! permanent instrumentation that analysis runs on.
 //!
-//! Three layers, all `std`-only (the workspace builds hermetically):
+//! Four layers, all `std`-only (the workspace builds hermetically):
 //!
 //! * [`registry`] — lock-sharded global metrics: atomic [`Counter`]s,
 //!   [`Gauge`]s, and log-bucketed [`Histogram`]s with p50/p95/p99/max
@@ -19,7 +19,11 @@
 //!   into the histogram of the same name, with thread-local parent
 //!   tracking for nested spans;
 //! * [`logger`] — a `PREVER_LOG`-gated structured logger with the
-//!   [`log!`] macro.
+//!   [`log!`] macro;
+//! * [`work`] — per-thread counts of kernel operations (SHA-256
+//!   compressions, Montgomery multiplications, key look-ups, plans
+//!   built): `work::measure(|| …)` returns what a closure did on the
+//!   calling thread, so tests assert work instead of timing it.
 //!
 //! [`export`] renders a [`Snapshot`] as an aligned text table or as
 //! BENCHJSON-compatible JSON lines.
@@ -29,7 +33,9 @@
 //! Recording is guarded by one relaxed atomic load; call
 //! [`set_enabled`]`(false)` to make every span/counter a near-no-op at
 //! runtime, or build with the `disabled` cargo feature to compile the
-//! whole layer out (the guard becomes a constant `false`).
+//! whole layer out (the guard becomes a constant `false`). Neither
+//! switch touches [`work`]: its counts are one thread-local add each and
+//! exist in every build.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +45,7 @@ pub mod logger;
 pub mod registry;
 pub mod span;
 pub mod trace;
+pub mod work;
 
 pub use export::{render_json_document, render_jsonl, render_table};
 pub use logger::{log_enabled, max_level, set_max_level, Level};

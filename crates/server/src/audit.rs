@@ -4,9 +4,17 @@
 //! the replicated hash-chain digest, but a bare digest is hearsay: a
 //! gateway could later deny having served it. A [`DigestAttestation`]
 //! binds the digest (and the gateway's identity) to its Schnorr key, so
-//! a digest that fails a later consistency proof is non-repudiable
-//! evidence — the same accountability argument `prever-ledger` makes
-//! for signed checkpoints.
+//! the gateway cannot deny the digest it signed.
+//!
+//! What a signed digest does not yet give: the digest is a linear hash
+//! chain over the executed commands, not a Merkle log root, so there is
+//! no consistency proof that a later digest extends an earlier one, and
+//! an attestation cannot be checked against a later state. And because
+//! [`verify_round`] requires every digest of a round to be equal, an
+//! honest gateway that is merely behind (it has executed a prefix of the
+//! others' history) is reported as [`AuditError::Diverged`], exactly like
+//! one that forked. ROADMAP item 17 replaces the chain with a Merkle log
+//! root, which gives both the proof and the prefix check.
 //!
 //! [`verify_round`] checks a whole round of attestations with ONE
 //! random-linear-combination batch check

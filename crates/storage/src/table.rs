@@ -3,6 +3,7 @@
 use crate::index::SecondaryIndex;
 use crate::value::Value;
 use crate::{Result, StorageError};
+use prever_obs::work::{self, Unit};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
@@ -272,32 +273,12 @@ impl Versions {
     }
 }
 
-#[cfg(any(test, debug_assertions))]
-thread_local! {
-    static KEY_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Primary-key look-ups (descents of a table's key-ordered map by key)
-/// this thread has made so far: what tests count to show that a read
-/// through a secondary index never goes back to the primary map. Debug
-/// builds and `cfg(test)` only; release builds of the library do not have
-/// it.
-#[cfg(any(test, debug_assertions))]
-#[doc(hidden)]
-pub fn key_lookups() -> u64 {
-    KEY_LOOKUPS.with(|c| c.get())
-}
-
-#[inline]
-fn count_key_lookup() {
-    #[cfg(any(test, debug_assertions))]
-    KEY_LOOKUPS.with(|c| c.set(c.get() + 1));
-}
-
 /// A multi-versioned table.
 ///
 /// Each key maps to its version chain (ascending). Reads at version `v`
-/// see the newest version `≤ v`.
+/// see the newest version `≤ v`. Each descent of the key-ordered map by
+/// key counts one [`Unit::KeyLookup`]; a read through a secondary index
+/// makes none.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,
@@ -373,7 +354,7 @@ impl Table {
     pub fn insert(&mut self, row: Row, version: u64) -> Result<Key> {
         self.schema.validate(&row)?;
         let key = self.schema.key_of(&row);
-        count_key_lookup();
+        work::add(Unit::KeyLookup, 1);
         let entry = self.rows.entry(key.clone());
         if let Entry::Occupied(chain) = &entry {
             if chain.get().latest().is_some() {
@@ -404,7 +385,7 @@ impl Table {
                 "update must not change the primary key".into(),
             ));
         }
-        count_key_lookup();
+        work::add(Unit::KeyLookup, 1);
         let versions = self
             .rows
             .get_mut(key)
@@ -424,7 +405,7 @@ impl Table {
 
     /// Deletes the live row with `key` at `version`; returns the old row.
     pub fn delete(&mut self, key: &Key, version: u64) -> Result<Row> {
-        count_key_lookup();
+        work::add(Unit::KeyLookup, 1);
         let versions = self
             .rows
             .get_mut(key)
@@ -443,13 +424,13 @@ impl Table {
 
     /// The live row for `key` (latest version).
     pub fn get(&self, key: &Key) -> Option<&Row> {
-        count_key_lookup();
+        work::add(Unit::KeyLookup, 1);
         self.rows.get(key).and_then(Versions::latest).map(|r| &**r)
     }
 
     /// The row for `key` as of `version`.
     pub fn get_at(&self, key: &Key, version: u64) -> Option<&Row> {
-        count_key_lookup();
+        work::add(Unit::KeyLookup, 1);
         self.rows.get(key).and_then(|v| v.at(version))
     }
 
@@ -796,11 +777,11 @@ mod tests {
         for id in 0..20 {
             t.insert(task(id, ["a", "b"][id as usize % 2], 10 * id), id).unwrap();
         }
-        let before = key_lookups();
-        assert_eq!(ids(&t, "a", 0..=100), vec![0, 2, 4, 6, 8, 10]);
-        assert_eq!(key_lookups(), before);
-        t.get(&Key(vec![3u64.into()])).unwrap();
-        assert_eq!(key_lookups(), before + 1, "the counter sees a look-up");
+        let (read, work) = work::measure(|| ids(&t, "a", 0..=100));
+        assert_eq!(read, vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(work[Unit::KeyLookup], 0);
+        let work = work::measure(|| t.get(&Key(vec![3u64.into()])).unwrap()).1;
+        assert_eq!(work[Unit::KeyLookup], 1, "the counter sees a look-up");
     }
 
     #[test]

@@ -1,19 +1,16 @@
 //! What a regulation check and a verified read cost in work the code
-//! counts, not in time: primary-key look-ups
-//! (`prever_storage::table::key_lookups`), plans built
-//! (`prever_constraints::plans_built`) and rows the evaluator visits (the
-//! `constraints.eval.rows` histogram). Index entries carry their rows, so
-//! a read through an index never goes back to the primary map; a
-//! registered constraint is planned once per database layout, not per
-//! update.
+//! counts, not in time: plans built and primary-key look-ups
+//! (`prever_obs::work`'s `PlanBuilt` and `KeyLookup`) and rows the
+//! evaluator visits (the `constraints.eval.rows` histogram). Index entries
+//! carry their rows, so a read through an index never goes back to the
+//! primary map; a registered constraint is planned once per database
+//! layout, not per update.
 //!
 //! One test in a file of its own: the metrics registry is per process.
-//! Both counters exist in debug builds only.
-#![cfg(debug_assertions)]
 
-use prever_constraints::{evaluate, plans_built, Constraint, ConstraintScope, UpdateContext};
+use prever_constraints::{evaluate, Constraint, ConstraintScope, UpdateContext};
 use prever_core::{Pipeline, Update};
-use prever_storage::table::key_lookups;
+use prever_obs::work::{measure, Unit::*};
 use prever_storage::{Column, ColumnType, Row, Schema, Value};
 
 const ROWS: u64 = 5_000;
@@ -42,14 +39,6 @@ fn submit(p: &mut Pipeline, i: u64) {
 /// Rows the evaluator has visited so far in this process.
 fn rows_visited() -> u64 {
     prever_obs::histogram("constraints.eval.rows").sum()
-}
-
-/// (plans built, primary-key look-ups, rows visited) while `f` runs.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
-    let before = [plans_built(), key_lookups(), rows_visited()];
-    let out = f();
-    let after = [plans_built(), key_lookups(), rows_visited()];
-    (out, std::array::from_fn(|i| after[i] - before[i]))
 }
 
 #[test]
@@ -82,7 +71,7 @@ fn a_check_and_a_read_touch_index_entries_only_and_plan_once() {
     );
     let mut next = 0..;
     let mut load = |p: &mut Pipeline, n: u64| {
-        counted(|| (&mut next).take(n as usize).for_each(|i| submit(p, i))).1[0]
+        measure(|| (&mut next).take(n as usize).for_each(|i| submit(p, i))).1[PlanBuilt]
     };
     assert_eq!(
         load(&mut p, ROWS),
@@ -107,7 +96,10 @@ fn a_check_and_a_read_touch_index_entries_only_and_plan_once() {
             schema,
             timestamp: i * GAP,
         };
-        counted(|| evaluate(&p.constraints()[0], &db.snapshot(), &update).unwrap())
+        let rows = rows_visited();
+        let (ok, work) =
+            measure(|| evaluate(&p.constraints()[0], &db.snapshot(), &update).unwrap());
+        (ok, [work[PlanBuilt], work[KeyLookup], rows_visited() - rows])
     };
     assert!(in_week(ROWS) > 10);
     assert_eq!(check(&p, ROWS), (true, [0, 0, 2 * in_week(ROWS)]));
@@ -116,7 +108,11 @@ fn a_check_and_a_read_touch_index_entries_only_and_plan_once() {
     // whole: each query plans itself and nothing else, and looks nothing
     // up by key.
     let group = |w: u64, upto: u64| (0..upto).filter(|j| j % WORKERS == w).count() as u64;
-    let read = |p: &mut Pipeline, src: &str| counted(|| p.query(src, u64::MAX).unwrap().0);
+    let read = |p: &mut Pipeline, src: &str| {
+        let rows = rows_visited();
+        let (value, work) = measure(|| p.query(src, u64::MAX).unwrap().0);
+        (value, [work[PlanBuilt], work[KeyLookup], rows_visited() - rows])
+    };
     let by_worker = |w: u64| format!("SUM(tasks.hours WHERE tasks.worker = 'w{w}')");
     for w in [3, 0, 49] {
         let sum = Value::Int(group(w, ROWS) as i64);
