@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Replay mode — reproduce one run (e.g. a seed the sweep flagged, or a
-//! seed CI printed) and, if it violates, print its event-trace tail and
+//! seed CI printed) and, if it violates, print the tail of the
+//! simulator's ring of actor steps and network/fault notes, and the
 //! per-node dump:
 //!
 //! ```text
@@ -31,7 +32,6 @@
 
 use prever_bench::chaos::{run_seed, sweep, ChaosOutcome, Protocol};
 use prever_bench::Table;
-use prever_obs::trace;
 
 struct Args {
     protocols: Vec<Protocol>,
@@ -107,18 +107,8 @@ fn report_violation(outcome: &ChaosOutcome) {
         println!("  - {v}");
     }
     if !outcome.trace_tail.is_empty() {
-        println!("  event trace tail and node dump ({} lines):", outcome.trace_tail.len());
+        println!("  simulator ring tail and node dump ({} lines):", outcome.trace_tail.len());
         for line in &outcome.trace_tail {
-            println!("    {line}");
-        }
-    }
-    // The flight recorder's merged postmortem: the last ring-buffered
-    // pipeline-stage events of every node in causal (virtual-time)
-    // order — what each replica was doing when the invariant broke.
-    let flight = trace::flight_dump_lines(16);
-    if !flight.is_empty() {
-        println!("  flight recorder ({} events, causal order):", flight.len());
-        for line in &flight {
             println!("    {line}");
         }
     }
@@ -133,36 +123,27 @@ fn main() {
     let args = parse_args();
     let mut violations = 0usize;
 
-    // Flight recording (bounded per-node rings, not the unbounded trace
-    // collector) is on for every chaos run: on a violation the merged
-    // postmortem is dumped alongside the event-trace tail. Enabled only
-    // here in the binary — the library and tests stay untraced so
-    // determinism tests and parallel `cargo test` are unaffected.
-    trace::set_flight_enabled(true);
-
     if args.flight_check {
-        // CI self-test: one healthy replay must leave events in the
-        // rings, proving the postmortem would be non-empty on a real
-        // violation.
-        trace::reset();
+        // CI self-test: the replayed run's simulator ring must hold a
+        // step from every node alive at its end, so the postmortem of a
+        // real violation shows what each of them was doing.
         let protocol = args.protocols.first().copied().unwrap_or(Protocol::Pbft);
         let commands = args.commands.unwrap_or(protocol.defaults().1);
         let outcome = run_seed(protocol, args.seed.unwrap_or(1), commands);
-        let dump = trace::flight_dump_lines(8);
-        println!(
-            "flight check: protocol={} seed={} — {} ring events",
-            outcome.protocol,
-            outcome.seed,
-            dump.len()
-        );
-        for line in dump.iter().take(40) {
-            println!("  {line}");
+        println!("flight check: protocol={} seed={}", outcome.protocol, outcome.seed);
+        match &outcome.ring_silent {
+            Some(silent) if silent.is_empty() => {
+                println!("simulator ring OK: a step from every live node");
+            }
+            Some(silent) => {
+                eprintln!("chaos: live nodes {silent:?} left no step in the simulator's ring");
+                std::process::exit(1);
+            }
+            None => {
+                eprintln!("chaos: {} runs without a simulator ring", outcome.protocol);
+                std::process::exit(1);
+            }
         }
-        if dump.is_empty() {
-            eprintln!("chaos: flight recorder captured no events — stage hooks unplugged?");
-            std::process::exit(1);
-        }
-        println!("flight recorder OK");
         return;
     }
 
@@ -173,7 +154,6 @@ fn main() {
         }
         let protocol = args.protocols[0];
         let commands = args.commands.unwrap_or(protocol.defaults().1);
-        trace::reset();
         let outcome = run_seed(protocol, seed, commands);
         if args.digest {
             println!("{}", digest_line(&outcome));
@@ -212,10 +192,6 @@ fn main() {
             let (default_seeds, default_commands) = protocol.defaults();
             let seeds = args.seeds.unwrap_or(default_seeds);
             let commands = args.commands.unwrap_or(default_commands);
-            // The flight rings are reset around every run, so a
-            // violation's postmortem shows only the offending run,
-            // reported while its rings are still intact.
-            trace::reset();
             let outcomes = sweep(protocol, 0, seeds, commands, |outcome| {
                 if args.digest {
                     println!("{}", digest_line(outcome));
@@ -223,7 +199,6 @@ fn main() {
                 if !outcome.ok() {
                     report_violation(outcome);
                 }
-                trace::reset();
             });
             let bad = outcomes.iter().filter(|o| !o.ok()).count();
             violations += bad;

@@ -16,12 +16,20 @@
 //! global registry snapshot is rendered as the aligned metrics table,
 //! as `BENCHJSON`/`OBSJSON` lines, and as a `BENCH_obs.json` document.
 //!
+//! The document's `steps` section is the simulator's per-kind step table
+//! (steps, wall ns, work, sends, timers) summed over the four simulated
+//! phases (PBFT burst, sharded, server, failover). Its `phases_ns` holds
+//! one wall reading per phase; a simulated phase's is the wall time
+//! inside its actors' steps, and the rest of those phases is the one
+//! `simulator outside steps` entry, so the entries sum to
+//! `total_wall_ns` (less the few instructions between phases).
+//!
 //! `cargo run --release -p prever-bench --bin obs -- --quick`
 //! `cargo run --release -p prever-bench --bin obs -- --json out.json`
 //!
-//! Exits nonzero if the snapshot is empty or any of the must-have spans
-//! recorded no samples — CI leans on this as the "instrumentation still
-//! wired up" check.
+//! Exits nonzero if the snapshot is empty, any of the must-have spans
+//! recorded no samples, or a must-have step kind never ran — CI leans
+//! on this as the "instrumentation still wired up" check.
 
 use bytes::Bytes;
 use prever_bench::{experiments as e, meta};
@@ -33,22 +41,21 @@ use prever_crypto::schnorr;
 use prever_dp::BudgetAccountant;
 use prever_ledger::{Journal, PersistentJournal};
 use prever_obs::trace::{self, TraceEvent, STAGES};
+use prever_obs::work::Unit;
 use prever_obs::{export, TraceCtx};
 use prever_pir::cpir::{retrieve as cpir_retrieve, CpirClient, CpirServer};
 use prever_server::{
     multi_gateway_cluster, server_cluster, ClientCfg, FrontConfig, LoadMode, QuotaUpdate,
     ServerMsg, ServerPeer,
 };
-use prever_sim::{FaultPlan, NetConfig, Simulation};
+use prever_sim::{FaultPlan, NetConfig, Simulation, StepTable};
 use prever_wire::Class;
 use prever_storage::SharedDisk;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Spans/histograms that must have recorded at least one sample for the
 /// run to count as instrumented.
-const REQUIRED_SPANS: [&str; 10] = [
-    "pbft.prepare",
-    "pbft.commit",
+const REQUIRED_SPANS: [&str; 8] = [
     "consensus.commit.latency",
     "sharded.cross_shard.commit_latency",
     "paillier.encrypt",
@@ -58,6 +65,9 @@ const REQUIRED_SPANS: [&str; 10] = [
     "server.admission.latency",
     "constraints.eval.rows",
 ];
+
+/// Step kinds that must have run in the simulated phases.
+const REQUIRED_STEP_KINDS: [&str; 2] = ["prepare", "commit"];
 
 /// Counters that must be nonzero — the sharded commit/abort metrics and
 /// the serving-layer admission metrics the CI instrumentation gate
@@ -92,7 +102,7 @@ const CONSENSUS_BASE: u64 = 0x0b5_0000;
 const SHARD_BASE: u64 = 0x0b5_8000;
 const SERVER_BASE: u64 = 0x0b6_0000;
 
-fn run_consensus(quick: bool) {
+fn run_consensus(quick: bool) -> StepTable {
     let commands: u64 = if quick { 10 } else { 50 };
     // Durable, batched replicas: the full traced pipeline through the
     // group-commit flush barrier (queue → … → wal-flush).
@@ -116,9 +126,10 @@ fn run_consensus(quick: bool) {
     let drain_until = sim.now() + 200_000;
     sim.run_until(drain_until);
     prever_obs::log!(Info, "consensus phase: {commands} commands executed on 4 replicas");
+    sim.steps().clone()
 }
 
-fn run_sharded() {
+fn run_sharded() -> StepTable {
     use prever_consensus::sharded::{self, Topology};
     let topo = Topology { n_shards: 2, replicas_per_shard: 4 };
     let nodes = sharded::cluster(topo, BatchConfig::default());
@@ -142,9 +153,10 @@ fn run_sharded() {
     });
     assert!(done, "sharded abort phase did not time out");
     prever_obs::log!(Info, "sharded phase: 2 intra + 1 cross committed, 1 cross aborted");
+    sim.steps().clone()
 }
 
-fn run_server(quick: bool) {
+fn run_server(quick: bool) -> StepTable {
     let n: u64 = if quick { 24 } else { 96 };
     // A deliberately tiny front end against a flooding low-priority
     // tenant: guarantees admissions, sheds, and client retries, so the
@@ -198,9 +210,10 @@ fn run_server(quick: bool) {
         front_stats.shed_overload + front_stats.shed_deadline,
         front_stats.acked
     );
+    sim.steps().clone()
 }
 
-fn run_failover(quick: bool) {
+fn run_failover(quick: bool) -> StepTable {
     let n: u64 = if quick { 10 } else { 24 };
     // A gateway-per-replica cluster with the client's home gateway
     // crashed mid-workload: provably fires the session metrics
@@ -241,6 +254,7 @@ fn run_failover(quick: bool) {
         stats.failovers,
         stats.fresh_reads
     );
+    sim.steps().clone()
 }
 
 fn run_crypto(quick: bool) {
@@ -348,6 +362,63 @@ fn run_dp() {
     let _ = budget.spend(0.1);
 }
 
+/// The wall clock split by phase, and the simulated phases' steps (see
+/// the module doc).
+#[derive(Default)]
+struct Phases {
+    /// `(phase, wall ns)` in run order, then `simulator outside steps`.
+    ns: Vec<(&'static str, u64)>,
+    outside_steps: u64,
+    steps: StepTable,
+}
+
+impl Phases {
+    fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+        let sw = prever_obs::Stopwatch::start();
+        let out = f();
+        self.ns.push((phase, sw.elapsed_ns()));
+        out
+    }
+
+    /// Runs a simulated phase, which returns its run's step table.
+    fn simulate(&mut self, phase: &'static str, f: impl FnOnce() -> StepTable) {
+        let sw = prever_obs::Stopwatch::start();
+        let steps = f();
+        let in_steps = steps.values().map(|t| t.wall_ns).sum();
+        self.outside_steps += sw.elapsed_ns() - in_steps;
+        self.ns.push((phase, in_steps));
+        for (kind, t) in &steps {
+            *self.steps.entry(kind).or_default() += t;
+        }
+    }
+
+    /// `phases_ns` and `steps`, as JSON values. Every `phases_ns` value
+    /// is wall ns; work is per unit.
+    fn render(&self) -> (String, String) {
+        let outside = [("simulator outside steps", self.outside_steps)];
+        let ns: Vec<String> =
+            self.ns.iter().chain(&outside).map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        let steps: Vec<String> = self
+            .steps
+            .iter()
+            .map(|(kind, t)| {
+                let work: Vec<String> =
+                    Unit::ALL.iter().map(|&u| format!("\"{}\": {}", u.name(), t.work[u])).collect();
+                format!(
+                    "    {{\"kind\": \"{kind}\", \"steps\": {}, \"wall_ns\": {}, \"sends\": {}, \
+                     \"timers\": {}, \"work\": {{{}}}}}",
+                    t.steps,
+                    t.wall_ns,
+                    t.sends,
+                    t.timers,
+                    work.join(", ")
+                )
+            })
+            .collect();
+        (format!("{{{}}}", ns.join(", ")), format!("[\n{}\n  ]", steps.join(",\n")))
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -369,28 +440,33 @@ fn main() {
     trace::set_trace_enabled(true);
 
     let sw = prever_obs::Stopwatch::start();
-    run_consensus(quick);
-    run_sharded();
-    run_server(quick);
-    run_failover(quick);
-    let ycsb_table = e::e1_ycsb::run(quick);
+    let mut phases = Phases::default();
+    phases.simulate("pbft", || run_consensus(quick));
+    phases.simulate("sharded", run_sharded);
+    phases.simulate("server", || run_server(quick));
+    phases.simulate("failover", || run_failover(quick));
+    let ycsb_table = phases.time("e1_ycsb", || e::e1_ycsb::run(quick));
     // E2 checks one regulation on a table without indexes and on one
     // with: both `constraints.eval.*` row sources.
-    let verify_table = e::e2_private_verify::run(quick);
-    run_crypto(quick);
-    run_pir(quick);
-    run_storage(quick);
-    run_durability(quick);
-    run_dp();
+    let verify_table = phases.time("e2_private_verify", || e::e2_private_verify::run(quick));
+    phases.time("crypto", || run_crypto(quick));
+    phases.time("pir", || run_pir(quick));
+    phases.time("storage", || run_storage(quick));
+    phases.time("durability", || run_durability(quick));
+    phases.time("dp", run_dp);
     // The critical-path attribution runs (E3a: durable PBFT pipeline,
     // E7a: cross-shard lock/order/commit), traced with disjoint id
     // bases.
-    let cp_pbft = e::e3_consensus::pbft_stage_breakdown(
-        4,
-        if quick { 32 } else { 128 },
-        BatchConfig::new(8, 20_000, 4),
-    );
-    let cp_cross = e::e7_sharded::cross_shard_stage_breakdown(if quick { 12 } else { 32 });
+    let cp_pbft = phases.time("e3a_critical_path", || {
+        e::e3_consensus::pbft_stage_breakdown(
+            4,
+            if quick { 32 } else { 128 },
+            BatchConfig::new(8, 20_000, 4),
+        )
+    });
+    let cp_cross = phases.time("e7a_critical_path", || {
+        e::e7_sharded::cross_shard_stage_breakdown(if quick { 12 } else { 32 })
+    });
     let total_ns = sw.elapsed_ns();
 
     let snap = prever_obs::snapshot();
@@ -443,6 +519,7 @@ fn main() {
         println!("wrote {path} ({} trace events)", events.len());
     }
 
+    let (phases_ns, steps) = phases.render();
     let extra = [
         ("mode", format!("\"{mode}\"")),
         (
@@ -460,6 +537,8 @@ fn main() {
             ),
         ),
         ("total_wall_ns", total_ns.to_string()),
+        ("phases_ns", phases_ns),
+        ("steps", steps),
         ("critical_path_pbft", cp_pbft.render_json()),
         ("critical_path_cross_shard", cp_cross.render_json()),
     ];
@@ -472,28 +551,23 @@ fn main() {
         eprintln!("obs: metrics snapshot is empty — instrumentation is not wired up");
         std::process::exit(1);
     }
-    let missing: Vec<&str> = REQUIRED_SPANS
-        .iter()
-        .copied()
-        .filter(|name| snap.histogram(name).is_none_or(|h| h.count == 0))
-        .collect();
+    require("required spans recorded no samples", &REQUIRED_SPANS, |name| {
+        snap.histogram(name).is_some_and(|h| h.count > 0)
+    });
+    require("required step kinds never ran", &REQUIRED_STEP_KINDS, |kind| {
+        phases.steps.get(kind).is_some_and(|t| t.steps > 0)
+    });
+    require("required counters never incremented", &REQUIRED_COUNTERS, |name| {
+        snap.counter(name).is_some_and(|c| c > 0)
+    });
+    require("required gauges never written", &REQUIRED_GAUGES, |name| snap.gauge(name).is_some());
+}
+
+/// Exits nonzero, naming them, if any of `names` fails `present`.
+fn require(what: &str, names: &[&str], present: impl Fn(&str) -> bool) {
+    let missing: Vec<&str> = names.iter().copied().filter(|n| !present(n)).collect();
     if !missing.is_empty() {
-        eprintln!("obs: required spans recorded no samples: {missing:?}");
-        std::process::exit(1);
-    }
-    let unwired: Vec<&str> = REQUIRED_COUNTERS
-        .iter()
-        .copied()
-        .filter(|name| snap.counter(name).is_none_or(|c| c == 0))
-        .collect();
-    if !unwired.is_empty() {
-        eprintln!("obs: required counters never incremented: {unwired:?}");
-        std::process::exit(1);
-    }
-    let unset: Vec<&str> =
-        REQUIRED_GAUGES.iter().copied().filter(|name| snap.gauge(name).is_none()).collect();
-    if !unset.is_empty() {
-        eprintln!("obs: required gauges never written: {unset:?}");
+        eprintln!("obs: {what}: {missing:?}");
         std::process::exit(1);
     }
 }

@@ -37,7 +37,7 @@
 //! execution bit-for-bit (see `chaos_runs_are_bit_identical`), so a
 //! violating seed printed by the `chaos` binary is a complete
 //! reproduction recipe, and a violating outcome carries its fault
-//! schedule and every node's state after its event-trace tail.
+//! schedule and every node's state after the tail of its simulator ring.
 //! Corruption runs in *detected* mode (no corruptor hook): PBFT's base
 //! premise is that messages are authenticated, so damaged bytes surface
 //! as drops, not forgeries.
@@ -52,7 +52,7 @@ use invariants::{
 use prever_consensus::durable::{DurableLog, DurableMedia, FlushPolicy};
 use prever_consensus::paxos::{self, PaxosMsg, PaxosNode};
 use prever_consensus::pbft::{Byzantine, PbftCore, PbftMsg, PbftNode};
-use prever_consensus::sharded::{self, ShardedMsg, ShardedNode, Topology};
+use prever_consensus::sharded::{self, ShardedNode, Topology};
 use prever_consensus::{BatchConfig, Command};
 use prever_crypto::{Digest, Sha256};
 use prever_ledger::{Journal, LedgerDigest, LedgerError, PersistentJournal};
@@ -60,12 +60,15 @@ use prever_server::{
     ClientCfg, ClientConn, ClientPeer, FrontConfig, Gateway, LoadMode, QuotaUpdate, Replica,
     ServerMsg, ServerPeer,
 };
-use prever_sim::{Actor, DiskFault, FaultPlan, LinkFault, NetConfig, SimStats, Simulation};
+use prever_sim::{
+    Actor, DiskFault, FaultPlan, LinkFault, NetConfig, SimStats, Simulation, TraceEntry,
+};
 use prever_storage::SharedDisk;
 use prever_wire::Class;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Seed-mixing constant (splitmix64 increment) so scenario RNG streams
@@ -178,10 +181,15 @@ pub struct ChaosOutcome {
     pub stats: SimStats,
     /// Reference replica's commit history as `(slot, command id)`.
     pub history: Vec<(u64, u64)>,
-    /// Tail of the replayable event trace, then the scenario's dump of
-    /// its fault schedule and per-node state (only captured on
-    /// violation).
+    /// Tail of the simulator's trace ring (steps and network/fault
+    /// notes), then the scenario's dump of its fault schedule and
+    /// per-node state (only captured on violation).
     pub trace_tail: Vec<String>,
+    /// Nodes alive at the end of the run that left no step in the
+    /// simulator's trace ring; `None` for a run without one (the
+    /// shard-per-thread runtime, the ledger alone). `chaos
+    /// --flight-check` requires `Some` and empty.
+    pub ring_silent: Option<Vec<usize>>,
     /// Records recovered from durable media (snapshot + WAL replay)
     /// across the run's disk-fault recoveries.
     pub recovered_frames: u64,
@@ -206,6 +214,7 @@ impl ChaosOutcome {
             stats: SimStats::default(),
             history: Vec::new(),
             trace_tail: Vec::new(),
+            ring_silent: None,
             recovered_frames: 0,
             truncated_bytes: 0,
             detected_corruptions: 0,
@@ -239,13 +248,19 @@ impl ChaosOutcome {
     }
 
     /// [`Self::finish`] for a `Simulation` run: a violating outcome
-    /// carries the event-trace tail followed by the scenario's `dump`.
+    /// carries the trace ring's tail followed by the scenario's `dump`.
     fn close<A: Actor>(
-        self,
+        mut self,
         sim: &Simulation<A>,
         violations: Vec<String>,
         dump: impl FnOnce() -> Vec<String>,
     ) -> Self {
+        let stepped: HashSet<usize> = sim
+            .trace()
+            .filter_map(|e| if let TraceEntry::Step(s) = e { Some(s.node) } else { None })
+            .collect();
+        let silent = (0..sim.n_nodes()).filter(|&n| !sim.is_crashed(n) && !stepped.contains(&n));
+        self.ring_silent = Some(silent.collect());
         self.finish(sim.stats(), violations, || {
             let mut tail = sim.trace_tail(80);
             tail.extend(dump());
@@ -468,7 +483,7 @@ fn pbft_chaos_with(protocol: Protocol, seed: u64, commands: u64, cfg: BatchConfi
         PbftNode::recover_with(id, N, Byzantine::Honest, recover_unfaulted(&media[id]))
             .with_batching(cfg)
     });
-    sim.enable_trace(|m: &PbftMsg| m.kind().to_string(), 256);
+    sim.enable_trace(256);
 
     let live = drive_pbft(&mut sim, &mut rng, commands, heal_at, &correct);
 
@@ -540,14 +555,7 @@ fn serving_sim(
     let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
     sim.set_fault_plan(plan);
     sim.set_node_factory(move |id| serving_node(id, true));
-    sim.enable_trace(
-        |m: &ServerMsg| match m {
-            ServerMsg::Pbft(p) => p.kind().to_string(),
-            ServerMsg::Frame(buf) => format!("frame[{}]", buf.len()),
-            ServerMsg::Quota { update, .. } => format!("quota[{}]", update.tenant),
-        },
-        256,
-    );
+    sim.enable_trace(256);
     sim
 }
 
@@ -1025,7 +1033,7 @@ pub fn paxos_chaos(seed: u64, commands: u64) -> ChaosOutcome {
 
     let mut sim = Simulation::new(paxos::cluster(N), NetConfig::default(), seed);
     sim.set_fault_plan(plan);
-    sim.enable_trace(|m: &PaxosMsg| m.span_name().to_string(), 256);
+    sim.enable_trace(256);
 
     for i in 0..commands {
         let at = 1 + rng.gen_range(0..400_000u64);
@@ -1155,20 +1163,7 @@ pub fn sharded_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     let mut sim = Simulation::new(nodes, NetConfig::default(), seed);
     sim.set_fault_plan(plan);
     sim.set_node_factory(move |id| ShardedNode::new(id, topo, Byzantine::Honest));
-    sim.enable_trace(
-        |m: &ShardedMsg| {
-            match m {
-                ShardedMsg::Request { .. } => "request",
-                ShardedMsg::Pbft(p) => p.kind(),
-                ShardedMsg::Prepared { .. } => "prepared",
-                ShardedMsg::Outcome { .. } => "outcome",
-                ShardedMsg::TxQuery { .. } => "tx_query",
-                ShardedMsg::TxInfo { .. } => "tx_info",
-            }
-            .to_string()
-        },
-        256,
-    );
+    sim.enable_trace(256);
 
     // Mixed workload: i % 3 == 2 → cross-shard, else intra-shard.
     let involved_of = |i: u64| -> Vec<usize> {
@@ -1453,7 +1448,7 @@ pub fn pbft_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
         };
         PbftNode::recover_with(id, N, Byzantine::Honest, log)
     });
-    sim.enable_trace(|m: &PbftMsg| m.kind().to_string(), 256);
+    sim.enable_trace(256);
 
     let live = drive_pbft(&mut sim, &mut rng, commands, heal_at, &[0, 1, 2, 3]);
 
@@ -1586,8 +1581,8 @@ pub fn ledger_disk_chaos(seed: u64, commands: u64) -> ChaosOutcome {
 
 /// Sweeps `seeds` consecutive seeds starting at `first_seed`, handing
 /// each outcome to `each` as soon as its run ends (the binary reports a
-/// violation there, while that run's flight rings are still intact);
-/// returns every outcome (violating ones carry their trace tail).
+/// violation there); returns every outcome (violating ones carry their
+/// trace tail).
 pub fn sweep(
     protocol: Protocol,
     first_seed: u64,

@@ -17,7 +17,6 @@
 //! would-be leader.
 
 use crate::{Batch, BatchConfig, Command, IdSet};
-use prever_obs::{Span, SpanSite};
 use prever_sim::{Actor, Ctx, NodeId, VoteSet};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,40 +82,21 @@ impl PaxosMsg {
         PaxosMsg::ClientRequest(Batch::single(command))
     }
 
-    /// Index of this message kind's entry in [`SPANS`].
-    fn kind_idx(&self) -> usize {
+    /// The message-kind name (`"accept"`, `"decide"`, …): what the
+    /// simulator's step records and trace ring call it.
+    pub fn kind(&self) -> &'static str {
         match self {
-            PaxosMsg::ClientRequest(_) => 0,
-            PaxosMsg::Prepare { .. } => 1,
-            PaxosMsg::Promise { .. } => 2,
-            PaxosMsg::Accept { .. } => 3,
-            PaxosMsg::Accepted { .. } => 4,
-            PaxosMsg::Decide { .. } => 5,
-            PaxosMsg::Heartbeat { .. } => 6,
-            PaxosMsg::LearnRequest { .. } => 7,
+            PaxosMsg::ClientRequest(_) => "client_request",
+            PaxosMsg::Prepare { .. } => "prepare",
+            PaxosMsg::Promise { .. } => "promise",
+            PaxosMsg::Accept { .. } => "accept",
+            PaxosMsg::Accepted { .. } => "accepted",
+            PaxosMsg::Decide { .. } => "decide",
+            PaxosMsg::Heartbeat { .. } => "heartbeat",
+            PaxosMsg::LearnRequest { .. } => "learn_request",
         }
     }
-
-    /// The span name timing this message kind's handler (wall-clock
-    /// handling time recorded into the histogram of the same name).
-    /// Public so harnesses (e.g. the chaos trace) can label messages.
-    pub fn span_name(&self) -> &'static str {
-        SPANS[self.kind_idx()].name()
-    }
 }
-
-/// Span sites per message kind, indexed by [`PaxosMsg::kind_idx`]; each
-/// resolves its histogram the first time its kind is handled.
-static SPANS: [SpanSite; 8] = [
-    SpanSite::new("paxos.client_request"),
-    SpanSite::new("paxos.prepare"),
-    SpanSite::new("paxos.promise"),
-    SpanSite::new("paxos.accept"),
-    SpanSite::new("paxos.accepted"),
-    SpanSite::new("paxos.decide"),
-    SpanSite::new("paxos.heartbeat"),
-    SpanSite::new("paxos.learn_request"),
-];
 
 const TIMER_HEARTBEAT: u64 = 1;
 const TIMER_LEADER_TIMEOUT: u64 = 2;
@@ -408,8 +388,11 @@ impl Actor for PaxosNode {
         ctx.set_timer(ELECTION_BASE + (self.id as u64) * ELECTION_STAGGER, TIMER_LEADER_TIMEOUT);
     }
 
+    fn kind(&self, msg: &PaxosMsg) -> &'static str {
+        msg.kind()
+    }
+
     fn on_message(&mut self, from: NodeId, msg: PaxosMsg, ctx: &mut Ctx<PaxosMsg>) {
-        let _span = Span::enter(&SPANS[msg.kind_idx()]);
         match msg {
             PaxosMsg::ClientRequest(batch) => {
                 if self.leading.is_some() {

@@ -50,7 +50,6 @@ pub use node::{cluster, cluster_batched, cluster_with, PbftNode, FIRST_FREE_TIME
 
 use crate::{Batch, BatchConfig, Command, Decided, IdSet};
 use prever_crypto::Digest;
-use prever_obs::{Counter, Handle, Span, SpanSite};
 use prever_sim::{NodeId, VoteSet};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -141,30 +140,12 @@ pub const CHECKPOINT_INTERVAL: u64 = 16;
 /// Cap on the [`Byzantine::StaleReplayer`] replay stash.
 const REPLAY_STASH_CAP: usize = 12;
 
-/// Declares the per-kind tables from the one list of message-kind
-/// names, in [`PbftMsg::kind_idx`] order. The names are also the tails
-/// of the registry names (`pbft.<kind>`, `pbft.msg.{sent,recv}.<kind>`).
-macro_rules! message_kinds {
-    ($($kind:literal),* $(,)?) => {
-        /// Message-kind names, indexed by [`PbftMsg::kind_idx`].
-        const KIND_NAMES: [&str; N_KINDS] = [$($kind),*];
-        /// Span sites per message kind (histograms of wall-clock
-        /// handling time), each resolved the first time its kind is
-        /// handled.
-        static SPANS: [SpanSite; N_KINDS] = [$(SpanSite::new(concat!("pbft.", $kind))),*];
-        /// Registry counters for messages sent, by kind.
-        static SENT_COUNTERS: [Handle<Counter>; N_KINDS] =
-            [$(Handle::<Counter>::new(concat!("pbft.msg.sent.", $kind))),*];
-        /// Registry counters for messages received, by kind.
-        static RECV_COUNTERS: [Handle<Counter>; N_KINDS] =
-            [$(Handle::<Counter>::new(concat!("pbft.msg.recv.", $kind))),*];
-    };
-}
-
 /// Number of distinct [`PbftMsg`] kinds (stats array arity).
 const N_KINDS: usize = 9;
 
-message_kinds![
+/// Message-kind names, indexed by [`PbftMsg::kind_idx`]: the one place a
+/// kind is named (step records, [`MsgStats`], traces).
+const KIND_NAMES: [&str; N_KINDS] = [
     "request",
     "pre_prepare",
     "prepare",
@@ -215,10 +196,9 @@ impl PbftMsg {
     }
 }
 
-/// Per-replica message counts by type: a deterministic, test-friendly
-/// mirror of the global `pbft.msg.{sent,recv}.*` registry counters
-/// (the registry aggregates across every replica in the process; this
-/// struct is per [`PbftCore`], so tests can assert exact counts).
+/// Per-replica message counts by type, so tests can assert exact counts
+/// (the simulator's step table counts deliveries by the same kind names
+/// across a whole run).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MsgStats {
     sent: [u64; N_KINDS],
@@ -780,14 +760,9 @@ impl PbftCore {
             .is_some_and(|(_, since)| now.saturating_sub(*since) > timeout)
     }
 
-    /// Records `n` sends of message kind `kind` (per-core stats plus
-    /// the process-global registry counter).
+    /// Records `n` sends of message kind `kind`.
     fn note_sent(&mut self, kind: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
         self.stats.sent[kind] += n;
-        SENT_COUNTERS[kind].get().add(n);
     }
 
     /// Counts a received message. Client injections arrive with `from ==
@@ -801,9 +776,7 @@ impl PbftCore {
         if from == self.id || self.stash_replay {
             return;
         }
-        let kind = msg.kind_idx();
-        self.stats.recv[kind] += 1;
-        RECV_COUNTERS[kind].get().inc();
+        self.stats.recv[msg.kind_idx()] += 1;
         // Track how far the cluster has advanced past us (lag evidence
         // that triggers state transfer from `on_tick`).
         let seq = match msg {
@@ -1059,7 +1032,6 @@ impl PbftCore {
             return out;
         }
         self.note_recv(from, &msg);
-        let _span = Span::enter(&SPANS[msg.kind_idx()]);
         let Some(msg) = self.admit(from, msg) else { return out };
         match msg {
             PbftMsg::Request(batch) => self.on_request_batch(from, batch, now, &mut out),

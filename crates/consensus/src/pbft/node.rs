@@ -224,6 +224,10 @@ impl Actor for PbftNode {
     fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<PbftMsg>) {
         self.timer(timer, ctx);
     }
+
+    fn kind(&self, msg: &PbftMsg) -> &'static str {
+        msg.kind()
+    }
 }
 
 /// Builds an honest `n`-replica PBFT cluster.

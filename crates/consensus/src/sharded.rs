@@ -682,16 +682,19 @@ impl Actor for ShardedNode {
         self.node.start(ctx);
     }
 
+    /// Intra-shard traffic reports the wrapped [`PbftMsg::kind`].
+    fn kind(&self, msg: &ShardedMsg) -> &'static str {
+        match msg {
+            ShardedMsg::Request { .. } => "tx_request",
+            ShardedMsg::Pbft(m) => m.kind(),
+            ShardedMsg::Prepared { .. } => "prepared",
+            ShardedMsg::Outcome { .. } => "outcome",
+            ShardedMsg::TxQuery { .. } => "tx_query",
+            ShardedMsg::TxInfo { .. } => "tx_info",
+        }
+    }
+
     fn on_message(&mut self, from: NodeId, msg: ShardedMsg, ctx: &mut Ctx<ShardedMsg>) {
-        // One span site, so one histogram look-up, per message kind.
-        let _span = match &msg {
-            ShardedMsg::Request { .. } => prever_obs::span!("sharded.request"),
-            ShardedMsg::Pbft(_) => prever_obs::span!("sharded.pbft"),
-            ShardedMsg::Prepared { .. } => prever_obs::span!("sharded.prepared"),
-            ShardedMsg::Outcome { .. } => prever_obs::span!("sharded.outcome"),
-            ShardedMsg::TxQuery { .. } => prever_obs::span!("sharded.tx_query"),
-            ShardedMsg::TxInfo { .. } => prever_obs::span!("sharded.tx_info"),
-        };
         match msg {
             ShardedMsg::Request { command, involved } => {
                 let is_client = from == ctx.id();

@@ -11,7 +11,7 @@
 //!   [`span!`](crate::span!) guards.
 //!
 //! Metrics are named with dotted paths (`crate.component.phase`, see
-//! DESIGN.md §8) and interned on first use: `counter("pbft.msg.sent")`
+//! DESIGN.md §8) and interned on first use: `counter("pbft.executed")`
 //! returns the same [`Counter`] from every call site. Name lookups hash
 //! into one of [`SHARDS`] independently locked maps so unrelated hot
 //! paths never contend on a single registry lock; increments themselves
@@ -22,9 +22,7 @@
 //! `static` that names a metric of the global registry and keeps the
 //! resolved `Arc` after its first use. The [`counter!`](crate::counter!),
 //! [`gauge!`](crate::gauge!), [`histogram!`](crate::histogram!) and
-//! [`span!`](crate::span!) macros declare one per call site; a table of
-//! them (`static SENT: [Handle<Counter>; N]`) serves a name picked at run
-//! time from a fixed set.
+//! [`span!`](crate::span!) macros declare one per call site.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};

@@ -8,9 +8,9 @@
 //!
 //! ```
 //! {
-//!     let _span = prever_obs::span!("pbft.prepare");
+//!     let _span = prever_obs::span!("ledger.append");
 //!     // ... phase work ...
-//! } // elapsed ns recorded into histogram "pbft.prepare" here
+//! } // elapsed ns recorded into histogram "ledger.append" here
 //! ```
 //!
 //! Span names follow the `crate.component.phase` convention (DESIGN.md
@@ -31,9 +31,6 @@ thread_local! {
     /// spans is threaded through the guards themselves: entering and
     /// leaving are two `Cell` accesses, no `Vec`, no borrow flag.
     static CURRENT: Cell<(Option<&'static str>, usize)> = const { Cell::new((None, 0)) };
-    /// Parent adopted from a spawning thread (see [`adopt_parent`]):
-    /// used as the parent of this thread's *root* spans only.
-    static ADOPTED: Cell<Option<&'static str>> = const { Cell::new(None) };
 }
 
 /// Observed parent edges: child span name → most recent parent name.
@@ -49,36 +46,10 @@ pub fn parent_of(name: &str) -> Option<&'static str> {
     parents().lock().expect("span parents poisoned").get(name).copied()
 }
 
-/// The name of the innermost active span on this thread.
-pub fn current_span() -> Option<&'static str> {
-    CURRENT.with(Cell::get).0
-}
-
-/// Carries parent attribution across a thread spawn: spans entered on
-/// this thread while its own stack is empty use `parent` as their
-/// parent, instead of losing the causal edge to the spawning thread's
-/// (inaccessible) stack. Pass the spawner's [`current_span`] into the
-/// worker closure:
-///
-/// ```
-/// let parent = prever_obs::current_span();
-/// std::thread::spawn(move || {
-///     prever_obs::adopt_parent(parent);
-///     // root spans here now attribute to the spawner's span
-/// });
-/// ```
-///
-/// Opt-in by design: threads that never call this keep the historical
-/// behavior (root spans have no parent). Pass `None` to clear.
-pub fn adopt_parent(parent: Option<&'static str>) {
-    ADOPTED.with(|a| a.set(parent));
-}
-
 /// One place spans are entered from: the span's name, its histogram
 /// (resolved on first use, see [`Handle`]) and the parent edge it last
 /// wrote to the shared map. Lives in a `static`: [`span!`](crate::span!)
-/// declares one per call site, and code that picks the name at run time
-/// from a fixed set keeps a table of them.
+/// declares one per call site.
 #[derive(Debug)]
 pub struct SpanSite {
     histogram: Handle<Histogram>,
@@ -132,8 +103,7 @@ pub struct Span {
 #[derive(Debug)]
 struct ActiveSpan {
     site: &'static SpanSite,
-    /// The attributed parent: the enclosing span, or for a root span
-    /// the adopted one.
+    /// The enclosing span.
     parent: Option<&'static str>,
     /// What [`CURRENT`] held when this span was entered.
     outer: (Option<&'static str>, usize),
@@ -151,7 +121,7 @@ impl Span {
             return Span { inner: None };
         }
         let outer = CURRENT.with(|c| c.replace((Some(site.name()), c.get().1 + 1)));
-        let parent = outer.0.or_else(|| ADOPTED.with(Cell::get));
+        let parent = outer.0;
         if let Some(p) = parent {
             site.publish_parent(p);
         }
@@ -250,19 +220,18 @@ mod tests {
     fn nested_span_parent_attribution() {
         let outer = crate::span!("test.span.outer");
         assert_eq!(outer.parent(), None);
-        assert_eq!(current_span(), Some("test.span.outer"));
         {
             let inner = crate::span!("test.span.inner");
             assert_eq!(inner.parent(), Some("test.span.outer"));
-            assert_eq!(current_span(), Some("test.span.inner"));
             {
                 let leaf = crate::span!("test.span.leaf");
                 assert_eq!(leaf.parent(), Some("test.span.inner"));
             }
-            assert_eq!(current_span(), Some("test.span.inner"));
+            let sibling = crate::span!("test.span.sibling");
+            assert_eq!(sibling.parent(), Some("test.span.inner"), "the leaf closed");
         }
         drop(outer);
-        assert_eq!(current_span(), None);
+        assert_eq!(crate::span!("test.span.after").parent(), None);
         // Recorded edges survive the spans.
         assert_eq!(parent_of("test.span.inner"), Some("test.span.outer"));
         assert_eq!(parent_of("test.span.leaf"), Some("test.span.inner"));
@@ -280,11 +249,12 @@ mod tests {
             let a = crate::span!("test.span.unordered_a");
             let b = crate::span!("test.span.unordered_b");
             drop(a);
-            assert_eq!(current_span(), None, "closing the outer span closes the thread's stack");
+            let closed = crate::span!("test.span.unordered_closed");
+            assert_eq!(closed.parent(), None, "closing the outer span closes the thread's stack");
+            drop(closed);
             drop(b);
-            assert_eq!(current_span(), None, "the late guard must not restore `a`");
             let root = crate::span!("test.span.unordered_next");
-            assert_eq!(root.parent(), None);
+            assert_eq!(root.parent(), None, "the late guard must not restore `a`");
         })
         .join()
         .unwrap();
@@ -300,42 +270,6 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn adopted_parent_spans_nest_across_threads() {
-        // Regression: ParallelSim shard workers spawn with an empty span
-        // stack, so their spans used to lose the parent edge to the
-        // spawning thread. adopt_parent carries it across explicitly.
-        let _outer = crate::span!("test.span.adopt_outer");
-        let parent = current_span();
-        std::thread::spawn(move || {
-            adopt_parent(parent);
-            let root = crate::span!("test.span.adopt_root");
-            assert_eq!(root.parent(), Some("test.span.adopt_outer"));
-            {
-                // Nesting on the worker still tracks the worker's own
-                // stack, not the adopted parent.
-                let inner = crate::span!("test.span.adopt_inner");
-                assert_eq!(inner.parent(), Some("test.span.adopt_root"));
-            }
-            drop(root);
-            // After the root span closes, the stack is empty again and
-            // new roots re-adopt the cross-thread parent.
-            let again = crate::span!("test.span.adopt_again");
-            assert_eq!(again.parent(), Some("test.span.adopt_outer"));
-            // Clearing restores the historical orphan behavior.
-            adopt_parent(None);
-            drop(again);
-            let orphan = crate::span!("test.span.adopt_orphan");
-            assert_eq!(orphan.parent(), None);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(
-            parent_of("test.span.adopt_root"),
-            Some("test.span.adopt_outer")
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Causal distributed tracing and the per-node flight recorder.
+//! Causal distributed tracing.
 //!
 //! Every command entering the replicated pipeline carries a [`TraceCtx`]
 //! — a trace id plus the span id of the stage that caused it — minted
@@ -14,39 +14,24 @@
 //! shard-per-thread parallel runtime, because the export order is a
 //! canonical sort over deterministic fields, not arrival order.
 //!
-//! Two collectors share one recording call:
-//!
-//! * the **trace collector** (off by default, [`set_trace_enabled`]):
-//!   an unbounded event list drained by exporters — Chrome trace-event
-//!   JSON via [`export_chrome_trace`] and the critical-path latency
-//!   attribution of [`critical_path`];
-//! * the **flight recorder** (off by default, [`set_flight_enabled`]):
-//!   a bounded ring of the last N events *per node*, cheap enough to
-//!   leave on for whole chaos sweeps, dumped as a merged
-//!   causally-ordered postmortem ([`flight_dump`]) when an invariant
-//!   trips.
+//! The collector (off by default, [`set_trace_enabled`]) is an
+//! unbounded event list drained by exporters — Chrome trace-event JSON
+//! via [`export_chrome_trace`] and the critical-path latency attribution
+//! of [`critical_path`]. A chaos postmortem does not read it: the
+//! simulator's own bounded ring of actor steps
+//! (`prever_sim::Simulation::enable_trace`) is the per-run record.
 //!
 //! ## Cost when off
 //!
-//! [`event`] costs one relaxed atomic load when both collectors are
-//! off; the `disabled` cargo feature compiles the whole module to
-//! no-ops (the flag read becomes a constant 0).
+//! [`event`] costs one relaxed atomic load when the collector is off;
+//! the `disabled` cargo feature compiles the whole module to no-ops (the
+//! flag read becomes a constant `false`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
-/// Trace-collector flag bit.
-const FLAG_TRACE: u8 = 0b01;
-/// Flight-recorder flag bit.
-const FLAG_FLIGHT: u8 = 0b10;
-
-static FLAGS: AtomicU8 = AtomicU8::new(0);
-
-/// Default per-node flight-recorder ring capacity. 256 events cover
-/// several dozen ordering rounds per replica — enough context to read a
-/// violation's causal prefix without holding whole-run history.
-pub const DEFAULT_FLIGHT_CAP: usize = 256;
+static ON: AtomicBool = AtomicBool::new(false);
 
 /// SplitMix64 finalizer: the deterministic trace-id mint.
 fn mix64(mut x: u64) -> u64 {
@@ -150,39 +135,16 @@ impl TraceEvent {
     fn key(&self) -> (u64, u64, usize, u64, u64) {
         (self.at, self.trace_id, stage_rank(self.stage), self.node, self.seq)
     }
-
-    /// One-line rendering for postmortem dumps.
-    pub fn render(&self) -> String {
-        format!(
-            "t={:<10} node={:<3} {:<14} trace={:016x} seq={}",
-            self.at, self.node, self.stage, self.trace_id, self.seq
-        )
-    }
 }
 
-#[derive(Default)]
-struct Sink {
-    /// Unbounded trace collector (when FLAG_TRACE).
-    events: Vec<TraceEvent>,
-    /// Bounded per-node rings (when FLAG_FLIGHT): node → (ring, seq).
-    rings: HashMap<u64, VecDeque<(u64, TraceEvent)>>,
-    ring_cap: usize,
-    ring_seq: u64,
-}
+/// The trace collector's events.
+static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
-static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-
-fn sink() -> &'static Mutex<Sink> {
-    SINK.get_or_init(|| {
-        Mutex::new(Sink { ring_cap: DEFAULT_FLIGHT_CAP, ..Sink::default() })
-    })
-}
-
-/// True iff either collector wants events (one relaxed load).
+/// True iff the collector wants events (one relaxed load).
 #[cfg(not(feature = "disabled"))]
 #[inline]
 pub fn active() -> bool {
-    FLAGS.load(Ordering::Relaxed) != 0
+    ON.load(Ordering::Relaxed)
 }
 
 /// Compiled out: never active.
@@ -192,46 +154,9 @@ pub const fn active() -> bool {
     false
 }
 
-/// Turns the unbounded trace collector on or off.
+/// Turns the trace collector on or off.
 pub fn set_trace_enabled(on: bool) {
-    if on {
-        FLAGS.fetch_or(FLAG_TRACE, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!FLAG_TRACE, Ordering::Relaxed);
-    }
-}
-
-/// True iff the unbounded trace collector is on.
-pub fn trace_enabled() -> bool {
-    active() && FLAGS.load(Ordering::Relaxed) & FLAG_TRACE != 0
-}
-
-/// Turns the per-node flight recorder on or off.
-pub fn set_flight_enabled(on: bool) {
-    if on {
-        FLAGS.fetch_or(FLAG_FLIGHT, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!FLAG_FLIGHT, Ordering::Relaxed);
-    }
-}
-
-/// True iff the flight recorder is on.
-pub fn flight_enabled() -> bool {
-    active() && FLAGS.load(Ordering::Relaxed) & FLAG_FLIGHT != 0
-}
-
-/// Sets the per-node flight-recorder ring capacity (existing rings are
-/// trimmed lazily as they record).
-pub fn set_flight_capacity(cap: usize) {
-    sink().lock().expect("trace sink poisoned").ring_cap = cap.max(1);
-}
-
-/// Clears both collectors (between independent runs).
-pub fn reset() {
-    let mut s = sink().lock().expect("trace sink poisoned");
-    s.events.clear();
-    s.rings.clear();
-    s.ring_seq = 0;
+    ON.store(on, Ordering::Relaxed);
 }
 
 /// Records a pipeline stage event. Call sites should guard loops with
@@ -242,32 +167,9 @@ pub fn event(node: u64, at: u64, ctx: TraceCtx, stage: &'static str, seq: u64) {
     if !active() {
         return;
     }
-    record(TraceEvent {
-        at,
-        node,
-        trace_id: ctx.trace_id,
-        parent_span: ctx.parent_span,
-        stage,
-        seq,
-    });
-}
-
-fn record(ev: TraceEvent) {
-    let flags = FLAGS.load(Ordering::Relaxed);
-    let mut s = sink().lock().expect("trace sink poisoned");
-    if flags & FLAG_FLIGHT != 0 {
-        s.ring_seq += 1;
-        let seq = s.ring_seq;
-        let cap = s.ring_cap;
-        let ring = s.rings.entry(ev.node).or_default();
-        while ring.len() >= cap {
-            ring.pop_front();
-        }
-        ring.push_back((seq, ev.clone()));
-    }
-    if flags & FLAG_TRACE != 0 {
-        s.events.push(ev);
-    }
+    let (trace_id, parent_span) = (ctx.trace_id, ctx.parent_span);
+    let ev = TraceEvent { at, node, trace_id, parent_span, stage, seq };
+    EVENTS.lock().expect("trace sink poisoned").push(ev);
 }
 
 /// A canonically ordered copy of everything the trace collector holds.
@@ -275,31 +177,9 @@ fn record(ev: TraceEvent) {
 /// node), so the result is bit-identical across replays regardless of
 /// thread scheduling.
 pub fn events() -> Vec<TraceEvent> {
-    let mut out = sink().lock().expect("trace sink poisoned").events.clone();
+    let mut out = EVENTS.lock().expect("trace sink poisoned").clone();
     out.sort_by_key(|e| e.key());
     out
-}
-
-/// The merged flight-recorder postmortem: the last `per_node` buffered
-/// events of every node, merged into one causally-ordered timeline
-/// (virtual-time order; per-node ring order breaks ties).
-pub fn flight_dump(per_node: usize) -> Vec<TraceEvent> {
-    let s = sink().lock().expect("trace sink poisoned");
-    let mut merged: Vec<(u64, TraceEvent)> = Vec::new();
-    let mut nodes: Vec<&u64> = s.rings.keys().collect();
-    nodes.sort_unstable();
-    for node in nodes {
-        let ring = &s.rings[node];
-        let skip = ring.len().saturating_sub(per_node);
-        merged.extend(ring.iter().skip(skip).cloned());
-    }
-    merged.sort_by(|(sa, a), (sb, b)| a.key().cmp(&b.key()).then(sa.cmp(sb)));
-    merged.into_iter().map(|(_, e)| e).collect()
-}
-
-/// [`flight_dump`] rendered as one line per event.
-pub fn flight_dump_lines(per_node: usize) -> Vec<String> {
-    flight_dump(per_node).iter().map(TraceEvent::render).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -573,34 +453,22 @@ mod tests {
     }
 
     #[test]
-    fn collectors_are_independent_and_bounded() {
-        // This test owns distinctive trace ids; other tests may record
-        // concurrently, so assertions filter by them.
-        set_flight_enabled(true);
+    fn the_collector_keeps_canonical_order_and_records_only_when_on() {
+        // This test owns a distinctive trace id; other tests may record
+        // concurrently, so assertions filter by it.
         set_trace_enabled(true);
         let t = 0xf11e_0000_0000_0001u64;
-        for i in 0..10u64 {
+        for i in (0..10u64).rev() {
             event(900, 100 + i, TraceCtx { trace_id: t, parent_span: 0 }, "exec", i);
         }
-        let evs: Vec<TraceEvent> =
-            events().into_iter().filter(|e| e.trace_id == t).collect();
+        let evs: Vec<TraceEvent> = events().into_iter().filter(|e| e.trace_id == t).collect();
         assert_eq!(evs.len(), 10);
-        // Canonical order sorts by at.
-        assert!(evs.windows(2).all(|w| w[0].at <= w[1].at));
-        // Flight ring for node 900 kept them (bounded at the cap).
-        let dump = flight_dump(4);
-        let mine: Vec<&TraceEvent> =
-            dump.iter().filter(|e| e.trace_id == t).collect();
-        assert_eq!(mine.len(), 4, "per_node limit caps the dump");
-        assert_eq!(mine.last().unwrap().at, 109);
+        // Recorded newest first; the canonical order sorts by `at`.
+        assert!(evs.windows(2).all(|w| w[0].at < w[1].at));
         set_trace_enabled(false);
-        set_flight_enabled(false);
         // Off: recording is a no-op.
         event(900, 999, TraceCtx { trace_id: t, parent_span: 0 }, "exec", 99);
-        assert_eq!(
-            events().into_iter().filter(|e| e.trace_id == t && e.at == 999).count(),
-            0
-        );
+        assert_eq!(events().into_iter().filter(|e| e.trace_id == t && e.at == 999).count(), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! ```
 
 use std::cell::Cell;
-use std::ops::Index;
+use std::ops::{AddAssign, Index};
 
 /// A kind of counted work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,6 +38,10 @@ pub enum Unit {
 const UNITS: usize = Unit::PlanBuilt as usize + 1;
 
 impl Unit {
+    /// Every unit, in [`Counts`] order.
+    pub const ALL: [Unit; UNITS] =
+        [Unit::Sha256Compress, Unit::MontMul, Unit::KeyLookup, Unit::PlanBuilt];
+
     /// The unit's `layer.operation` name.
     pub fn name(self) -> &'static str {
         match self {
@@ -60,8 +64,16 @@ pub fn add(unit: Unit, n: u64) {
 }
 
 /// Work done on one thread, indexed by [`Unit`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counts([u64; UNITS]);
+
+impl AddAssign for Counts {
+    fn add_assign(&mut self, other: Counts) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+}
 
 impl Index<Unit> for Counts {
     type Output = u64;
@@ -107,9 +119,8 @@ mod tests {
 
     #[test]
     fn unit_names_are_unique() {
-        use Unit::*;
-        let units = [Sha256Compress, MontMul, KeyLookup, PlanBuilt];
-        let names: HashSet<_> = units.map(Unit::name).into();
+        let names: HashSet<_> = Unit::ALL.map(Unit::name).into();
         assert_eq!(names.len(), UNITS);
+        assert!(Unit::ALL.iter().enumerate().all(|(i, &u)| u as usize == i));
     }
 }

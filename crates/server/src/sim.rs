@@ -354,6 +354,18 @@ impl Actor for ServerPeer {
         }
     }
 
+    /// Consensus traffic reports the wrapped [`PbftMsg::kind`]; a frame
+    /// is a client's request at a gateway and a gateway's response at a
+    /// client.
+    fn kind(&self, msg: &ServerMsg) -> &'static str {
+        match (self, msg) {
+            (_, ServerMsg::Pbft(m)) => m.kind(),
+            (ServerPeer::Client(_), ServerMsg::Frame(_)) => "response_frame",
+            (_, ServerMsg::Frame(_)) => "request_frame",
+            (_, ServerMsg::Quota { .. }) => "quota",
+        }
+    }
+
     fn on_message(&mut self, from: NodeId, msg: ServerMsg, ctx: &mut Ctx<ServerMsg>) {
         match (self, msg) {
             (ServerPeer::Gateway(g), ServerMsg::Frame(buf)) => g.on_frame(from, buf, ctx),
@@ -460,6 +472,31 @@ mod tests {
 
     fn all_clients_done(nodes: &[ServerPeer]) -> bool {
         nodes.iter().filter_map(|n| n.as_client()).all(|c| c.conn.done())
+    }
+
+    #[test]
+    fn each_serving_message_kind_is_named_once() {
+        let clients = [ClientCfg::default()];
+        let nodes = server_cluster(4, FrontConfig::default(), BatchConfig::default(), &clients);
+        let (gateway, client) = (&nodes[0], &nodes[4]);
+        let votes = [
+            PbftMsg::request(Command::new(1, "x")),
+            PbftMsg::Prepare { view: 0, seq: 1, digest: prever_crypto::Digest::ZERO },
+            PbftMsg::StateRequest { have: 0 },
+        ];
+        let mut kinds = Vec::new();
+        for vote in votes {
+            let kind = gateway.kind(&ServerMsg::Pbft(vote.clone()));
+            assert_eq!(kind, vote.kind(), "consensus traffic reports the PBFT kind");
+            kinds.push(kind);
+        }
+        let update = QuotaUpdate { tenant: 1, rate: 1, burst: 1 };
+        kinds.push(gateway.kind(&ServerMsg::Quota { update, nonce: 0 }));
+        kinds.push(gateway.kind(&ServerMsg::Frame(Vec::new())));
+        kinds.push(client.kind(&ServerMsg::Frame(Vec::new())));
+        let distinct: std::collections::HashSet<_> = kinds.iter().collect();
+        assert_eq!(distinct.len(), kinds.len(), "two kinds named alike: {kinds:?}");
+        assert!(kinds.iter().all(|k| !k.is_empty() && !["start", "timer", "message"].contains(k)));
     }
 
     #[test]

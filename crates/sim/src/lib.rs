@@ -56,6 +56,21 @@
 //!   factory registered with [`Simulation::set_node_factory`] when driven
 //!   from a [`FaultPlan`]). All in-memory state is gone; recovering
 //!   durable state is the *actor's* job (e.g. consensus state transfer).
+//!
+//! ## Step records
+//!
+//! Every actor step — a start, a delivery or a timer — runs in one
+//! place, and that place measures it once: the work the handler counted
+//! on its thread ([`prever_obs::work`]), the wall nanoseconds between one
+//! pair of clock reads (skipped, and 0, when [`prever_obs::enabled`] is
+//! false), and the sends and timers it produced. The result is a
+//! [`StepRecord`] named by its [`Actor::kind`]: the message kind for a
+//! delivery, `"timer"` or `"start"` otherwise. Records fold into the
+//! run's per-kind [`StepTable`] ([`Simulation::steps`]); with
+//! [`Simulation::enable_trace`] on they also enter the bounded ring that
+//! [`Simulation::trace_tail`] renders. The rendering leaves wall time
+//! out, so two replays of a seed print the same tail. A record only
+//! observes: virtual time is still charged by [`NetConfig::processing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,17 +81,16 @@ pub mod parallel;
 pub use fault::{DiskFault, FaultEvent, FaultPlan, LinkFault};
 pub use parallel::{ParallelConfig, ParallelSim};
 
+use prever_obs::work::{self, Counts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::ops::AddAssign;
+use std::time::Instant;
 
 /// Identifies a node in the simulation (dense, 0-based).
 pub type NodeId = usize;
-
-/// Buffered outputs of one actor dispatch: `(to, msg)` sends and
-/// `(delay, timer-id)` timer arms.
-type DispatchOutputs<M> = (Vec<(NodeId, M)>, Vec<(u64, u64)>);
 
 /// A send to a node this simulation does not host, left for whoever
 /// does: `(sent_at, from, to, msg)`.
@@ -113,6 +127,13 @@ pub trait Actor {
 
     /// Called when a timer set via [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, _timer: u64, _ctx: &mut Ctx<Self::Msg>) {}
+
+    /// The kind a delivery of `msg` to this node is recorded under (see
+    /// "Step records" above). Actors that speak several kinds name each
+    /// once here.
+    fn kind(&self, _msg: &Self::Msg) -> &'static str {
+        "message"
+    }
 }
 
 /// Per-dispatch context: lets an actor read the clock, send messages and
@@ -259,34 +280,91 @@ pub struct SimStats {
     pub disk_faults: u64,
 }
 
-/// One recorded network/fault event (see [`Simulation::enable_trace`]).
-#[derive(Clone, Debug)]
-pub struct TraceEntry {
-    /// Virtual time of the event (µs).
-    pub at: u64,
-    /// Event kind: `deliver`, `timer`, `dup`, `corrupt`, `drop.*`, or
-    /// `fault`.
+/// What one actor step did (see "Step records" in the crate doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepRecord {
+    /// The node that stepped.
+    pub node: NodeId,
+    /// The sender of a delivered message; `None` for a start or a timer.
+    pub from: Option<NodeId>,
+    /// [`Actor::kind`] of the delivered message, or `"timer"` / `"start"`.
     pub kind: &'static str,
-    /// Sending node (or the affected node for fault events).
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Human-readable detail (message label or fault description).
-    pub detail: String,
+    /// Virtual time of the step (µs).
+    pub at: u64,
+    /// Wall nanoseconds the handler took (0 with recording disabled).
+    pub wall_ns: u64,
+    /// Work the handler counted on this thread.
+    pub work: Counts,
+    /// Messages the step sent.
+    pub sends: u64,
+    /// Timers the step armed.
+    pub timers: u64,
 }
 
-struct Tracer<M> {
-    label: Box<dyn Fn(&M) -> String>,
-    entries: VecDeque<TraceEntry>,
-    cap: usize,
+/// Totals of the steps of one kind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepTotals {
+    /// Number of steps.
+    pub steps: u64,
+    /// Wall nanoseconds inside the handlers.
+    pub wall_ns: u64,
+    /// Work counted inside the handlers.
+    pub work: Counts,
+    /// Messages sent.
+    pub sends: u64,
+    /// Timers armed.
+    pub timers: u64,
 }
 
-impl<M> Tracer<M> {
-    fn push(&mut self, entry: TraceEntry) {
-        if self.entries.len() == self.cap {
-            self.entries.pop_front();
+impl AddAssign<&StepTotals> for StepTotals {
+    fn add_assign(&mut self, t: &StepTotals) {
+        self.steps += t.steps;
+        self.wall_ns += t.wall_ns;
+        self.work += t.work;
+        self.sends += t.sends;
+        self.timers += t.timers;
+    }
+}
+
+/// A run's step totals by kind.
+pub type StepTable = BTreeMap<&'static str, StepTotals>;
+
+/// One entry of the bounded trace ring (see [`Simulation::enable_trace`]).
+#[derive(Clone, Debug)]
+pub enum TraceEntry {
+    /// An actor step.
+    Step(StepRecord),
+    /// A network or fault event.
+    Note {
+        /// Virtual time (µs).
+        at: u64,
+        /// `dup`, `corrupt`, `drop.*` or `fault`.
+        what: &'static str,
+        /// Sending node (the affected node for a fault).
+        from: NodeId,
+        /// Receiving node.
+        to: NodeId,
+        /// The message's kind, or the fault.
+        detail: &'static str,
+    },
+}
+
+impl TraceEntry {
+    /// One line: virtual time, what happened, the two node ids, and the
+    /// kind and sends of a step. Never wall time, so replays compare.
+    fn render(&self) -> String {
+        match self {
+            TraceEntry::Step(s) => {
+                let (what, from, detail) = match s.from {
+                    Some(from) => ("deliver", from, s.kind),
+                    None => (s.kind, s.node, ""),
+                };
+                format!("[{:>10}µs] {what:<14} {from}→{} {detail} sends={}", s.at, s.node, s.sends)
+            }
+            TraceEntry::Note { at, what, from, to, detail } => {
+                format!("[{at:>10}µs] {what:<14} {from}→{to} {detail}")
+            }
         }
-        self.entries.push_back(entry);
     }
 }
 
@@ -315,7 +393,9 @@ pub struct Simulation<A: Actor> {
     factory: Option<NodeFactory<A>>,
     corruptor: Option<Corruptor<A::Msg>>,
     disk_handler: Option<DiskHandler<A>>,
-    tracer: Option<Tracer<A::Msg>>,
+    /// The bounded trace ring and its capacity, when enabled.
+    ring: Option<(VecDeque<TraceEntry>, usize)>,
+    steps: StepTable,
     rng: StdRng,
     now: u64,
     seq: u64,
@@ -366,7 +446,8 @@ impl<A: Actor> Simulation<A> {
             factory: None,
             corruptor: None,
             disk_handler: None,
-            tracer: None,
+            ring: None,
+            steps: StepTable::default(),
             rng: StdRng::seed_from_u64(seed),
             now: 0,
             seq: 0,
@@ -439,29 +520,26 @@ impl<A: Actor> Simulation<A> {
         self.disk_handler = Some(Box::new(handler));
     }
 
-    /// Enables the bounded event trace: up to `cap` most-recent entries
-    /// are kept; `label` renders a message for human consumption.
-    pub fn enable_trace(&mut self, label: impl Fn(&A::Msg) -> String + 'static, cap: usize) {
-        self.tracer =
-            Some(Tracer { label: Box::new(label), entries: VecDeque::with_capacity(cap), cap });
+    /// The run's per-kind step totals (see "Step records").
+    pub fn steps(&self) -> &StepTable {
+        &self.steps
+    }
+
+    /// Enables the bounded trace ring: the `cap` most recent steps and
+    /// network/fault notes are kept.
+    pub fn enable_trace(&mut self, cap: usize) {
+        self.ring = Some((VecDeque::with_capacity(cap), cap));
+    }
+
+    /// The entries the trace ring holds, oldest first.
+    pub fn trace(&self) -> impl Iterator<Item = &TraceEntry> {
+        self.ring.iter().flat_map(|(entries, _)| entries)
     }
 
     /// The last `n` trace entries, formatted one per line.
     pub fn trace_tail(&self, n: usize) -> Vec<String> {
-        let Some(tr) = &self.tracer else { return Vec::new() };
-        let skip = tr.entries.len().saturating_sub(n);
-        tr.entries
-            .iter()
-            .skip(skip)
-            .map(|e| {
-                format!("[{:>10}µs] {:<14} {}→{} {}", e.at, e.kind, e.from, e.to, e.detail)
-            })
-            .collect()
-    }
-
-    /// Number of trace entries currently buffered.
-    pub fn trace_len(&self) -> usize {
-        self.tracer.as_ref().map_or(0, |t| t.entries.len())
+        let len = self.ring.as_ref().map_or(0, |(entries, _)| entries.len());
+        self.trace().skip(len.saturating_sub(n)).map(TraceEntry::render).collect()
     }
 
     /// Crashes a node: the process dies. Queued deliveries and pending
@@ -737,20 +815,29 @@ impl<A: Actor> Simulation<A> {
     }
 
     fn start_node(&mut self, slot: usize) {
-        let (sends, timers) = self.with_ctx(slot, |node, ctx| node.on_start(ctx));
-        self.schedule_outputs(slot, sends, timers);
+        self.step(slot, None, "start", |node, ctx| node.on_start(ctx));
     }
 
-    fn trace_note(&mut self, kind: &'static str, from: NodeId, to: NodeId, detail: &str) {
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.push(TraceEntry { at: self.now, kind, from, to, detail: detail.to_string() });
+    fn push_trace(&mut self, entry: TraceEntry) {
+        if let Some((entries, cap)) = self.ring.as_mut() {
+            if entries.len() == *cap {
+                entries.pop_front();
+            }
+            entries.push_back(entry);
         }
     }
 
-    fn trace_msg(&mut self, kind: &'static str, from: NodeId, to: NodeId, msg: &A::Msg) {
-        if let Some(tr) = self.tracer.as_mut() {
-            let detail = (tr.label)(msg);
-            tr.push(TraceEntry { at: self.now, kind, from, to, detail });
+    fn trace_note(&mut self, what: &'static str, from: NodeId, to: NodeId, detail: &'static str) {
+        self.push_trace(TraceEntry::Note { at: self.now, what, from, to, detail });
+    }
+
+    /// Notes a message the network did something to, named by the
+    /// receiver's [`Actor::kind`] (the sender's if it is hosted elsewhere).
+    fn trace_msg(&mut self, what: &'static str, from: NodeId, to: NodeId, msg: &A::Msg) {
+        if self.ring.is_some() {
+            let slot = self.slot_of[to].unwrap_or_else(|| self.slot(from));
+            let detail = self.nodes[slot].kind(msg);
+            self.trace_note(what, from, to, detail);
         }
     }
 
@@ -772,24 +859,25 @@ impl<A: Actor> Simulation<A> {
         match ev.kind {
             EventKind::Deliver { from, msg } => {
                 self.stats.messages_delivered += 1;
-                self.trace_msg("deliver", from, to, &msg);
-                let (sends, timers) =
-                    self.with_ctx(slot, |node, ctx| node.on_message(from, msg, ctx));
-                self.schedule_outputs(slot, sends, timers);
+                let kind = self.nodes[slot].kind(&msg);
+                self.step(slot, Some(from), kind, |node, ctx| node.on_message(from, msg, ctx));
             }
             EventKind::Timer { timer } => {
                 self.stats.timers_fired += 1;
-                let (sends, timers) = self.with_ctx(slot, |node, ctx| node.on_timer(timer, ctx));
-                self.schedule_outputs(slot, sends, timers);
+                self.step(slot, None, "timer", |node, ctx| node.on_timer(timer, ctx));
             }
         }
     }
 
-    fn with_ctx(
+    /// Runs one actor step, records it (see "Step records"), and
+    /// schedules what it sent and armed.
+    fn step(
         &mut self,
         slot: usize,
+        from: Option<NodeId>,
+        kind: &'static str,
         f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
-    ) -> DispatchOutputs<A::Msg> {
+    ) {
         let mut sends = Vec::new();
         let mut timers = Vec::new();
         let mut ctx = Ctx {
@@ -799,8 +887,20 @@ impl<A: Actor> Simulation<A> {
             sends: &mut sends,
             timers: &mut timers,
         };
-        f(&mut self.nodes[slot], &mut ctx);
-        (sends, timers)
+        let node = &mut self.nodes[slot];
+        let clock = prever_obs::enabled().then(Instant::now);
+        let ((), work) = work::measure(|| f(node, &mut ctx));
+        let wall_ns = clock.map_or(0, |start| start.elapsed().as_nanos() as u64);
+        let (sent, armed) = (sends.len() as u64, timers.len() as u64);
+        let totals = StepTotals { steps: 1, wall_ns, work, sends: sent, timers: armed };
+        *self.steps.entry(kind).or_default() += &totals;
+        if self.ring.is_some() {
+            let (node, at) = (self.ids[slot], self.now);
+            let record =
+                StepRecord { node, from, kind, at, wall_ns, work, sends: sent, timers: armed };
+            self.push_trace(TraceEntry::Step(record));
+        }
+        self.schedule_outputs(slot, sends, timers);
     }
 
     /// Draws a delivery time for one network hop to the node in slot
@@ -985,6 +1085,13 @@ mod tests {
 
     impl Actor for PingPong {
         type Msg = PP;
+
+        fn kind(&self, msg: &PP) -> &'static str {
+            match msg {
+                PP::Ping => "ping",
+                PP::Pong => "pong",
+            }
+        }
 
         fn on_start(&mut self, ctx: &mut Ctx<PP>) {
             if ctx.id() == 0 {
@@ -1239,19 +1346,29 @@ mod tests {
         let plan = FaultPlan::new().crash_at(50, 1).recover_at(5_000, 1);
         let mut sim = Simulation::new(pp(2), NetConfig::default(), 1);
         sim.set_fault_plan(plan);
-        sim.enable_trace(
-            |m: &PP| match m {
-                PP::Ping => "ping".into(),
-                PP::Pong => "pong".into(),
-            },
-            64,
-        );
+        sim.enable_trace(64);
         sim.inject(0, 1, PP::Ping, 6_000);
         sim.run_to_idle(10_000);
         let tail = sim.trace_tail(64);
         assert!(tail.iter().any(|l| l.contains("fault") && l.contains("crash")));
         assert!(tail.iter().any(|l| l.contains("deliver") && l.contains("ping")));
         assert!(tail.iter().any(|l| l.contains("drop.dead") || l.contains("drop.crashed")));
+    }
+
+    #[test]
+    fn every_step_lands_in_one_row_of_the_step_table() {
+        let mut sim = Simulation::new(pp(10), NetConfig::default(), 3);
+        sim.run_to_idle(10_000);
+        let steps = sim.steps();
+        let (ping, pong) = (steps.get("ping").unwrap(), steps.get("pong").unwrap());
+        assert_eq!((ping.steps, ping.sends), (10, 10), "each ping answers with one pong");
+        assert_eq!((pong.steps, pong.sends), (10, 0));
+        assert_eq!(steps.get("start").map(|t| (t.steps, t.sends)), Some((2, 10)));
+        let mut all = StepTotals::default();
+        steps.values().for_each(|t| all += t);
+        let s = sim.stats();
+        assert_eq!(all.steps, s.messages_delivered + s.timers_fired + 2);
+        assert_eq!(all.sends, s.messages_sent);
     }
 
     #[test]

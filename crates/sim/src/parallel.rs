@@ -285,12 +285,7 @@ where
                 let probe = Arc::clone(&probe);
                 let (tx, cmd_rx) = channel::<Cmd<A>>();
                 let (reply_tx, rx) = channel::<Reply<A, P>>();
-                // Spans opened on the worker would otherwise lose their
-                // parent edge to this (spawning) thread's span stack —
-                // carry it across explicitly (prever-obs satellite fix).
-                let span_parent = prever_obs::current_span();
                 let join = std::thread::spawn(move || {
-                    prever_obs::adopt_parent(span_parent);
                     // Built here, not by the coordinator: a `Simulation`
                     // has slots for harness closures and is not `Send`.
                     let mut sim = Simulation::hosting(ids.clone(), n_global, actors, net, seed);
