@@ -329,23 +329,23 @@ fn run_durability(quick: bool) {
     let (wal, snap) = (SharedDisk::new(71), SharedDisk::new(72));
     let mut pj = PersistentJournal::create(wal.clone(), snap.clone());
     for i in 0..n {
-        pj.append(i, Bytes::from(format!("obs-durable-{i}")));
+        pj.append(i, format!("obs-durable-{i}").as_bytes());
         if i % 8 == 7 {
             pj.flush();
         }
         if i == n / 2 {
-            pj.compact();
+            pj.compact().expect("compact");
         }
     }
     pj.flush();
-    let digest = pj.journal().digest();
+    let digest = pj.digest().expect("the media hold the journal");
     // Crash (dropping the write-back caches) and recover: exercises the
     // wal.recover.* counters and proves the flushed history survived.
     wal.crash_dropping_cache();
     snap.crash_dropping_cache();
     let (recovered, report) = PersistentJournal::recover(wal, snap).expect("recover");
     assert_eq!(recovered.len(), n);
-    assert_eq!(recovered.journal().digest(), digest);
+    assert_eq!(recovered.digest().expect("the recovered media read back"), digest);
     prever_obs::log!(
         Info,
         "durability phase: {n} durable appends, recovery replayed {} frames",

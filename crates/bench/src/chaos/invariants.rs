@@ -120,17 +120,18 @@ pub(crate) fn check_acks(
 /// flushed (acked) record survived and nothing was invented
 /// (`flushed ≤ k ≤ total`), and what came back is a prefix of the
 /// pre-crash history — its digest equals the pre-crash `digest_at(k)`.
+/// `None` stands for a digest that could not be read.
 pub(crate) fn check_recovered_prefix(
     k: u64,
     (flushed, total): (u64, u64),
     pre_crash_at_k: Option<LedgerDigest>,
-    recovered: LedgerDigest,
+    recovered: Option<LedgerDigest>,
 ) -> Option<String> {
     if k < flushed || k > total {
         Some(format!(
             "durability: recovered {k} records outside [flushed={flushed}, total={total}]"
         ))
-    } else if pre_crash_at_k != Some(recovered) {
+    } else if pre_crash_at_k.is_none() || pre_crash_at_k != recovered {
         Some(format!("durability: recovered digest is not the pre-crash prefix digest at {k}"))
     } else {
         None
@@ -321,7 +322,7 @@ mod tests {
     fn recovered_prefix_fires_on_lost_acks_invented_records_and_a_foreign_prefix() {
         let pre = journal(&[1, 2, 3, 4]);
         let at = |k: u64| pre.digest_at(k).ok();
-        let recovered = |ids: &[u64]| journal(ids).digest();
+        let recovered = |ids: &[u64]| journal(ids).digest().ok();
         let bounds = (2, 4); // two records flushed, four written
         let lost = check_recovered_prefix(1, bounds, at(1), recovered(&[1])).expect("k < flushed");
         assert_eq!(lost, "durability: recovered 1 records outside [flushed=2, total=4]");
@@ -333,6 +334,11 @@ mod tests {
         let foreign = check_recovered_prefix(3, bounds, at(3), recovered(&[1, 2, 9]));
         assert_eq!(
             foreign.expect("not a prefix"),
+            "durability: recovered digest is not the pre-crash prefix digest at 3"
+        );
+        let unreadable = check_recovered_prefix(3, bounds, at(3), None);
+        assert_eq!(
+            unreadable.expect("recovered media that cannot be read back"),
             "durability: recovered digest is not the pre-crash prefix digest at 3"
         );
         for k in 2..=4 {

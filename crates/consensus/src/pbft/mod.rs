@@ -1701,6 +1701,41 @@ mod tests {
     }
 
     #[test]
+    fn replayed_vote_records_do_not_grow_with_the_history() {
+        // Recovery keeps only the Bind and Prep records above the last
+        // executed batch, so what a replay holds besides the executed
+        // batches is bounded by the pipeline, not by the history.
+        let n = 4;
+        let replayed = |commands: u64| {
+            let nodes: Vec<PbftNode> = (0..n)
+                .map(|id| PbftNode::with_durable(id, n, Byzantine::Honest, DurableLog::new()))
+                .collect();
+            let mut sim = Simulation::new(nodes, NetConfig::default(), 13);
+            for i in 0..commands {
+                submit(&mut sim, (i % n as u64) as NodeId, i);
+            }
+            assert!(sim.run_until_pred(20_000_000, |nodes| {
+                nodes.iter().all(|nd| nd.core.executed_commands() >= commands as usize)
+            }));
+            sim.run_until(sim.now() + 200_000);
+            (0..n)
+                .map(|id| {
+                    let node = sim.node(id);
+                    let log = node.durable().expect("durable");
+                    let state = log.replay().expect("chain verifies");
+                    assert_eq!(state.entries.len(), node.core.executed_batches().len());
+                    (log.len(), state.bindings.len(), state.prepared.len())
+                })
+                .collect::<Vec<_>>()
+        };
+        let (short, long) = (replayed(8), replayed(64));
+        for (id, (s, l)) in short.iter().zip(&long).enumerate() {
+            assert!(l.0 > s.0 + 100, "replica {id}: the log itself grows ({} -> {})", s.0, l.0);
+            assert_eq!((l.1, l.2), (s.1, s.2), "replica {id}: vote records grew with the history");
+        }
+    }
+
+    #[test]
     fn stale_replayer_is_harmless() {
         // One replica endlessly replays stale protocol messages; the
         // other three must keep exact agreement and full liveness.

@@ -101,7 +101,7 @@ fn run_cluster<A: Actor + 'static>(
     let per_node = (0..N)
         .map(|id| {
             let host = node(sim.node(id));
-            let log = host.durable().expect("durable").digest();
+            let log = host.durable().expect("durable").digest().expect("the media hold the log");
             (host.core.executed().iter().collect(), (log.size, log.root, log.head_hash))
         })
         .collect();

@@ -41,6 +41,7 @@
 
 use crate::medium::StorageMedium;
 use crate::{Result, StorageError};
+use std::ops::ControlFlow;
 
 /// Frame header size: len (4) + seq (8) + pcrc (4) + hcrc (4).
 pub const FRAME_HEADER: u64 = 20;
@@ -154,63 +155,64 @@ impl<M: StorageMedium> Wal<M> {
     /// and fails loudly on interior corruption.
     ///
     /// Returns the reopened log, the surviving frames in order, and a
-    /// [`RecoveryReport`]. The reopened log continues at `last seq + 1`
-    /// (or `first_seq` if the medium is empty).
-    pub fn recover(mut medium: M, first_seq: u64) -> Result<(Self, Vec<Frame>, RecoveryReport)> {
-        let end = medium.len();
+    /// [`RecoveryReport`]. The reopened log continues at `last seq + 1`,
+    /// or at `first_seq` if that is higher (an empty medium, or one whose
+    /// frames a snapshot above them already covers).
+    pub fn recover(medium: M, first_seq: u64) -> Result<(Self, Vec<Frame>, RecoveryReport)> {
         let mut frames = Vec::new();
-        let mut offset = 0u64;
-        let mut report = RecoveryReport::default();
-        while offset < end {
-            if offset + FRAME_HEADER > end {
-                // Header cut short: only a torn write can do this.
-                break;
-            }
-            let mut header = [0u8; FRAME_HEADER as usize];
-            medium.read(offset, &mut header)?;
-            let len = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes")) as u64;
-            let seq = u64::from_be_bytes(header[4..12].try_into().expect("8 bytes"));
-            let pcrc = u32::from_be_bytes(header[12..16].try_into().expect("4 bytes"));
-            let hcrc = u32::from_be_bytes(header[16..20].try_into().expect("4 bytes"));
-            if crc32(&header[0..16]) != hcrc {
-                // A complete header with a bad CRC cannot be a tear
-                // (torn bytes are missing, not altered): the sector rot
-                // must be surfaced, not recovered around.
-                return Err(StorageError::Corruption("wal frame header CRC mismatch"));
-            }
-            if offset + FRAME_HEADER + len > end {
-                // Valid header, payload cut short: torn mid-frame.
-                break;
-            }
-            let mut payload = vec![0u8; len as usize];
-            medium.read(offset + FRAME_HEADER, &mut payload)?;
-            if crc32(&payload) != pcrc {
-                return Err(StorageError::Corruption("wal frame payload CRC mismatch"));
-            }
-            frames.push((seq, payload));
-            report.frames_replayed += 1;
-            offset += FRAME_HEADER + len;
-        }
-        report.truncated_bytes = end - offset;
+        let (wal, report) = Self::recover_with(medium, first_seq, |seq, payload| {
+            frames.push((seq, payload.to_vec()));
+            Ok::<_, StorageError>(())
+        })?;
+        Ok((wal, frames, report))
+    }
+
+    /// [`Wal::recover`] without collecting the frames: hands each
+    /// surviving frame's `(seq, payload)` to `each` as the scan reaches
+    /// it, and stops at the first error `each` returns. The medium is
+    /// truncated only after every frame was accepted.
+    pub fn recover_with<E: From<StorageError>>(
+        mut medium: M,
+        first_seq: u64,
+        mut each: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(Self, RecoveryReport), E> {
+        let mut frames = 0u64;
+        let mut last_seq = None;
+        let offset = scan_frames(&medium, |seq, payload| {
+            each(seq, payload)?;
+            frames += 1;
+            last_seq = Some(seq);
+            Ok::<_, E>(ControlFlow::Continue(()))
+        })?;
+        let report = RecoveryReport {
+            frames_replayed: frames,
+            truncated_bytes: medium.len() - offset,
+        };
         if report.truncated_bytes > 0 {
             medium.truncate(offset);
         }
         prever_obs::counter!("wal.recover.frames_replayed").add(report.frames_replayed);
         prever_obs::counter!("wal.recover.truncated_bytes").add(report.truncated_bytes);
         prever_obs::counter!("wal.recoveries").inc();
-        let next_seq = frames.last().map(|(s, _)| s + 1).unwrap_or(first_seq);
-        let n = frames.len() as u64;
-        Ok((
-            Wal {
-                medium,
-                next_seq,
-                appended_frames: n,
-                unflushed_frames: 0,
-                flushed_frames: n,
-            },
-            frames,
-            report,
-        ))
+        let wal = Wal {
+            medium,
+            next_seq: last_seq.map_or(first_seq, |s| (s + 1).max(first_seq)),
+            appended_frames: frames,
+            unflushed_frames: 0,
+            flushed_frames: frames,
+        };
+        Ok((wal, report))
+    }
+
+    /// Reads the frames in order without changing the medium: hands each
+    /// CRC-valid frame's `(seq, payload)` to `each` until `each` breaks,
+    /// stops at a torn tail, and fails on interior corruption exactly as
+    /// [`Wal::recover`] does. Staged (unflushed) frames are read too.
+    pub fn scan<E: From<StorageError>>(
+        &self,
+        each: impl FnMut(u64, &[u8]) -> std::result::Result<ControlFlow<()>, E>,
+    ) -> std::result::Result<(), E> {
+        scan_frames(&self.medium, each).map(|_| ())
     }
 
     /// Stages a frame carrying `payload` in the medium's write-back
@@ -277,6 +279,49 @@ impl<M: StorageMedium> Wal<M> {
     pub fn medium_mut(&mut self) -> &mut M {
         &mut self.medium
     }
+}
+
+/// The one frame scan: reads `medium` from offset 0, handing each
+/// CRC-valid frame to `each` (one payload buffer, reused), until `each`
+/// breaks or the frames end. A header or payload cut short by the end of
+/// the medium is a torn tail and ends the scan; a complete header or
+/// payload that fails its CRC is corruption. Returns the offset where
+/// the frames read end.
+fn scan_frames<M: StorageMedium, E: From<StorageError>>(
+    medium: &M,
+    mut each: impl FnMut(u64, &[u8]) -> std::result::Result<ControlFlow<()>, E>,
+) -> std::result::Result<u64, E> {
+    let end = medium.len();
+    let mut offset = 0u64;
+    let mut payload = Vec::new();
+    while offset + FRAME_HEADER <= end {
+        let mut header = [0u8; FRAME_HEADER as usize];
+        medium.read(offset, &mut header)?;
+        let len = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes")) as u64;
+        let seq = u64::from_be_bytes(header[4..12].try_into().expect("8 bytes"));
+        let pcrc = u32::from_be_bytes(header[12..16].try_into().expect("4 bytes"));
+        let hcrc = u32::from_be_bytes(header[16..20].try_into().expect("4 bytes"));
+        if crc32(&header[0..16]) != hcrc {
+            // A complete header with a bad CRC cannot be a tear (torn
+            // bytes are missing, not altered): the sector rot must be
+            // surfaced, not recovered around.
+            return Err(StorageError::Corruption("wal frame header CRC mismatch").into());
+        }
+        if offset + FRAME_HEADER + len > end {
+            // Valid header, payload cut short: torn mid-frame.
+            break;
+        }
+        payload.resize(len as usize, 0);
+        medium.read(offset + FRAME_HEADER, &mut payload)?;
+        if crc32(&payload) != pcrc {
+            return Err(StorageError::Corruption("wal frame payload CRC mismatch").into());
+        }
+        offset += FRAME_HEADER + len;
+        if each(seq, &payload)?.is_break() {
+            break;
+        }
+    }
+    Ok(offset)
 }
 
 #[cfg(test)]
