@@ -2,7 +2,8 @@
 //! best-of-trials wall-clock minima for fixed-base Schnorr/Paillier,
 //! RLC batch verification at n ∈ {1, 8, 64, 256}, multi-query CPIR at
 //! k ∈ {1, 4, 8, 16}, the limb kernel (`mont_mul/k`, `mod_inv/bits`,
-//! the wallet side of a blind-signature round) and Merkle roots at
+//! the wallet side of a blind-signature round; `mont_mul` and `modexp`
+//! lines name the kernel that ran) and Merkle roots at
 //! 1k/64k leaves (cold build, then warm root and inclusion proof), and
 //! the key-size sweeps DESIGN.md §5 chooses its parameters from
 //! (`modexp/bits`, Paillier at 96- and 256-bit primes), and the 6-bit
@@ -23,6 +24,7 @@ use prever_crypto::montgomery::MontgomeryCtx;
 use prever_crypto::schnorr::{self, SchnorrGroup};
 use prever_crypto::sha256::Digest;
 use prever_crypto::{paillier, rsa};
+use prever_obs::work::{measure, Unit};
 use prever_pir::cpir::{CpirClient, CpirServer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -41,12 +43,6 @@ fn best_ns<F: FnMut()>(trials: usize, iters: usize, mut f: F) -> f64 {
     }
     best
 }
-
-/// Montgomery multiplications in `pow(base, 2^2048)`: 2048 squarings,
-/// the 9 of the window table, one window multiply and the two
-/// conversions — all the same kernel, so `mont_mul/k` times that
-/// exponentiation and divides by this.
-const KERNEL_CALLS_POW_2_2048: f64 = 2060.0;
 
 /// A random odd `bits`-bit modulus (top bit set, so the limb count is
 /// exact) and a random invertible residue below it.
@@ -138,18 +134,22 @@ fn main() {
         println!("{{\"id\": \"answer_seq/{k}\", \"ns\": {seq_ns:.1}}}");
     }
 
-    // The limb kernel. `mont_mul/k` is nanoseconds per Montgomery
-    // multiplication of k-limb residues inside `pow(base, 2^2048)`;
+    // The bignum kernels. `mont_mul/k` is nanoseconds per Montgomery
+    // multiplication of a k-limb modulus inside `pow(base, 2^2048)`
+    // (2 048 squarings and the two conversions, counted), on the kernel
+    // its context chose (`kernel`: "scalar" or "avx512ifma");
     // `mod_inv/bits` inverts a random residue of a random odd modulus.
     for k in [4usize, 16, 32] {
         let (m, base) = odd_modulus_and_residue(64 * k, &mut rng);
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let exp = BigUint::one().shl(2048);
+        let calls = measure(|| ctx.pow(&base, &exp).unwrap()).1[Unit::MontMul] as f64;
         let ns = best_ns(5, 5, || {
             black_box(ctx.pow(black_box(&base), &exp).unwrap());
         });
-        let ns = ns / KERNEL_CALLS_POW_2_2048;
-        println!("{{\"id\": \"mont_mul/{k}\", \"ns\": {ns:.1}}}");
+        let ns = ns / calls;
+        let kernel = ctx.kernel();
+        println!("{{\"id\": \"mont_mul/{k}\", \"ns\": {ns:.1}, \"kernel\": \"{kernel}\"}}");
     }
     for bits in [256usize, 1024, 2048] {
         let (m, a) = odd_modulus_and_residue(bits, &mut rng);
@@ -214,7 +214,8 @@ fn main() {
         let ns = best_ns(5, 10, || {
             black_box(black_box(&base).mod_exp(&exp, &m).unwrap());
         });
-        println!("{{\"id\": \"modexp/{bits}\", \"ns\": {ns:.1}}}");
+        let kernel = MontgomeryCtx::new(&m).unwrap().kernel();
+        println!("{{\"id\": \"modexp/{bits}\", \"ns\": {ns:.1}, \"kernel\": \"{kernel}\"}}");
     }
     for prime_bits in [96usize, 256] {
         let key = paillier::keygen(prime_bits, &mut rng);

@@ -198,99 +198,108 @@ impl Eq for FixedBaseTable {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montgomery::tests::{forcing, kernels};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn comb_matches_sliding_window() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let m = BigUint::gen_prime(192, &mut rng);
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let base = BigUint::random_below(&m, &mut rng);
-        let table = FixedBaseTable::new(&ctx, &base, 160).unwrap();
-        for bits in [0usize, 1, 7, 8, 64, 159, 160] {
-            let e = if bits == 0 {
-                BigUint::zero()
-            } else {
-                BigUint::random_bits(bits, &mut rng)
-            };
-            assert_eq!(
-                table.pow(&e).unwrap(),
-                ctx.pow(&base, &e).unwrap(),
-                "bits={bits}"
-            );
+        for (_, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(21);
+            let m = BigUint::gen_prime(192, &mut rng);
+            let ctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            let base = BigUint::random_below(&m, &mut rng);
+            let table = FixedBaseTable::new(&ctx, &base, 160).unwrap();
+            for bits in [0usize, 1, 7, 8, 64, 159, 160] {
+                let e = if bits == 0 {
+                    BigUint::zero()
+                } else {
+                    BigUint::random_bits(bits, &mut rng)
+                };
+                assert_eq!(
+                    table.pow(&e).unwrap(),
+                    ctx.pow(&base, &e).unwrap(),
+                    "bits={bits}"
+                );
+            }
         }
     }
 
     #[test]
     fn comb_does_an_eighth_of_the_sliding_windows_multiplications() {
-        // The comb's claim, counted rather than timed: one kernel
-        // serves both paths, so time follows the multiplication count.
-        use prever_obs::work::{measure, Unit::MontMul};
-        let muls = |f: &dyn Fn() -> BigUint| measure(f).1[MontMul];
-        let mut rng = StdRng::seed_from_u64(25);
-        let m = BigUint::gen_prime(256, &mut rng);
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let (g, h) = (BigUint::from_u64(4), BigUint::random_below(&m, &mut rng));
-        let bits = 255usize;
-        let (tg, th) = (
-            FixedBaseTable::new(&ctx, &g, bits).unwrap(),
-            FixedBaseTable::new(&ctx, &h, bits).unwrap(),
-        );
-        let cols = bits.div_ceil(TEETH) as u64;
-        for _ in 0..8 {
-            let top = BigUint::one().shl(bits - 1);
-            let e1 = top.add(&BigUint::random_bits(bits - 1, &mut rng));
-            let e2 = top.add(&BigUint::random_bits(bits - 1, &mut rng));
-            // Per column at most one squaring and one multiplication
-            // per table, then the conversion out of Montgomery form.
-            let comb = muls(&|| tg.pow(&e1).unwrap());
-            assert!(comb <= 2 * cols, "comb: {comb} > 2·{cols}");
-            let shared = muls(&|| tg.mul_pow(&e1, &th, &e2).unwrap());
-            assert!(shared <= 3 * cols, "shared chain: {shared} > 3·{cols}");
-            // The variable-base path squares once per exponent bit
-            // before it multiplies at all.
-            let window = muls(&|| ctx.pow(&g, &e1).unwrap());
-            assert!(window >= bits as u64, "sliding window: {window} < {bits}");
-            assert!(window >= 4 * comb, "sliding window {window} vs comb {comb}");
+        for (_, kernel) in kernels() {
+            // The comb's claim, counted rather than timed: one kernel
+            // serves both paths, so time follows the multiplication count.
+            use prever_obs::work::{measure, Unit::MontMul};
+            let muls = |f: &dyn Fn() -> BigUint| measure(f).1[MontMul];
+            let mut rng = StdRng::seed_from_u64(25);
+            let m = BigUint::gen_prime(256, &mut rng);
+            let ctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            let (g, h) = (BigUint::from_u64(4), BigUint::random_below(&m, &mut rng));
+            let bits = 255usize;
+            let (tg, th) = (
+                FixedBaseTable::new(&ctx, &g, bits).unwrap(),
+                FixedBaseTable::new(&ctx, &h, bits).unwrap(),
+            );
+            let cols = bits.div_ceil(TEETH) as u64;
+            for _ in 0..8 {
+                let top = BigUint::one().shl(bits - 1);
+                let e1 = top.add(&BigUint::random_bits(bits - 1, &mut rng));
+                let e2 = top.add(&BigUint::random_bits(bits - 1, &mut rng));
+                // Per column at most one squaring and one multiplication
+                // per table, then the conversion out of Montgomery form.
+                let comb = muls(&|| tg.pow(&e1).unwrap());
+                assert!(comb <= 2 * cols, "comb: {comb} > 2·{cols}");
+                let shared = muls(&|| tg.mul_pow(&e1, &th, &e2).unwrap());
+                assert!(shared <= 3 * cols, "shared chain: {shared} > 3·{cols}");
+                // The variable-base path squares once per exponent bit
+                // before it multiplies at all.
+                let window = muls(&|| ctx.pow(&g, &e1).unwrap());
+                assert!(window >= bits as u64, "sliding window: {window} < {bits}");
+                assert!(window >= 4 * comb, "sliding window {window} vs comb {comb}");
+            }
         }
     }
 
     #[test]
     fn oversized_exponent_falls_back() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let m = BigUint::gen_prime(128, &mut rng);
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let base = BigUint::random_below(&m, &mut rng);
-        let table = FixedBaseTable::new(&ctx, &base, 64).unwrap();
-        let wide = BigUint::random_bits(200, &mut rng);
-        assert_eq!(table.pow(&wide).unwrap(), ctx.pow(&base, &wide).unwrap());
+        for (_, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(22);
+            let m = BigUint::gen_prime(128, &mut rng);
+            let ctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            let base = BigUint::random_below(&m, &mut rng);
+            let table = FixedBaseTable::new(&ctx, &base, 64).unwrap();
+            let wide = BigUint::random_bits(200, &mut rng);
+            assert_eq!(table.pow(&wide).unwrap(), ctx.pow(&base, &wide).unwrap());
+        }
     }
 
     #[test]
     fn shared_chain_matches_two_pows() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let m = BigUint::gen_prime(192, &mut rng);
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let g = BigUint::random_below(&m, &mut rng);
-        let h = BigUint::random_below(&m, &mut rng);
-        // Different widths on purpose: the chains still interleave.
-        let tg = FixedBaseTable::new(&ctx, &g, 160).unwrap();
-        let th = FixedBaseTable::new(&ctx, &h, 96).unwrap();
-        for _ in 0..8 {
-            let e1 = BigUint::random_bits(160, &mut rng);
-            let e2 = BigUint::random_bits(96, &mut rng);
-            let want = ctx
-                .pow(&g, &e1)
-                .unwrap()
-                .mul_mod(&ctx.pow(&h, &e2).unwrap(), &m)
-                .unwrap();
-            assert_eq!(tg.mul_pow(&e1, &th, &e2).unwrap(), want);
+        for (_, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(23);
+            let m = BigUint::gen_prime(192, &mut rng);
+            let ctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            let g = BigUint::random_below(&m, &mut rng);
+            let h = BigUint::random_below(&m, &mut rng);
+            // Different widths on purpose: the chains still interleave.
+            let tg = FixedBaseTable::new(&ctx, &g, 160).unwrap();
+            let th = FixedBaseTable::new(&ctx, &h, 96).unwrap();
+            for _ in 0..8 {
+                let e1 = BigUint::random_bits(160, &mut rng);
+                let e2 = BigUint::random_bits(96, &mut rng);
+                let want = ctx
+                    .pow(&g, &e1)
+                    .unwrap()
+                    .mul_mod(&ctx.pow(&h, &e2).unwrap(), &m)
+                    .unwrap();
+                assert_eq!(tg.mul_pow(&e1, &th, &e2).unwrap(), want);
+            }
+            // Zero exponents collapse to the other side / to 1.
+            let z = BigUint::zero();
+            let e = BigUint::random_bits(90, &mut rng);
+            assert_eq!(tg.mul_pow(&z, &th, &e).unwrap(), ctx.pow(&h, &e).unwrap());
+            assert_eq!(tg.mul_pow(&z, &th, &z).unwrap(), BigUint::one());
         }
-        // Zero exponents collapse to the other side / to 1.
-        let z = BigUint::zero();
-        let e = BigUint::random_bits(90, &mut rng);
-        assert_eq!(tg.mul_pow(&z, &th, &e).unwrap(), ctx.pow(&h, &e).unwrap());
-        assert_eq!(tg.mul_pow(&z, &th, &z).unwrap(), BigUint::one());
     }
 
     #[test]

@@ -3,27 +3,42 @@
 //! The schoolbook [`BigUint::mod_exp`] pays a full Knuth division per
 //! multiplication. A [`MontgomeryCtx`] precomputes, once per modulus,
 //! everything needed to replace those divisions with Montgomery
-//! multiplications: the word inverse `n0 = -n^-1 mod 2^64`, `R mod n`,
-//! and `R^2 mod n` where `R = 2^(64k)` for a `k`-limb modulus.
+//! multiplications: the word inverse `n0 = -n^-1` modulo the radix,
+//! `R mod n`, and `R^2 mod n`.
 //!
-//! One kernel does every multiplication: `mont_mul_into`, a
-//! finely-integrated operand scan. For each limb `bᵢ` it walks the
-//! accumulator once, adding the `a·bᵢ` row and the `m·n` reduction row
-//! in the same inner loop on two independent carry chains (the
-//! multiplier `m` is fixed by the first column, so neither chain waits
-//! for the other), and stores each limb one place down — the division
-//! by `2^64`. The accumulator is the caller's `k`-limb buffer plus one
-//! carry bit held in a register.
+//! A context has one of two kernels, chosen once in
+//! [`MontgomeryCtx::new`] from the modulus width and the CPU:
 //!
-//! Scratch discipline: the kernel never allocates. Every exponentiation
+//! * the scalar `mont_mul_into`, on `k` 64-bit limbs with `R = 2^(64k)`:
+//!   a finely-integrated operand scan. For each limb `bᵢ` it walks the
+//!   accumulator once, adding the `a·bᵢ` row and the `m·n` reduction
+//!   row in the same inner loop on two independent carry chains (the
+//!   multiplier `m` is fixed by the first column, so neither chain waits
+//!   for the other), and stores each limb one place down — the division
+//!   by `2^64`. The accumulator is the caller's `k`-limb buffer plus one
+//!   carry bit held in a register. It runs on every CPU, below
+//!   [`VECTOR_MIN_BITS`], and is the reference the vector kernel is
+//!   tested against;
+//! * from [`VECTOR_MIN_BITS`] up, on a CPU with AVX-512 IFMA, the
+//!   vector kernel in `ifma`: `d = ⌈(bits + 2)/52⌉` digits of 52 bits
+//!   padded to whole 512-bit vectors, `R = 2^(52·d)`.
+//!
+//! Both return every product fully reduced, and values cross the
+//! context boundary as [`BigUint`], so nothing outside can tell which
+//! ran. [`MontgomeryCtx::pow_pair`] runs two exponentiations on two
+//! contexts in lockstep, so the vector kernel can interleave their
+//! products.
+//!
+//! Scratch discipline: the kernels never allocate. Every exponentiation
 //! loop ([`MontgomeryCtx::pow`], the `multi_pow*` family, the combs in
 //! [`crate::fixed_base`]) owns an accumulator and one spare buffer and
 //! ping-pongs them through `mul_assign` / `square_assign`; window tables
-//! are one flat `Vec` with a stride of `k` limbs, and the spare buffer
+//! are one flat `Vec` with a stride of `k` words, and the spare buffer
 //! ends its life as the result's limb vector.
 //!
 //! Values enter and leave as [`BigUint`]; in between they are
-//! little-endian `u64` limb slices of length exactly `k`.
+//! little-endian `u64` word slices of length exactly `k`
+//! ([`MontgomeryCtx::limb_count`]): limbs or digits, per the kernel.
 //! Exponentiation uses a sliding 4-bit window with a table of the 8
 //! odd powers of the base, cutting multiplications by ~4x over binary
 //! square-and-multiply on top of the per-step division savings.
@@ -38,24 +53,74 @@ use prever_obs::work::{self, Unit};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
+#[cfg(target_arch = "x86_64")]
+mod ifma;
+
 /// Odd powers `base^1, base^3, …, base^15` kept per sliding window.
 const WINDOW_TABLE: usize = 8;
 
+/// Narrowest modulus, in bits, that runs on the vector kernel where the
+/// CPU has one. Below it the scalar kernel is at least as fast
+/// (DESIGN.md §6, "Vector kernel", has the measurement).
+pub const VECTOR_MIN_BITS: usize = 384;
+
+/// The multiplication kernel a context runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// `mont_mul_into`'s limb loop.
+    Scalar,
+    /// The AVX-512 IFMA AMM over `digits` 52-bit digits.
+    #[cfg(target_arch = "x86_64")]
+    Ifma { cpu: ifma::Ifma, digits: usize },
+}
+
+impl Kernel {
+    /// The kernel for a `bits`-wide modulus: the vector kernel from
+    /// [`VECTOR_MIN_BITS`] up where the CPU has it, else the scalar one.
+    fn choose(bits: usize) -> Kernel {
+        #[cfg(test)]
+        if let Some(forced) = tests::FORCED.get() {
+            return forced.kernel(bits);
+        }
+        if bits >= VECTOR_MIN_BITS {
+            if let Some(vector) = Kernel::vector(bits) {
+                return vector;
+            }
+        }
+        Kernel::Scalar
+    }
+
+    /// The vector kernel at this width, if the CPU has it and the width
+    /// fits it.
+    fn vector(bits: usize) -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let digits = (bits + 2).div_ceil(ifma::DIGIT_BITS);
+            if digits.div_ceil(ifma::LANES) <= ifma::MAX_VECTORS {
+                return ifma::Ifma::detect().map(|cpu| Kernel::Ifma { cpu, digits });
+            }
+        }
+        let _ = bits;
+        None
+    }
+}
+
 /// Precomputed per-modulus state for Montgomery arithmetic.
 ///
-/// Construction costs one big-number division (for `R^2 mod n`);
-/// every subsequent multiplication avoids division entirely, so cache
-/// a context wherever the same modulus is used repeatedly (Paillier
-/// `n^2`, RSA `n`/`p`/`q`, Schnorr `p`).
+/// Construction costs two big-number divisions (for `R mod n` and
+/// `R^2 mod n`); every subsequent multiplication avoids division
+/// entirely, so cache a context wherever the same modulus is used
+/// repeatedly (Paillier `n^2`, RSA `n`/`p`/`q`, Schnorr `p`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MontgomeryCtx {
     /// The (odd, > 1) modulus.
     n: BigUint,
-    /// Modulus limbs, little-endian, exactly `k` words.
+    /// The modulus in residue words, exactly `k` of them: 64-bit limbs
+    /// on the scalar kernel, 52-bit digits on the vector one.
     n_limbs: Vec<u64>,
-    /// Limb count of the modulus.
+    /// Words per residue.
     k: usize,
-    /// `-n^-1 mod 2^64`.
+    /// `-n^-1` modulo the word radix (`2^64` or `2^52`).
     n0: u64,
     /// `R mod n` — the Montgomery form of 1.
     r1: Vec<u64>,
@@ -63,6 +128,8 @@ pub struct MontgomeryCtx {
     r2: Vec<u64>,
     /// Plain 1 — multiplier that maps a value out of Montgomery form.
     one: Vec<u64>,
+    /// Which kernel multiplies.
+    kernel: Kernel,
 }
 
 impl MontgomeryCtx {
@@ -78,7 +145,25 @@ impl MontgomeryCtx {
         if n.is_even() {
             return Err(CryptoError::OutOfRange("montgomery modulus must be odd"));
         }
+        let kernel = Kernel::choose(n.bits());
         let n_limbs = n.limbs().to_vec();
+        #[cfg(target_arch = "x86_64")]
+        if let Kernel::Ifma { digits, .. } = kernel {
+            // R = 2^(52d), residues padded to whole vectors.
+            let k = digits.next_multiple_of(ifma::LANES);
+            let r1_big = BigUint::one().shl(ifma::DIGIT_BITS * digits).rem(n)?;
+            let r2_big = BigUint::one().shl(2 * ifma::DIGIT_BITS * digits).rem(n)?;
+            return Ok(MontgomeryCtx {
+                n: n.clone(),
+                n0: word_neg_inv(n_limbs[0]) & ifma::MASK,
+                n_limbs: to_digits(&n_limbs, k),
+                k,
+                r1: to_digits(r1_big.limbs(), k),
+                r2: to_digits(r2_big.limbs(), k),
+                one: to_digits(&[1], k),
+                kernel,
+            });
+        }
         let k = n_limbs.len();
 
         // R = 2^(64k): one shifted division each for R mod n and
@@ -94,6 +179,7 @@ impl MontgomeryCtx {
             r1: pad(&r1_big, k),
             r2: pad(&r2_big, k),
             one: pad(&BigUint::one(), k),
+            kernel,
         })
     }
 
@@ -102,9 +188,20 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// Limb width `k` of this context's residues.
-    pub(crate) fn limb_count(&self) -> usize {
+    /// Words per residue: 64-bit limbs on the scalar kernel, 52-bit
+    /// digits padded to whole vectors on the vector one.
+    pub fn limb_count(&self) -> usize {
         self.k
+    }
+
+    /// The kernel this context multiplies with: `"scalar"` or
+    /// `"avx512ifma"`.
+    pub fn kernel(&self) -> &'static str {
+        match self.kernel {
+            Kernel::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma { .. } => "avx512ifma",
+        }
     }
 
     /// `R mod n` — the Montgomery form of 1 (identity accumulator).
@@ -115,12 +212,17 @@ impl MontgomeryCtx {
     /// Montgomery multiplication into caller scratch:
     /// `out = a * b * R^-1 mod n`.
     ///
-    /// `a` and `b` are `k`-limb values `< n`; `out` is any `k`-limb
+    /// `a` and `b` are `k`-word values `< n`; `out` is any `k`-word
     /// buffer (its old contents are ignored) and comes back `< n`: the
     /// accumulator stays below `2n`, so it needs one bit above `out`
     /// and at most one trailing subtraction. Counts one [`Unit::MontMul`].
     pub(crate) fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         work::add(Unit::MontMul, 1);
+        #[cfg(target_arch = "x86_64")]
+        if let Kernel::Ifma { cpu, digits } = self.kernel {
+            cpu.mul(self.amm(digits, out, a, b), None);
+            return;
+        }
         // Every slice cut to `k` here, so the loops below index without
         // bounds checks.
         let k = self.k;
@@ -152,6 +254,49 @@ impl MontgomeryCtx {
         }
     }
 
+    /// One product on this context, as the vector kernel takes it.
+    #[cfg(target_arch = "x86_64")]
+    fn amm<'a>(
+        &'a self,
+        digits: usize,
+        out: &'a mut [u64],
+        a: &'a [u64],
+        b: &'a [u64],
+    ) -> ifma::Amm<'a> {
+        let k = self.k;
+        let (out, a, b) = (&mut out[..k], &a[..k], &b[..k]);
+        ifma::Amm { out, a, b, n: &self.n_limbs, n0: self.n0, digits }
+    }
+
+    /// `out = a·b·R⁻¹ mod n` on this context and `out2 = a2·b2·R'⁻¹ mod
+    /// n'` on `other`: in one interleaved loop when both run the vector
+    /// kernel at one width, else one after the other. Counts two
+    /// [`Unit::MontMul`] either way.
+    #[allow(clippy::too_many_arguments)]
+    fn mont_mul_pair(
+        &self,
+        out: &mut [u64],
+        a: &[u64],
+        b: &[u64],
+        other: &MontgomeryCtx,
+        out2: &mut [u64],
+        a2: &[u64],
+        b2: &[u64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if let (Kernel::Ifma { cpu, digits }, Kernel::Ifma { digits: digits2, .. }) =
+            (self.kernel, other.kernel)
+        {
+            if digits == digits2 {
+                work::add(Unit::MontMul, 2);
+                cpu.mul(self.amm(digits, out, a, b), Some(other.amm(digits, out2, a2, b2)));
+                return;
+            }
+        }
+        self.mont_mul_into(out, a, b);
+        other.mont_mul_into(out2, a2, b2);
+    }
+
     /// Allocating form of [`Self::mont_mul_into`], for table entries
     /// and conversions that keep their result.
     fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -179,14 +324,32 @@ impl MontgomeryCtx {
     /// the spare buffer, which becomes the result's limbs.
     pub(crate) fn finish(&self, acc: &[u64], mut tmp: Vec<u64>) -> BigUint {
         self.mont_mul_into(&mut tmp, acc, &self.one);
-        BigUint::from_limbs(tmp)
+        self.value(tmp)
     }
 
-    /// `v mod n` as exactly `k` limbs. Values already `< n` and `k`
-    /// limbs wide — ciphertexts, group elements, anything produced by
-    /// this context — are borrowed as they are: no Knuth division, no
-    /// copy.
+    /// The plain value of `k` residue words.
+    fn value(&self, words: Vec<u64>) -> BigUint {
+        match self.kernel {
+            Kernel::Scalar => BigUint::from_limbs(words),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma { .. } => BigUint::from_limbs(from_digits(&words)),
+        }
+    }
+
+    /// `v mod n` as exactly `k` words. On the scalar kernel, values
+    /// already `< n` and `k` limbs wide — ciphertexts, group elements,
+    /// anything produced by this context — are borrowed as they are: no
+    /// Knuth division, no copy. The vector kernel converts every value
+    /// to digits here.
     fn reduced<'a>(&self, v: &'a BigUint) -> Result<Cow<'a, [u64]>> {
+        #[cfg(target_arch = "x86_64")]
+        if let Kernel::Ifma { .. } = self.kernel {
+            return Ok(Cow::Owned(if v.cmp_to(&self.n) != Ordering::Less {
+                to_digits(v.rem(&self.n)?.limbs(), self.k)
+            } else {
+                to_digits(v.limbs(), self.k)
+            }));
+        }
         if v.cmp_to(&self.n) != Ordering::Less {
             return Ok(Cow::Owned(pad(&v.rem(&self.n)?, self.k)));
         }
@@ -210,11 +373,11 @@ impl MontgomeryCtx {
     /// ab mod n` directly.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> Result<BigUint> {
         let am = self.prepare(a)?;
-        Ok(BigUint::from_limbs(self.mont_mul(&am, &self.reduced(b)?)))
+        Ok(self.value(self.mont_mul(&am, &self.reduced(b)?)))
     }
 
     /// The 8 odd powers `bm^1, bm^3, …, bm^15` of a Montgomery-form
-    /// base, flat with a stride of `k` limbs. `tmp` is scratch.
+    /// base, flat with a stride of `k` words. `tmp` is scratch.
     fn odd_powers(&self, bm: &[u64], tmp: &mut [u64]) -> Vec<u64> {
         let k = self.k;
         self.mont_mul_into(tmp, bm, bm);
@@ -232,48 +395,49 @@ impl MontgomeryCtx {
     /// Window width is 4 bits with a precomputed table of the 8 odd
     /// powers `base^1, base^3, ..., base^15` (all in Montgomery form),
     /// so long runs of exponent bits cost squarings plus one table
-    /// multiplication per window.
+    /// multiplication per window; an exponent of at most 9 set bits
+    /// skips the table.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> Result<BigUint> {
         if exp.is_zero() {
             return Ok(BigUint::one());
         }
-        let k = self.k;
-        let bm = self.prepare(base)?;
-        let mut tmp = vec![0u64; k];
-
-        // Sparse exponents (scalar weights, small plaintexts, RSA's
-        // e = 2^16 + 1): with at most 9 set bits the window table's 8
-        // multiplications cost more than it saves, so run plain
-        // left-to-right square-and-multiply.
-        let bits = exp.bits();
-        if exp.limbs().iter().map(|l| l.count_ones()).sum::<u32>() <= 9 {
-            let mut acc = bm.clone();
-            for i in (0..bits - 1).rev() {
-                self.square_assign(&mut acc, &mut tmp);
-                if exp.bit(i) {
-                    self.mul_assign(&mut acc, &mut tmp, &bm);
-                }
-            }
-            return Ok(self.finish(&acc, tmp));
+        let mut chain = Chain::new(self, base, exp)?;
+        while let Some(op) = chain.ops.next() {
+            chain.step(op);
         }
+        Ok(chain.finish())
+    }
 
-        let table = self.odd_powers(&bm, &mut tmp);
-        let mut acc = self.r1.clone();
-        let mut i = bits as isize - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                self.square_assign(&mut acc, &mut tmp);
-                i -= 1;
-                continue;
-            }
-            let (lo, idx) = window_at(exp, i);
-            for _ in lo..=i {
-                self.square_assign(&mut acc, &mut tmp);
-            }
-            self.mul_assign(&mut acc, &mut tmp, &table[idx * k..(idx + 1) * k]);
-            i = lo - 1;
+    /// `(x^e mod n, y^f mod n')` for this context's `n` and `other`'s
+    /// `n'` — the two halves of a CRT exponentiation.
+    ///
+    /// The same products as `self.pow(x, e)` and `other.pow(y, f)`, in
+    /// each one's order, with the same results and [`Unit::MontMul`]
+    /// count. When both contexts run the vector kernel, the two
+    /// schedules advance in lockstep, one product of each per step of
+    /// the interleaved kernel; otherwise this is those two `pow`s.
+    pub fn pow_pair(
+        &self,
+        x: &BigUint,
+        e: &BigUint,
+        other: &MontgomeryCtx,
+        y: &BigUint,
+        f: &BigUint,
+    ) -> Result<(BigUint, BigUint)> {
+        let scalar = self.kernel == Kernel::Scalar || other.kernel == Kernel::Scalar;
+        if scalar || e.is_zero() || f.is_zero() {
+            return Ok((self.pow(x, e)?, other.pow(y, f)?));
         }
-        Ok(self.finish(&acc, tmp))
+        let (mut c1, mut c2) = (Chain::new(self, x, e)?, Chain::new(other, y, f)?);
+        loop {
+            match (c1.ops.next(), c2.ops.next()) {
+                (Some(op1), Some(op2)) => Chain::step_pair(&mut c1, op1, &mut c2, op2),
+                (Some(op1), None) => c1.step(op1),
+                (None, Some(op2)) => c2.step(op2),
+                (None, None) => break,
+            }
+        }
+        Ok((c1.finish(), c2.finish()))
     }
 
     /// Simultaneous multi-exponentiation (Straus): `Π bᵢ^{eᵢ} mod n`
@@ -499,6 +663,160 @@ fn window_at(exp: &BigUint, i: isize) -> (isize, usize) {
     (lo, (val - 1) / 2)
 }
 
+/// One step of an exponentiation's schedule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    /// `acc ← acc²`.
+    Square,
+    /// `acc ← acc · table[i]`.
+    Mul(usize),
+}
+
+/// The multiplications `pow` makes after its table, in order: plain
+/// left-to-right square-and-multiply for an exponent of at most 9 set
+/// bits (scalar weights, small plaintexts, RSA's `e = 2^16 + 1`: there
+/// the window table's 8 multiplications cost more than it saves), else
+/// the greedy 4-bit sliding window of [`window_at`]. Once exhausted it
+/// stays exhausted.
+struct Schedule<'e> {
+    exp: &'e BigUint,
+    sparse: bool,
+    /// The next exponent bit to read; negative when done.
+    i: isize,
+    /// Squarings due before `then`.
+    squares: usize,
+    /// The table multiplication that closes the current window.
+    then: Option<usize>,
+}
+
+impl<'e> Schedule<'e> {
+    /// `exp` is nonzero.
+    fn new(exp: &'e BigUint) -> Schedule<'e> {
+        let sparse = exp.limbs().iter().map(|l| l.count_ones()).sum::<u32>() <= 9;
+        // The sparse walk starts from the base itself, past the top bit.
+        let top = exp.bits() as isize - 1;
+        Schedule { exp, sparse, i: if sparse { top - 1 } else { top }, squares: 0, then: None }
+    }
+}
+
+impl Iterator for Schedule<'_> {
+    type Item = Op;
+
+    fn next(&mut self) -> Option<Op> {
+        if self.squares > 0 {
+            self.squares -= 1;
+            return Some(Op::Square);
+        }
+        if let Some(idx) = self.then.take() {
+            return Some(Op::Mul(idx));
+        }
+        if self.i < 0 {
+            return None;
+        }
+        let i = self.i;
+        if self.sparse {
+            self.then = self.exp.bit(i as usize).then_some(0);
+            self.i -= 1;
+        } else if !self.exp.bit(i as usize) {
+            self.i -= 1;
+        } else {
+            let (lo, idx) = window_at(self.exp, i);
+            self.squares = (i - lo) as usize;
+            self.then = Some(idx);
+            self.i = lo - 1;
+        }
+        Some(Op::Square)
+    }
+}
+
+/// One exponentiation in progress: its schedule, its window table (or,
+/// on the sparse walk, the base alone as entry 0), an accumulator and
+/// its spare buffer.
+struct Chain<'a> {
+    ctx: &'a MontgomeryCtx,
+    ops: Schedule<'a>,
+    table: Vec<u64>,
+    acc: Vec<u64>,
+    tmp: Vec<u64>,
+}
+
+impl<'a> Chain<'a> {
+    /// Maps `base` into Montgomery form and builds the table: the
+    /// products `pow` makes before its loop. `exp` is nonzero.
+    fn new(ctx: &'a MontgomeryCtx, base: &BigUint, exp: &'a BigUint) -> Result<Chain<'a>> {
+        let bm = ctx.prepare(base)?;
+        let mut tmp = vec![0u64; ctx.k];
+        let ops = Schedule::new(exp);
+        let (table, acc) = if ops.sparse {
+            let acc = bm.clone();
+            (bm, acc)
+        } else {
+            (ctx.odd_powers(&bm, &mut tmp), ctx.r1.clone())
+        };
+        Ok(Chain { ctx, ops, table, acc, tmp })
+    }
+
+    /// The second operand of `op`.
+    fn operand<'t>(acc: &'t [u64], table: &'t [u64], op: Op, k: usize) -> &'t [u64] {
+        match op {
+            Op::Square => acc,
+            Op::Mul(idx) => &table[idx * k..][..k],
+        }
+    }
+
+    /// Applies `op` to the accumulator.
+    fn step(&mut self, op: Op) {
+        let b = Self::operand(&self.acc, &self.table, op, self.ctx.k);
+        self.ctx.mont_mul_into(&mut self.tmp, &self.acc, b);
+        std::mem::swap(&mut self.acc, &mut self.tmp);
+    }
+
+    /// Applies `op1` to `c1` and `op2` to `c2` as one paired product.
+    fn step_pair(c1: &mut Chain<'_>, op1: Op, c2: &mut Chain<'_>, op2: Op) {
+        let b1 = Self::operand(&c1.acc, &c1.table, op1, c1.ctx.k);
+        let b2 = Self::operand(&c2.acc, &c2.table, op2, c2.ctx.k);
+        c1.ctx.mont_mul_pair(&mut c1.tmp, &c1.acc, b1, c2.ctx, &mut c2.tmp, &c2.acc, b2);
+        std::mem::swap(&mut c1.acc, &mut c1.tmp);
+        std::mem::swap(&mut c2.acc, &mut c2.tmp);
+    }
+
+    /// The result, out of Montgomery form.
+    fn finish(self) -> BigUint {
+        self.ctx.finish(&self.acc, self.tmp)
+    }
+}
+
+/// 64-bit limbs (little-endian, any length) as exactly `k` 52-bit
+/// digits; the value must fit.
+#[cfg(target_arch = "x86_64")]
+fn to_digits(limbs: &[u64], k: usize) -> Vec<u64> {
+    let mut digits = vec![0u64; k];
+    for (i, d) in digits.iter_mut().enumerate() {
+        let (w, s) = (ifma::DIGIT_BITS * i / 64, ifma::DIGIT_BITS * i % 64);
+        let Some(&low) = limbs.get(w) else { break };
+        let high = match limbs.get(w + 1) {
+            Some(&h) if s > 64 - ifma::DIGIT_BITS => h << (64 - s),
+            _ => 0,
+        };
+        *d = ((low >> s) | high) & ifma::MASK;
+    }
+    digits
+}
+
+/// 52-bit digits back to 64-bit limbs.
+#[cfg(target_arch = "x86_64")]
+fn from_digits(digits: &[u64]) -> Vec<u64> {
+    let mut limbs = vec![0u64; (ifma::DIGIT_BITS * digits.len()).div_ceil(64)];
+    for (i, &d) in digits.iter().enumerate() {
+        let (w, s) = (ifma::DIGIT_BITS * i / 64, ifma::DIGIT_BITS * i % 64);
+        limbs[w] |= d << s;
+        if s > 64 - ifma::DIGIT_BITS {
+            limbs[w + 1] |= d >> (64 - s);
+        }
+    }
+    limbs
+}
+
 /// Pads a reduced value out to exactly `k` limbs.
 fn pad(v: &BigUint, k: usize) -> Vec<u64> {
     let mut limbs = v.limbs().to_vec();
@@ -508,12 +826,76 @@ fn pad(v: &BigUint, k: usize) -> Vec<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use prever_obs::work::measure;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::cell::Cell;
+
+    /// A kernel a test asks for, in place of [`Kernel::choose`]'s rule.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Forced {
+        Scalar,
+        /// The vector kernel at every width it fits, crossover ignored.
+        Vector,
+    }
+
+    impl Forced {
+        pub(super) fn kernel(self, bits: usize) -> Kernel {
+            match self {
+                Forced::Scalar => Kernel::Scalar,
+                Forced::Vector => Kernel::vector(bits).unwrap_or(Kernel::Scalar),
+            }
+        }
+    }
+
+    thread_local! {
+        pub(super) static FORCED: Cell<Option<Forced>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every context this thread builds on `kernel`.
+    pub(crate) fn forcing<R>(kernel: Forced, f: impl FnOnce() -> R) -> R {
+        let before = FORCED.replace(Some(kernel));
+        let out = f();
+        FORCED.set(before);
+        out
+    }
+
+    /// The scalar kernel, and the vector one where the CPU has it (with
+    /// the reason printed where it does not).
+    pub(crate) fn kernels() -> Vec<(&'static str, Forced)> {
+        let mut all = vec![("scalar", Forced::Scalar)];
+        if Kernel::vector(VECTOR_MIN_BITS).is_some() {
+            all.push(("avx512ifma", Forced::Vector));
+        } else {
+            eprintln!(
+                "skipped: this CPU does not report avx512f/avx512ifma; only the scalar kernel ran"
+            );
+        }
+        all
+    }
 
     fn ctx(hex: &str) -> MontgomeryCtx {
         MontgomeryCtx::new(&BigUint::from_hex(hex).unwrap()).unwrap()
+    }
+
+    /// `log2 R` of a context.
+    fn r_bits(ctx: &MontgomeryCtx) -> usize {
+        match ctx.kernel {
+            Kernel::Scalar => 64 * ctx.k,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma { digits, .. } => ifma::DIGIT_BITS * digits,
+        }
+    }
+
+    /// A random odd modulus of exactly `bits` bits.
+    fn odd_modulus(bits: usize, rng: &mut StdRng) -> BigUint {
+        let m = BigUint::one().shl(bits - 1).add(&BigUint::random_bits(bits - 1, rng));
+        if m.is_even() {
+            m.add(&BigUint::one())
+        } else {
+            m
+        }
     }
 
     #[test]
@@ -529,6 +911,17 @@ mod tests {
         for n in [3u64, 0xffff_ffff_ffff_ffff, 0x1234_5678_9abc_def1] {
             let ctx = MontgomeryCtx::new(&BigUint::from_u64(n)).unwrap();
             assert_eq!(n.wrapping_mul(ctx.n0), u64::MAX); // n * (-n^-1) = -1
+        }
+    }
+
+    #[test]
+    fn the_kernel_follows_the_width_and_the_cpu() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let vector = Kernel::vector(VECTOR_MIN_BITS).is_some();
+        for (bits, wide) in [(VECTOR_MIN_BITS - 1, false), (VECTOR_MIN_BITS, true), (2048, true)] {
+            let ctx = MontgomeryCtx::new(&odd_modulus(bits, &mut rng)).unwrap();
+            let want = if wide && vector { "avx512ifma" } else { "scalar" };
+            assert_eq!(ctx.kernel(), want, "{bits} bits");
         }
     }
 
@@ -571,54 +964,139 @@ mod tests {
     }
 
     /// `mont_mul_into` is `a·b·R⁻¹ mod n`: checked against `mul().rem()`
-    /// (multiply the answer back by `R`) and against the CIOS body, into
-    /// an output buffer that holds stale limbs.
+    /// (multiply the answer back by `R`), into an output buffer that
+    /// holds stale words; the scalar kernel also against the CIOS body,
+    /// the vector one for whole 52-bit digits.
     fn check_mont_mul(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint) {
-        let k = ctx.k;
-        let (al, bl) = (pad(a, k), pad(b, k));
+        let (k, kernel) = (ctx.k, ctx.kernel());
+        let (al, bl) = (ctx.reduced(a).unwrap().into_owned(), ctx.reduced(b).unwrap().into_owned());
         let mut out = vec![0xdead_beef_dead_beef_u64; k];
         ctx.mont_mul_into(&mut out, &al, &bl);
-        assert_eq!(out, mont_mul_cios(ctx, &al, &bl), "k = {k}: {a:?} * {b:?}");
-        let got = BigUint::from_limbs(out);
-        assert!(got < ctx.n);
+        if ctx.kernel == Kernel::Scalar {
+            assert_eq!(out, mont_mul_cios(ctx, &al, &bl), "k = {k}: {a:?} * {b:?}");
+        } else {
+            assert!(out.iter().all(|&d| d >> 52 == 0), "{kernel}, k = {k}: a digit above 2^52");
+        }
+        let got = ctx.value(out);
+        assert!(got < ctx.n, "{kernel}, k = {k}: {a:?} * {b:?} not reduced");
         assert_eq!(
-            got.shl(64 * k).rem(&ctx.n).unwrap(),
+            got.shl(r_bits(ctx)).rem(&ctx.n).unwrap(),
             a.mul(b).rem(&ctx.n).unwrap(),
-            "k = {k}: {a:?} * {b:?}"
+            "{kernel}, k = {k}: {a:?} * {b:?}"
         );
     }
 
     #[test]
     fn mont_mul_into_matches_schoolbook_at_every_width() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for k in [1usize, 2, 3, 4, 8, 16, 17, 32, 33] {
-            // The all-ones modulus makes the longest carries; the others
-            // are random odd values with the top limb in use.
-            let all_ones = BigUint::from_limbs(vec![u64::MAX; k]);
-            let mut moduli = vec![all_ones];
-            for _ in 0..3 {
-                let mut limbs: Vec<u64> = (0..k).map(|_| rand::Rng::gen(&mut rng)).collect();
-                limbs[0] |= 1;
-                limbs[k - 1] |= 1 << 63;
-                moduli.push(BigUint::from_limbs(limbs));
-            }
-            for n in moduli {
-                let ctx = MontgomeryCtx::new(&n).unwrap();
-                let top = n.sub(&BigUint::one());
-                let edge = [BigUint::zero(), BigUint::one(), top.clone()];
-                for a in &edge {
-                    for b in &edge {
-                        check_mont_mul(&ctx, a, b);
+        // Limb widths 1–33, both sides of the crossover, and of the
+        // digit padding: 830 bits is 16 digits (two whole vectors), 831
+        // is 17; 2048 and 2049 bits are 40 digits, 2112 is 41.
+        let mut widths: Vec<usize> = [1usize, 2, 3, 4, 8, 16, 17, 32, 33].map(|k| 64 * k).to_vec();
+        widths.extend([VECTOR_MIN_BITS - 1, VECTOR_MIN_BITS, 830, 831, 1023, 1025, 2047, 2049]);
+        for (name, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(5);
+            for &bits in &widths {
+                // The all-ones modulus makes the longest carries; the
+                // others are random odd values with the top bit set.
+                let all_ones = BigUint::one().shl(bits).sub(&BigUint::one());
+                let mut moduli = vec![all_ones];
+                moduli.extend((0..3).map(|_| odd_modulus(bits, &mut rng)));
+                for n in moduli {
+                    let ctx = forcing(kernel, || MontgomeryCtx::new(&n).unwrap());
+                    assert_eq!(ctx.kernel(), name, "{bits} bits");
+                    let top = n.sub(&BigUint::one());
+                    let edge = [BigUint::zero(), BigUint::one(), top.clone()];
+                    for a in &edge {
+                        for b in &edge {
+                            check_mont_mul(&ctx, a, b);
+                        }
+                    }
+                    for _ in 0..8 {
+                        let a = BigUint::random_below(&n, &mut rng);
+                        let b = BigUint::random_below(&n, &mut rng);
+                        check_mont_mul(&ctx, &a, &b);
+                        check_mont_mul(&ctx, &a, &top);
+                        check_mont_mul(&ctx, &a, &a);
                     }
                 }
-                for _ in 0..8 {
-                    let a = BigUint::random_below(&n, &mut rng);
-                    let b = BigUint::random_below(&n, &mut rng);
-                    check_mont_mul(&ctx, &a, &b);
-                    check_mont_mul(&ctx, &a, &top);
-                    check_mont_mul(&ctx, &a, &a);
+            }
+        }
+    }
+
+    #[test]
+    fn pow_pair_matches_two_pows() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let one = BigUint::one();
+        for (name, kernel) in kernels() {
+            // One, two and three vectors a side (the interleaved vector
+            // kernel), five (one product after the other), and unequal
+            // digit counts (one after the other).
+            let shapes =
+                [(96, 96), (512, 512), (1024, 1024), (2048, 2048), (1023, 1100), (512, 2048)];
+            for (bits1, bits2) in shapes {
+                let (n1, n2) = (odd_modulus(bits1, &mut rng), odd_modulus(bits2, &mut rng));
+                let (c1, c2) = forcing(kernel, || {
+                    (MontgomeryCtx::new(&n1).unwrap(), MontgomeryCtx::new(&n2).unwrap())
+                });
+                let x = BigUint::random_below(&n1, &mut rng);
+                let y = BigUint::random_below(&n2, &mut rng);
+                // Dense, sparse, zero and one, and of different lengths.
+                let exps = [
+                    BigUint::random_bits(bits1 / 2, &mut rng),
+                    BigUint::random_bits(bits2 / 3, &mut rng),
+                    BigUint::from_u64(65537),
+                    BigUint::zero(),
+                    one.clone(),
+                ];
+                for e in &exps {
+                    for f in &exps {
+                        let (pair, pair_muls) = measure(|| c1.pow_pair(&x, e, &c2, &y, f).unwrap());
+                        let (two, two_muls) =
+                            measure(|| (c1.pow(&x, e).unwrap(), c2.pow(&y, f).unwrap()));
+                        assert_eq!(pair, two, "{name}: {bits1}/{bits2} bits, e = {e:?}, f = {f:?}");
+                        assert_eq!(pair_muls, two_muls, "{name}: {bits1}/{bits2} bits");
+                    }
                 }
             }
+        }
+    }
+
+    /// Paillier and RSA at the benchmark's key sizes (`keygen(512)`: a
+    /// 2 048-bit `n²`, 1 024-bit `p²`, `q²` and RSA `n`, 512-bit RSA
+    /// primes) from one seed: on every kernel, the same ciphertexts,
+    /// decryption, signature and blinded token — the bytes the
+    /// scalar-only code made from this seed, pinned by their SHA-256 —
+    /// and the same count of Montgomery multiplications for each step:
+    /// encrypt, rerandomize, decrypt, sign, blind, verify.
+    #[test]
+    fn benchmark_key_sizes_give_the_same_bytes_and_work_on_every_kernel() {
+        use crate::sha256::Sha256;
+        use crate::{paillier, rsa};
+        for (name, kernel) in kernels() {
+            let (digest, counts) = forcing(kernel, || {
+                let mut rng = StdRng::seed_from_u64(1);
+                let sk = paillier::keygen(512, &mut rng);
+                let (c, enc) = measure(|| sk.public.encrypt_u64(40, &mut rng).unwrap());
+                let (c2, rer) = measure(|| sk.public.rerandomize(&c, &mut rng).unwrap());
+                let (m, dec) = measure(|| sk.decrypt(&c2).unwrap());
+                let key = rsa::keygen(512, &mut rng);
+                let (sig, sign) = measure(|| key.sign(b"token").unwrap());
+                let ((blinded, _), blind) =
+                    measure(|| rsa::blind(&key.public, b"token", &mut rng).unwrap());
+                let ((), verify) = measure(|| key.public.verify(b"token", &sig).unwrap());
+                assert_eq!(m, BigUint::from_u64(40), "{name}");
+                let mut h = Sha256::new();
+                for v in [c.as_biguint(), c2.as_biguint(), &m, &sig.0, &blinded] {
+                    h.update(&v.to_bytes_be());
+                }
+                let counts = [enc, rer, dec, sign, blind, verify].map(|w| w[Unit::MontMul]);
+                (h.finalize().to_hex(), counts)
+            });
+            assert_eq!(
+                digest, "1b853ed52893b66d2665163b17b62cc5cae6b0f6a5d456283e703a3c194fdb3d",
+                "{name}: outputs differ from the scalar kernel's"
+            );
+            assert_eq!(counts, [145, 147, 1255, 1250, 21, 19], "{name}: multiplications per step");
         }
     }
 
@@ -702,93 +1180,99 @@ mod tests {
 
     #[test]
     fn multi_pow_matches_per_base_pow() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = BigUint::gen_prime(160, &mut rng);
-        let mctx = MontgomeryCtx::new(&m).unwrap();
-        let bases: Vec<BigUint> =
-            (0..20).map(|_| BigUint::random_below(&m, &mut rng)).collect();
-        let exps: Vec<u64> = (0..20).map(|i| [0u64, 1, 7, 64, 513, u64::MAX][i % 6]).collect();
-        let mut want = BigUint::one();
-        for (b, &e) in bases.iter().zip(&exps) {
-            let term = mctx.pow(b, &BigUint::from_u64(e)).unwrap();
-            want = want.mul_mod(&term, &m).unwrap();
+        for (_, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(11);
+            let m = BigUint::gen_prime(160, &mut rng);
+            let mctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            let bases: Vec<BigUint> =
+                (0..20).map(|_| BigUint::random_below(&m, &mut rng)).collect();
+            let exps: Vec<u64> = (0..20).map(|i| [0u64, 1, 7, 64, 513, u64::MAX][i % 6]).collect();
+            let mut want = BigUint::one();
+            for (b, &e) in bases.iter().zip(&exps) {
+                let term = mctx.pow(b, &BigUint::from_u64(e)).unwrap();
+                want = want.mul_mod(&term, &m).unwrap();
+            }
+            let refs: Vec<&BigUint> = bases.iter().collect();
+            assert_eq!(mctx.multi_pow_u64(&refs, &exps).unwrap(), want);
+            // Empty product is 1.
+            assert_eq!(mctx.multi_pow_u64(&[], &[]).unwrap(), BigUint::one());
+            // Length mismatch is rejected.
+            assert!(mctx.multi_pow_u64(&refs, &exps[1..]).is_err());
         }
-        let refs: Vec<&BigUint> = bases.iter().collect();
-        assert_eq!(mctx.multi_pow_u64(&refs, &exps).unwrap(), want);
-        // Empty product is 1.
-        assert_eq!(mctx.multi_pow_u64(&[], &[]).unwrap(), BigUint::one());
-        // Length mismatch is rejected.
-        assert!(mctx.multi_pow_u64(&refs, &exps[1..]).is_err());
     }
 
     #[test]
     fn multi_pow_rows_matches_per_row_multi_pow() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let m = BigUint::gen_prime(160, &mut rng);
-        let mctx = MontgomeryCtx::new(&m).unwrap();
-        // Mixed exponent regimes: full 64-bit, small values (flag-like
-        // records), zeros, and single bits — every bucket-width choice.
-        for exps in [
-            vec![u64::MAX, 0, 1, 0x1234_5678_9abc_def0, 7, 2, 255, 1 << 63],
-            vec![1, 2, 3, 0, 1, 2, 3, 0],
-            vec![0, 0, 0, 0, 0, 0, 0, 0],
-            (1..=8u64).collect(),
-        ] {
-            let rows_data: Vec<Vec<BigUint>> = (0..3)
-                .map(|_| (0..exps.len()).map(|_| BigUint::random_below(&m, &mut rng)).collect())
-                .collect();
-            let rows_refs: Vec<Vec<&BigUint>> =
-                rows_data.iter().map(|r| r.iter().collect()).collect();
-            let rows: Vec<&[&BigUint]> = rows_refs.iter().map(|r| r.as_slice()).collect();
-            let got = mctx.multi_pow_u64_rows(&rows, &exps).unwrap();
-            for (row, g) in rows.iter().zip(&got) {
-                assert_eq!(g, &mctx.multi_pow_u64(row, &exps).unwrap());
+        for (_, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(17);
+            let m = BigUint::gen_prime(160, &mut rng);
+            let mctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            // Mixed exponent regimes: full 64-bit, small values (flag-like
+            // records), zeros, and single bits — every bucket-width choice.
+            for exps in [
+                vec![u64::MAX, 0, 1, 0x1234_5678_9abc_def0, 7, 2, 255, 1 << 63],
+                vec![1, 2, 3, 0, 1, 2, 3, 0],
+                vec![0, 0, 0, 0, 0, 0, 0, 0],
+                (1..=8u64).collect(),
+            ] {
+                let rows_data: Vec<Vec<BigUint>> = (0..3)
+                    .map(|_| (0..exps.len()).map(|_| BigUint::random_below(&m, &mut rng)).collect())
+                    .collect();
+                let rows_refs: Vec<Vec<&BigUint>> =
+                    rows_data.iter().map(|r| r.iter().collect()).collect();
+                let rows: Vec<&[&BigUint]> = rows_refs.iter().map(|r| r.as_slice()).collect();
+                let got = mctx.multi_pow_u64_rows(&rows, &exps).unwrap();
+                for (row, g) in rows.iter().zip(&got) {
+                    assert_eq!(g, &mctx.multi_pow_u64(row, &exps).unwrap());
+                }
             }
+            // Empty batch, empty rows, and length mismatches.
+            assert!(mctx.multi_pow_u64_rows(&[], &[1, 2]).unwrap().is_empty());
+            let empty: &[&BigUint] = &[];
+            assert_eq!(mctx.multi_pow_u64_rows(&[empty], &[]).unwrap(), vec![BigUint::one()]);
+            let b = BigUint::from_u64(5);
+            let one_row: &[&BigUint] = &[&b];
+            assert!(mctx.multi_pow_u64_rows(&[one_row], &[1, 2]).is_err());
         }
-        // Empty batch, empty rows, and length mismatches.
-        assert!(mctx.multi_pow_u64_rows(&[], &[1, 2]).unwrap().is_empty());
-        let empty: &[&BigUint] = &[];
-        assert_eq!(mctx.multi_pow_u64_rows(&[empty], &[]).unwrap(), vec![BigUint::one()]);
-        let b = BigUint::from_u64(5);
-        let one_row: &[&BigUint] = &[&b];
-        assert!(mctx.multi_pow_u64_rows(&[one_row], &[1, 2]).is_err());
     }
 
     #[test]
     fn multi_pow_full_width_matches_per_base_pow() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let m = BigUint::gen_prime(192, &mut rng);
-        let mctx = MontgomeryCtx::new(&m).unwrap();
-        let bases: Vec<BigUint> =
-            (0..8).map(|_| BigUint::random_below(&m, &mut rng)).collect();
-        // Mixed widths: zero, single-bit, full-width, and ragged exponents.
-        let mut exps: Vec<BigUint> = vec![
-            BigUint::zero(),
-            BigUint::one(),
-            BigUint::random_bits(192, &mut rng),
-            BigUint::from_u64(0xffff_ffff_ffff_ffff),
-        ];
-        while exps.len() < bases.len() {
-            let w = 1 + 29 * exps.len();
-            exps.push(BigUint::random_bits(w, &mut rng));
+        for (_, kernel) in kernels() {
+            let mut rng = StdRng::seed_from_u64(13);
+            let m = BigUint::gen_prime(192, &mut rng);
+            let mctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+            let bases: Vec<BigUint> =
+                (0..8).map(|_| BigUint::random_below(&m, &mut rng)).collect();
+            // Mixed widths: zero, single-bit, full-width, and ragged exponents.
+            let mut exps: Vec<BigUint> = vec![
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::random_bits(192, &mut rng),
+                BigUint::from_u64(0xffff_ffff_ffff_ffff),
+            ];
+            while exps.len() < bases.len() {
+                let w = 1 + 29 * exps.len();
+                exps.push(BigUint::random_bits(w, &mut rng));
+            }
+            let mut want = BigUint::one();
+            for (b, e) in bases.iter().zip(&exps) {
+                let term = mctx.pow(b, e).unwrap();
+                want = want.mul_mod(&term, &m).unwrap();
+            }
+            let base_refs: Vec<&BigUint> = bases.iter().collect();
+            let exp_refs: Vec<&BigUint> = exps.iter().collect();
+            assert_eq!(mctx.multi_pow(&base_refs, &exp_refs).unwrap(), want);
+            // Empty product is 1, as is the all-zero-exponent product.
+            assert_eq!(mctx.multi_pow(&[], &[]).unwrap(), BigUint::one());
+            let zero = BigUint::zero();
+            assert_eq!(
+                mctx.multi_pow(&[&bases[0]], &[&zero]).unwrap(),
+                BigUint::one()
+            );
+            // Length mismatch is rejected.
+            assert!(mctx.multi_pow(&base_refs, &exp_refs[1..]).is_err());
         }
-        let mut want = BigUint::one();
-        for (b, e) in bases.iter().zip(&exps) {
-            let term = mctx.pow(b, e).unwrap();
-            want = want.mul_mod(&term, &m).unwrap();
-        }
-        let base_refs: Vec<&BigUint> = bases.iter().collect();
-        let exp_refs: Vec<&BigUint> = exps.iter().collect();
-        assert_eq!(mctx.multi_pow(&base_refs, &exp_refs).unwrap(), want);
-        // Empty product is 1, as is the all-zero-exponent product.
-        assert_eq!(mctx.multi_pow(&[], &[]).unwrap(), BigUint::one());
-        let zero = BigUint::zero();
-        assert_eq!(
-            mctx.multi_pow(&[&bases[0]], &[&zero]).unwrap(),
-            BigUint::one()
-        );
-        // Length mismatch is rejected.
-        assert!(mctx.multi_pow(&base_refs, &exp_refs[1..]).is_err());
     }
 
     mod props {
@@ -842,8 +1326,10 @@ mod tests {
                 a in arb_biguint(41),
                 b in arb_biguint(41),
             ) {
-                let ctx = MontgomeryCtx::new(&m).unwrap();
-                check_mont_mul(&ctx, &a.rem(&m).unwrap(), &b.rem(&m).unwrap());
+                for (_, kernel) in kernels() {
+                    let ctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+                    check_mont_mul(&ctx, &a.rem(&m).unwrap(), &b.rem(&m).unwrap());
+                }
             }
 
             // Exponentiation agreement. The schoolbook reference pays a
@@ -855,12 +1341,12 @@ mod tests {
                 base in arb_biguint(41),
                 e in any::<u64>(),
             ) {
-                let ctx = MontgomeryCtx::new(&m).unwrap();
                 let e = BigUint::from_u64(e);
-                prop_assert_eq!(
-                    ctx.pow(&base, &e).unwrap(),
-                    base.mod_exp_schoolbook(&e, &m).unwrap()
-                );
+                let want = base.mod_exp_schoolbook(&e, &m).unwrap();
+                for (_, kernel) in kernels() {
+                    let ctx = forcing(kernel, || MontgomeryCtx::new(&m).unwrap());
+                    prop_assert_eq!(ctx.pow(&base, &e).unwrap(), want.clone());
+                }
             }
 
             // Wider exponents at narrower moduli, through the public

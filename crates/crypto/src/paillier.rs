@@ -191,11 +191,12 @@ impl CrtContext {
     /// Decrypts `c` by working mod `p²` and `q²` and recombining.
     fn decrypt(&self, c: &BigUint) -> Result<BigUint> {
         let one = BigUint::one();
-        // m_p = L_p(c^{p-1} mod p²) · h_p mod p, likewise m_q.
-        let m_p = l_function(&self.mont_p2.pow(c, &self.p.sub(&one))?, &self.p)?
-            .mul_mod(&self.h_p, &self.p)?;
-        let m_q = l_function(&self.mont_q2.pow(c, &self.q.sub(&one))?, &self.q)?
-            .mul_mod(&self.h_q, &self.q)?;
+        // m_p = L_p(c^{p-1} mod p²) · h_p mod p, likewise m_q; the two
+        // exponentiations run in lockstep.
+        let (c_p, c_q) =
+            self.mont_p2.pow_pair(c, &self.p.sub(&one), &self.mont_q2, c, &self.q.sub(&one))?;
+        let m_p = l_function(&c_p, &self.p)?.mul_mod(&self.h_p, &self.p)?;
+        let m_q = l_function(&c_q, &self.q)?.mul_mod(&self.h_q, &self.q)?;
         // Garner: m = m_p + p · ((m_q − m_p) · p^{-1} mod q).
         let t = m_q
             .sub_mod(&m_p.rem(&self.q)?, &self.q)?

@@ -122,8 +122,7 @@ impl RsaCrt {
 
     /// `x^d mod n` via half-width exponentiations and Garner's formula.
     fn pow_d(&self, x: &BigUint) -> Result<BigUint> {
-        let m1 = self.mont_p.pow(x, &self.d_p)?;
-        let m2 = self.mont_q.pow(x, &self.d_q)?;
+        let (m1, m2) = self.mont_p.pow_pair(x, &self.d_p, &self.mont_q, x, &self.d_q)?;
         // sig = m2 + q · ((m1 − m2) · q^{-1} mod p).
         let h = m1
             .sub_mod(&m2.rem(&self.p)?, &self.p)?
