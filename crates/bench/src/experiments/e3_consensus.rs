@@ -15,7 +15,7 @@
 use crate::Table;
 use prever_consensus::durable::DurableLog;
 use prever_consensus::paxos::{self, PaxosMsg};
-use prever_consensus::pbft::{self, Byzantine, PbftMsg, PbftNode};
+use prever_consensus::pbft::{self, Byzantine, PbftMsg, PbftNode, NOOP_ID};
 use prever_consensus::{BatchConfig, Command};
 use prever_obs::trace::{self, CriticalPath};
 use prever_obs::TraceCtx;
@@ -96,13 +96,13 @@ pub fn run_pbft(n: usize, commands: u64, cfg: BatchConfig) -> RunResult {
         nodes[0].core.executed_commands() as u64 >= commands
     });
     assert!(done, "pbft n={n} batch={} window={} did not finish", cfg.max_batch, cfg.window);
-    let executed = sim.node(0).executed();
+    let executed = sim.node(0).core.executed();
     let latencies: Vec<u64> = executed
         .iter()
         .filter(|d| (d.command.id as usize) < submit_at.len())
         .map(|d| d.at.saturating_sub(submit_at[d.command.id as usize]))
         .collect();
-    let span = executed.last().map(|d| d.at).unwrap_or(1);
+    let span = executed.iter().filter(|d| d.command.id != NOOP_ID).last().map_or(1, |d| d.at);
     RunResult {
         vthroughput: commands as f64 / (span as f64 / 1e6),
         mean_latency_us: latencies.iter().sum::<u64>() as f64 / latencies.len() as f64,

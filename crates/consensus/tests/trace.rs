@@ -41,7 +41,7 @@ fn pbft_commit_trace_has_one_cut_one_quorum_one_flush_per_command() {
         sim.inject(0, 0, PbftMsg::request(Command::new(id, "traced")), i + 1);
     }
     let ok = sim.run_until_pred(3_000_000, |nodes| {
-        nodes.iter().all(|nd| nd.executed().len() as u64 >= cmds)
+        nodes.iter().all(|nd| nd.core.executed_commands() as u64 >= cmds)
     });
     assert!(ok, "cluster did not commit all commands");
 

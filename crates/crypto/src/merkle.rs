@@ -56,15 +56,6 @@ impl MerkleTree {
         Self::default()
     }
 
-    /// Creates a tree from existing leaf data.
-    pub fn from_leaves<'a, I: IntoIterator<Item = &'a [u8]>>(leaves: I) -> Self {
-        let mut t = Self::new();
-        for l in leaves {
-            t.append(l);
-        }
-        t
-    }
-
     /// Appends a leaf; returns its index.
     pub fn append(&mut self, data: &[u8]) -> usize {
         self.append_leaf_hash(leaf_hash(data))

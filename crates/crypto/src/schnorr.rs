@@ -911,11 +911,6 @@ impl RangeProof {
         t.append_bytes("ctx", context);
         rlc_check(group, &group.fb_h, t, &items)
     }
-
-    /// Proof size in group/scalar elements (for the E6-style reporting).
-    pub fn size_elements(&self) -> usize {
-        self.bit_commitments.len() + self.bit_proofs.len() * 6
-    }
 }
 
 #[cfg(test)]

@@ -393,11 +393,6 @@ impl<M: StorageMedium> PersistentJournal<M> {
     pub fn snap_medium(&self) -> &M {
         self.snap.medium()
     }
-
-    /// Mutable snapshot medium access.
-    pub fn snap_medium_mut(&mut self) -> &mut M {
-        self.snap.medium_mut()
-    }
 }
 
 #[cfg(test)]

@@ -198,11 +198,6 @@ impl Stopwatch {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Elapsed seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Stops, recording the elapsed nanoseconds into the global
     /// histogram `name`; returns the elapsed nanoseconds.
     pub fn stop_into(self, name: &str) -> u64 {

@@ -94,17 +94,6 @@ struct Pending {
     enqueued_at: u64,
 }
 
-/// One client session (DESIGN.md §15). Sessions exist so a client that
-/// fails over can prove to the new gateway how far its acks got; the
-/// gateway's half of exactly-once lives in `committed`, which every
-/// gateway reconstructs from the replayed journal.
-#[derive(Clone, Debug)]
-struct Session {
-    tenant: u32,
-    /// Highest command id the client reported acked (from `Resume`).
-    high_acked: u64,
-}
-
 /// Monotonic front-end counters (mirrored into the global metrics
 /// registry; kept here as plain fields so chaos invariants can read
 /// them without a registry snapshot).
@@ -161,8 +150,11 @@ pub struct FrontEnd {
     /// Every id this front end has acked `Committed` (the durability
     /// invariant set: acked writes must survive any crash).
     acked_ids: HashSet<u64>,
-    /// Live client sessions, by session token.
-    sessions: HashMap<u64, Session>,
+    /// Session tokens this gateway has seen (DESIGN.md §15): a `Resume`
+    /// of one it has not is a failover onto it. The gateway's half of
+    /// exactly-once lives in `committed`, which a restarted gateway
+    /// rebuilds from the replayed journal.
+    sessions: HashSet<u64>,
     /// Consensus-carried per-tenant quota overrides (rate, burst);
     /// identical at every gateway because they are applied in
     /// execution order. Tenants not present use `cfg` defaults.
@@ -188,20 +180,11 @@ impl FrontEnd {
             committed: BTreeMap::new(),
             committed_floor: 0,
             acked_ids: HashSet::new(),
-            sessions: HashMap::new(),
+            sessions: HashSet::new(),
             quotas: BTreeMap::new(),
             applied_slot: 0,
             applied_digest: [0u8; 32],
             stats: FrontStats::default(),
-        }
-    }
-
-    /// Seeds the committed map from a recovered execution history, so a
-    /// restarted server answers idempotent resubmissions of already
-    /// durable commands instead of re-ordering them.
-    pub fn install_committed(&mut self, executed: impl IntoIterator<Item = (u64, u64)>) {
-        for (id, slot) in executed {
-            self.committed.insert(id, slot);
         }
     }
 
@@ -235,12 +218,6 @@ impl FrontEnd {
     /// the checkpoint interval.
     pub fn committed_len(&self) -> usize {
         self.committed.len()
-    }
-
-    /// The (tenant, high_acked) recorded for `session`, if this
-    /// gateway knows it (harness/diagnostic view of session state).
-    pub fn session_info(&self, session: u64) -> Option<(u32, u64)> {
-        self.sessions.get(&session).map(|s| (s.tenant, s.high_acked))
     }
 
     /// Effective (rate, burst) for `tenant`: the consensus-carried
@@ -354,11 +331,11 @@ impl FrontEnd {
                     self.on_submission(from, tenant, class, deadline, s, now, actions);
                 }
             }
-            Request::Hello { tenant, session } => {
+            Request::Hello { session, .. } => {
                 if trace::active() {
                     trace::event(self.node, now, TraceCtx::for_command(session), "hello", session);
                 }
-                self.sessions.insert(session, Session { tenant, high_acked: 0 });
+                self.sessions.insert(session);
                 prever_obs::counter!("server.session.hello").inc();
                 actions.push(Action::Reply(
                     from,
@@ -369,15 +346,14 @@ impl FrontEnd {
                     },
                 ));
             }
-            Request::Resume { tenant, session, high_acked } => {
+            Request::Resume { session, .. } => {
                 if trace::active() {
                     trace::event(self.node, now, TraceCtx::for_command(session), "resume", session);
                 }
                 // `resumed: true` means this gateway had never seen the
                 // session — i.e. a genuine failover, not a reconnect to
                 // the same gateway.
-                let resumed = !self.sessions.contains_key(&session);
-                self.sessions.insert(session, Session { tenant, high_acked });
+                let resumed = self.sessions.insert(session);
                 self.stats.resumes += 1;
                 prever_obs::counter!("server.failover.resume").inc();
                 actions.push(Action::Reply(

@@ -93,7 +93,7 @@ fn run_cluster<A: Actor + 'static>(
         sim.inject(to, to, wrap(request), 1 + i * 3_000);
     }
     let done = sim.run_until_pred(5_000_000, |nodes| {
-        nodes.iter().all(|a| node(a).executed().len() as u64 >= COMMANDS)
+        nodes.iter().all(|a| node(a).core.executed_commands() as u64 >= COMMANDS)
     });
     assert!(done, "cluster did not execute every command");
     // Drain what the predicate cut short (checkpoint votes in flight).

@@ -180,11 +180,6 @@ impl<'a, M> Ctx<'a, M> {
         }
     }
 
-    /// Sends `msg` to self through the network (useful for yielding).
-    pub fn send_self(&mut self, msg: M) {
-        self.sends.push((self.self_id, msg));
-    }
-
     /// Arms a timer that fires after `delay` µs with identifier `timer`.
     pub fn set_timer(&mut self, delay: u64, timer: u64) {
         self.timers.push((delay, timer));
@@ -470,12 +465,6 @@ impl<A: Actor> Simulation<A> {
     /// Immutable access to a node (assertions, result extraction).
     pub fn node(&self, id: NodeId) -> &A {
         &self.nodes[self.slot(id)]
-    }
-
-    /// Mutable access to a node (test setup).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut A {
-        let slot = self.slot(id);
-        &mut self.nodes[slot]
     }
 
     /// Number of nodes.

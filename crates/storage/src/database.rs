@@ -191,11 +191,6 @@ impl Database {
         Ok(table)
     }
 
-    /// Table names in order.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(|s| s.as_str())
-    }
-
     /// Inserts `row` into `table`; returns the change record.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<&ChangeRecord> {
         let next = self.version + 1;

@@ -93,6 +93,7 @@ fn pbft_progresses_under_light_loss() {
     // Safety across replicas regardless of how many view changes ran.
     let slots: Vec<(u64, u64)> = sim
         .node(0)
+        .core
         .executed()
         .iter()
         .map(|d| (d.slot, d.command.id))
