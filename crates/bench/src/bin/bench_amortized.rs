@@ -2,8 +2,10 @@
 //! best-of-trials wall-clock minima for fixed-base Schnorr/Paillier,
 //! RLC batch verification at n ∈ {1, 8, 64, 256}, multi-query CPIR at
 //! k ∈ {1, 4, 8, 16}, the limb kernel (`mont_mul/k`, `mod_inv/bits`,
-//! the wallet side of a blind-signature round; `mont_mul` and `modexp`
-//! lines name the kernel that ran) and Merkle roots at
+//! the wallet side of a blind-signature round, the authority's signing
+//! and a whole token request at k tokens; `mont_mul`, `modexp`,
+//! `rsa_sign_many` and `token_request` lines name the kernel that ran)
+//! and Merkle roots at
 //! 1k/64k leaves (cold build, then warm root and inclusion proof), and
 //! the key-size sweeps DESIGN.md §5 chooses its parameters from
 //! (`modexp/bits`, Paillier at 96- and 256-bit primes), and the 6-bit
@@ -26,6 +28,7 @@ use prever_crypto::sha256::Digest;
 use prever_crypto::{paillier, rsa};
 use prever_obs::work::{measure, Unit};
 use prever_pir::cpir::{CpirClient, CpirServer};
+use prever_tokens::{TokenAuthority, Wallet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -178,6 +181,31 @@ fn main() {
         best = best.min(wallet.as_nanos() as f64 / 20.0);
     }
     println!("{{\"id\": \"rsa_blind_unblind/1024\", \"ns\": {best:.1}}}");
+
+    // The authority's side of one request of k tokens at that key
+    // (`rsa_sign_many/k`), and a whole request, blind → sign → unblind
+    // (`token_request/k`), in ns per token. `kernel` names what signs the
+    // 512-bit CRT halves of a k-token request: "avx512ifma-lanes" (one
+    // lane-parallel exponentiation a half), "avx512ifma" (a lockstep pair
+    // a token) or "scalar".
+    let half = MontgomeryCtx::new(&odd_modulus_and_residue(512, &mut rng).0).unwrap();
+    let blinded: Vec<BigUint> = (0..8).map(|_| BigUint::random_below(&rsa_key.public.n, &mut rng)).collect();
+    for k in [1usize, 2, 3, 8] {
+        let ns = best_ns(5, 10, || {
+            black_box(rsa_key.sign_blinded_many(black_box(&blinded[..k])).unwrap());
+        }) / k as f64;
+        let kernel = half.batch_kernel(k);
+        println!("{{\"id\": \"rsa_sign_many/{k}\", \"ns\": {ns:.1}, \"kernel\": \"{kernel}\"}}");
+    }
+    let mut authority = TokenAuthority::new(512, u64::MAX, &mut rng);
+    let mut wallet = Wallet::new("bench");
+    for k in [1u64, 4, 8] {
+        let ns = best_ns(5, 10, || {
+            black_box(wallet.request_tokens(&mut authority, 1, k, &mut rng).unwrap());
+        }) / k as f64;
+        let kernel = half.batch_kernel(k as usize);
+        println!("{{\"id\": \"token_request/{k}\", \"ns\": {ns:.1}, \"kernel\": \"{kernel}\"}}");
+    }
 
     // Merkle. `merkle_root/*` is the cold cost `verify_chain` and recovery
     // pay: a fresh tree over ready leaf hashes, then its root (n − 1 node

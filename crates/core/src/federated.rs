@@ -279,15 +279,15 @@ impl FederatedDeployment {
             );
             return Ok(false);
         }
-        // Spend one token per hour through this platform. All tokens are
-        // valid and unspent by construction; verification failures are
-        // real errors.
+        // Spend one token per hour through this platform, all of them or
+        // none. All tokens are valid and unspent by construction;
+        // verification failures are real errors.
         let mut spent = Vec::with_capacity(hours as usize);
         for _ in 0..hours {
             spent.push(wallet.spend(window)?);
         }
+        self.verifiers[platform].verify_and_spend_all(&spent, window, &mut self.shared_ledger, ts)?;
         for token in &spent {
-            self.verifiers[platform].verify_and_spend(token, window, &mut self.shared_ledger, ts)?;
             self.leakage.record(
                 ts,
                 Observer::Public,

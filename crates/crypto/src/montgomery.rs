@@ -64,14 +64,26 @@ const WINDOW_TABLE: usize = 8;
 /// (DESIGN.md §6, "Vector kernel", has the measurement).
 pub const VECTOR_MIN_BITS: usize = 384;
 
+/// Most bases [`MontgomeryCtx::pow_many`] runs in one lane-parallel
+/// exponentiation: one per 64-bit lane of a 512-bit vector.
+pub const MAX_LANES: usize = 8;
+
+/// Fewest bases that [`MontgomeryCtx::pow_many`] runs on the lanes, per
+/// lane width in digits; smaller batches take one `pow` a base (DESIGN.md
+/// §6, "Lanes", has the measurement).
+#[cfg(target_arch = "x86_64")]
+const LANE_CROSSOVER: [(usize, usize); 2] = [(10, 2), (20, 3)];
+
 /// The multiplication kernel a context runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kernel {
     /// `mont_mul_into`'s limb loop.
     Scalar,
-    /// The AVX-512 IFMA AMM over `digits` 52-bit digits.
+    /// The AVX-512 IFMA AMM over `digits` 52-bit digits; batches of at
+    /// least `lanes_from` bases exponentiate on the lane kernel
+    /// (`usize::MAX` where it has no lane kernel at this width).
     #[cfg(target_arch = "x86_64")]
-    Ifma { cpu: ifma::Ifma, digits: usize },
+    Ifma { cpu: ifma::Ifma, digits: usize, lanes_from: usize },
 }
 
 impl Kernel {
@@ -97,7 +109,11 @@ impl Kernel {
         {
             let digits = (bits + 2).div_ceil(ifma::DIGIT_BITS);
             if digits.div_ceil(ifma::LANES) <= ifma::MAX_VECTORS {
-                return ifma::Ifma::detect().map(|cpu| Kernel::Ifma { cpu, digits });
+                let lanes_from = LANE_CROSSOVER
+                    .iter()
+                    .find(|&&(d, _)| d == digits)
+                    .map_or(usize::MAX, |&(_, from)| from);
+                return ifma::Ifma::detect().map(|cpu| Kernel::Ifma { cpu, digits, lanes_from });
             }
         }
         let _ = bits;
@@ -219,8 +235,8 @@ impl MontgomeryCtx {
     pub(crate) fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         work::add(Unit::MontMul, 1);
         #[cfg(target_arch = "x86_64")]
-        if let Kernel::Ifma { cpu, digits } = self.kernel {
-            cpu.mul(self.amm(digits, out, a, b), None);
+        if let Kernel::Ifma { cpu, digits, .. } = self.kernel {
+            cpu.mul(ifma::Job::One(self.amm(digits, out, a, b)));
             return;
         }
         // Every slice cut to `k` here, so the loops below index without
@@ -284,12 +300,13 @@ impl MontgomeryCtx {
         b2: &[u64],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if let (Kernel::Ifma { cpu, digits }, Kernel::Ifma { digits: digits2, .. }) =
+        if let (Kernel::Ifma { cpu, digits, .. }, Kernel::Ifma { digits: digits2, .. }) =
             (self.kernel, other.kernel)
         {
             if digits == digits2 {
                 work::add(Unit::MontMul, 2);
-                cpu.mul(self.amm(digits, out, a, b), Some(other.amm(digits, out2, a2, b2)));
+                let (x, y) = (self.amm(digits, out, a, b), other.amm(digits, out2, a2, b2));
+                cpu.mul(ifma::Job::Pair(x, y));
                 return;
             }
         }
@@ -379,15 +396,7 @@ impl MontgomeryCtx {
     /// The 8 odd powers `bm^1, bm^3, …, bm^15` of a Montgomery-form
     /// base, flat with a stride of `k` words. `tmp` is scratch.
     fn odd_powers(&self, bm: &[u64], tmp: &mut [u64]) -> Vec<u64> {
-        let k = self.k;
-        self.mont_mul_into(tmp, bm, bm);
-        let mut table = vec![0u64; WINDOW_TABLE * k];
-        table[..k].copy_from_slice(bm);
-        for i in 1..WINDOW_TABLE {
-            let (done, rest) = table.split_at_mut(i * k);
-            self.mont_mul_into(&mut rest[..k], &done[(i - 1) * k..], tmp);
-        }
-        table
+        odd_powers(bm, tmp, |out, a, b| self.mont_mul_into(out, a, b))
     }
 
     /// `base^exp mod n` by sliding-window Montgomery exponentiation.
@@ -438,6 +447,109 @@ impl MontgomeryCtx {
             }
         }
         Ok((c1.finish(), c2.finish()))
+    }
+
+    /// `base^exp mod n` for every base, in order: the same results and
+    /// [`Unit::MontMul`] count as one [`Self::pow`] a base.
+    ///
+    /// On the vector kernel, at a width the lane kernel is compiled for
+    /// (10 or 20 digits: 467–518 and 987–1 038-bit moduli), the bases go
+    /// [`MAX_LANES`] at a time, one per lane of one kernel call per
+    /// product. All lanes walk `exp`'s one `Schedule`, so each lane makes
+    /// `pow`'s products in `pow`'s order. A group smaller than the
+    /// width's crossover takes `pow` a base ([`Self::batch_kernel`] names
+    /// which).
+    pub fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Result<Vec<BigUint>> {
+        let mut out = Vec::with_capacity(bases.len());
+        for group in bases.chunks(MAX_LANES) {
+            #[cfg(target_arch = "x86_64")]
+            if let Kernel::Ifma { cpu, digits, .. } = self.kernel {
+                if self.runs_on_lanes(group.len()) && !exp.is_zero() {
+                    out.extend(self.pow_lanes(cpu, digits, group, exp)?);
+                    continue;
+                }
+            }
+            for base in group {
+                out.push(self.pow(base, exp)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether [`Self::pow_many`] exponentiates a group of `batch` bases
+    /// on the lane kernel.
+    pub(crate) fn runs_on_lanes(&self, batch: usize) -> bool {
+        match self.kernel {
+            Kernel::Scalar => false,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma { lanes_from, .. } => (lanes_from..=MAX_LANES).contains(&batch),
+        }
+    }
+
+    /// The kernel [`Self::pow_many`] runs a group of `batch` bases on:
+    /// `"avx512ifma-lanes"`, or [`Self::kernel`]'s name.
+    pub fn batch_kernel(&self, batch: usize) -> &'static str {
+        if self.runs_on_lanes(batch) {
+            "avx512ifma-lanes"
+        } else {
+            self.kernel()
+        }
+    }
+
+    /// [`Self::pow_many`] for one group of up to [`MAX_LANES`] bases on
+    /// the lane kernel; `exp` is nonzero. A residue is `digits` vectors
+    /// (word `8·j + l` is digit `j` of lane `l`'s residue, unused lanes
+    /// hold zero) and stays below `2n` between products; each product
+    /// counts one [`Unit::MontMul`] a base.
+    #[cfg(target_arch = "x86_64")]
+    fn pow_lanes(
+        &self,
+        cpu: ifma::Ifma,
+        digits: usize,
+        bases: &[BigUint],
+        exp: &BigUint,
+    ) -> Result<Vec<BigUint>> {
+        let (w, n) = (ifma::LANES * digits, &self.n_limbs[..digits]);
+        let mul = |out: &mut [u64], a: &[u64], b: &[u64]| {
+            work::add(Unit::MontMul, bases.len() as u64);
+            cpu.mul(ifma::Job::Lanes(ifma::LaneAmm { out, a, b, n, n0: self.n0 }));
+        };
+        let every_lane = |v: &[u64]| -> Vec<u64> {
+            v[..digits].iter().flat_map(|&d| [d; ifma::LANES]).collect()
+        };
+        let mut x = vec![0u64; w];
+        for (lane, base) in bases.iter().enumerate() {
+            for (j, &d) in self.reduced(base)?[..digits].iter().enumerate() {
+                x[ifma::LANES * j + lane] = d;
+            }
+        }
+        let (mut acc, mut tmp) = (vec![0u64; w], vec![0u64; w]);
+        mul(&mut acc, &x, &every_lane(&self.r2));
+        let ops = Schedule::new(exp);
+        let table = if ops.sparse {
+            acc.clone()
+        } else {
+            let table = odd_powers(&acc, &mut tmp, mul);
+            acc = every_lane(&self.r1);
+            table
+        };
+        for op in ops {
+            mul(&mut tmp, &acc, Chain::operand(&acc, &table, op, w));
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        mul(&mut tmp, &acc, &every_lane(&self.one));
+        // The conversion out lands in [0, n], on n only for a base ≡ 0.
+        Ok((0..bases.len())
+            .map(|lane| {
+                let lane_digits: Vec<u64> = tmp[lane..].iter().step_by(ifma::LANES).copied().collect();
+                let v = BigUint::from_limbs(from_digits(&lane_digits[..digits]));
+                if v < self.n {
+                    v
+                } else {
+                    v.sub(&self.n)
+                }
+            })
+            .collect())
     }
 
     /// Simultaneous multi-exponentiation (Straus): `Π bᵢ^{eᵢ} mod n`
@@ -647,6 +759,21 @@ impl MontgomeryCtx {
     }
 }
 
+/// The 8 odd powers `x^1, x^3, …, x^15` of a Montgomery-form `x` under
+/// the product `mul`, flat with a stride of `x.len()` words. `tmp` is
+/// scratch of that length.
+fn odd_powers(x: &[u64], tmp: &mut [u64], mul: impl Fn(&mut [u64], &[u64], &[u64])) -> Vec<u64> {
+    let k = x.len();
+    mul(tmp, x, x);
+    let mut table = vec![0u64; WINDOW_TABLE * k];
+    table[..k].copy_from_slice(x);
+    for i in 1..WINDOW_TABLE {
+        let (done, rest) = table.split_at_mut(i * k);
+        mul(&mut rest[..k], &done[(i - 1) * k..], tmp);
+    }
+    table
+}
+
 /// The greedy sliding window whose top bit is the set bit `i` of `exp`:
 /// extend down to 4 bits, then shrink back so the window ends on a set
 /// bit (keeps the table odd-only). Returns the window's lowest bit and
@@ -836,7 +963,8 @@ pub(crate) mod tests {
     #[derive(Clone, Copy, Debug)]
     pub(crate) enum Forced {
         Scalar,
-        /// The vector kernel at every width it fits, crossover ignored.
+        /// The vector kernel at every width it fits, and the lane kernel
+        /// at every batch size, crossovers ignored.
         Vector,
     }
 
@@ -844,7 +972,16 @@ pub(crate) mod tests {
         pub(super) fn kernel(self, bits: usize) -> Kernel {
             match self {
                 Forced::Scalar => Kernel::Scalar,
-                Forced::Vector => Kernel::vector(bits).unwrap_or(Kernel::Scalar),
+                Forced::Vector => match Kernel::vector(bits) {
+                    // Lanes from one base up, at the widths that have them.
+                    #[cfg(target_arch = "x86_64")]
+                    Some(Kernel::Ifma { cpu, digits, lanes_from }) => Kernel::Ifma {
+                        cpu,
+                        digits,
+                        lanes_from: if lanes_from == usize::MAX { usize::MAX } else { 1 },
+                    },
+                    _ => Kernel::Scalar,
+                },
             }
         }
     }
@@ -1097,6 +1234,189 @@ pub(crate) mod tests {
                 "{name}: outputs differ from the scalar kernel's"
             );
             assert_eq!(counts, [145, 147, 1255, 1250, 21, 19], "{name}: multiplications per step");
+        }
+    }
+
+    /// The low 52 bits of a lane: what `vpmadd52*` multiplies.
+    const M52: u64 = (1 << 52) - 1;
+
+    /// `vpmadd52luq` on one lane: `acc` plus the low half of the 104-bit
+    /// product of `x`'s and `y`'s low 52 bits.
+    fn madd52lo(acc: u64, x: u64, y: u64) -> u64 {
+        acc.wrapping_add(((x & M52) as u128 * (y & M52) as u128) as u64 & M52)
+    }
+
+    /// `vpmadd52huq` on one lane: `acc` plus the high half.
+    fn madd52hi(acc: u64, x: u64, y: u64) -> u64 {
+        acc.wrapping_add((((x & M52) as u128 * (y & M52) as u128) >> 52) as u64)
+    }
+
+    /// A portable model of the lane kernel (`ifma::lane_amm`): its steps
+    /// in its order, one lane at a time, with `madd52lo` / `madd52hi`
+    /// emulated on `u128`, over the same layout (word `8·j + l` is digit
+    /// `j` of lane `l`).
+    fn lane_amm_model(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0: u64) {
+        let d = n.len();
+        for lane in 0..MAX_LANES {
+            let digit = |v: &[u64], j: usize| v[MAX_LANES * j + lane];
+            let mut acc = vec![0u64; d];
+            for i in 0..d {
+                let bi = digit(b, i);
+                for (j, t) in acc.iter_mut().enumerate() {
+                    *t = madd52lo(*t, digit(a, j), bi);
+                }
+                let y = madd52lo(0, acc[0], n0);
+                for (t, &nj) in acc.iter_mut().zip(n) {
+                    *t = madd52lo(*t, nj, y);
+                }
+                let carry = acc[0] >> 52;
+                acc.rotate_left(1);
+                acc[d - 1] = 0;
+                acc[0] += carry;
+                for ((j, t), &nj) in acc.iter_mut().enumerate().zip(n) {
+                    *t = madd52hi(madd52hi(*t, digit(a, j), bi), nj, y);
+                }
+            }
+            let mut carry = 0;
+            for (j, &t) in acc.iter().enumerate() {
+                let s = t + carry;
+                carry = s >> 52;
+                out[MAX_LANES * j + lane] = s & M52;
+            }
+        }
+    }
+
+    /// One lane product to check: the modulus's digits and `n0`, and the
+    /// operands of the lanes in use (the rest stay zero) in the lane
+    /// layout and as values.
+    struct LaneCase {
+        n: BigUint,
+        digits: Vec<u64>,
+        n0: u64,
+        a: Vec<u64>,
+        b: Vec<u64>,
+        operands: Vec<(BigUint, BigUint)>,
+    }
+
+    /// Digit `j` of lane `lane` of a lane-layout residue, as a value.
+    fn lane_value(words: &[u64], lane: usize) -> BigUint {
+        let digits: Vec<u64> = words[lane..].iter().step_by(MAX_LANES).copied().collect();
+        digits.iter().rev().fold(BigUint::zero(), |v, &d| v.shl(52).add(&BigUint::from_u64(d)))
+    }
+
+    /// Lane products at 10 and 20 digits: the all-ones modulus and random
+    /// odd ones at the widest and narrowest width of each digit count, 1
+    /// to 8 lanes in use, operands below `2n` with `n − 1` among them.
+    fn lane_cases() -> Vec<LaneCase> {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut cases = Vec::new();
+        for d in [10usize, 20] {
+            let (widest, narrowest) = (52 * d - 2, 52 * (d - 1) - 1);
+            let all_ones = BigUint::one().shl(widest).sub(&BigUint::one());
+            for n in [all_ones, odd_modulus(widest, &mut rng), odd_modulus(narrowest, &mut rng)] {
+                assert_eq!((n.bits() + 2).div_ceil(52), d, "{} bits", n.bits());
+                let digits: Vec<u64> =
+                    (0..d).map(|j| n.shr(52 * j).limbs().first().map_or(0, |&l| l & M52)).collect();
+                let (top, two_n) = (n.sub(&BigUint::one()), n.add(&n));
+                for used in 1..=MAX_LANES {
+                    let (mut a, mut b) = (vec![0u64; MAX_LANES * d], vec![0u64; MAX_LANES * d]);
+                    let mut operands = Vec::new();
+                    for lane in 0..used {
+                        let x = if lane == 0 { top.clone() } else { BigUint::random_below(&two_n, &mut rng) };
+                        let y = if lane < 2 { top.clone() } else { BigUint::random_below(&two_n, &mut rng) };
+                        for j in 0..d {
+                            let digit = |v: &BigUint| v.shr(52 * j).limbs().first().map_or(0, |&l| l & M52);
+                            a[MAX_LANES * j + lane] = digit(&x);
+                            b[MAX_LANES * j + lane] = digit(&y);
+                        }
+                        operands.push((x, y));
+                    }
+                    let n0 = word_neg_inv(n.limbs()[0]) & M52;
+                    cases.push(LaneCase { n: n.clone(), digits: digits.clone(), n0, a, b, operands });
+                }
+            }
+        }
+        cases
+    }
+
+    /// The model is `a·b·2^(−52d) mod n` below `2n` in every lane in use,
+    /// against the scalar kernel's `mul_mod`, and zero in the others: on
+    /// every CPU, so a CPU without IFMA still checks the lane algorithm.
+    #[test]
+    fn lane_model_matches_the_scalar_kernel() {
+        for case in lane_cases() {
+            let d = case.digits.len();
+            let scalar = forcing(Forced::Scalar, || MontgomeryCtx::new(&case.n).unwrap());
+            let r_inv = BigUint::one().shl(52 * d).mod_inv(&case.n).unwrap();
+            let mut out = vec![0xdead_beef_u64; MAX_LANES * d];
+            lane_amm_model(&mut out, &case.a, &case.b, &case.digits, case.n0);
+            for lane in 0..MAX_LANES {
+                let got = lane_value(&out, lane);
+                let Some((x, y)) = case.operands.get(lane) else {
+                    assert!(got.is_zero(), "{d} digits: unused lane {lane}");
+                    continue;
+                };
+                assert!(got < case.n.add(&case.n), "{d} digits, lane {lane}: not below 2n");
+                let want = scalar.mul_mod(&scalar.mul_mod(x, y).unwrap(), &r_inv).unwrap();
+                assert_eq!(got.rem(&case.n).unwrap(), want, "{d} digits, lane {lane}");
+            }
+        }
+    }
+
+    /// The lane kernel gives the model's words, where the CPU has IFMA.
+    #[test]
+    fn lane_kernel_matches_the_model() {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = ifma::Ifma::detect() {
+            for case in lane_cases() {
+                let d = case.digits.len();
+                let mut want = vec![0u64; MAX_LANES * d];
+                lane_amm_model(&mut want, &case.a, &case.b, &case.digits, case.n0);
+                let mut got = vec![0xdead_beef_u64; MAX_LANES * d];
+                let (a, b, n) = (&case.a[..], &case.b[..], &case.digits[..]);
+                cpu.mul(ifma::Job::Lanes(ifma::LaneAmm { out: &mut got, a, b, n, n0: case.n0 }));
+                assert_eq!(got, want, "{d} digits, {} lanes in use", case.operands.len());
+            }
+            return;
+        }
+        eprintln!("skipped: this CPU does not report avx512f/avx512ifma; the lane kernel did not run");
+    }
+
+    #[test]
+    fn pow_many_matches_a_pow_per_base() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for (name, kernel) in kernels() {
+            // Both ends of each lane width, a vector width without lanes,
+            // and a scalar one.
+            for (bits, lanes) in [(467, true), (518, true), (987, true), (1038, true), (768, false), (256, false)] {
+                let n = odd_modulus(bits, &mut rng);
+                let ctx = forcing(kernel, || MontgomeryCtx::new(&n).unwrap());
+                assert_eq!(ctx.runs_on_lanes(MAX_LANES), lanes && name != "scalar", "{name}: {bits} bits");
+                // Dense, sparse (RSA's e), one and zero.
+                let exps = [
+                    BigUint::random_bits(bits / 2, &mut rng),
+                    BigUint::from_u64(65537),
+                    BigUint::one(),
+                    BigUint::zero(),
+                ];
+                for e in &exps {
+                    for k in [1usize, 2, 3, 8, 9] {
+                        // n − 1, zero and a base above n among random ones.
+                        let mut bases: Vec<BigUint> = (0..k).map(|_| BigUint::random_below(&n, &mut rng)).collect();
+                        bases[0] = n.sub(&BigUint::one());
+                        if k > 2 {
+                            bases[1] = BigUint::zero();
+                            bases[2] = n.add(&BigUint::from_u64(5));
+                        }
+                        let (many, many_muls) = measure(|| ctx.pow_many(&bases, e).unwrap());
+                        let (each, each_muls) = measure(|| {
+                            bases.iter().map(|b| ctx.pow(b, e).unwrap()).collect::<Vec<_>>()
+                        });
+                        assert_eq!(many, each, "{name}: {bits} bits, {k} bases, e = {e:?}");
+                        assert_eq!(many_muls, each_muls, "{name}: {bits} bits, {k} bases");
+                    }
+                }
+            }
         }
     }
 

@@ -14,6 +14,13 @@
 //! and one conditional subtraction brings it below `n`, so every result
 //! is the unique value the scalar kernel's domain maps it to.
 //!
+//! [`LaneAmm`] is the other layout: eight residues over one modulus, one
+//! per lane, so vector `j` holds digit `j` of every lane's residue. Each
+//! lane computes its own `y` with `madd52lo`, there is no scalar digit,
+//! and results stay below `2n` with no final subtraction (operands below
+//! `2n` and `4n < R` keep an AMM there), so the loop has no branch on the
+//! data.
+//!
 //! Every intrinsic used here is a safe fn inside a `#[target_feature]`
 //! context; values enter vectors through `_mm512_set_epi64` and leave
 //! through lane extracts, never through a pointer.
@@ -50,6 +57,30 @@ pub(super) struct Amm<'a> {
     pub(super) digits: usize,
 }
 
+/// Eight products over one modulus, one per lane: lane `l` computes
+/// `out = a·b·2^(−52·D) mod n` with `out < 2n`, where `D = n.len()` and
+/// word `8·j + l` of `out`, `a` and `b` is digit `j` of lane `l`'s
+/// residue. `a` and `b` are below `2n`, `4n < 2^(52·D)`, `out` may hold
+/// anything; `n` is the modulus's `D` digits and `n0 = −n⁻¹ mod 2⁵²`.
+pub(super) struct LaneAmm<'a> {
+    pub(super) out: &'a mut [u64],
+    pub(super) a: &'a [u64],
+    pub(super) b: &'a [u64],
+    pub(super) n: &'a [u64],
+    pub(super) n0: u64,
+}
+
+/// What one call of the vector unit computes.
+pub(super) enum Job<'a> {
+    /// One product.
+    One(Amm<'a>),
+    /// Two independent products in one loop, so each hides the other's
+    /// latency; they agree in width and digit count.
+    Pair(Amm<'a>, Amm<'a>),
+    /// Eight products over one modulus, one per lane.
+    Lanes(LaneAmm<'a>),
+}
+
 impl Ifma {
     /// An `Ifma` if this CPU has the instructions, else `None`. (`std`
     /// caches the CPUID answer.)
@@ -58,18 +89,18 @@ impl Ifma {
             .then_some(Ifma(()))
     }
 
-    /// Computes `first`, and `second` beside it when given: two
-    /// independent products in one loop, so each hides the other's
-    /// latency. A pair must agree in width and digit count.
-    pub(super) fn mul(self, first: Amm<'_>, second: Option<Amm<'_>>) {
-        // SAFETY: `one` and `pair` are safe fns whose only requirement of
-        // their caller is their `#[target_feature]` set, and `self` exists
-        // only because `detect` saw both features reported by this CPU.
+    /// Computes `job`.
+    pub(super) fn mul(self, job: Job<'_>) {
+        // SAFETY: `one`, `pair` and `lanes_amm` are safe fns whose only
+        // requirement of their caller is their `#[target_feature]` set,
+        // and `self` exists only because `detect` saw both features
+        // reported by this CPU.
         #[allow(unsafe_code)]
         unsafe {
-            match second {
-                None => one(first),
-                Some(second) => pair(first, second),
+            match job {
+                Job::One(x) => one(x),
+                Job::Pair(x, y) => pair(x, y),
+                Job::Lanes(x) => lanes_amm(x),
             }
         }
     }
@@ -210,6 +241,88 @@ fn row<const V: usize>(acc: &mut [__m512i; V], x: &[__m512i; V], s: __m512i) {
     for v in 0..V {
         acc[v] = _mm512_madd52hi_epu64(acc[v], x[v], s);
     }
+}
+
+/// Runs [`lane_amm`] at the product's digit count: 10 (a 467–518-bit
+/// modulus, such as a 1 024-bit RSA key's primes) or 20 (987–1 038 bits,
+/// its `n`), the widths `LANE_CROSSOVER` lists.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn lanes_amm(x: LaneAmm<'_>) {
+    match x.n.len() {
+        10 => lane_amm::<10>(x),
+        20 => lane_amm::<20>(x),
+        d => unreachable!("{d} digits: no lane kernel at this width"),
+    }
+}
+
+/// `$body` once for each `$i` in `0..$d` (at most 20), each with `$i` a
+/// constant: no loop is left for the compiler to keep or unroll.
+macro_rules! unrolled {
+    ($i:ident < $d:expr => $body:block) => {
+        unrolled!(@ $i $d, $body; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19)
+    };
+    (@ $i:ident $d:expr, $body:block; $($n:literal)*) => {$(
+        if $n < $d {
+            const $i: usize = $n;
+            $body
+        }
+    )*};
+}
+
+/// The lane-parallel AMM over `D` digits. For each digit vector `bᵢ`:
+/// the low halves of `a·bᵢ` land on the accumulator, each lane's
+/// `y = t₀·n0 mod 2⁵²` is one `madd52lo`, the low halves of `n·y` clear
+/// digit 0, whose carry moves into digit 1 as the accumulator moves down
+/// one digit, and the high halves of both products land where they now
+/// belong. Digits are not carried inside the loop (each gains under `2⁵⁴`
+/// a step); one vector pass normalizes them at the end.
+///
+/// The loop over the digits of `b` stays a loop and everything inside it
+/// is unrolled, so every vector index is a constant: the accumulator lives
+/// in registers and moving it down one digit is register moves. (Inner
+/// loops left to the compiler kept it on the stack, with a store after
+/// every `madd52` and a `memmove` a step; unrolling the outer loop too
+/// serialized the 20-digit products on one register at a time, 2× slower.)
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn lane_amm<const D: usize>(x: LaneAmm<'_>) {
+    let zero = _mm512_setzero_si512();
+    let n0 = _mm512_set1_epi64(x.n0 as i64);
+    let n = |j: usize| _mm512_set1_epi64(x.n[j] as i64);
+    let mut a = [zero; D];
+    unrolled!(J < D => {
+        a[J] = load(&x.a[LANES * J..]);
+    });
+    let mut acc = [zero; D];
+    for i in 0..D {
+        let bi = load(&x.b[LANES * i..]);
+        unrolled!(J < D => {
+            acc[J] = _mm512_madd52lo_epu64(acc[J], a[J], bi);
+        });
+        let y = _mm512_madd52lo_epu64(zero, acc[0], n0);
+        unrolled!(J < D => {
+            acc[J] = _mm512_madd52lo_epu64(acc[J], n(J), y);
+        });
+        // Digit 0 is now a multiple of 2⁵²: it leaves, carrying into
+        // digit 1, and every digit moves down one place.
+        let carry = _mm512_srli_epi64::<52>(acc[0]);
+        unrolled!(J < D => {
+            acc[J] = if J + 1 < D { acc[(J + 1) % D] } else { zero };
+        });
+        acc[0] = _mm512_add_epi64(acc[0], carry);
+        unrolled!(J < D => {
+            acc[J] = _mm512_madd52hi_epu64(acc[J], a[J], bi);
+            acc[J] = _mm512_madd52hi_epu64(acc[J], n(J), y);
+        });
+    }
+    let mask = _mm512_set1_epi64(MASK as i64);
+    let mut carry = zero;
+    unrolled!(J < D => {
+        let s = _mm512_add_epi64(acc[J], carry);
+        carry = _mm512_srli_epi64::<52>(s);
+        x.out[LANES * J..LANES * (J + 1)].copy_from_slice(&lanes(_mm512_and_si512(s, mask)));
+    });
+    debug_assert_eq!(lanes(carry), [0; LANES], "lane AMM result reached R");
 }
 
 /// Carries the accumulator's lanes into 52-bit digits and subtracts `n`

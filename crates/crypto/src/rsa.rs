@@ -11,7 +11,7 @@
 //! counter-mode MGF, so signatures cover the whole group.
 
 use crate::bignum::BigUint;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::{MontgomeryCtx, MAX_LANES};
 use crate::sha256::Sha256;
 use crate::{CryptoError, Result};
 use rand::Rng;
@@ -123,7 +123,35 @@ impl RsaCrt {
     /// `x^d mod n` via half-width exponentiations and Garner's formula.
     fn pow_d(&self, x: &BigUint) -> Result<BigUint> {
         let (m1, m2) = self.mont_p.pow_pair(x, &self.d_p, &self.mont_q, x, &self.d_q)?;
-        // sig = m2 + q · ((m1 − m2) · q^{-1} mod p).
+        self.garner(&m1, &m2)
+    }
+
+    /// `xᵢ^d mod n` for every `xᵢ`. Groups of up to [`MAX_LANES`] that
+    /// both halves run on the lane kernel exponentiate as two groups, the
+    /// `p` lanes (one exponent `d_p`) and the `q` lanes (`d_q`); smaller
+    /// groups take [`Self::pow_d`]'s lockstep pair per element.
+    fn pow_d_many(&self, xs: &[BigUint]) -> Result<Vec<BigUint>> {
+        let mut out = Vec::with_capacity(xs.len());
+        for group in xs.chunks(MAX_LANES) {
+            let k = group.len();
+            if self.mont_p.runs_on_lanes(k) && self.mont_q.runs_on_lanes(k) {
+                let m1 = self.mont_p.pow_many(group, &self.d_p)?;
+                let m2 = self.mont_q.pow_many(group, &self.d_q)?;
+                for (m1, m2) in m1.iter().zip(&m2) {
+                    out.push(self.garner(m1, m2)?);
+                }
+            } else {
+                for x in group {
+                    out.push(self.pow_d(x)?);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Garner's recombination of `m1 = x^d mod p` and `m2 = x^d mod q`:
+    /// `m2 + q · ((m1 − m2) · q⁻¹ mod p)`.
+    fn garner(&self, m1: &BigUint, m2: &BigUint) -> Result<BigUint> {
         let h = m1
             .sub_mod(&m2.rem(&self.p)?, &self.p)?
             .mul_mod(&self.q_inv, &self.p)?;
@@ -157,10 +185,20 @@ impl PrivateKey {
     /// Signs a *blinded* element directly (the authority's role in the
     /// blind-signature protocol). The authority never learns the message.
     pub fn sign_blinded(&self, blinded: &BigUint) -> Result<BigUint> {
-        if blinded.cmp_to(&self.public.n) != std::cmp::Ordering::Less {
+        Ok(self.sign_blinded_many(std::slice::from_ref(blinded))?.remove(0))
+    }
+
+    /// Signs every blinded element of one request, in order: the bytes
+    /// and [`prever_obs::work::Unit::MontMul`] count of a `sign_blinded`
+    /// each. From the lane kernel's crossover up, the request's `p`
+    /// halves are one lane-parallel exponentiation and its `q` halves
+    /// another, with Garner per element. Nothing is signed unless every
+    /// element is below `n`.
+    pub fn sign_blinded_many(&self, blinded: &[BigUint]) -> Result<Vec<BigUint>> {
+        if blinded.iter().any(|b| b.cmp_to(&self.public.n) != std::cmp::Ordering::Less) {
             return Err(CryptoError::OutOfRange("blinded element >= n"));
         }
-        self.crt.pow_d(blinded)
+        self.crt.pow_d_many(blinded)
     }
 }
 
@@ -226,11 +264,15 @@ impl PublicKey {
         Err(CryptoError::VerificationFailed("RSA screening batch"))
     }
 
-    /// The screening product check over a sub-range.
+    /// The screening product check over a sub-range. The products start
+    /// from the first item, so a range of one costs what `verify` does.
     fn screen(&self, items: &[(&[u8], &Signature)]) -> Result<bool> {
-        let mut sig_prod = BigUint::one();
-        let mut hash_prod = BigUint::one();
-        for (msg, sig) in items {
+        let Some(((msg, sig), rest)) = items.split_first() else {
+            return Ok(true);
+        };
+        let mut sig_prod = sig.0.clone();
+        let mut hash_prod = full_domain_hash(msg, &self.n);
+        for (msg, sig) in rest {
             sig_prod = self.mont_n.mul_mod(&sig_prod, &sig.0)?;
             hash_prod = self.mont_n.mul_mod(&hash_prod, &full_domain_hash(msg, &self.n))?;
         }
@@ -248,42 +290,133 @@ pub struct BlindingState {
 }
 
 /// Blinds `msg` for signing: returns the blinded element to send to the
-/// authority and the state needed to unblind its response.
-///
-/// `blinded = H(msg) · r^e mod n` for random `r` coprime to `n`. The
-/// coprimality test *is* the inversion `unblind` needs — `r` is
-/// invertible exactly when it is coprime to `n` (which also rules out
-/// zero) — so each blinding factor meets Euclid once, here.
+/// authority and the state needed to unblind its response. The batch of
+/// one of [`blind_many`].
 pub fn blind<R: Rng + ?Sized>(
     pk: &PublicKey,
     msg: &[u8],
     rng: &mut R,
 ) -> Result<(BigUint, BlindingState)> {
-    let msg_hash = full_domain_hash(msg, &pk.n);
-    let (r, r_inv) = loop {
-        let r = BigUint::random_below(&pk.n, rng);
-        match r.mod_inv(&pk.n) {
-            Ok(r_inv) => break (r, r_inv),
-            Err(CryptoError::NotInvertible) => continue,
-            Err(e) => return Err(e),
-        }
+    let (mut blinded, mut states) = blind_many(pk, 1, |_| msg.to_vec(), rng)?;
+    Ok((blinded.remove(0), states.remove(0)))
+}
+
+/// Blinds the `count` messages of one request: the blinded elements to
+/// send to the authority and the states that unblind its responses.
+///
+/// `blindedᵢ = H(msgᵢ) · rᵢ^e mod n` for random `rᵢ` coprime to `n`.
+/// `message` draws message `i`, and `rᵢ` is drawn right after it, so a
+/// request takes from `rng` exactly what `count` calls of [`blind`] take.
+/// The `rᵢ^e` are one lane-parallel exponentiation
+/// ([`MontgomeryCtx::pow_many`]). The `rᵢ⁻¹` that unblinding needs cost
+/// one inversion for the whole request (Montgomery's trick: prefix
+/// products forward, one `mod_inv`, then each inverse backward; `3(k − 1)`
+/// multiplications). The inversion is also the coprimality test: should a
+/// factor share a prime with `n` (which would factor the key), the factors
+/// are inverted one by one and each such one redrawn, as `blind` always
+/// has, after the request's other draws.
+pub fn blind_many<R: Rng + ?Sized>(
+    pk: &PublicKey,
+    count: usize,
+    mut message: impl FnMut(&mut R) -> Vec<u8>,
+    rng: &mut R,
+) -> Result<(Vec<BigUint>, Vec<BlindingState>)> {
+    let (mut hashes, mut rs) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    for _ in 0..count {
+        hashes.push(full_domain_hash(&message(rng), &pk.n));
+        rs.push(BigUint::random_below(&pk.n, rng));
+    }
+    let r_invs = invert_all(pk, &mut rs, rng)?;
+    let res = pk.mont_n.pow_many(&rs, &pk.e)?;
+    let blinded = hashes
+        .iter()
+        .zip(&res)
+        .map(|(h, re)| pk.mont_n.mul_mod(h, re))
+        .collect::<Result<Vec<_>>>()?;
+    let states = r_invs
+        .into_iter()
+        .zip(hashes)
+        .map(|(r_inv, msg_hash)| BlindingState { r_inv, msg_hash })
+        .collect();
+    Ok((blinded, states))
+}
+
+/// `rᵢ⁻¹ mod n` for every blinding factor, by [`blind_many`]'s one
+/// inversion, redrawing a factor that is not invertible.
+fn invert_all<R: Rng + ?Sized>(
+    pk: &PublicKey,
+    rs: &mut [BigUint],
+    rng: &mut R,
+) -> Result<Vec<BigUint>> {
+    // prefix[i] = r₀ · … · rᵢ.
+    let mut prefix: Vec<BigUint> = Vec::with_capacity(rs.len());
+    for r in rs.iter() {
+        let next = match prefix.last() {
+            Some(p) => pk.mont_n.mul_mod(p, r)?,
+            None => r.clone(),
+        };
+        prefix.push(next);
+    }
+    let Some(all) = prefix.last() else {
+        return Ok(Vec::new());
     };
-    let re = pk.mont_n.pow(&r, &pk.e)?;
-    let blinded = pk.mont_n.mul_mod(&msg_hash, &re)?;
-    Ok((blinded, BlindingState { r_inv, msg_hash }))
+    let mut inv = match all.mod_inv(&pk.n) {
+        Ok(inv) => inv,
+        Err(CryptoError::NotInvertible) => {
+            return rs
+                .iter_mut()
+                .map(|r| loop {
+                    match r.mod_inv(&pk.n) {
+                        Ok(r_inv) => break Ok(r_inv),
+                        Err(CryptoError::NotInvertible) => *r = BigUint::random_below(&pk.n, rng),
+                        Err(e) => break Err(e),
+                    }
+                })
+                .collect();
+        }
+        Err(e) => return Err(e),
+    };
+    // Walking back, `inv` is (r₀ · … · rᵢ)⁻¹.
+    let mut out = vec![BigUint::zero(); rs.len()];
+    for i in (1..rs.len()).rev() {
+        out[i] = pk.mont_n.mul_mod(&inv, &prefix[i - 1])?;
+        inv = pk.mont_n.mul_mod(&inv, &rs[i])?;
+    }
+    out[0] = inv;
+    Ok(out)
 }
 
 /// Unblinds the authority's signature on a blinded element:
 /// `sig = blind_sig · r^−1 mod n`, a valid FDH signature on the original
-/// message. Verifies the result before returning it.
+/// message. Verifies the result before returning it. The batch of one of
+/// [`unblind_many`].
 pub fn unblind(pk: &PublicKey, blind_sig: &BigUint, state: &BlindingState) -> Result<Signature> {
-    let sig = pk.mont_n.mul_mod(blind_sig, &state.r_inv)?;
-    // Sanity-check against the stored hash (catches a cheating authority).
-    let recovered = pk.mont_n.pow(&sig, &pk.e)?;
-    if recovered != state.msg_hash {
+    let sigs = unblind_many(pk, std::slice::from_ref(blind_sig), std::slice::from_ref(state))?;
+    Ok(sigs.into_iter().next().expect("one signature per state"))
+}
+
+/// Unblinds the authority's signatures on one request's blinded
+/// elements, pairing `blind_sigs[i]` with `states[i]`, and checks every
+/// `sigᵢ^e = H(msgᵢ)` (catches a cheating authority) with one
+/// lane-parallel exponentiation. Returns every signature or none.
+pub fn unblind_many(
+    pk: &PublicKey,
+    blind_sigs: &[BigUint],
+    states: &[BlindingState],
+) -> Result<Vec<Signature>> {
+    if blind_sigs.len() != states.len() {
+        return Err(CryptoError::OutOfRange("unblind operand length mismatch"));
+    }
+    let sigs = blind_sigs
+        .iter()
+        .zip(states)
+        .map(|(s, state)| pk.mont_n.mul_mod(s, &state.r_inv))
+        .collect::<Result<Vec<_>>>()?;
+    let recovered = pk.mont_n.pow_many(&sigs, &pk.e)?;
+    if recovered.iter().zip(states).any(|(r, state)| *r != state.msg_hash) {
         return Err(CryptoError::VerificationFailed("unblinded signature"));
     }
-    Ok(Signature(sig))
+    Ok(sigs.into_iter().map(Signature).collect())
 }
 
 #[cfg(test)]
@@ -440,6 +573,95 @@ mod tests {
         match sk.public.batch_verify(&items) {
             Err(CryptoError::BatchItemInvalid { index: 1, .. }) => {}
             other => panic!("expected range rejection at 1, got {other:?}"),
+        }
+    }
+
+    /// The key at the benchmark's size (512-bit primes) with its three
+    /// contexts rebuilt, so a test's kernel rule applies to them.
+    fn rebuilt(key: &PrivateKey) -> PrivateKey {
+        let (n, d) = (&key.public.n, &key.d);
+        let mont_n = MontgomeryCtx::new(n).unwrap();
+        let public = PublicKey { n: n.clone(), e: key.public.e.clone(), mont_n };
+        let crt = RsaCrt::new(&key.crt.p, &key.crt.q, d).unwrap();
+        PrivateKey { public, d: d.clone(), crt }
+    }
+
+    /// Every batch operation against its single-item form looped, at the
+    /// benchmark's key size and for 1 to 9 elements: under the
+    /// crossovers, and forced onto each kernel (the vector one takes the
+    /// lanes from one element up). `sign_blinded_many` and `unblind_many`
+    /// give the same bytes and `MontMul` count; `blind_many` gives the
+    /// same blinded elements and states from the same draws, and 6(k − 1)
+    /// more multiplications (Montgomery's trick, 3(k − 1) `mul_mod`s of
+    /// two each, in place of k − 1 inversions).
+    #[test]
+    fn batches_give_the_bytes_and_work_of_one_at_a_time() {
+        use crate::montgomery::tests::{forcing, kernels};
+        use prever_obs::work::{measure, Unit};
+        let key = keygen(512, &mut StdRng::seed_from_u64(26));
+        let mut rules = vec![("crossovers", None)];
+        rules.extend(kernels().into_iter().map(|(name, kernel)| (name, Some(kernel))));
+        for (name, rule) in rules {
+            let key = match rule {
+                Some(kernel) => forcing(kernel, || rebuilt(&key)),
+                None => rebuilt(&key),
+            };
+            let pk = &key.public;
+            let mut rng = StdRng::seed_from_u64(27);
+            for k in 1..=9usize {
+                let msgs: Vec<Vec<u8>> = (0..k).map(|i| format!("token-{k}-{i}").into_bytes()).collect();
+                let mut each_rng = rng.clone();
+                let mut next = msgs.iter();
+                let ((blinded, states), many) =
+                    measure(|| blind_many(pk, k, |_| next.next().unwrap().clone(), &mut rng).unwrap());
+                let (each, one) = measure(|| {
+                    msgs.iter().map(|m| blind(pk, m, &mut each_rng).unwrap()).collect::<Vec<_>>()
+                });
+                assert_eq!(rng.gen::<u64>(), each_rng.gen::<u64>(), "{name}, k = {k}: draws");
+                for ((b, s), (b1, s1)) in blinded.iter().zip(&states).zip(&each) {
+                    assert_eq!((b, &s.r_inv, &s.msg_hash), (b1, &s1.r_inv, &s1.msg_hash), "{name}, k = {k}");
+                }
+                let extra = 6 * (k as u64 - 1);
+                assert_eq!(many[Unit::MontMul], one[Unit::MontMul] + extra, "{name}, k = {k}: blind");
+
+                let (sigs, many) = measure(|| key.sign_blinded_many(&blinded).unwrap());
+                let (each, one) =
+                    measure(|| blinded.iter().map(|b| key.sign_blinded(b).unwrap()).collect::<Vec<_>>());
+                assert_eq!(sigs, each, "{name}, k = {k}: signatures");
+                assert_eq!(many[Unit::MontMul], one[Unit::MontMul], "{name}, k = {k}: sign");
+                let per = measure(|| key.sign_blinded(&blinded[0]).unwrap()).1[Unit::MontMul];
+                assert_eq!(one[Unit::MontMul], per * k as u64, "{name}, k = {k}: per signature");
+
+                let (unblinded, many) = measure(|| unblind_many(pk, &sigs, &states).unwrap());
+                let (each, one) = measure(|| {
+                    sigs.iter().zip(&states).map(|(s, st)| unblind(pk, s, st).unwrap()).collect::<Vec<_>>()
+                });
+                assert_eq!(unblinded, each, "{name}, k = {k}: unblinded");
+                assert_eq!(many[Unit::MontMul], one[Unit::MontMul], "{name}, k = {k}: unblind");
+                for (m, sig) in msgs.iter().zip(&unblinded) {
+                    pk.verify(m, sig).unwrap();
+                }
+            }
+            // A wrong element anywhere fails the whole unblinding.
+            let (blinded, states) = blind_many(pk, 3, |_| b"t".to_vec(), &mut rng).unwrap();
+            let mut sigs = key.sign_blinded_many(&blinded).unwrap();
+            sigs[2] = sigs[2].add(&BigUint::one()).rem(&pk.n).unwrap();
+            assert!(unblind_many(pk, &sigs, &states).is_err(), "{name}");
+            assert!(unblind_many(pk, &sigs[..2], &states).is_err(), "{name}: length mismatch");
+            // So does an element out of range anywhere in a signing batch.
+            assert!(key.sign_blinded_many(&[blinded[0].clone(), pk.n.clone()]).is_err(), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_factor_that_is_not_invertible_is_redrawn() {
+        let sk = key();
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut rs = vec![BigUint::from_u64(3), sk.crt.p.clone(), BigUint::from_u64(5)];
+        let invs = invert_all(&sk.public, &mut rs, &mut rng).unwrap();
+        assert_ne!(rs[1], sk.crt.p, "the factor sharing p was redrawn");
+        for (r, inv) in rs.iter().zip(&invs) {
+            assert!(sk.public.mont_n.mul_mod(r, inv).unwrap().is_one());
         }
     }
 

@@ -53,24 +53,42 @@ impl TokenAuthority {
 
     /// Signs one blinded token element for `participant` in `window`,
     /// debiting the budget. The authority never sees the token itself.
+    /// The batch of one of [`Self::issue_blinded_many`].
     pub fn issue_blinded(
         &mut self,
         participant: &str,
         window: u64,
         blinded: &BigUint,
     ) -> Result<BigUint> {
+        let sigs = self.issue_blinded_many(participant, window, std::slice::from_ref(blinded))?;
+        Ok(sigs.into_iter().next().expect("a budget left signs the one element"))
+    }
+
+    /// Signs one request's blinded token elements for `participant` in
+    /// `window`, in order, as many as the budget has left, and debits
+    /// them: fewer signatures than elements once the budget runs out
+    /// part-way, [`TokenError::BudgetExhausted`] when none was left. One
+    /// [`rsa::PrivateKey::sign_blinded_many`] signs them.
+    pub fn issue_blinded_many(
+        &mut self,
+        participant: &str,
+        window: u64,
+        blinded: &[BigUint],
+    ) -> Result<Vec<BigUint>> {
         let key = (participant.to_string(), window);
         let used = self.issued.get(&key).copied().unwrap_or(0);
-        if used >= self.budget_per_window {
+        let left = self.budget_per_window.saturating_sub(used);
+        if left == 0 && !blinded.is_empty() {
             return Err(TokenError::BudgetExhausted {
                 participant: participant.to_string(),
                 window,
                 budget: self.budget_per_window,
             });
         }
-        let sig = self.key.sign_blinded(blinded)?;
-        self.issued.insert(key, used + 1);
-        Ok(sig)
+        let take = blinded.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+        let sigs = self.key.sign_blinded_many(&blinded[..take])?;
+        self.issued.insert(key, used + take as u64);
+        Ok(sigs)
     }
 }
 
@@ -97,6 +115,28 @@ mod tests {
         assert_eq!(authority.issued_to("worker-1", 23), 3);
         assert_eq!(authority.issued_to("worker-1", 24), 1);
         assert_eq!(authority.issued_to("worker-3", 23), 0);
+    }
+
+    #[test]
+    fn a_request_is_signed_up_to_the_budget_left() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut authority = TokenAuthority::new(96, 5, &mut rng);
+        let blinded: Vec<BigUint> = (1..=4).map(|i| BigUint::from_u64(1000 + i)).collect();
+        let signed = authority.issue_blinded_many("w", 1, &blinded).unwrap();
+        assert_eq!(signed.len(), 4);
+        for (b, s) in blinded.iter().zip(&signed) {
+            assert_eq!(s, &authority.key.sign_blinded(b).unwrap());
+        }
+        assert_eq!(authority.issue_blinded_many("w", 1, &blinded).unwrap().len(), 1);
+        assert_eq!(authority.issued_to("w", 1), 5);
+        assert!(matches!(
+            authority.issue_blinded_many("w", 1, &blinded),
+            Err(TokenError::BudgetExhausted { budget: 5, .. })
+        ));
+        // An element out of range signs nothing and debits nothing.
+        let too_big = [blinded[0].clone(), authority.public_key().n.clone()];
+        assert!(authority.issue_blinded_many("w", 2, &too_big).is_err());
+        assert_eq!(authority.issued_to("w", 2), 0);
     }
 
     #[test]

@@ -77,7 +77,9 @@ pub enum TokenError {
 impl From<CryptoError> for TokenError {
     fn from(e: CryptoError) -> Self {
         match e {
-            CryptoError::VerificationFailed(_) => TokenError::InvalidToken,
+            CryptoError::VerificationFailed(_) | CryptoError::BatchItemInvalid { .. } => {
+                TokenError::InvalidToken
+            }
             other => TokenError::Crypto(other),
         }
     }

@@ -3,7 +3,7 @@
 use crate::wallet::Token;
 use crate::{Result, TokenError};
 use bytes::Bytes;
-use prever_crypto::rsa::PublicKey;
+use prever_crypto::rsa::{PublicKey, Signature};
 use prever_ledger::LedgerKv;
 
 /// A crowdworking platform (data manager role).
@@ -33,11 +33,8 @@ impl Platform {
     }
 
     /// Verifies and spends a token for `window`, recording it on the
-    /// shared ledger at logical time `now`.
-    ///
-    /// Order of checks: window binding → signature → double-spend. Every
-    /// failure is an explicit error; only a fully valid token mutates
-    /// the ledger.
+    /// shared ledger at logical time `now`. The batch of one of
+    /// [`Self::verify_and_spend_all`].
     pub fn verify_and_spend(
         &mut self,
         token: &Token,
@@ -45,17 +42,45 @@ impl Platform {
         ledger: &mut LedgerKv,
         now: u64,
     ) -> Result<()> {
-        if token.window != window {
+        self.verify_and_spend_all(std::slice::from_ref(token), window, ledger, now)
+    }
+
+    /// Verifies and spends all of one task's tokens for `window`,
+    /// recording them on the shared ledger at logical time `now` — every
+    /// one of them, or none.
+    ///
+    /// Order of checks: every token's window → no token twice in the
+    /// slice → every signature, by one Bellare–Garay–Rabin screening
+    /// batch ([`PublicKey::batch_verify`]) → no token already on the
+    /// ledger. Every failure is an explicit error, and only then are the
+    /// spends put, in the slice's order.
+    pub fn verify_and_spend_all(
+        &mut self,
+        tokens: &[Token],
+        window: u64,
+        ledger: &mut LedgerKv,
+        now: u64,
+    ) -> Result<()> {
+        if let Some(token) = tokens.iter().find(|t| t.window != window) {
             return Err(TokenError::WrongWindow { token_window: token.window, expected: window });
         }
-        let msg = Token::message(token.window, &token.nonce);
-        self.authority_key.verify(&msg, &token.signature)?;
-        let key = format!("spent:{}", token.id_hex());
-        if ledger.get(&key).is_some() {
-            return Err(TokenError::DoubleSpend { token_id: token.id_hex() });
+        for (i, token) in tokens.iter().enumerate() {
+            if tokens[..i].iter().any(|t| t.nonce == token.nonce) {
+                return Err(TokenError::DoubleSpend { token_id: token.id_hex() });
+            }
         }
-        ledger.put(now, &key, Bytes::from(format!("{}@{}", self.name, now)));
-        self.accepted += 1;
+        let msgs: Vec<Vec<u8>> = tokens.iter().map(|t| Token::message(t.window, &t.nonce)).collect();
+        let items: Vec<(&[u8], &Signature)> =
+            msgs.iter().map(Vec::as_slice).zip(tokens.iter().map(|t| &t.signature)).collect();
+        self.authority_key.batch_verify(&items)?;
+        let keys: Vec<String> = tokens.iter().map(|t| format!("spent:{}", t.id_hex())).collect();
+        if let Some(i) = keys.iter().position(|key| ledger.get(key).is_some()) {
+            return Err(TokenError::DoubleSpend { token_id: tokens[i].id_hex() });
+        }
+        for key in &keys {
+            ledger.put(now, key, Bytes::from(format!("{}@{}", self.name, now)));
+        }
+        self.accepted += tokens.len() as u64;
         Ok(())
     }
 }
@@ -115,6 +140,35 @@ mod tests {
         );
         // Nothing hit the ledger.
         assert_eq!(s.ledger.journal().len(), 0);
+    }
+
+    #[test]
+    fn a_forged_token_spends_none_of_its_task() {
+        let mut s = setup(40);
+        s.wallet.request_tokens(&mut s.authority, 23, 4, &mut s.rng).unwrap();
+        let mut tokens: Vec<Token> = (0..4).map(|_| s.wallet.spend(23).unwrap()).collect();
+        tokens[2].nonce[0] ^= 1;
+        let mut platform = Platform::new("p", s.authority.public_key().clone());
+        assert_eq!(
+            platform.verify_and_spend_all(&tokens, 23, &mut s.ledger, 1).unwrap_err(),
+            TokenError::InvalidToken
+        );
+        assert_eq!(s.ledger.journal().len(), 0, "no token of the task reached the ledger");
+        assert_eq!(platform.accepted(), 0);
+        // The three valid ones still spend together, in order.
+        tokens.remove(2);
+        platform.verify_and_spend_all(&tokens, 23, &mut s.ledger, 2).unwrap();
+        assert_eq!(s.ledger.journal().len(), 3);
+        // A token twice in one task, or already spent, spends nothing.
+        let twice = [tokens[0].clone(), tokens[0].clone()];
+        let mut other = Platform::new("q", s.authority.public_key().clone());
+        for batch in [&twice[..], &tokens[1..]] {
+            assert!(matches!(
+                other.verify_and_spend_all(batch, 23, &mut s.ledger, 3),
+                Err(TokenError::DoubleSpend { .. })
+            ));
+        }
+        assert_eq!(s.ledger.journal().len(), 3);
     }
 
     #[test]

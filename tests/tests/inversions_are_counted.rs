@@ -1,5 +1,5 @@
 //! The two crypto-bound request paths invert exactly as often as their
-//! algebra needs: once per blinding factor, and never on the private
+//! algebra needs: once per token request, and never on the private
 //! update path. Counted in `BigUint::mod_inv` / `gcd` calls (the
 //! `crypto.bignum.*` counters), not in time.
 //!
@@ -21,13 +21,14 @@ fn request_paths_invert_only_where_the_algebra_needs_it() {
     let mut manager = OutsourcedManager::new(owner.public_params(), 40);
     assert!(inversions.get() > 0 && gcds.get() > 0, "the counters count");
 
-    // RC3: k tokens are k blinding factors, each inverted once — the
-    // inversion is the coprimality test, so no gcd beside it.
+    // RC3: a request's k blinding factors are inverted together, by one
+    // inversion of their product (Montgomery's trick) — the inversion is
+    // the coprimality test, so no gcd beside it.
     let (inv0, gcd0) = (inversions.get(), gcds.get());
     let mut wallet = Wallet::new("worker-1");
     let k = 7;
     assert_eq!(wallet.request_tokens(&mut authority, 23, k, &mut rng).unwrap(), k);
-    assert_eq!(inversions.get() - inv0, k, "one inversion per token");
+    assert_eq!(inversions.get() - inv0, 1, "one inversion per request");
     assert_eq!(gcds.get(), gcd0, "no gcd on token issuance");
 
     // RC1: encrypt, commit, range prove; range verify, add, rerandomize,
