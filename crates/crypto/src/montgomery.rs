@@ -542,7 +542,7 @@ impl MontgomeryCtx {
         Ok((0..bases.len())
             .map(|lane| {
                 let lane_digits: Vec<u64> = tmp[lane..].iter().step_by(ifma::LANES).copied().collect();
-                let v = BigUint::from_limbs(from_digits(&lane_digits[..digits]));
+                let v = BigUint::from_limbs(from_digits(&lane_digits));
                 if v < self.n {
                     v
                 } else {
